@@ -177,22 +177,20 @@ func (j *Job) Wait(ctx context.Context) error {
 // every phase already entered, then live phases, and closes when the
 // job completes. Call the cancel function to unsubscribe early.
 func (j *Job) Follow() (<-chan string, func()) {
-	ch := make(chan string, 16)
+	// The backlog goes in under j.mu, into a channel with room for all of
+	// it, so finish cannot close the channel mid-replay. The 16 extra
+	// slots buffer live phases for a slow reader; emit drops beyond that.
 	j.mu.Lock()
-	backlog := append([]string(nil), j.phases...)
-	terminal := j.state == StateDone || j.state == StateCached || j.state == StateFailed
-	if !terminal {
+	ch := make(chan string, len(j.phases)+16)
+	for _, p := range j.phases {
+		ch <- p
+	}
+	if j.state == StateDone || j.state == StateCached || j.state == StateFailed {
+		close(ch)
+	} else {
 		j.subs = append(j.subs, ch)
 	}
 	j.mu.Unlock()
-	go func() {
-		for _, p := range backlog {
-			ch <- p
-		}
-		if terminal {
-			close(ch)
-		}
-	}()
 	cancel := func() {
 		j.mu.Lock()
 		for i, s := range j.subs {
@@ -207,13 +205,14 @@ func (j *Job) Follow() (<-chan string, func()) {
 }
 
 // emit records a phase and fans it out to followers. Followers that
-// cannot keep up drop phases rather than block the pipeline.
+// cannot keep up drop phases rather than block the pipeline. Channel
+// sends and closes all happen under j.mu, so no send can meet a channel
+// that finish has already closed.
 func (j *Job) emit(phase string) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.phases = append(j.phases, phase)
-	subs := append([]chan string(nil), j.subs...)
-	j.mu.Unlock()
-	for _, ch := range subs {
+	for _, ch := range j.subs {
 		select {
 		case ch <- phase:
 		default:
@@ -227,12 +226,11 @@ func (j *Job) finish(state State, a *Artifacts, err error) {
 	j.state = state
 	j.artifacts = a
 	j.err = err
-	subs := j.subs
-	j.subs = nil
-	j.mu.Unlock()
-	for _, ch := range subs {
+	for _, ch := range j.subs {
 		close(ch)
 	}
+	j.subs = nil
+	j.mu.Unlock()
 	close(j.done)
 }
 

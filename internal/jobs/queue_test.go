@@ -181,6 +181,53 @@ func TestCloseDrains(t *testing.T) {
 	}
 }
 
+// TestJobFollowRacesFinish subscribes while the job emits its last
+// phases and finishes: every follower must read the whole phase list in
+// order and then see the channel close, and no send may hit a closed
+// channel. Run it under -race.
+func TestJobFollowRacesFinish(t *testing.T) {
+	phases := []string{"atpg", "t0", "proposed"}
+	for it := 0; it < 500; it++ {
+		j := &Job{ID: "j", state: StateRunning, done: make(chan struct{})}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for _, p := range phases {
+				j.emit(p)
+			}
+			j.finish(StateDone, nil, nil)
+		}()
+		got := make([][]string, 4)
+		for f := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				ch, cancel := j.Follow()
+				defer cancel()
+				for p := range ch {
+					got[f] = append(got[f], p)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for f, g := range got {
+			if len(g) != len(phases) {
+				t.Fatalf("iteration %d follower %d: phases = %v, want %v", it, f, g, phases)
+			}
+			for i := range phases {
+				if g[i] != phases[i] {
+					t.Fatalf("iteration %d follower %d: phases = %v, want %v", it, f, g, phases)
+				}
+			}
+		}
+	}
+}
+
 // TestJobFollowReplaysBacklog subscribes after completion: the follower
 // must still see every phase, then the channel must close.
 func TestJobFollowReplaysBacklog(t *testing.T) {

@@ -18,9 +18,20 @@
 // detect no transition fault at all — which is exactly why the paper's
 // long-sequence test sets are better delay screens than the length-1
 // dominated sets of the prior static compaction flow.
+//
+// Grading runs on the compiled batch kernel (sim.Compile and
+// sim.BatchEngine). The good machine stays on the interpreter, one
+// evaluation per cycle, and decides which faults each cycle launches.
+// Cycle u is then re-evaluated as capture frames: each frame starts
+// from the good machine's pre-cycle state and holds up to 512 launched
+// faults at their old values, one fault per slot. No slot carries the
+// good machine; every observed word is compared against the scalar
+// good value of cycle u.
 package tfault
 
 import (
+	"math/bits"
+
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -58,20 +69,35 @@ func Universe(c *circuit.Circuit) []Fault {
 	return out
 }
 
-// Simulator grades scan tests against a transition fault list.
-// Not safe for concurrent use.
+// frameWords is the kernel width of a full capture frame: one frame
+// carries up to 64*frameWords launched faults.
+const frameWords = 8
+
+// Simulator grades scan tests against a transition fault list. The good
+// machine runs on the interpreter, one evaluation per cycle; capture
+// frames run on the compiled batch kernel. Not safe for concurrent use.
 type Simulator struct {
 	c      *circuit.Circuit
 	faults []Fault
 	good   *sim.Engine
-	bad    *sim.Engine
+	eng    *sim.BatchEngine
 	chain  []int // observed FF positions at scan-out (nil = all)
+
+	// observed lists the D-input nodes of the flip-flops a scan-out
+	// compares: what each one captures at the test's final cycle.
+	observed []int
 
 	// byNode[n] lists fault indices on node n (at most 2).
 	byNode [][]int
 
 	prev []logic.Value // good node values in the previous cycle
 	curv []logic.Value // good node values in the current cycle
+
+	// Per-frame buffers, reused across frames and tests.
+	launched []int
+	masks    []uint64 // one frame-width mask per launched fault
+	injs     []sim.BatchInjection
+	diff     []uint64 // per-word detection mask of the frame
 }
 
 // New returns a full-scan transition-fault simulator.
@@ -86,13 +112,22 @@ func NewChain(c *circuit.Circuit, faults []Fault, ch *scan.Chain) *Simulator {
 		c:      c,
 		faults: faults,
 		good:   sim.New(c),
-		bad:    sim.New(c),
+		eng:    sim.NewBatch(sim.Compile(c), frameWords),
 		byNode: make([][]int, c.NumNodes()),
 		prev:   make([]logic.Value, c.NumNodes()),
 		curv:   make([]logic.Value, c.NumNodes()),
+		masks:  make([]uint64, 64*frameWords*frameWords),
+		diff:   make([]uint64, frameWords),
 	}
-	if ch != nil {
+	if ch == nil {
+		for _, ff := range c.DFFs {
+			s.observed = append(s.observed, c.Nodes[ff].Fanin[0])
+		}
+	} else {
 		s.chain = append([]int(nil), ch.FFs...)
+		for _, i := range ch.FFs {
+			s.observed = append(s.observed, c.Nodes[c.DFFs[i]].Fanin[0])
+		}
 	}
 	for i, f := range faults {
 		s.byNode[f.Node] = append(s.byNode[f.Node], i)
@@ -110,21 +145,19 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 	if len(seq) < 2 {
 		return detected // no consecutive at-speed cycle pair
 	}
-	s.loadState(s.good, si)
+	s.loadState(si)
 	s.good.SetPIVector(seq[0])
 	s.good.EvalComb()
 	s.snapshot(s.prev)
 
-	// launched accumulates fault indices launched in the current cycle.
-	var launched []int
 	for u := 1; u < len(seq); u++ {
 		s.good.ClockFF()
-		goodState := s.good.StateWords(nil)
 		s.good.SetPIVector(seq[u])
 		s.good.EvalComb()
 		s.snapshot(s.curv)
 
-		launched = launched[:0]
+		// Collect the faults the good machine launches in this cycle.
+		launched := s.launched[:0]
 		for n := range s.byNode {
 			if len(s.byNode[n]) == 0 {
 				continue
@@ -148,7 +181,11 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 				}
 			}
 		}
-		s.captureFrame(launched, goodState, seq[u], u == len(seq)-1, detected)
+		s.launched = launched
+		for start := 0; start < len(launched); start += 64 * frameWords {
+			end := min(start+64*frameWords, len(launched))
+			s.captureFrame(launched[start:end], seq[u], u == len(seq)-1, detected)
+		}
 		s.prev, s.curv = s.curv, s.prev
 	}
 	return detected
@@ -173,60 +210,62 @@ func (s *Simulator) DetectSet(ts *scan.Set) *fault.Set {
 	return detected
 }
 
-// captureFrame evaluates one capture cycle for up to 63 launched faults
-// at a time: each behaves as a stuck-at-(old value) fault for this one
-// frame, starting from the good machine's pre-cycle state.
-func (s *Simulator) captureFrame(launched []int, goodState []logic.Word, pi logic.Vector, last bool, detected *fault.Set) {
-	for start := 0; start < len(launched); start += 63 {
-		end := start + 63
-		if end > len(launched) {
-			end = len(launched)
-		}
-		batch := launched[start:end]
-		injs := make([]sim.Injection, 0, len(batch))
-		for bi, fi := range batch {
-			f := s.faults[fi]
-			stuck := logic.One // slow-to-fall holds the old 1
-			if f.Rise {
-				stuck = logic.Zero // slow-to-rise holds the old 0
-			}
-			injs = append(injs, sim.Injection{
-				Node: f.Node, Pin: -1, Stuck: stuck, Mask: 1 << uint(bi+1),
-			})
-		}
-		s.bad.Reset()
-		s.bad.SetInjections(injs)
-		s.bad.LoadStateWords(goodState)
-		s.bad.SetPIVector(pi)
-		s.bad.EvalComb()
+// captureFrame evaluates one capture cycle for up to 64*frameWords
+// launched faults, one per kernel slot: each behaves as a stuck-at-(old
+// value) fault for this one frame, starting from the good machine's
+// pre-cycle state. No slot carries the good machine; every output is
+// compared against the scalar good values of the cycle in s.curv.
+func (s *Simulator) captureFrame(batch []int, pi logic.Vector, last bool, detected *fault.Set) {
+	w := (len(batch) + 63) / 64
+	if s.eng.Width() != w {
+		s.eng.SetWidth(w)
+	}
+	masks := s.masks[:len(batch)*w]
+	clear(masks)
+	s.injs = s.injs[:0]
+	for bi, fi := range batch {
+		m := masks[bi*w : (bi+1)*w]
+		m[bi>>6] = 1 << (uint(bi) & 63)
+		n := s.faults[fi].Node
+		// The late line still carries its old value, prev[n].
+		s.injs = append(s.injs, sim.BatchInjection{Node: n, Pin: -1, Stuck: s.prev[n], Mask: m})
+	}
+	s.eng.SetInjections(s.injs)
+	for i, ff := range s.c.DFFs {
+		s.eng.SetStateValue(i, s.curv[ff]) // the good pre-cycle state
+	}
+	s.eng.SetPIVector(pi)
+	s.eng.EvalComb()
 
-		var diff uint64
-		for i := range s.c.POs {
-			w := s.bad.PO(i)
-			diff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
+	diff := s.diff[:w]
+	clear(diff)
+	for _, n := range s.c.POs {
+		s.compare(diff, n)
+	}
+	if last {
+		for _, n := range s.observed {
+			s.compare(diff, n)
 		}
-		if last {
-			ns := s.bad.NextState()
-			if s.chain == nil {
-				for i := range ns {
-					diff |= logic.DiffDefinite(ns[i], ns[i].BroadcastSlot(0))
-				}
-			} else {
-				for _, i := range s.chain {
-					diff |= logic.DiffDefinite(ns[i], ns[i].BroadcastSlot(0))
-				}
-			}
-		}
-		for bi, fi := range batch {
-			if diff&(1<<uint(bi+1)) != 0 {
-				detected.Add(fi)
-			}
+	}
+	for k, d := range diff {
+		for ; d != 0; d &= d - 1 {
+			detected.Add(batch[k*64+bits.TrailingZeros64(d)])
 		}
 	}
 }
 
-// loadState performs the scan-in on an engine.
-func (s *Simulator) loadState(e *sim.Engine, si logic.Vector) {
+// compare ORs into diff the slots whose value of node n definitely
+// differs from the good machine's.
+func (s *Simulator) compare(diff []uint64, n int) {
+	g := logic.FromValue(s.curv[n])
+	for k, v := range s.eng.Val(n) {
+		diff[k] |= logic.DiffDefinite(v, g)
+	}
+}
+
+// loadState performs the scan-in on the good machine.
+func (s *Simulator) loadState(si logic.Vector) {
+	e := s.good
 	e.Reset()
 	nff := s.c.NumFFs()
 	if s.chain == nil {

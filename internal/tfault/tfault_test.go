@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/oracle"
 	"repro/internal/samples"
 	"repro/internal/scan"
 	"repro/internal/sim"
@@ -85,93 +88,234 @@ func TestMatchesNaiveReferenceS27(t *testing.T) {
 	s := New(c, faults)
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 4; trial++ {
-		si := make(logic.Vector, c.NumFFs())
-		for i := range si {
-			si[i] = logic.Value(r.Intn(2))
-		}
-		seq := make(logic.Sequence, 6)
-		for u := range seq {
-			v := make(logic.Vector, c.NumPIs())
-			for i := range v {
-				v[i] = logic.Value(r.Intn(2))
-			}
-			seq[u] = v
-		}
+		si := randVector(r, c.NumFFs(), 0)
+		seq := randSequence(r, c.NumPIs(), 6, 0)
 		got := s.DetectTest(si, seq, nil)
+		want := naiveDetect(c, nil, faults, si, seq)
 		for fi, f := range faults {
-			want := naiveDetect(c, f, si, seq)
-			if got.Has(fi) != want {
+			if got.Has(fi) != want.Has(fi) {
 				t.Errorf("trial %d fault %s: got %v want %v",
-					trial, f.String(c), got.Has(fi), want)
+					trial, f.String(c), got.Has(fi), want.Has(fi))
 			}
 		}
 	}
 }
 
-// naiveDetect is the independent reference: launch from a scalar good
-// simulation, capture via a full-mask injection of the held value.
-func naiveDetect(c interface {
-	NumNodes() int
-	NumFFs() int
-	NumPOs() int
-	NumPIs() int
-}, f Fault, si logic.Vector, seq logic.Sequence) bool {
-	ckt := samples.S27()
-	good := sim.New(ckt)
-	good.SetStateVector(si)
-	var prev []logic.Value
+// randVector draws n values, each X with probability 1/xEvery (never
+// when xEvery is 0) and otherwise a uniform binary value.
+func randVector(r *rand.Rand, n, xEvery int) logic.Vector {
+	v := make(logic.Vector, n)
+	for i := range v {
+		v[i] = logic.Value(r.Intn(2))
+		if xEvery > 0 && r.Intn(xEvery) == 0 {
+			v[i] = logic.X
+		}
+	}
+	return v
+}
+
+func randSequence(r *rand.Rand, npi, n, xEvery int) logic.Sequence {
+	seq := make(logic.Sequence, n)
+	for u := range seq {
+		seq[u] = randVector(r, npi, xEvery)
+	}
+	return seq
+}
+
+// goodRun simulates the scan test (si, seq) on the scalar good machine
+// and returns every node's value per cycle plus the flip-flop state
+// each cycle starts from. ch selects the scanned flip-flops (nil = full
+// scan): si is indexed by chain position and unscanned flip-flops start
+// at X.
+func goodRun(c *circuit.Circuit, ch *scan.Chain, si logic.Vector, seq logic.Sequence) ([][]logic.Value, [][]logic.Word) {
+	init := si
+	if ch != nil {
+		init = logic.NewVector(c.NumFFs(), logic.X)
+		for k, ff := range ch.FFs {
+			if k < len(si) {
+				init[ff] = si[k]
+			}
+		}
+	}
+	good := sim.New(c)
+	good.SetStateVector(init)
+	vals := make([][]logic.Value, len(seq))
+	states := make([][]logic.Word, len(seq))
 	for u, v := range seq {
+		states[u] = good.StateWords(nil)
 		good.SetPIVector(v)
 		good.EvalComb()
-		cur := make([]logic.Value, ckt.NumNodes())
-		for n := range cur {
-			cur[n] = good.Val(n).Get(0)
+		vals[u] = make([]logic.Value, c.NumNodes())
+		for n := range vals[u] {
+			vals[u][n] = good.Val(n).Get(0)
 		}
-		if u > 0 {
-			pv, cv := prev[f.Node], cur[f.Node]
-			launched := pv.IsBinary() && cv.IsBinary() && pv != cv && (cv == logic.One) == f.Rise
-			if launched {
-				// Capture frame: re-evaluate cycle u from the good state
-				// with the node stuck at its old value.
-				st := logic.One
-				if f.Rise {
-					st = logic.Zero
+		good.ClockFF()
+	}
+	return vals, states
+}
+
+// launches reports whether the good run launches f's transition into
+// cycle u.
+func launches(vals [][]logic.Value, f Fault, u int) bool {
+	pv, cv := vals[u-1][f.Node], vals[u][f.Node]
+	return pv.IsBinary() && cv.IsBinary() && pv != cv && (cv == logic.One) == f.Rise
+}
+
+// naiveDetect is the independent reference: launch from a scalar good
+// simulation, then capture one fault at a time on the interpreter,
+// re-evaluating the launch cycle from the good pre-cycle state with the
+// node held at its old value in every slot. A scan-out after the final
+// cycle observes the chain's flip-flops (nil = all).
+func naiveDetect(c *circuit.Circuit, ch *scan.Chain, faults []Fault, si logic.Vector, seq logic.Sequence) *fault.Set {
+	vals, states := goodRun(c, ch, si, seq)
+	var observed []int
+	if ch != nil {
+		observed = ch.FFs
+	} else {
+		for i := range c.DFFs {
+			observed = append(observed, i)
+		}
+	}
+	differs := func(g, b logic.Value) bool { return g.IsBinary() && b.IsBinary() && g != b }
+	detected := fault.NewSet(len(faults))
+	bad := sim.New(c)
+	for fi, f := range faults {
+		for u := 1; u < len(seq) && !detected.Has(fi); u++ {
+			if !launches(vals, f, u) {
+				continue
+			}
+			bad.Reset()
+			bad.SetInjections([]sim.Injection{{Node: f.Node, Pin: -1, Stuck: vals[u-1][f.Node], Mask: ^uint64(0)}})
+			bad.LoadStateWords(states[u])
+			bad.SetPIVector(seq[u])
+			bad.EvalComb()
+			for i, po := range c.POs {
+				if differs(vals[u][po], bad.PO(i).Get(0)) {
+					detected.Add(fi)
 				}
-				bad := sim.New(ckt)
-				bad.SetInjections([]sim.Injection{{Node: f.Node, Pin: -1, Stuck: st, Mask: ^uint64(0)}})
-				// Rebuild the good pre-cycle state with a fresh run.
-				g2 := sim.New(ckt)
-				g2.SetStateVector(si)
-				for w := 0; w < u; w++ {
-					g2.SetPIVector(seq[w])
-					g2.Step()
-				}
-				bad.LoadStateWords(g2.StateWords(nil))
-				bad.SetPIVector(v)
-				bad.EvalComb()
-				g2.SetPIVector(v)
-				g2.EvalComb()
-				for i := 0; i < ckt.NumPOs(); i++ {
-					gv, bv := g2.PO(i).Get(0), bad.PO(i).Get(0)
-					if gv.IsBinary() && bv.IsBinary() && gv != bv {
-						return true
-					}
-				}
-				if u == len(seq)-1 {
-					gn, bn := g2.NextState(), bad.NextState()
-					for i := range gn {
-						gv, bv := gn[i].Get(0), bn[i].Get(0)
-						if gv.IsBinary() && bv.IsBinary() && gv != bv {
-							return true
-						}
+			}
+			if u == len(seq)-1 {
+				ns := bad.NextState()
+				for _, i := range observed {
+					if differs(vals[u][c.Nodes[c.DFFs[i]].Fanin[0]], ns[i].Get(0)) {
+						detected.Add(fi)
 					}
 				}
 			}
 		}
-		good.ClockFF()
-		prev = cur
 	}
-	return false
+	return detected
+}
+
+// TestTransitionRoster checks the kernel capture frames against the
+// reference over the roster, full and partial scan, with X in scan-in
+// states and PI vectors: DetectTest per test (all faults and a random
+// target subset) and DetectSet against the union of the per-test sets.
+func TestTransitionRoster(t *testing.T) {
+	overflow := false // some first capture cycle launched more than one frame
+	for _, e := range gen.Roster() {
+		c := gen.MustGenerate(e.Params)
+		if c.NumGates() > 3000 {
+			continue
+		}
+		faults := Universe(c)
+		for _, ch := range []*scan.Chain{nil, oddChain(c.NumFFs())} {
+			nsv, arm := c.NumFFs(), "full"
+			if ch != nil {
+				nsv, arm = len(ch.FFs), "partial"
+			}
+			r := rand.New(rand.NewSource(e.Params.Seed))
+			ts := scan.NewSet(
+				scan.Test{SI: randVector(r, nsv, 0), Seq: randSequence(r, c.NumPIs(), 5, 0)},
+				scan.Test{SI: randVector(r, nsv, 8), Seq: randSequence(r, c.NumPIs(), 1, 8)},
+				scan.Test{SI: randVector(r, nsv, 8), Seq: randSequence(r, c.NumPIs(), 7, 8)},
+			)
+			s := NewChain(c, faults, ch)
+			union := fault.NewSet(len(faults))
+			for ti, tst := range ts.Tests {
+				want := naiveDetect(c, ch, faults, tst.SI, tst.Seq)
+				union.UnionWith(want)
+				if got := s.DetectTest(tst.SI, tst.Seq, nil); !got.Equal(want) {
+					t.Fatalf("%s/%s test %d: kernel detects %d, reference %d",
+						e.Params.Name, arm, ti, got.Count(), want.Count())
+				}
+				targets := fault.NewSet(len(faults))
+				for fi := range faults {
+					if r.Intn(2) == 0 {
+						targets.Add(fi)
+					}
+				}
+				want.IntersectWith(targets)
+				if got := s.DetectTest(tst.SI, tst.Seq, targets); !got.Equal(want) {
+					t.Fatalf("%s/%s test %d: targeted kernel detects %d, reference %d",
+						e.Params.Name, arm, ti, got.Count(), want.Count())
+				}
+				if len(tst.Seq) > 1 {
+					vals, _ := goodRun(c, ch, tst.SI, tst.Seq)
+					n := 0
+					for _, f := range faults {
+						if launches(vals, f, 1) {
+							n++
+						}
+					}
+					overflow = overflow || n > 64*frameWords
+				}
+			}
+			if got := s.DetectSet(ts); !got.Equal(union) {
+				t.Fatalf("%s/%s: DetectSet %d, union of tests %d",
+					e.Params.Name, arm, got.Count(), union.Count())
+			}
+		}
+	}
+	if !overflow {
+		t.Errorf("no roster test launched more than %d faults in one cycle: multi-frame capture untested", 64*frameWords)
+	}
+}
+
+// oddChain scans the flip-flops at odd positions.
+func oddChain(nff int) *scan.Chain {
+	ch := &scan.Chain{}
+	for i := 1; i < nff; i += 2 {
+		ch.FFs = append(ch.FFs, i)
+	}
+	return ch
+}
+
+// FuzzTransitionDifferential compares the kernel capture frames with the
+// reference on fuzzer-shaped circuits and tests, under full scan and
+// under a chain of the odd flip-flop positions.
+func FuzzTransitionDifferential(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, c := range []*circuit.Circuit{samples.S27(), samples.ShiftReg(3)} {
+		seed := scan.Test{SI: randVector(r, c.NumFFs(), 5), Seq: randSequence(r, c.NumPIs(), 6, 5)}
+		data, err := oracle.EncodeFuzz(c, seed)
+		if err != nil {
+			f.Fatalf("%s: corpus encode: %v", c.Name, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, tst, err := oracle.DecodeFuzz(data)
+		if err != nil {
+			t.Skip()
+		}
+		faults := Universe(c)
+		partial := oddChain(c.NumFFs())
+		var oddSI logic.Vector
+		for _, i := range partial.FFs {
+			oddSI = append(oddSI, tst.SI[i])
+		}
+		for _, arm := range []struct {
+			ch *scan.Chain
+			si logic.Vector
+		}{{nil, tst.SI}, {partial, oddSI}} {
+			want := naiveDetect(c, arm.ch, faults, arm.si, tst.Seq)
+			got := NewChain(c, faults, arm.ch).DetectTest(arm.si, tst.Seq, nil)
+			if !got.Equal(want) {
+				t.Fatalf("chain %v: kernel %v, reference %v", arm.ch, got.Indices(), want.Indices())
+			}
+		}
+	})
 }
 
 func TestDetectSetDropsAcrossTests(t *testing.T) {
@@ -200,14 +344,7 @@ func TestLongerSequencesDetectMore(t *testing.T) {
 	s := New(c, faults)
 	r := rand.New(rand.NewSource(9))
 	si := vec("010")
-	seq := make(logic.Sequence, 20)
-	for u := range seq {
-		v := make(logic.Vector, c.NumPIs())
-		for i := range v {
-			v[i] = logic.Value(r.Intn(2))
-		}
-		seq[u] = v
-	}
+	seq := randSequence(r, c.NumPIs(), 20, 0)
 	long := s.DetectTest(si, seq, nil)
 	short := scan.NewSet()
 	for _, v := range seq {
