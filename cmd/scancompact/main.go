@@ -48,8 +48,6 @@ func main() {
 	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	check := flag.Bool("check", false, "audit the result against the scalar reference simulator (sampled)")
 	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
-	noLedger := flag.Bool("noledger", false, "disable the detection-ledger fast paths in the compaction engines (results are identical; slower)")
-	speculate := flag.Int("speculate", 0, "concurrent trial evaluations per compaction commit step (<=1 = serial; results are identical)")
 	cacheDir := flag.String("cache", "", "artifact cache directory (empty = no caching)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -81,8 +79,6 @@ func main() {
 		Check:         *check,
 		CheckSample:   *checkSample,
 		ScanFFs:       *scanFFs,
-		NoLedger:      *noLedger,
-		Speculate:     *speculate,
 		SkipBaselines: true,
 		SkipDynamic:   true,
 		Core:          core.Options{SkipStaticCompaction: *noPhase4},

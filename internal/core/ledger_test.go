@@ -4,81 +4,67 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/scan"
 	"repro/internal/scomp"
 )
 
-// TestLedgerEquivalence is the whole-flow arm of the byte-identity
-// contract: a full Run with the detection ledger on — serial and
-// speculative, at any worker count, with and without transfer
-// sequences — produces exactly the result of the pre-ledger run: the
-// same τ_seq, the same initial and final test sets, the same detected
-// sets and the same cycle counts.
+func sameTests(a, b *scan.Set) bool {
+	if a.NumTests() != b.NumTests() {
+		return false
+	}
+	for i, ta := range a.Tests {
+		tb := b.Tests[i]
+		if !ta.SI.Equal(tb.SI) || ta.Len() != tb.Len() {
+			return false
+		}
+		for u := range ta.Seq {
+			if !ta.Seq[u].Equal(tb.Seq[u]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestLedgerEquivalence checks the ledger shortcuts of a full Run
+// against cold recomputation, at several worker counts, with and
+// without transfer sequences:
+//
+//   - Final equals an unseeded scomp.Compact of Initial, so seeding
+//     Phase 4 with the τ_seq record changes nothing;
+//   - FinalDetected equals the cold DetectTest union over Final, so the
+//     ledger-credited final accounting is exact;
+//   - SeqDetected equals DetectTest(τ_seq), so the recorded grading of
+//     τ_C is exact.
 func TestLedgerEquivalence(t *testing.T) {
 	for _, seed := range []int64{101, 107} {
+		fx := newFixture(t, seed)
 		for _, xferLen := range []int{0, 4} {
-			fx := newFixture(t, seed)
-			ref, err := Run(fx.s, fx.C, fx.t0.Seq, Options{
-				NoLedger: true,
-				Static:   scomp.Options{TransferLen: xferLen, Seed: 404},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
+			static := scomp.Options{TransferLen: xferLen, Seed: 404}
 			for _, workers := range []int{1, 4} {
-				for _, spec := range []int{0, 3} {
-					name := fmt.Sprintf("seed=%d xfer=%d workers=%d spec=%d",
-						seed, xferLen, workers, spec)
-					fx.s.SetWorkers(workers)
-					res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{
-						Speculate: spec,
-						Static:    scomp.Options{TransferLen: xferLen, Seed: 404},
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !res.SeqDetected.Equal(ref.SeqDetected) ||
-						res.TauSeq.Len() != ref.TauSeq.Len() ||
-						!res.TauSeq.SI.Equal(ref.TauSeq.SI) {
-						t.Fatalf("%s: tau_seq differs from pre-ledger run", name)
-					}
-					for _, pair := range []struct {
-						which    string
-						got, ref int
-					}{
-						{"initial tests", res.Initial.NumTests(), ref.Initial.NumTests()},
-						{"final tests", res.Final.NumTests(), ref.Final.NumTests()},
-						{"initial cycles", res.Initial.Cycles(fx.nsv), ref.Initial.Cycles(fx.nsv)},
-						{"final cycles", res.Final.Cycles(fx.nsv), ref.Final.Cycles(fx.nsv)},
-					} {
-						if pair.got != pair.ref {
-							t.Fatalf("%s: %s = %d, want %d", name, pair.which, pair.got, pair.ref)
-						}
-					}
-					if !res.InitialDetected.Equal(ref.InitialDetected) ||
-						!res.FinalDetected.Equal(ref.FinalDetected) {
-						t.Fatalf("%s: detected sets differ from pre-ledger run", name)
-					}
-					for i := range res.Final.Tests {
-						if !res.Final.Tests[i].SI.Equal(ref.Final.Tests[i].SI) ||
-							res.Final.Tests[i].Len() != ref.Final.Tests[i].Len() {
-							t.Fatalf("%s: final test %d differs", name, i)
-						}
-						for u := range res.Final.Tests[i].Seq {
-							if !res.Final.Tests[i].Seq[u].Equal(ref.Final.Tests[i].Seq[u]) {
-								t.Fatalf("%s: final test %d vector %d differs", name, i, u)
-							}
-						}
-					}
-					if res.OmitStats.Removed != ref.OmitStats.Removed ||
-						res.StaticStats.Combined != ref.StaticStats.Combined ||
-						res.StaticStats.Attempts != ref.StaticStats.Attempts {
-						t.Fatalf("%s: committed-trial stats differ: omit %+v/%+v static %+v/%+v",
-							name, res.OmitStats, ref.OmitStats, res.StaticStats, ref.StaticStats)
-					}
+				name := fmt.Sprintf("seed=%d xfer=%d workers=%d", seed, xferLen, workers)
+				fx.s.SetWorkers(workers)
+				res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{Static: static})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if want, _ := scomp.Compact(fx.s, res.Initial, static); !sameTests(res.Final, want) {
+					t.Fatalf("%s: final set differs from an unseeded compaction of the initial set", name)
+				}
+				cold := fault.NewSet(fx.faults)
+				for _, tst := range res.Final.Tests {
+					cold.UnionWith(fx.s.DetectTest(tst.SI, tst.Seq, nil))
+				}
+				if !res.FinalDetected.Equal(cold) {
+					t.Fatalf("%s: final detected %d faults, cold re-grade %d",
+						name, res.FinalDetected.Count(), cold.Count())
+				}
+				if seq := fx.s.DetectTest(res.TauSeq.SI, res.TauSeq.Seq, nil); !res.SeqDetected.Equal(seq) {
+					t.Fatalf("%s: tau_seq detected %d faults, cold re-grade %d",
+						name, res.SeqDetected.Count(), seq.Count())
 				}
 			}
-			fx.s.SetWorkers(1)
 		}
 	}
 }

@@ -13,22 +13,16 @@
 // test set, extending each test while extra vectors keep detecting new
 // faults (up to the N_SV budget).
 //
-// The default engine grades each seed test with a detection record
+// The engine grades each seed test with a detection record
 // (fsim.Record) and exploits the prefix structure of the candidate
 // extensions: every candidate replays the current test verbatim and
 // appends one vector, so the faults the current test PO-detects are
 // detected by every candidate and drop out of the candidate target sets.
-// Options.NoLedger selects the original cold re-grade per candidate;
-// both paths score candidates identically and build byte-identical test
-// sets (ledger_test.go). Options.Speculate > 1 evaluates that many
-// candidates concurrently on the simulator's worker pool — candidate
-// scores are packing-independent, so the greedy argmax (serial, in
-// candidate order) is unaffected.
+// ledger_test.go checks it against a loop that re-grades every
+// candidate cold.
 package dyncomp
 
 import (
-	"sync"
-
 	"repro/internal/atpg"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -44,16 +38,6 @@ type Options struct {
 	// CandidateLimit bounds how many candidate vectors are evaluated per
 	// extension step (0 = default 24).
 	CandidateLimit int
-	// NoLedger selects the pre-ledger engine: every extension candidate
-	// re-simulates the full remaining fault set instead of only the
-	// faults the current test does not already pin down. The built set is
-	// identical either way; only the simulation cost differs.
-	NoLedger bool
-	// Speculate is the number of extension candidates evaluated
-	// concurrently (<= 1 = serial). Candidate scores do not depend on
-	// evaluation order, so results are identical at every setting.
-	// Ignored on the NoLedger path.
-	Speculate int
 }
 
 func (o Options) withDefaults(nsv int) Options {
@@ -66,9 +50,6 @@ func (o Options) withDefaults(nsv int) Options {
 	if o.CandidateLimit == 0 {
 		o.CandidateLimit = 24
 	}
-	if o.Speculate < 1 {
-		o.Speculate = 1
-	}
 	return o
 }
 
@@ -76,7 +57,7 @@ func (o Options) withDefaults(nsv int) Options {
 type Stats struct {
 	Tests           int
 	Extensions      int
-	Candidates      int // candidate extension simulations (identical on both paths)
+	Candidates      int // candidate extension simulations
 	FaultsSimulated int // total fault slots across candidate simulations
 }
 
@@ -86,46 +67,17 @@ type Stats struct {
 // vectors in dynamic compaction: each was generated to detect specific
 // faults from a specific state, and often detects them from related
 // states too).
+//
+// Per extension step the current test's record splits the remaining
+// faults: the PO-detected ones (base) are detected by every candidate —
+// each candidate replays the current sequence as its prefix, and
+// appending a vector cannot disturb a primary-output detection inside
+// the prefix — so candidates are graded only over remaining \ base and
+// score base + |candidate detections|. Scan-out detections do not carry
+// (the scan-out compare moves with the appended vector), which is
+// exactly why they are left in the candidate target sets.
 func Compact(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stats) {
 	opt = opt.withDefaults(s.Circuit().NumFFs())
-	if opt.NoLedger {
-		return compactLegacy(s, C, opt)
-	}
-	return compactLedger(s, C, opt)
-}
-
-// coverageGoal computes everything C detects as length-1 scan tests.
-// Drop-on-detect: faults already credited to an earlier test are
-// excluded from the remaining simulations (the union is unchanged).
-func coverageGoal(s *fsim.Simulator, C []atpg.CombTest) *fault.Set {
-	remaining := fault.NewSet(s.NumFaults())
-	undecided := fault.NewFullSet(s.NumFaults())
-	for _, t := range C {
-		got := s.DetectTest(t.State, logic.Sequence{t.PI}, undecided)
-		remaining.UnionWith(got)
-		undecided.SubtractWith(got)
-	}
-	return remaining
-}
-
-// extCand is one speculative extension candidate: append vec to the
-// current test and grade the targets the prefix does not already cover.
-type extCand struct {
-	vec logic.Vector
-	seq logic.Sequence
-	rec *fsim.Record
-}
-
-// compactLedger is the detection-ledger engine. Per extension step the
-// current test's record splits the remaining faults: the PO-detected
-// ones (base) are detected by every candidate — each candidate replays
-// the current sequence as its prefix, and appending a vector cannot
-// disturb a primary-output detection inside the prefix — so candidates
-// are graded only over remaining \ base and score base + |candidate
-// detections|. Scan-out detections do not carry (the scan-out compare
-// moves with the appended vector), which is exactly why they are left in
-// the candidate target sets.
-func compactLedger(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stats) {
 	var st Stats
 	remaining := coverageGoal(s, C)
 
@@ -159,37 +111,31 @@ func compactLedger(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set
 				rest2 := remaining.Clone()
 				rest2.SubtractWith(base)
 
-				var cands []*extCand
-				for cj := ci + 1; cj < len(C) && len(cands) < opt.CandidateLimit; cj++ {
-					cands = append(cands, &extCand{
-						vec: C[cj].PI,
-						seq: append(test.Seq.Clone(), C[cj].PI),
-					})
-				}
-				evalCandidates(s, test.SI, rest2, cands, opt.Speculate)
-
 				// Greedy argmax in candidate order, strict improvement
-				// over the current detection count — identical to the
-				// pre-ledger loop's comparison (base and the candidate
-				// detections are disjoint, so counts simply add).
+				// over the current detection count (base and the
+				// candidate detections are disjoint, so counts simply
+				// add).
 				bestCount := cur.Count()
-				var best *extCand
-				for _, cd := range cands {
+				var bestVec logic.Vector
+				var bestRec *fsim.Record
+				for cj := ci + 1; cj < len(C) && cj <= ci+opt.CandidateLimit; cj++ {
+					rec := s.Record(append(test.Seq.Clone(), C[cj].PI),
+						fsim.Options{Init: test.SI, ScanOut: true, Targets: rest2})
 					st.Candidates++
 					st.FaultsSimulated += rest2.Count()
-					if got := base.Count() + cd.rec.Detected().Count(); got > bestCount {
-						bestCount, best = got, cd
+					if got := base.Count() + rec.Detected().Count(); got > bestCount {
+						bestCount, bestVec, bestRec = got, C[cj].PI, rec
 					}
 				}
-				if best == nil {
+				if bestRec == nil {
 					break
 				}
-				test.Seq = append(test.Seq, best.vec.Clone())
+				test.Seq = append(test.Seq, bestVec.Clone())
 				// The accepted candidate's record over rest2 plus the
 				// carried PO detections is the exact record of the
 				// extended test over remaining.
 				newRec := curRec.PrefixCarry(len(test.Seq))
-				newRec.Merge(best.rec)
+				newRec.Merge(bestRec)
 				curRec = newRec
 				cur = curRec.Detected()
 				st.Extensions++
@@ -204,90 +150,16 @@ func compactLedger(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set
 	return out, st
 }
 
-// evalCandidates grades the candidates over targets, in chunks of spec
-// concurrent simulations (the Simulator is safe for concurrent use).
-func evalCandidates(s *fsim.Simulator, si logic.Vector, targets *fault.Set, cands []*extCand, spec int) {
-	run := func(cd *extCand) {
-		cd.rec = s.Record(cd.seq, fsim.Options{Init: si, ScanOut: true, Targets: targets})
+// coverageGoal computes everything C detects as length-1 scan tests.
+// Drop-on-detect: faults already credited to an earlier test are
+// excluded from the remaining simulations (the union is unchanged).
+func coverageGoal(s *fsim.Simulator, C []atpg.CombTest) *fault.Set {
+	remaining := fault.NewSet(s.NumFaults())
+	undecided := fault.NewFullSet(s.NumFaults())
+	for _, t := range C {
+		got := s.DetectTest(t.State, logic.Sequence{t.PI}, undecided)
+		remaining.UnionWith(got)
+		undecided.SubtractWith(got)
 	}
-	if spec <= 1 {
-		for _, cd := range cands {
-			run(cd)
-		}
-		return
-	}
-	for lo := 0; lo < len(cands); lo += spec {
-		hi := lo + spec
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		if hi-lo == 1 {
-			run(cands[lo])
-			continue
-		}
-		var wg sync.WaitGroup
-		for _, cd := range cands[lo:hi] {
-			wg.Add(1)
-			go func(cd *extCand) {
-				defer wg.Done()
-				run(cd)
-			}(cd)
-		}
-		wg.Wait()
-	}
-}
-
-// compactLegacy is the pre-ledger engine: one cold re-grade over the
-// full remaining set per candidate. Kept as the differential reference
-// and benchmark baseline; the candidate scores are provably identical to
-// the ledger path's (the carried PO detections are a subset of what the
-// cold grade reports, and the remainder is exactly the ledger's
-// candidate target set).
-func compactLegacy(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stats) {
-	var st Stats
-	remaining := coverageGoal(s, C)
-
-	out := scan.NewSet()
-	progress := true
-	for remaining.Count() > 0 && progress {
-		progress = false
-		for ci := 0; ci < len(C) && remaining.Count() > 0; ci++ {
-			cur := s.DetectTest(C[ci].State, logic.Sequence{C[ci].PI}, remaining)
-			if cur.Count() == 0 {
-				continue
-			}
-			test := C[ci].ScanTest()
-
-			// Extend while some candidate vector increases the number of
-			// remaining faults the test detects, within the functional
-			// budget.
-			for test.Len() < opt.MaxExtension {
-				bestGot := cur
-				var bestVec logic.Vector
-				tried := 0
-				for cj := ci + 1; cj < len(C) && tried < opt.CandidateLimit; cj++ {
-					candSeq := append(test.Seq.Clone(), C[cj].PI)
-					got := s.DetectTest(test.SI, candSeq, remaining)
-					tried++
-					st.Candidates++
-					st.FaultsSimulated += remaining.Count()
-					if got.Count() > bestGot.Count() {
-						bestGot, bestVec = got, C[cj].PI
-					}
-				}
-				if bestVec == nil {
-					break
-				}
-				test.Seq = append(test.Seq, bestVec.Clone())
-				cur = bestGot
-				st.Extensions++
-			}
-
-			remaining.SubtractWith(cur)
-			out.Tests = append(out.Tests, test)
-			st.Tests++
-			progress = true
-		}
-	}
-	return out, st
+	return remaining
 }

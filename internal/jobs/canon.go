@@ -100,12 +100,11 @@ func CircuitDigest(c *circuit.Circuit) string {
 // ConfigFingerprint hashes the result-affecting fields of a pipeline
 // config under the given effective seed. Fields that are proven not to
 // change any artifact byte — Workers, BatchWords, Order (pass packing
-// only), NoLedger/Speculate (simulation scheduling only; the ledger
-// differential suites pin the byte-identity), Check/CheckSample
-// (observation only), Progress — are excluded, so e.g. a serial
-// pre-ledger run and an 8-worker speculative run share one cache entry.
-// The "v2" prefix retired the version-1 summary.json bundles (they lack
-// the universe-coverage fields).
+// only), Check/CheckSample (observation only), Progress — are excluded,
+// so e.g. a serial run and an 8-worker run share one cache entry.
+// Deleting an excluded field leaves every key unchanged. The "v2" prefix
+// retired the version-1 summary.json bundles (they lack the
+// universe-coverage fields).
 func ConfigFingerprint(cfg workload.Config, seed int64) string {
 	// Normalize the documented zero-value defaults so that an explicit
 	// default and an omitted field fingerprint identically.

@@ -2,7 +2,9 @@ package jobs
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -160,6 +162,10 @@ func (s *Store) saveIndexLocked() error {
 
 // Get returns the bundle for key, or (nil, false) on a miss. A hit
 // refreshes the key's recency.
+//
+// The bundle is read after s.mu is released, so an eviction or a Put
+// replacing the same key can remove the directory in between. A bundle
+// that vanished that way is a miss, not an error.
 func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 	k := key.String()
 	s.mu.Lock()
@@ -171,6 +177,7 @@ func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 	}
 	s.seq++
 	e.Seq = s.seq
+	seq := s.seq
 	s.hits++
 	saveErr := s.saveIndexLocked()
 	s.mu.Unlock()
@@ -178,10 +185,35 @@ func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 		return nil, false, fmt.Errorf("jobs: store index: %v", saveErr)
 	}
 
-	dir := s.objectDir(key)
-	ents, err := os.ReadDir(dir)
+	a, err := readBundle(s.objectDir(key))
+	if errors.Is(err, fs.ErrNotExist) {
+		s.vanished(k, seq)
+		return nil, false, nil
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("jobs: read bundle %s: %v", k, err)
+	}
+	return a, true, nil
+}
+
+// vanished turns the hit Get counted for k into a miss. The index entry
+// is dropped only if its recency is still seq, the value that Get set:
+// otherwise a Put has re-stored the key since, and its entry stands.
+func (s *Store) vanished(k string, seq int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.hits--
+	s.misses++
+	if e, ok := s.entries[k]; ok && e.Seq == seq {
+		delete(s.entries, k)
+		_ = s.saveIndexLocked() // best effort: loadIndex skips missing objects
+	}
+}
+
+func readBundle(dir string) (*Artifacts, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
 	}
 	a := &Artifacts{Files: map[string][]byte{}}
 	for _, ent := range ents {
@@ -190,11 +222,11 @@ func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 		}
 		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
-			return nil, false, fmt.Errorf("jobs: read bundle %s: %v", k, err)
+			return nil, err
 		}
 		a.Files[ent.Name()] = data
 	}
-	return a, true, nil
+	return a, nil
 }
 
 // Contains reports whether key is cached, without touching recency.

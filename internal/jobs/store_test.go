@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -163,4 +164,52 @@ func TestStoreRebuildsWithoutIndex(t *testing.T) {
 
 func removeIndex(dir string) error {
 	return os.Remove(filepath.Join(dir, "index.json"))
+}
+
+// TestStoreGetVanishedBundle removes a stored bundle's directory behind
+// the store's back, which is what a hit sees when it races an eviction
+// or a Put of the same key. Get must report a plain miss and drop the
+// stale index entry, and the queue must recompute the bundle instead of
+// failing the submission.
+func TestStoreGetVanishedBundle(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(0)
+	if err := store.Put(k, bundle(40)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(store.objectDir(k)); err != nil {
+		t.Fatal(err)
+	}
+	before := store.Stats()
+	if a, ok, err := store.Get(k); a != nil || ok || err != nil {
+		t.Fatalf("Get of a vanished bundle: ok=%v err=%v, want a miss", ok, err)
+	}
+	after := store.Stats()
+	if after.Objects != before.Objects-1 || after.Misses != before.Misses+1 || after.Hits != before.Hits {
+		t.Errorf("stats: before %+v, after %+v; want one object fewer and one more miss", before, after)
+	}
+
+	q := newTestQueue(t, store, Options{Workers: 1})
+	req := Request{Bench: benchBase, Config: fastCfg()}
+	for round := 1; round <= 2; round++ {
+		j, err := q.Submit(req)
+		if err != nil {
+			t.Fatalf("round %d: Submit: %v", round, err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatalf("round %d: Wait: %v", round, err)
+		}
+		if state, _, _ := j.Snapshot(); state != StateDone {
+			t.Fatalf("round %d: job state %s, want %s", round, state, StateDone)
+		}
+		if m := q.Metrics(); m.Computations != int64(round) {
+			t.Fatalf("round %d: %d computations", round, m.Computations)
+		}
+		if err := os.RemoveAll(store.objectDir(j.Key)); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

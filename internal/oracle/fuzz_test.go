@@ -10,7 +10,6 @@ import (
 	"repro/internal/samples"
 	"repro/internal/scan"
 	"repro/internal/sim"
-	"repro/internal/vecomit"
 )
 
 // corpusTest builds a deterministic seed test for a sample circuit.
@@ -66,10 +65,9 @@ func TestFuzzEncodeRoundtrip(t *testing.T) {
 
 // FuzzDifferential cross-checks fsim against the oracle on fuzzer-shaped
 // circuits and tests, in both standard and Potential mode, serial and
-// with a worker pool, and then runs Phase 2 vector omission over the
-// detection-ledger, legacy and speculative paths — every configuration
-// must produce the byte-identical compacted test. Any byte string is a
-// valid input; the decoder guarantees a well-formed netlist.
+// with a worker pool. Any byte string is a valid input; the decoder
+// guarantees a well-formed netlist. (vecomit's FuzzOmissionDifferential
+// drives the omission engine with the same encoding.)
 func FuzzDifferential(f *testing.F) {
 	for _, c := range corpusCircuits() {
 		if data, err := EncodeFuzz(c, corpusTest(c, 6)); err == nil {
@@ -101,38 +99,6 @@ func FuzzDifferential(f *testing.F) {
 			}
 			if got := fs.Detect(tst.Seq, fsim.Options{Init: tst.SI, ScanOut: true}); !got.Equal(want) {
 				t.Fatalf("workers=%d: standard-mode set differs", workers)
-			}
-		}
-
-		// Compaction differential: omission must commit the identical
-		// removals whether the risk sets come from the legacy profile or
-		// the detection ledger, and whether trials are evaluated serially
-		// or speculatively.
-		fs := fsim.New(c, faults)
-		keep := fs.DetectTest(tst.SI, tst.Seq, nil)
-		ref, refSt := vecomit.CompactTest(fs, tst, keep, vecomit.Options{NoLedger: true})
-		for _, opt := range []vecomit.Options{
-			{},
-			{Speculate: 3},
-			{NoLedger: true, Speculate: 3},
-		} {
-			got, st := vecomit.CompactTest(fs, tst, keep, opt)
-			if len(got.Seq) != len(ref.Seq) {
-				t.Fatalf("%+v: compacted length %d, legacy serial %d", opt, len(got.Seq), len(ref.Seq))
-			}
-			for u := range got.Seq {
-				if !got.Seq[u].Equal(ref.Seq[u]) {
-					t.Fatalf("%+v: compacted vector %d differs from legacy serial", opt, u)
-				}
-			}
-			// The ledger's exact risk set can be empty where the legacy
-			// superset is not, trading a Check for a FreeRemoval; the
-			// removal count and the trial total are invariant.
-			if st.Removed != refSt.Removed ||
-				st.Checks+st.FreeRemovals != refSt.Checks+refSt.FreeRemovals {
-				t.Fatalf("%+v: committed stats differ: %d removed/%d trials, legacy serial %d/%d",
-					opt, st.Removed, st.Checks+st.FreeRemovals,
-					refSt.Removed, refSt.Checks+refSt.FreeRemovals)
 			}
 		}
 	})

@@ -14,34 +14,23 @@
 // τ_j; the combination is accepted iff one fault simulation shows the
 // combined test detects all of them.
 //
-// The default engine keeps a detection ledger (fsim.Ledger): each live
-// test carries the Record of its detections, and a combination trial
-// starts from the union of the two tests' ledger signatures instead of
-// a cold re-grade. The key carry-over: the combined test replays the
-// T_i prefix verbatim from the same scan-in state, so every PO
-// detection recorded for τ_i persists in τ_ij unchanged — only the risk
-// faults without such a detection (scan-out-only, or detected solely by
-// τ_j) need simulation, and a trial whose risk set is fully carried
-// commits with no simulation at all. Accepted combinations refresh the
-// ledger row from the trial's own records, and between rounds the
-// simulation order is re-ranked from the live ledger counts
-// (adi.ReorderByCounts). Options.NoLedger selects the original
-// cold-re-grade path; the accepted combinations, the output set and the
-// per-test detected sets are byte-identical either way (ledger_test.go,
-// oracle_test.go).
-//
-// Options.Speculate > 1 evaluates that many candidate pairs
-// concurrently and commits verdicts in serial pair order (first accept
-// wins, the speculative verdicts behind it were computed against a
-// stale set and are discarded), so results stay bit-identical to the
-// serial loop at every worker count. Transfer-sequence synthesis [7]
-// draws from a shared random stream, so it always runs serially at
-// commit time.
+// The engine keeps a detection ledger (fsim.Ledger): each live test
+// carries the Record of its detections, and a combination trial starts
+// from the union of the two tests' ledger signatures instead of a cold
+// re-grade. The key carry-over: the combined test replays the T_i
+// prefix verbatim from the same scan-in state, so every PO detection
+// recorded for τ_i persists in τ_ij unchanged — only the risk faults
+// without such a detection (scan-out-only, or detected solely by τ_j)
+// need simulation, and a trial whose risk set is fully carried commits
+// with no simulation at all. Accepted combinations refresh the ledger
+// row from the trial's own records, and between rounds the simulation
+// order is re-ranked from the live ledger counts (adi.ReorderByCounts).
+// The tests check the engine against the rule reduced to its definition
+// (ledger_test.go) and against the reference simulator (oracle_test.go).
 package scomp
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/adi"
 	"repro/internal/fault"
@@ -73,29 +62,10 @@ type Options struct {
 	// Seed drives transfer-candidate generation.
 	Seed int64
 
-	// NoFaultDrop disables the fault-dropping bookkeeping that derives
-	// each pair's risk set from incrementally maintained detection-count
-	// buckets (faults counted 1 or 2 times) instead of walking both
-	// detected sets. The results are identical either way; the switch
-	// exists for A/B benchmarking.
-	NoFaultDrop bool
-
-	// NoLedger selects the pre-ledger engine: every test is cold-graded
-	// up front, every trial simulates its full risk set and every accept
-	// re-grades the full union. The output is identical; only the
-	// simulation cost differs.
-	NoLedger bool
-	// Speculate is the number of candidate pairs evaluated concurrently
-	// per commit step (<= 1 = serial). Results are bit-identical at
-	// every setting; see the package comment. Ignored on the NoLedger
-	// path.
-	Speculate int
-
 	// InitialRecords optionally seeds the ledger rows of the input tests
 	// (index-aligned with ts.Tests; nil entries are graded normally).
 	// Each record must be the exact full-fault-list Record of its test —
-	// core passes the τ_seq grading it already paid for. Ignored on the
-	// NoLedger path.
+	// core passes the τ_seq grading it already paid for.
 	InitialRecords []*fsim.Record
 }
 
@@ -104,11 +74,10 @@ type Stats struct {
 	Combined         int // accepted pair combinations
 	TransferCombined int // combinations accepted only thanks to a transfer sequence
 	TransferVectors  int // total transfer vectors inserted
-	Attempts         int // candidate trials committed (identical to the serial loop)
+	Attempts         int // candidate trials, transfer retries included
 	Rounds           int // full passes over the pair space
 	ShortCircuits    int // trials committed without any simulation (risk fully carried by the ledger)
-	FaultsSimulated  int // total fault slots across all trial/accept simulations, incl. discarded speculative ones
-	SpecDiscarded    int // speculative trial simulations discarded after an earlier accept
+	FaultsSimulated  int // total fault slots across all trial/accept simulations
 }
 
 // Add accumulates o into s (used by core to aggregate per-phase stats).
@@ -120,38 +89,21 @@ func (s *Stats) Add(o Stats) {
 	s.Rounds += o.Rounds
 	s.ShortCircuits += o.ShortCircuits
 	s.FaultsSimulated += o.FaultsSimulated
-	s.SpecDiscarded += o.SpecDiscarded
 }
 
 // Compact runs the procedure of [4] on ts and returns the compacted set.
 // The input set is not modified. Faults outside the union coverage of ts
 // play no role.
 func Compact(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, Stats) {
-	if opt.NoLedger {
-		return compactLegacy(s, ts, opt)
-	}
 	out, _, st := CompactWithLedger(s, ts, opt)
 	return out, st
 }
 
-// pairTrial is one speculative combination candidate: τ_i absorbs τ_j.
-// The trial check itself is the allocation-free DetectsAll — almost all
-// trials are rejected, so the detection record is only built at commit
-// time for the one that is accepted.
-type pairTrial struct {
-	i, j     int
-	risk     *fault.Set // faults whose sole detectors are τ_i or τ_j
-	mustSim  *fault.Set // risk minus the PO detections carried from τ_i's row
-	combined scan.Test
-	ok       bool // direct check passed
-	short    bool // mustSim empty: the ledger proves the trial accepted
-}
-
-// CompactWithLedger is Compact on the detection-ledger engine; it
-// additionally returns the ledger of the output set, row-aligned with
-// the returned tests — each row is the exact detection record of its
-// test over the faults the engine credited it with (at least the test's
-// contribution to the union coverage). core's Phase 4 consults it to
+// CompactWithLedger is Compact that additionally returns the ledger of
+// the output set, row-aligned with the returned tests — each row is the
+// exact detection record of its test over the faults the engine
+// credited it with (at least the test's contribution to the union
+// coverage). core's Phase 4 consults it to
 // skip re-grading tests whose detections are already pinned down.
 func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, *fsim.Ledger, Stats) {
 	var st Stats
@@ -172,10 +124,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		// Longer transfers than N_SV-1 cannot be profitable: the scan
 		// operation they replace costs N_SV cycles.
 		opt.TransferLen = max
-	}
-	spec := opt.Speculate
-	if spec < 1 {
-		spec = 1
 	}
 	var r *rand.Rand
 	if opt.TransferLen > 0 {
@@ -224,39 +172,11 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	}
 	rebuckets()
 
-	// Risk/must-sim buffers are reused across speculative batches — the
-	// batch is built serially and discarded before the next one starts,
-	// so slot k of every batch shares one pair of sets (the legacy loop
-	// reuses a single pair the same way; allocating fresh nf-bit sets
-	// for each of the ~100k attempts showed up on large circuits).
-	riskBufs := make([]*fault.Set, spec)
-	mustBufs := make([]*fault.Set, spec)
-	tmp := fault.NewSet(nf)
-
-	riskOf := func(i, j int, risk *fault.Set) {
+	// risk: faults whose sole detectors are τ_i or τ_j; mustSim: risk
+	// minus the PO detections carried from τ_i's row.
+	risk, mustSim, tmp := fault.NewSet(nf), fault.NewSet(nf), fault.NewSet(nf)
+	riskOf := func(i, j int) {
 		di, dj := led.Row(i).Detected(), led.Row(j).Detected()
-		if opt.NoFaultDrop {
-			risk.Clear()
-			collect := func(f int) {
-				others := count[f]
-				if di.Has(f) {
-					others--
-				}
-				if dj.Has(f) {
-					others--
-				}
-				if others == 0 {
-					risk.Add(f)
-				}
-			}
-			di.ForEach(collect)
-			dj.ForEach(func(f int) {
-				if !di.Has(f) {
-					collect(f)
-				}
-			})
-			return
-		}
 		risk.CopyFrom(c2)
 		risk.IntersectWith(di)
 		risk.IntersectWith(dj)
@@ -266,33 +186,8 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		risk.UnionWith(tmp)
 	}
 
-	makeTrial := func(i, j, slot int) *pairTrial {
-		if riskBufs[slot] == nil {
-			riskBufs[slot] = fault.NewSet(nf)
-			mustBufs[slot] = fault.NewSet(nf)
-		}
-		pt := &pairTrial{i: i, j: j, risk: riskBufs[slot], mustSim: mustBufs[slot]}
-		riskOf(i, j, pt.risk)
-		// Carry-over: the combined test replays the T_i prefix verbatim,
-		// so every PO detection in τ_i's row persists — only the
-		// remainder of the risk set needs a must-detect simulation.
-		rowi := led.Row(i)
-		pt.mustSim.CopyFrom(pt.risk)
-		pt.risk.ForEach(func(f int) {
-			if rowi.PODetected(f) {
-				pt.mustSim.Remove(f)
-			}
-		})
-		pt.short = pt.mustSim.Count() == 0
-		pt.combined = scan.Test{
-			SI:  tests[i].SI.Clone(),
-			Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
-		}
-		return pt
-	}
-
 	// nextPair returns the first live ordered pair at or after scan
-	// position (i0, j0) in the serial loop's iteration order.
+	// position (i0, j0) in row-major order.
 	nextPair := func(i0, j0 int) (int, int, bool) {
 		for i := i0; i < n; i++ {
 			if !alive[i] {
@@ -317,11 +212,11 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	// the trial's must-detect record covers the simulated risk faults,
 	// and one targeted pass covers the not-at-risk remainder of the
 	// union that the prefix does not already pin down.
-	accept := func(pt *pairTrial, combined scan.Test, recMust *fsim.Record) {
-		rowi := led.Row(pt.i)
+	accept := func(i, j int, combined scan.Test, recMust *fsim.Record) {
+		rowi := led.Row(i)
 		rest := rowi.Detected().Clone()
-		rest.UnionWith(led.Row(pt.j).Detected())
-		rest.SubtractWith(pt.risk)
+		rest.UnionWith(led.Row(j).Detected())
+		rest.SubtractWith(risk)
 		restSim := rest.Clone()
 		rest.ForEach(func(f int) {
 			if rowi.PODetected(f) {
@@ -337,13 +232,11 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 			newRec.Merge(recMust)
 		}
 		newRec.Merge(recRest)
-		// Every risk fault is detected (carried or simulated); make sure
-		// the row credits the carried scan-out-only risk faults too.
-		led.Set(pt.i, newRec)
-		led.Drop(pt.j)
+		led.Set(i, newRec)
+		led.Drop(j)
 		rebuckets()
-		tests[pt.i] = combined
-		alive[pt.j] = false
+		tests[i] = combined
+		alive[j] = false
 		st.Combined++
 	}
 
@@ -360,88 +253,76 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		changed := false
 		i, j, ok := nextPair(0, 0)
 		for ok {
-			// Collect the speculative window: consecutive candidate pairs
-			// against the frozen current set, cut short by a trial the
-			// ledger already proves accepted (it will commit and change
-			// the set, so later speculation would be wasted).
-			var batch []*pairTrial
-			ci, cj, cok := i, j, true
-			for cok && len(batch) < spec {
-				pt := makeTrial(ci, cj, len(batch))
-				batch = append(batch, pt)
-				if pt.short {
-					break
+			riskOf(i, j)
+			// Carry-over: the combined test replays the T_i prefix
+			// verbatim, so every PO detection in τ_i's row persists —
+			// only the remainder of the risk set needs a must-detect
+			// simulation.
+			rowi := led.Row(i)
+			mustSim.CopyFrom(risk)
+			risk.ForEach(func(f int) {
+				if rowi.PODetected(f) {
+					mustSim.Remove(f)
 				}
-				ci, cj, cok = nextPair(ci, cj+1)
+			})
+			combined := scan.Test{
+				SI:  tests[i].SI.Clone(),
+				Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
 			}
-			evalPairTrials(s, batch)
-
-			// Deterministic commit in serial pair order: until the first
-			// accept the set is unchanged, so each committed verdict
-			// equals the serial loop's; the first accept discards the
-			// speculative remainder. Transfer synthesis consumes the
-			// shared random stream, so it runs here, serially.
-			accepted := false
-			for ti, pt := range batch {
-				st.Attempts++
-				i, j, ok = nextPair(pt.i, pt.j+1)
-				var recMust *fsim.Record
-				combined := pt.combined
-				hit := false
-				switch {
-				case pt.short:
-					st.ShortCircuits++
-					hit = true
-				case pt.ok:
-					// The trial check was allocation-free; re-simulate the
-					// must set once, now that the combination commits, to
-					// rebuild the ledger row. DetectsAll succeeded on the
-					// identical input, so this cannot fail.
-					st.FaultsSimulated += 2 * pt.mustSim.Count()
-					recMust, _ = s.RecordMust(pt.combined.Seq,
-						fsim.Options{Init: pt.combined.SI, ScanOut: true}, pt.mustSim)
-					hit = true
-				default:
-					st.FaultsSimulated += pt.mustSim.Count()
-					if opt.TransferLen > 0 {
-						// [7]: steer the post-T_i state toward SI_j with a
-						// short transfer sequence and retry. The T_i prefix
-						// is intact, so the carried PO detections still
-						// stand and mustSim is unchanged.
-						if xfer := transferSequence(s, tests[pt.i], tests[pt.j].SI, opt, r); xfer != nil {
-							withX := scan.Test{
-								SI: tests[pt.i].SI.Clone(),
-								Seq: append(append(tests[pt.i].Seq.Clone(), xfer...),
-									tests[pt.j].Seq.Clone()...),
-							}
-							st.Attempts++
-							st.FaultsSimulated += pt.mustSim.Count()
-							if rec2, ok2 := s.RecordMust(withX.Seq,
-								fsim.Options{Init: withX.SI, ScanOut: true}, pt.mustSim); ok2 {
-								combined = withX
-								recMust = rec2
-								hit = true
-								st.TransferCombined++
-								st.TransferVectors += len(xfer)
-							}
+			st.Attempts++
+			var recMust *fsim.Record
+			hit := false
+			switch {
+			case mustSim.Count() == 0:
+				// The ledger proves the trial accepted.
+				st.ShortCircuits++
+				hit = true
+			case s.DetectsAll(combined.Seq, fsim.Options{Init: combined.SI, ScanOut: true}, mustSim):
+				// The trial check is allocation-free (almost all trials
+				// are rejected); re-simulate the must set once, now that
+				// the combination commits, to rebuild the ledger row.
+				// DetectsAll succeeded on the identical input, so this
+				// cannot fail.
+				st.FaultsSimulated += 2 * mustSim.Count()
+				recMust, _ = s.RecordMust(combined.Seq,
+					fsim.Options{Init: combined.SI, ScanOut: true}, mustSim)
+				hit = true
+			default:
+				st.FaultsSimulated += mustSim.Count()
+				if opt.TransferLen > 0 {
+					// [7]: steer the post-T_i state toward SI_j with a
+					// short transfer sequence and retry. The T_i prefix
+					// is intact, so the carried PO detections still
+					// stand and mustSim is unchanged.
+					if xfer := transferSequence(s, tests[i], tests[j].SI, opt, r); xfer != nil {
+						withX := scan.Test{
+							SI: tests[i].SI.Clone(),
+							Seq: append(append(tests[i].Seq.Clone(), xfer...),
+								tests[j].Seq.Clone()...),
+						}
+						st.Attempts++
+						st.FaultsSimulated += mustSim.Count()
+						if rec2, ok2 := s.RecordMust(withX.Seq,
+							fsim.Options{Init: withX.SI, ScanOut: true}, mustSim); ok2 {
+							combined = withX
+							recMust = rec2
+							hit = true
+							st.TransferCombined++
+							st.TransferVectors += len(xfer)
 						}
 					}
 				}
-				if hit {
-					accept(pt, combined, recMust)
-					changed = true
-					for _, d := range batch[ti+1:] {
-						if !d.short {
-							st.SpecDiscarded++
-							st.FaultsSimulated += d.mustSim.Count()
-						}
-					}
-					accepted = true
-					break
-				}
 			}
-			if accepted {
-				i, j, ok = nextPair(i, j) // re-scan: alive[] changed
+			// The successor is taken before an accept changes the live
+			// set. After an accept at the last live pair there is none
+			// (nextPair returns 0, 0), so the scan restarts from the
+			// first pair within the same round.
+			ti, tj := i, j
+			i, j, ok = nextPair(ti, tj+1)
+			if hit {
+				accept(ti, tj, combined, recMust)
+				changed = true
+				i, j, ok = nextPair(i, j)
 			}
 		}
 		if !changed {
@@ -461,212 +342,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		}
 	}
 	return out, outLed, st
-}
-
-// evalPairTrials runs the direct must-detect simulations of the window,
-// concurrently when there is more than one to run (the Simulator is safe
-// for concurrent use).
-func evalPairTrials(s *fsim.Simulator, batch []*pairTrial) {
-	run := func(pt *pairTrial) {
-		pt.ok = s.DetectsAll(pt.combined.Seq,
-			fsim.Options{Init: pt.combined.SI, ScanOut: true}, pt.mustSim)
-	}
-	todo := 0
-	for _, pt := range batch {
-		if !pt.short {
-			todo++
-		}
-	}
-	if todo <= 1 {
-		for _, pt := range batch {
-			if !pt.short {
-				run(pt)
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, pt := range batch {
-		if pt.short {
-			continue
-		}
-		wg.Add(1)
-		go func(pt *pairTrial) {
-			defer wg.Done()
-			run(pt)
-		}(pt)
-	}
-	wg.Wait()
-}
-
-// compactLegacy is the pre-ledger engine: cold re-grades everywhere.
-// Kept as the differential reference and benchmark baseline; the
-// accepted combinations are provably identical to the ledger path's
-// (carried PO detections always pass the must-detect check, so both
-// engines accept and reject the same pairs in the same order).
-func compactLegacy(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, Stats) {
-	var st Stats
-	n := len(ts.Tests)
-	if n <= 1 {
-		return ts.Clone(), st
-	}
-	if max := s.Nsv() - 1; opt.TransferLen > max {
-		opt.TransferLen = max
-	}
-	var r *rand.Rand
-	if opt.TransferLen > 0 {
-		r = rand.New(rand.NewSource(opt.Seed))
-	}
-
-	tests := make([]scan.Test, n)
-	det := make([]*fault.Set, n)
-	for i, t := range ts.Tests {
-		tests[i] = t.Clone()
-		det[i] = s.DetectTest(t.SI, t.Seq, nil)
-	}
-	nf := s.NumFaults()
-	count := make([]int, nf)
-	for _, d := range det {
-		d.ForEach(func(f int) { count[f]++ })
-	}
-
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-
-	c1, c2 := fault.NewSet(nf), fault.NewSet(nf)
-	rebuckets := func() {
-		c1.Clear()
-		c2.Clear()
-		for f, cnt := range count {
-			switch cnt {
-			case 1:
-				c1.Add(f)
-			case 2:
-				c2.Add(f)
-			}
-		}
-	}
-	rebuckets()
-	risk := fault.NewSet(nf)
-	tmp := fault.NewSet(nf)
-
-	for {
-		st.Rounds++
-		changed := false
-		for i := 0; i < len(tests); i++ {
-			if !alive[i] {
-				continue
-			}
-			for j := 0; j < len(tests); j++ {
-				if i == j || !alive[i] || !alive[j] {
-					continue
-				}
-				// Faults at risk: detected by τ_i or τ_j and by no other
-				// test in the current set.
-				di, dj := det[i], det[j]
-				if opt.NoFaultDrop {
-					risk.Clear()
-					collect := func(f int) {
-						others := count[f]
-						if di.Has(f) {
-							others--
-						}
-						if dj.Has(f) {
-							others--
-						}
-						if others == 0 {
-							risk.Add(f)
-						}
-					}
-					di.ForEach(collect)
-					dj.ForEach(func(f int) {
-						if !di.Has(f) {
-							collect(f)
-						}
-					})
-				} else {
-					risk.CopyFrom(c2)
-					risk.IntersectWith(di)
-					risk.IntersectWith(dj)
-					tmp.CopyFrom(di)
-					tmp.UnionWith(dj)
-					tmp.IntersectWith(c1)
-					risk.UnionWith(tmp)
-				}
-
-				combined := scan.Test{
-					SI:  tests[i].SI.Clone(),
-					Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
-				}
-				st.Attempts++
-				st.FaultsSimulated += risk.Count()
-				// Check the risk set alone first: the simulation aborts
-				// across passes as soon as a finished pass leaves a risk
-				// fault undetected, so rejections — the common case —
-				// stay cheap.
-				if !s.AllDetected(combined.SI, combined.Seq, risk) {
-					if opt.TransferLen <= 0 {
-						continue
-					}
-					// [7]: steer the post-T_i state toward SI_j with a
-					// short transfer sequence and retry.
-					xfer := transferSequence(s, tests[i], tests[j].SI, opt, r)
-					if xfer == nil {
-						continue
-					}
-					withX := scan.Test{
-						SI: tests[i].SI.Clone(),
-						Seq: append(append(tests[i].Seq.Clone(), xfer...),
-							tests[j].Seq.Clone()...),
-					}
-					st.Attempts++
-					st.FaultsSimulated += risk.Count()
-					if !s.AllDetected(withX.SI, withX.Seq, risk) {
-						continue
-					}
-					combined = withX
-					st.TransferCombined++
-					st.TransferVectors += len(xfer)
-				}
-				// Accept path: every risk fault is detected, so only the
-				// rest of the union needs one more simulation (dropping
-				// the risk faults from the second pass).
-				rest := di.Clone()
-				rest.UnionWith(dj)
-				rest.SubtractWith(risk)
-				st.FaultsSimulated += rest.Count()
-				full := s.DetectTest(combined.SI, combined.Seq, rest)
-				full.UnionWith(risk)
-
-				// Replace τ_i with the combination, kill τ_j.
-				det[i].ForEach(func(f int) { count[f]-- })
-				det[j].ForEach(func(f int) { count[f]-- })
-				full.ForEach(func(f int) { count[f]++ })
-				rebuckets()
-				tests[i] = combined
-				det[i] = full
-				alive[j] = false
-				st.Combined++
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
-			break
-		}
-	}
-
-	out := scan.NewSet()
-	for i, t := range tests {
-		if alive[i] {
-			out.Tests = append(out.Tests, t)
-		}
-	}
-	return out, st
 }
 
 // transferSequence greedily builds a sequence of at most opt.TransferLen

@@ -6,11 +6,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/oracle"
+	"repro/internal/samples"
 	"repro/internal/scan"
 	"repro/internal/vecomit"
 )
@@ -42,14 +44,40 @@ func randomTest(r *rand.Rand, nsv, npi, length int) scan.Test {
 	return tst
 }
 
-// TestLedgerEquivalence is the vecomit arm of the byte-identity
-// contract: the ledger engine — serial and speculative, at any worker
-// count, under full and partial scan — accepts exactly the removals the
-// pre-ledger engine accepts, so the compacted sequences are identical.
-// The ledger output is additionally re-verified against the reference
-// simulator, and the free-removal short-circuit must actually fire
-// somewhere in the sweep (otherwise the ledger would be measuring
-// nothing).
+// naiveOmit is the reference omission loop. It sweeps like the engine
+// (last vector first, at most maxPasses sweeps, a scan test keeps one
+// vector, nothing to keep is a no-op), but every trial re-checks the
+// whole keep set on the reference simulator. The engine's narrower
+// risk set accepts the same removals, because a removal at p cannot
+// disturb a PO detection before p.
+func naiveOmit(orc *oracle.Sim, si logic.Vector, seq logic.Sequence, keep *fault.Set, scanOut bool, maxPasses int) logic.Sequence {
+	cur := seq.Clone()
+	if keep.Count() == 0 {
+		return cur
+	}
+	for pass := 0; pass < maxPasses; pass++ {
+		removed := false
+		for p := len(cur) - 1; p >= 0; p-- {
+			if len(cur) == 1 && scanOut {
+				break
+			}
+			cand := append(cur[:p:p], cur[p+1:]...)
+			if orc.Detect(cand, oracle.Options{Init: si, ScanOut: scanOut, Targets: keep}).ContainsAll(keep) {
+				cur, removed = cand, true
+			}
+		}
+		if !removed {
+			break
+		}
+	}
+	return cur
+}
+
+// TestLedgerEquivalence checks the ledger engine against naiveOmit at
+// several worker counts, under full and partial scan: the compacted
+// sequences must be identical. The free-removal short-circuit must
+// fire somewhere in the sweep, otherwise the ledger would be measuring
+// nothing.
 func TestLedgerEquivalence(t *testing.T) {
 	c := gen.MustGenerate(gen.Params{Name: "vl", Seed: 41, PIs: 4, POs: 3, FFs: 10, Gates: 110})
 	faults := fault.Collapse(c)
@@ -73,28 +101,21 @@ func TestLedgerEquivalence(t *testing.T) {
 		for _, seed := range []int64{3, 19} {
 			r := rand.New(rand.NewSource(seed))
 			tst := randomTest(r, nsv, c.NumPIs(), 16)
-
-			sref := fsim.NewChain(c, faults, chain)
-			keep := sref.DetectTest(tst.SI, tst.Seq, nil)
-			ref, refSt := vecomit.CompactTest(sref, tst, keep, vecomit.Options{NoLedger: true})
+			keep := fsim.NewChain(c, faults, chain).DetectTest(tst.SI, tst.Seq, nil)
+			ref := naiveOmit(orc, tst.SI, tst.Seq, keep, true, 2)
 
 			for _, workers := range []int{1, 4} {
-				for _, spec := range []int{0, 3} {
-					name := fmt.Sprintf("chain=%v seed=%d workers=%d spec=%d", chain != nil, seed, workers, spec)
-					s := fsim.NewChain(c, faults, chain).SetWorkers(workers)
-					got, st := vecomit.CompactTest(s, tst, keep, vecomit.Options{Speculate: spec})
-					if !seqsEqual(got.Seq, ref.Seq) {
-						t.Fatalf("%s: ledger sequence differs from pre-ledger path (%d vs %d vectors)",
-							name, len(got.Seq), len(ref.Seq))
-					}
-					if st.Removed != refSt.Removed {
-						t.Fatalf("%s: Removed = %d, want %d", name, st.Removed, refSt.Removed)
-					}
-					if after := orc.DetectTest(got.SI, got.Seq, nil); !after.ContainsAll(keep) {
-						t.Fatalf("%s: oracle says the ledger path lost coverage", name)
-					}
-					totalFree += st.FreeRemovals
+				name := fmt.Sprintf("chain=%v seed=%d workers=%d", chain != nil, seed, workers)
+				s := fsim.NewChain(c, faults, chain).SetWorkers(workers)
+				got, st := vecomit.CompactTest(s, tst, keep, vecomit.Options{})
+				if !seqsEqual(got.Seq, ref) {
+					t.Fatalf("%s: engine sequence differs from the naive loop (%d vs %d vectors)",
+						name, len(got.Seq), len(ref))
 				}
+				if st.Removed != len(tst.Seq)-len(ref) {
+					t.Fatalf("%s: Removed = %d, want %d", name, st.Removed, len(tst.Seq)-len(ref))
+				}
+				totalFree += st.FreeRemovals
 			}
 		}
 	}
@@ -111,15 +132,49 @@ func TestLedgerEquivalenceSequence(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	tst := randomTest(r, 0, c.NumPIs(), 18)
 
-	sref := fsim.New(c, faults)
-	keep := sref.Detect(tst.Seq, fsim.Options{})
-	ref, _ := vecomit.CompactSequence(sref, tst.Seq, keep, vecomit.Options{NoLedger: true})
-
-	for _, spec := range []int{0, 4} {
-		s := fsim.New(c, faults).SetWorkers(2)
-		got, _ := vecomit.CompactSequence(s, tst.Seq, keep, vecomit.Options{Speculate: spec})
-		if !seqsEqual(got, ref) {
-			t.Fatalf("spec=%d: no-scan ledger sequence differs from pre-ledger path", spec)
-		}
+	s := fsim.New(c, faults).SetWorkers(2)
+	keep := s.Detect(tst.Seq, fsim.Options{})
+	got, _ := vecomit.CompactSequence(s, tst.Seq, keep, vecomit.Options{})
+	if ref := naiveOmit(oracle.New(c, faults), nil, tst.Seq, keep, false, 2); !seqsEqual(got, ref) {
+		t.Fatalf("no-scan engine sequence differs from the naive loop (%d vs %d vectors)", len(got), len(ref))
 	}
+}
+
+// FuzzOmissionDifferential checks the omission engine against naiveOmit
+// on fuzzer-shaped circuits and tests, in both roles: the scan test
+// (scan-out observed) and the no-scan sequence.
+func FuzzOmissionDifferential(f *testing.F) {
+	r := rand.New(rand.NewSource(3))
+	for _, c := range []*circuit.Circuit{samples.S27(), samples.ShiftReg(3)} {
+		data, err := oracle.EncodeFuzz(c, randomTest(r, c.NumFFs(), c.NumPIs(), 6))
+		if err != nil {
+			f.Fatalf("%s: corpus encode: %v", c.Name, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, tst, err := oracle.DecodeFuzz(data)
+		if err != nil {
+			t.Skip()
+		}
+		faults := fault.Collapse(c)
+		s := fsim.New(c, faults)
+		orc := oracle.New(c, faults)
+
+		keep := s.DetectTest(tst.SI, tst.Seq, nil)
+		got, st := vecomit.CompactTest(s, tst, keep, vecomit.Options{})
+		ref := naiveOmit(orc, tst.SI, tst.Seq, keep, true, 2)
+		if !seqsEqual(got.Seq, ref) {
+			t.Fatalf("scan test: engine kept %d vectors, naive loop %d", len(got.Seq), len(ref))
+		}
+		if st.Removed != len(tst.Seq)-len(ref) {
+			t.Fatalf("scan test: Removed = %d, want %d", st.Removed, len(tst.Seq)-len(ref))
+		}
+
+		keep = s.Detect(tst.Seq, fsim.Options{})
+		gotSeq, _ := vecomit.CompactSequence(s, tst.Seq, keep, vecomit.Options{})
+		if ref := naiveOmit(orc, nil, tst.Seq, keep, false, 2); !seqsEqual(gotSeq, ref) {
+			t.Fatalf("no-scan: engine kept %d vectors, naive loop %d", len(gotSeq), len(ref))
+		}
+	})
 }

@@ -18,28 +18,18 @@
 // surviving detection lies at or after p — plus faults detected only at
 // the final scan-out — need re-simulation.
 //
-// The default engine keeps that risk set exact with a detection ledger
+// The engine keeps that risk set exact with a detection ledger
 // (fsim.Record): each trial's must-detect simulation records into a
 // reusable buffer (fsim.RecordMustInto), and an accepted removal
 // refreshes the ledger rows from that record at no extra simulation
 // cost, so a removal whose risk set is empty commits without any
 // simulation at all and later trials simulate exactly the faults a
-// removal could disturb. Options.NoLedger selects the original
-// conservative path (one profiling pass + an ever-growing "always risky"
-// set); both paths accept exactly the same removals and return
-// byte-identical sequences — see oracle_test.go and ledger_test.go.
-//
-// Options.Speculate > 1 additionally evaluates that many omission
-// candidates concurrently on the simulator's worker pool and commits the
-// verdicts in serial candidate order (first accepted trial wins; the
-// speculative trials behind it were evaluated against a stale sequence
-// and are discarded), which keeps the result bit-identical to the serial
-// loop at every worker count.
+// removal could disturb. The tests check the result against a naive
+// loop that re-checks the whole keep set on the reference simulator
+// for every trial (ledger_test.go).
 package vecomit
 
 import (
-	"sync"
-
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
@@ -52,24 +42,11 @@ type Options struct {
 	// (0 = default 2). The first sweep does nearly all of the work; a
 	// second sweep catches removals enabled by earlier ones.
 	MaxPasses int
-	// NoLedger selects the pre-ledger engine: one profiling pass for
-	// earliest PO-detection times plus a conservative "always risky" set,
-	// instead of the exact per-fault ledger. The compacted sequence is
-	// identical either way; only the simulation cost differs.
-	NoLedger bool
-	// Speculate is the number of omission candidates evaluated
-	// concurrently per commit step (<= 1 = serial). Results are
-	// bit-identical at every setting; see the package comment.
-	// Ignored on the NoLedger path.
-	Speculate int
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 2
-	}
-	if o.Speculate < 1 {
-		o.Speculate = 1
 	}
 	return o
 }
@@ -77,10 +54,9 @@ func (o Options) withDefaults() Options {
 // Stats reports what one compaction run did.
 type Stats struct {
 	Removed         int // vectors omitted
-	Checks          int // committed trial simulations (identical to the serial loop)
+	Checks          int // trial simulations
 	FreeRemovals    int // removals committed with an empty risk set, no simulation
-	FaultsSimulated int // total fault slots across all trial simulations, incl. discarded speculative ones
-	SpecDiscarded   int // speculative trial simulations discarded after an earlier accept
+	FaultsSimulated int // total fault slots across all trial simulations
 }
 
 // Add accumulates o into s (used by core to aggregate the per-iteration
@@ -90,7 +66,6 @@ func (s *Stats) Add(o Stats) {
 	s.Checks += o.Checks
 	s.FreeRemovals += o.FreeRemovals
 	s.FaultsSimulated += o.FaultsSimulated
-	s.SpecDiscarded += o.SpecDiscarded
 }
 
 // CompactTest shortens t's PI sequence while keeping every fault in keep
@@ -109,173 +84,28 @@ func CompactSequence(s *fsim.Simulator, seq logic.Sequence, keep *fault.Set, opt
 	return compact(s, nil, seq, keep, false, opt)
 }
 
+// compact is the detection-ledger loop (see the package comment). The
+// loop invariant: rec is the exact detection record of cur over keep —
+// every keep fault's earliest PO-detecting position in cur, or the
+// scan-out-only / undetected marker. A removal at p leaves positions
+// < p untouched, so the exact risk set of the trial is the keep faults
+// without a PO detection strictly before p; an accepted trial's
+// must-detect record covers precisely those faults and re-establishes
+// the invariant by overlay (fsim.Record.Merge).
 func compact(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault.Set, scanOut bool, opt Options) (logic.Sequence, Stats) {
 	opt = opt.withDefaults()
 	var st Stats
 	if keep == nil || keep.Count() == 0 || len(seq) == 0 {
 		return seq.Clone(), st
 	}
-	if opt.NoLedger {
-		return compactLegacy(s, si, seq, keep, scanOut, opt)
-	}
-	return compactLedger(s, si, seq, keep, scanOut, opt)
-}
-
-// omTrial is one speculative omission candidate: remove the vector at
-// position p and re-simulate exactly the risk faults. The must-detect
-// simulation records into a reusable per-slot buffer (omission accepts
-// are frequent, so recording in the same pass as the check beats
-// re-simulating accepted trials, and buffer reuse avoids a per-trial
-// allocation); tr.rec aliases that buffer and is only read before the
-// slot's next trial.
-type omTrial struct {
-	p    int
-	risk *fault.Set
-	cand logic.Sequence
-	rec  *fsim.Record
-	ok   bool
-}
-
-// compactLedger is the detection-ledger engine (see the package comment).
-// The loop invariant: rec is the exact detection record of cur over keep
-// — every keep fault's earliest PO-detecting position in cur, or the
-// scan-out-only / undetected marker. A removal at p leaves positions
-// < p untouched, so the exact risk set of the trial is the keep faults
-// without a PO detection strictly before p; an accepted trial's
-// must-detect record (rebuilt once at commit) covers precisely those
-// faults and re-establishes the invariant by overlay (fsim.Record.Merge).
-func compactLedger(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault.Set, scanOut bool, opt Options) (logic.Sequence, Stats) {
-	var st Stats
 	cur := seq.Clone()
 	rec := s.Record(cur, fsim.Options{Init: si, ScanOut: scanOut, Targets: keep})
-
-	riskAt := func(p int) *fault.Set {
-		risk := fault.NewSet(keep.Len())
-		keep.ForEach(func(f int) {
-			if !rec.SafeBefore(f, p) {
-				risk.Add(f)
-			}
-		})
-		return risk
-	}
-
-	// Per-slot record buffers, reused across trial windows (slot k of
-	// every window records into bufs[k]).
-	bufs := make([]*fsim.Record, opt.Speculate)
-
-	for pass := 0; pass < opt.MaxPasses; pass++ {
-		removedThisPass := 0
-		for p := len(cur) - 1; p >= 0; {
-			if len(cur) == 1 && scanOut {
-				break // a scan test keeps at least one vector
-			}
-			// Build the candidate window: up to Speculate simulated
-			// trials at descending positions, cut short by the first free
-			// removal (empty risk set) — trials behind a free removal
-			// would be evaluated against a sequence about to change.
-			var trials []*omTrial
-			free := -1
-			for c := p; c >= 0 && len(trials) < opt.Speculate; c-- {
-				risk := riskAt(c)
-				if risk.Count() == 0 {
-					free = c
-					break
-				}
-				trials = append(trials, &omTrial{p: c, risk: risk, cand: removeAt(cur.Clone(), c)})
-			}
-			evalTrials(s, si, scanOut, trials, bufs)
-
-			// Deterministic commit: verdicts apply in serial candidate
-			// order. Until the first accept the sequence is unchanged, so
-			// every committed verdict equals what a serial loop would have
-			// computed; the first accept invalidates the rest.
-			accepted := false
-			for ti, tr := range trials {
-				st.Checks++
-				st.FaultsSimulated += tr.risk.Count()
-				p = tr.p - 1
-				if tr.ok {
-					cur = tr.cand
-					rec.Merge(tr.rec)
-					st.Removed++
-					removedThisPass++
-					for _, d := range trials[ti+1:] {
-						st.SpecDiscarded++
-						st.FaultsSimulated += d.risk.Count()
-					}
-					accepted = true
-					break
-				}
-			}
-			if !accepted && free >= 0 {
-				// All preceding trials were rejected, so the sequence is
-				// unchanged and the empty-risk determination still holds:
-				// nothing the removal could disturb, commit without
-				// simulating.
-				cur = removeAt(cur, free)
-				st.Removed++
-				st.FreeRemovals++
-				removedThisPass++
-				p = free - 1
-			}
-		}
-		if removedThisPass == 0 {
-			break
-		}
-	}
-	return cur, st
-}
-
-// evalTrials runs the trials' recording must-detect simulations,
-// concurrently when there is more than one (the Simulator is safe for
-// concurrent use; each call checks private engines out of the shared
-// pool). Trial k records into bufs[k]; distinct slots, so no
-// synchronization is needed beyond the WaitGroup.
-func evalTrials(s *fsim.Simulator, si logic.Vector, scanOut bool, trials []*omTrial, bufs []*fsim.Record) {
-	if len(trials) == 1 {
-		tr := trials[0]
-		tr.rec, tr.ok = s.RecordMustInto(bufs[0], tr.cand, fsim.Options{Init: si, ScanOut: scanOut}, tr.risk)
-		bufs[0] = tr.rec
-		return
-	}
-	var wg sync.WaitGroup
-	for k, tr := range trials {
-		wg.Add(1)
-		go func(k int, tr *omTrial) {
-			defer wg.Done()
-			tr.rec, tr.ok = s.RecordMustInto(bufs[k], tr.cand, fsim.Options{Init: si, ScanOut: scanOut}, tr.risk)
-			bufs[k] = tr.rec
-		}(k, tr)
-	}
-	wg.Wait()
-}
-
-// compactLegacy is the pre-ledger engine: earliest detection times come
-// from one profiling pass; faults involved in an accepted removal are
-// conservatively marked "always risky" afterwards, which avoids any
-// re-profiling. Kept as the differential reference and benchmark
-// baseline for the ledger path (the accepted removals are provably
-// identical: the legacy risk set is a superset of the exact one, and the
-// extra faults always pass the must-detect check).
-func compactLegacy(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault.Set, scanOut bool, opt Options) (logic.Sequence, Stats) {
-	var st Stats
-	cur := seq.Clone()
-
-	// Profile once for earliest PO-detection times. alwaysRisky starts
-	// with the faults that are never PO-detected (scan-out only, or --
-	// defensively -- not detected at all).
-	prof := s.Profile(si, cur, keep)
-	poTime := make([]int, keep.Len())
-	alwaysRisky := fault.NewSet(keep.Len())
-	keep.ForEach(func(f int) {
-		t := prof.PODetectTime(f)
-		poTime[f] = t
-		if t < 0 {
-			alwaysRisky.Add(f)
-		}
-	})
-
 	risk := fault.NewSet(keep.Len())
+	// buf is the trial record, reused across trials: omission accepts
+	// are frequent, so recording in the same pass as the check beats
+	// re-simulating accepted trials.
+	var buf *fsim.Record
+
 	for pass := 0; pass < opt.MaxPasses; pass++ {
 		removedThisPass := 0
 		for p := len(cur) - 1; p >= 0; p-- {
@@ -283,14 +113,14 @@ func compactLegacy(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep 
 				break // a scan test keeps at least one vector
 			}
 			risk.Clear()
-			risk.UnionWith(alwaysRisky)
 			keep.ForEach(func(f int) {
-				if poTime[f] >= p {
+				if !rec.SafeBefore(f, p) {
 					risk.Add(f)
 				}
 			})
 			if risk.Count() == 0 {
-				// Nothing can be disturbed: the removal is free.
+				// Nothing the removal could disturb: commit without
+				// simulating.
 				cur = removeAt(cur, p)
 				st.Removed++
 				st.FreeRemovals++
@@ -300,15 +130,13 @@ func compactLegacy(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep 
 			cand := removeAt(cur.Clone(), p)
 			st.Checks++
 			st.FaultsSimulated += risk.Count()
-			// Must-detect check: aborts remaining passes as soon as one
-			// finished pass leaves a risk fault undetected.
-			if s.DetectsAll(cand, fsim.Options{Init: si, ScanOut: scanOut}, risk) {
+			var ok bool
+			buf, ok = s.RecordMustInto(buf, cand, fsim.Options{Init: si, ScanOut: scanOut}, risk)
+			if ok {
 				cur = cand
+				rec.Merge(buf)
 				st.Removed++
 				removedThisPass++
-				// Detection times of risk faults may have moved; treat
-				// them as risky for the rest of the run.
-				alwaysRisky.UnionWith(risk)
 			}
 		}
 		if removedThisPass == 0 {

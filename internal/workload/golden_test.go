@@ -7,17 +7,39 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden tables file")
+var updateGolden = flag.Bool("update", false, "rewrite the golden tables files")
 
-// TestGoldenTables pins the full table output of the small test roster
-// bit-for-bit: the entire pipeline is seeded, so any diff means a
-// behavioural change somewhere in the stack (generator, ATPG, sequence
-// search, compaction, cost model, or formatting). Run with -update to
-// accept an intentional change.
+// TestGoldenTables pins rendered table output bit-for-bit: the entire
+// pipeline is seeded, so any diff means a behavioural change somewhere
+// in the stack (generator, ATPG, sequence search, compaction, cost
+// model, or formatting). Run with -update to accept an intentional
+// change.
+//
+// The roster arm covers the small full-scan roster. The partial_scan
+// arm runs b01 with three scanned flip-flops, so the chain code paths
+// of every compaction engine (and the universe-coverage extension) are
+// pinned too.
 func TestGoldenTables(t *testing.T) {
-	runs := smallRuns(t)
-	got := AllTables(Rows(runs))
-	path := filepath.Join("testdata", "golden_tables.txt")
+	t.Run("roster", func(t *testing.T) {
+		checkGolden(t, "golden_tables.txt", AllTables(Rows(smallRuns(t))))
+	})
+	t.Run("partial_scan", func(t *testing.T) {
+		cfg := fastCfg()
+		cfg.ScanFFs = 3
+		run, err := RunByName("b01", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := Rows([]*CircuitRun{run})
+		checkGolden(t, "golden_partial_scan.txt", AllTables(rows)+TableUniverse(rows).Render())
+	})
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file
+// under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -25,7 +47,7 @@ func TestGoldenTables(t *testing.T) {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden file updated (%d bytes)", len(got))
+		t.Logf("golden file %s updated (%d bytes)", name, len(got))
 		return
 	}
 	want, err := os.ReadFile(path)
@@ -33,6 +55,6 @@ func TestGoldenTables(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("table output drifted from golden file; run with -update if intentional\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("table output drifted from %s; run with -update if intentional\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
 }

@@ -5,58 +5,45 @@ import (
 	"testing"
 )
 
-// TestLedgerInvariance is the pipeline-level guarantee behind the
-// -noledger/-speculate flags: the detection-ledger engines and the
-// speculative trial evaluation only change how the compaction loops
-// schedule simulation, so every rendered table — including the
-// universe-coverage extension — must be byte-identical to the
-// pre-ledger serial run, under full and partial scan, at any worker
-// count. This is the workload arm of the byte-identity contract; the
+// TestLedgerInvariance is the pipeline-level arm of the detection
+// ledger's byte-identity contract: the ledger engines only change how
+// the compaction loops schedule simulation, so every rendered table,
+// the universe-coverage extension included, must equal the pre-ledger
+// serial run's, under full and partial scan, at any worker count. The
+// pre-ledger engines are gone; their b01 tables were written by that
+// run into testdata/golden_full_scan.txt and golden_partial_scan.txt
+// before the removal, and the serial run is checked against them. The
 // per-engine arms live in vecomit, scomp, dyncomp and core.
 func TestLedgerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline runs")
 	}
-	base := Config{T0MaxLen: 80, RandomT0Len: 150}
 	for _, name := range []string{"b01"} {
-		for _, scanFFs := range []int{0, 3} {
-			name, scanFFs := name, scanFFs
-			t.Run(fmt.Sprintf("%s/scanffs=%d", name, scanFFs), func(t *testing.T) {
+		for _, arm := range []struct {
+			scanFFs int
+			golden  string
+		}{
+			{0, "golden_full_scan.txt"},
+			{3, "golden_partial_scan.txt"},
+		} {
+			name, arm := name, arm
+			t.Run(fmt.Sprintf("%s/scanffs=%d", name, arm.scanFFs), func(t *testing.T) {
 				t.Parallel()
-				cfg := base
-				cfg.ScanFFs = scanFFs
-				cfg.NoLedger = true
-				ref, err := RunByName(name, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				render := func(r *CircuitRun) string {
-					rows := Rows([]*CircuitRun{r})
-					return AllTables(rows) + TableUniverse(rows).Render()
-				}
-				want := render(ref)
-
-				for _, arm := range []struct {
-					workers   int
-					speculate int
-				}{
-					{1, 0},
-					{4, 0},
-					{1, 4},
-					{4, 4},
-				} {
-					cfg := base
-					cfg.ScanFFs = scanFFs
-					cfg.Workers = arm.workers
-					cfg.Speculate = arm.speculate
+				render := func(workers int) string {
+					cfg := fastCfg()
+					cfg.ScanFFs = arm.scanFFs
+					cfg.Workers = workers
 					run, err := RunByName(name, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got := render(run); got != want {
-						t.Errorf("workers=%d speculate=%d: tables differ from pre-ledger baseline\n--- want ---\n%s--- got ---\n%s",
-							arm.workers, arm.speculate, want, got)
-					}
+					rows := Rows([]*CircuitRun{run})
+					return AllTables(rows) + TableUniverse(rows).Render()
+				}
+				want := render(1)
+				checkGolden(t, arm.golden, want)
+				if got := render(4); got != want {
+					t.Errorf("workers=4: tables differ from the serial run\n--- want ---\n%s--- got ---\n%s", want, got)
 				}
 			})
 		}
