@@ -3,16 +3,11 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
-	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/fault"
-	"repro/internal/fsim"
-	"repro/internal/gen"
-	"repro/internal/logic"
 	"repro/internal/workload"
 )
 
@@ -107,7 +102,9 @@ type benchKernelCircuit struct {
 // benchKernelReport is the schema of BENCH_kernel.json: the compiled
 // batch kernel against the interpreter baseline across batch widths, on
 // a paper-roster circuit and an ISCAS-scale one. The acceptance figure
-// is the best kernel speedup at W >= 4 words.
+// is the best kernel speedup at W >= 4 words. The interpreter arm ran on
+// fsim's retired interpreter pass, so the file can no longer be
+// regenerated; it stays as the frozen record of the kernel's speedup.
 type benchKernelReport struct {
 	Date          string               `json:"date"`
 	GoVersion     string               `json:"go_version"`
@@ -115,102 +112,6 @@ type benchKernelReport struct {
 	Workload      string               `json:"workload"`
 	Circuits      []benchKernelCircuit `json:"circuits"`
 	BestSpeedupW4 float64              `json:"best_speedup_w4plus"`
-}
-
-// kernelBenchCase builds the grading workload for one roster circuit:
-// collapsed faults, a reproducible random vector sequence and scan-in.
-func kernelBenchCase(t *testing.T, name string, vectors int) (*fsim.Simulator, logic.Sequence, logic.Vector) {
-	t.Helper()
-	c, ok := gen.RosterCircuit(name)
-	if !ok {
-		t.Fatalf("unknown roster circuit %q", name)
-	}
-	faults := fault.Collapse(c)
-	s := fsim.New(c, faults)
-	r := rand.New(rand.NewSource(1))
-	seq := make(logic.Sequence, vectors)
-	for u := range seq {
-		seq[u] = make(logic.Vector, c.NumPIs())
-		for i := range seq[u] {
-			seq[u][i] = logic.Value(r.Intn(2))
-		}
-	}
-	si := make(logic.Vector, s.Nsv())
-	for i := range si {
-		si[i] = logic.Value(r.Intn(2))
-	}
-	return s, seq, si
-}
-
-// TestEmitBenchKernelJSON measures the interpreter-vs-kernel width sweep
-// and writes BENCH_kernel.json. Every arm must detect the identical
-// fault set. Gated behind BENCH_KERNEL_JSON=1: the ISCAS-scale
-// interpreter arm alone takes the better part of a minute.
-func TestEmitBenchKernelJSON(t *testing.T) {
-	if os.Getenv("BENCH_KERNEL_JSON") == "" {
-		t.Skip("set BENCH_KERNEL_JSON=1 to measure and rewrite BENCH_kernel.json")
-	}
-	rep := benchKernelReport{
-		Date:      time.Now().UTC().Format("2006-01-02"),
-		GoVersion: runtime.Version(),
-		CPUs:      runtime.NumCPU(),
-		Workload:  "scan-test fault grading (fsim.DetectTest, fault dropping on, serial worker)",
-	}
-	for _, name := range []string{"s1423", "s35932xl"} {
-		vectors := 48
-		s, seq, si := kernelBenchCase(t, name, vectors)
-		cc := benchKernelCircuit{
-			Circuit:   name,
-			Gates:     s.Circuit().NumGates(),
-			FFs:       s.Circuit().NumFFs(),
-			Faults:    s.NumFaults(),
-			Vectors:   vectors,
-			Identical: true,
-		}
-		var base float64
-		var ref *fault.Set
-		for _, words := range []int{1, 2, 4, 8} {
-			s.SetBatchWords(words)
-			s.DetectTest(si, seq, nil) // warm caches and arenas
-			start := time.Now()
-			det := s.DetectTest(si, seq, nil)
-			el := time.Since(start).Seconds()
-			arm := benchKernelArm{
-				Engine:          "kernel",
-				BatchWords:      words,
-				Slots:           64*words - 1,
-				Seconds:         el,
-				FaultVecsPerSec: float64(s.NumFaults()) * float64(vectors) / el,
-				Detected:        det.Count(),
-			}
-			if words == 1 {
-				arm.Engine = "interpreter"
-				arm.Slots = 63
-				base = el
-				ref = det
-			} else if !det.Equal(ref) {
-				cc.Identical = false
-				t.Errorf("%s words=%d: detection set differs from interpreter", name, words)
-			}
-			if base > 0 {
-				arm.Speedup = base / el
-			}
-			if words >= 4 && arm.Speedup > rep.BestSpeedupW4 {
-				rep.BestSpeedupW4 = arm.Speedup
-			}
-			t.Logf("%s words=%d: %.2fs, %.0f fault-vecs/s, speedup %.2fx",
-				name, words, el, arm.FaultVecsPerSec, arm.Speedup)
-			cc.Arms = append(cc.Arms, arm)
-		}
-		rep.Circuits = append(rep.Circuits, cc)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_kernel.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBenchFsimJSONSchema validates the checked-in BENCH_fsim.json:

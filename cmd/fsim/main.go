@@ -29,7 +29,6 @@ func main() {
 	testsPath := flag.String("tests", "", "scan test set file (internal/scan text format)")
 	seqPath := flag.String("seq", "", "raw PI sequence file (applied without scan from all-X)")
 	workers := flag.Int("workers", 0, "worker goroutines per simulation run (0 = NumCPU, 1 = serial)")
-	batchWords := flag.Int("batchwords", 0, "kernel batch width in 64-slot words (0 = default, 1 = interpreter engine)")
 	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (results are identical)")
 	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	verbose := flag.Bool("v", false, "list undetected faults")
@@ -64,7 +63,7 @@ func main() {
 		faults = fault.Universe(c)
 		fmt.Printf("faults: %d (uncollapsed)\n", len(faults))
 	}
-	s := fsim.New(c, faults).SetWorkers(*workers).SetBatchWords(*batchWords)
+	s := fsim.New(c, faults).SetWorkers(*workers)
 	switch *order {
 	case "adi":
 		adi.Install(s, adi.Options{Seed: 1})

@@ -43,7 +43,6 @@ func main() {
 	noPhase4 := flag.Bool("nophase4", false, "skip Phase 4 static compaction")
 	scanFFs := flag.Int("scan", 0, "partial scan: scan only the first N flip-flops (0 = full scan)")
 	workers := flag.Int("workers", 0, "worker goroutines per fault-simulation run (0 = NumCPU, 1 = serial)")
-	batchWords := flag.Int("batchwords", 0, "kernel batch width in 64-slot words (0 = default, 1 = interpreter engine)")
 	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (results are identical)")
 	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	check := flag.Bool("check", false, "audit the result against the scalar reference simulator (sampled)")
@@ -73,7 +72,6 @@ func main() {
 		Seed:          *seed,
 		T0MaxLen:      *t0len,
 		Workers:       *workers,
-		BatchWords:    *batchWords,
 		Order:         *order,
 		Uncollapsed:   !*collapse,
 		Check:         *check,

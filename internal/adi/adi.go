@@ -48,7 +48,7 @@ func (o Options) withDefaults() Options {
 // Compute returns the accidental-detection index of every fault in s's
 // list: the number of sampled random scan tests that detect it. The
 // sample is drawn from opt.Seed, so scores are reproducible; they do not
-// depend on worker count or batch width (detection is exact).
+// depend on worker count or pass packing (detection is exact).
 func Compute(s *fsim.Simulator, opt Options) []int {
 	opt = opt.withDefaults()
 	r := rand.New(rand.NewSource(opt.Seed))

@@ -42,11 +42,11 @@ func TestComputeDeterministic(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("no fault scored: random sampling detected nothing")
 	}
-	// Worker count and batch width must not change the scores.
-	c := Compute(s.SetWorkers(4).SetBatchWords(8), opt)
+	// Worker count must not change the scores.
+	c := Compute(s.SetWorkers(4), opt)
 	for i := range a {
 		if a[i] != c[i] {
-			t.Fatalf("fault %d: score differs under workers/batch width (%d vs %d)", i, a[i], c[i])
+			t.Fatalf("fault %d: score differs under workers (%d vs %d)", i, a[i], c[i])
 		}
 	}
 }

@@ -52,19 +52,6 @@ func BenchmarkDetectScanTestWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectScanTestCachedTrace measures the steady state of the
-// trace cache: after a warm-up run the good-machine trace of (si, seq)
-// is memoized, so every pass packs 64 faults and skips slot-0 broadcasts.
-func BenchmarkDetectScanTestCachedTrace(b *testing.B) {
-	s, seq, si := benchSetup(b)
-	s.DetectTest(si, seq, nil) // mark key seen
-	s.DetectTest(si, seq, nil) // compute + cache the trace
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.DetectTest(si, seq, nil)
-	}
-}
-
 // BenchmarkDetectNoScan measures grading a sequence from the all-X state.
 func BenchmarkDetectNoScan(b *testing.B) {
 	s, seq, _ := benchSetup(b)
@@ -103,47 +90,32 @@ func benchKernelSetup(b *testing.B, name string) (*Simulator, logic.Sequence, lo
 	return s, seq, si
 }
 
-// BenchmarkKernelWidths compares the interpreter engine (words=1)
-// against the compiled kernel at growing batch widths on a scan-test
-// grading run — the inner loop that dominates the Table 3 pipeline.
+// BenchmarkKernelWidths grades a scan test over target sets that fill
+// one pass at 1, 2 and 4 words (63, 127 and 255 faults, spread evenly
+// over the fault list): the pass width follows the target count.
 // Throughput is reported as fault-vector evaluations per second.
 func BenchmarkKernelWidths(b *testing.B) {
 	for _, name := range []string{"s1423", "s35932xl"} {
 		if name == "s35932xl" && testing.Short() {
 			continue
 		}
-		for _, words := range []int{1, 2, 4, 8} {
+		for _, words := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%s/words=%d", name, words), func(b *testing.B) {
 				s, seq, si := benchKernelSetup(b, name)
-				s.SetBatchWords(words)
+				n, size := s.NumFaults(), 64*words-1
+				targets := fault.NewSet(n)
+				for k := 0; k < size; k++ {
+					targets.Add(k * n / size)
+				}
 				b.ResetTimer()
 				var det int
 				for i := 0; i < b.N; i++ {
-					det = s.DetectTest(si, seq, nil).Count()
+					det = s.DetectTest(si, seq, targets).Count()
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(s.NumFaults())*float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "fault-vecs/s")
+				b.ReportMetric(float64(size)*float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "fault-vecs/s")
 				b.ReportMetric(float64(det), "detected")
 			})
 		}
-	}
-}
-
-// BenchmarkKernelProfileWidths measures the width sweep on profile runs
-// — no early exit, every fault simulated through the full sequence, so
-// this isolates the raw kernel throughput from detection-dependent
-// pass shortening.
-func BenchmarkKernelProfileWidths(b *testing.B) {
-	for _, words := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
-			s, seq, si := benchKernelSetup(b, "s1423")
-			s.SetBatchWords(words)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Profile(si, seq, nil)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(s.NumFaults())*float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "fault-vecs/s")
-		})
 	}
 }

@@ -2,19 +2,15 @@
 // the parallel-fault method: each pass packs the good machine into slot 0
 // and the faulty machines into the remaining slots of a dual-rail word
 // simulator, then replays an input sequence once for the whole pass.
-// When a memoized good-machine trace is available (see the trace cache in
-// tracecache.go), slot 0 is freed for one more faulty machine and the
-// good values come from the cache instead.
 //
-// Two engines execute passes. Large runs use the compiled batch kernel
-// (sim.BatchEngine): the circuit is lowered once into a straight-line
-// program of dual-rail word ops and executed over W-word batches, so one
-// pass carries up to 64*W-1 faulty machines (SetBatchWords; default 4
-// words = 255 faults per pass). Runs whose target set fits a single
-// 64-slot word fall back to the interpreter engine (sim.Engine), and
-// SetBatchWords(1) forces the interpreter everywhere. Detection results
-// are bit-identical for every width — the differential tests in package
-// oracle and kernel_test.go assert this.
+// Every pass runs on the compiled batch kernel (sim.BatchEngine): the
+// circuit is lowered once into a straight-line program of dual-rail word
+// ops and executed over W-word batches, so one pass carries 64*W-1
+// faulty machines. The width follows the number of faults still queued:
+// one word for up to 63, growing a word per 64 more up to maxWords (4
+// words = 255 faults per pass). Detection results are bit-identical at
+// every width — the differential tests against package oracle assert
+// this.
 //
 // Detection criteria follow standard practice: a fault is detected when a
 // primary output carries definite, differing values in the good and
@@ -23,8 +19,8 @@
 // (full scan makes every flip-flop observable at scan-out).
 //
 // Simulation passes are independent, so a Simulator can shard them over
-// a pool of workers (SetWorkers); each worker owns private engines and
-// detection results are merged after the fan-out.
+// a pool of workers (SetWorkers); each worker owns a private batch engine
+// and detection results are merged after the fan-out.
 package fsim
 
 import (
@@ -40,25 +36,20 @@ import (
 	"repro/internal/sim"
 )
 
-// batchSize is the number of faulty machines per interpreter pass when
-// slot 0 carries the good machine.
+// batchSize is the number of faulty machines in a one-word pass: slot 0
+// carries the good machine.
 const batchSize = 63
 
-// defaultBatchWords is the default kernel batch width: 4 words = 256
-// slots = 255 faulty machines per pass (256 with a cached good trace).
-const defaultBatchWords = 4
-
-// maxBatchWords caps SetBatchWords; beyond ~1024 slots per pass the
-// value arena outgrows caches faster than the pass count shrinks.
-const maxBatchWords = 16
+// maxWords caps the pass width: 4 words = 256 slots = 255 faulty
+// machines per pass.
+const maxWords = 4
 
 // Simulator fault-simulates one circuit against a fixed fault list.
 // The fault list order defines fault indices used in all result sets.
 //
 // A Simulator is safe for concurrent use: every simulation run checks a
-// private engine out of an internal pool, and the shared good-machine
-// trace cache is mutex-guarded. SetWorkers additionally shards the
-// passes of a single Detect call over that pool.
+// private batch engine out of an internal pool. SetWorkers additionally
+// shards the passes of a single Detect call over that pool.
 //
 // The simulator carries the circuit's scan configuration: under full
 // scan (New) a scan-in vector addresses every flip-flop and a scan-out
@@ -72,14 +63,11 @@ type Simulator struct {
 	chain    []int // scanned FF positions in scan order; nil = full scan
 	observed []int // FF positions compared at scan-out
 
-	mu         sync.Mutex
-	workers    int          // max concurrent passes per run
-	idle       []*worker    // checked-in workers
-	batchWords int          // kernel batch width in words; 1 = interpreter
-	order      []int        // pass-packing permutation over fault indices; nil = ascending
-	prog       *sim.Program // lazily compiled batch program
-
-	cache *traceCache
+	mu      sync.Mutex
+	workers int          // max concurrent passes per run
+	idle    []*worker    // checked-in workers
+	order   []int        // pass-packing permutation over fault indices; nil = ascending
+	prog    *sim.Program // lazily compiled batch program
 
 	// Cumulative pass-work counters (see Stats).
 	passes      atomic.Int64
@@ -127,36 +115,19 @@ func (s *Simulator) ResetStats() {
 }
 
 // worker owns the per-goroutine simulation state of one pool member.
-// Both engines are created lazily: a worker that only ever runs kernel
-// passes never allocates an interpreter engine and vice versa.
 type worker struct {
 	s       *Simulator
-	eng     *sim.Engine
 	beng    *sim.BatchEngine
-	injBuf  []sim.Injection
 	binjBuf []sim.BatchInjection
 	maskBuf []uint64 // per-fault kernel injection masks
 	vecBuf  []uint64 // batch/detected/diff/potential mask scratch
 }
 
-// engine returns the worker's interpreter engine, creating it on first
-// use.
-func (wk *worker) engine() *sim.Engine {
-	if wk.eng == nil {
-		wk.eng = sim.New(wk.s.c)
-	}
-	return wk.eng
-}
-
-// kernel returns the worker's batch engine at the given width, creating
-// or re-arming it as needed.
+// kernel returns the worker's batch engine switched to the given width.
+// The engine's arena is allocated once, at maxWords, on first use.
 func (wk *worker) kernel(width int) *sim.BatchEngine {
-	if wk.beng == nil || wk.beng.Cap() < width {
-		c := wk.s.BatchWords()
-		if c < width {
-			c = width
-		}
-		wk.beng = sim.NewBatch(wk.s.program(), c)
+	if wk.beng == nil {
+		wk.beng = sim.NewBatch(wk.s.program(), maxWords)
 	}
 	if wk.beng.Width() != width {
 		wk.beng.SetWidth(width)
@@ -167,11 +138,7 @@ func (wk *worker) kernel(width int) *sim.BatchEngine {
 // New returns a full-scan Simulator for c over the given fault list
 // (typically fault.Collapse(c)).
 func New(c *circuit.Circuit, faults []fault.Fault) *Simulator {
-	s := &Simulator{
-		c: c, faults: faults, workers: 1,
-		batchWords: defaultBatchWords,
-		cache:      newTraceCache(defaultTraceCacheCap),
-	}
+	s := &Simulator{c: c, faults: faults, workers: 1}
 	s.observed = make([]int, c.NumFFs())
 	for i := range s.observed {
 		s.observed[i] = i
@@ -199,27 +166,6 @@ func (s *Simulator) SetWorkers(n int) *Simulator {
 	}
 	s.mu.Lock()
 	s.workers = n
-	s.mu.Unlock()
-	return s
-}
-
-// SetBatchWords sets the kernel batch width in words: each kernel pass
-// carries 64*n slots (64*n - 1 faulty machines, one more with a cached
-// good trace). n <= 0 restores the default; n is capped at a small
-// compile-time maximum. SetBatchWords(1) disables the compiled kernel
-// and runs every pass on the interpreter engine. Detection results are
-// bit-identical at every width — this is purely a performance lever. It
-// returns s so the call chains onto New.
-func (s *Simulator) SetBatchWords(n int) *Simulator {
-	if n <= 0 {
-		n = defaultBatchWords
-	}
-	if n > maxBatchWords {
-		n = maxBatchWords
-	}
-	s.mu.Lock()
-	s.batchWords = n
-	s.idle = nil // let workers re-size their kernel arenas lazily
 	s.mu.Unlock()
 	return s
 }
@@ -263,13 +209,6 @@ func (s *Simulator) Order() []int {
 	return s.order
 }
 
-// BatchWords returns the configured kernel batch width in words.
-func (s *Simulator) BatchWords() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batchWords
-}
-
 // program returns the compiled batch program, compiling on first use.
 func (s *Simulator) program() *sim.Program {
 	s.mu.Lock()
@@ -280,47 +219,11 @@ func (s *Simulator) program() *sim.Program {
 	return s.prog
 }
 
-// effWidth picks the batch width (in words) for a run over ntargets
-// faults: wide enough for the targets plus the good-machine slot, but
-// never wider than configured, and width 1 — a target set that fits one
-// word — always takes the interpreter path.
-func (s *Simulator) effWidth(ntargets int) int {
-	bw := s.BatchWords()
-	if bw <= 1 {
-		return 1
-	}
-	need := (ntargets + 64) / 64 // +1 slot for the good machine
-	if need <= 1 {
-		return 1
-	}
-	if need > bw {
-		return bw
-	}
-	return need
-}
-
-// SetTraceCacheCap resizes the good-machine trace cache to hold n
-// entries, dropping any cached traces; n <= 0 disables the cache
-// entirely. The cache is purely a performance lever — detection results
-// are identical at any capacity (the differential tests in package
-// oracle assert this under eviction pressure). It returns s so the call
-// chains onto New.
-func (s *Simulator) SetTraceCacheCap(n int) *Simulator {
-	s.mu.Lock()
-	if n <= 0 {
-		s.cache = nil
-	} else {
-		s.cache = newTraceCache(n)
-	}
-	s.mu.Unlock()
-	return s
-}
-
-// traceCacheRef returns the current cache (nil when disabled).
-func (s *Simulator) traceCacheRef() *traceCache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cache
+// effWidth picks the pass width in words for a queue of ntargets
+// faults: wide enough for the targets plus the good-machine slot, capped
+// at maxWords.
+func effWidth(ntargets int) int {
+	return min((ntargets+64)/64, maxWords)
 }
 
 // Workers returns the configured worker bound.
@@ -363,28 +266,6 @@ func (s *Simulator) Nsv() int {
 	return len(s.chain)
 }
 
-// scanIn loads the scan-in vector into eng: under full scan si is
-// indexed by flip-flop position; under partial scan by chain position,
-// with unscanned flip-flops left X.
-func (s *Simulator) scanIn(eng *sim.Engine, si logic.Vector) {
-	nff := s.c.NumFFs()
-	if s.chain == nil {
-		if si == nil {
-			si = logic.NewVector(nff, logic.X)
-		}
-		eng.SetStateVector(si)
-		return
-	}
-	eng.SetStateVector(logic.NewVector(nff, logic.X))
-	for k, ff := range s.chain {
-		v := logic.X
-		if si != nil && k < len(si) {
-			v = si[k]
-		}
-		eng.SetState(ff, logic.FromValue(v))
-	}
-}
-
 // Circuit returns the simulated netlist.
 func (s *Simulator) Circuit() *circuit.Circuit { return s.c }
 
@@ -421,7 +302,6 @@ type runSpec struct {
 	seq     logic.Sequence
 	init    logic.Vector
 	scanOut bool
-	good    *goodTrace   // memoized good machine; nil = slot 0 carries it
 	profile *Profile     // per-time recording target, or nil
 	rec     *Record      // detection-record target, or nil (see record.go)
 	abort   *atomic.Bool // cross-pass abort for must-detect checks, or nil
@@ -473,8 +353,8 @@ func (s *Simulator) AllDetected(si logic.Vector, seq logic.Sequence, must *fault
 
 // targetIndices resolves the target set to a freshly allocated slice of
 // fault indices, in the installed simulation order. Target sets that fit
-// a single interpreter pass skip the order filter: packing within one
-// pass cannot change pass count or results.
+// a single one-word pass skip the order filter: packing within one pass
+// cannot change pass count or results.
 func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	order := s.Order()
 	if targets == nil {
@@ -504,12 +384,11 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 
 // run executes one simulation run: it resolves the targets (in the
 // installed simulation order), decides the batch geometry (64*width - 1
-// faults per pass, one more when a memoized good trace frees slot 0,
-// with width adapted to the target count), and fans the passes out over
-// the worker pool. Detections are accumulated into detected and — in
-// profile mode — per-time data into profile. A non-nil abort turns the
-// run into a must-detect check: a completed pass with an undetected
-// fault aborts the remaining ones.
+// faults per pass, with width adapted to the queued target count), and
+// fans the passes out over the worker pool. Detections are accumulated
+// into detected and — in profile mode — per-time data into profile. A
+// non-nil abort turns the run into a must-detect check: a completed pass
+// with an undetected fault aborts the remaining ones.
 //
 // In plain detection mode (no abort, profile or potential collection)
 // passes additionally repack: a pass most of whose faults are already
@@ -533,39 +412,9 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		repack: abort == nil && profile == nil && opt.Potential == nil && len(seq) > 1,
 	}
 
-	width := s.effWidth(len(targets))
-	bs := batchSize
-	if width > 1 {
-		bs = 64*width - 1
-	}
-	cache := s.traceCacheRef()
-	if len(seq) > 0 {
-		tr, repeat := cache.lookup(opt.Init, seq)
-		switch {
-		case tr != nil:
-			spec.good = tr
-		case repeat && len(targets) > bs:
-			// Compute a trace only for keys that recur and runs that span
-			// two or more passes: a repeat makes later hits likely, and
-			// the extra passes amortize the one good-machine replay that
-			// fills the cache. One-shot keys (most compaction candidates)
-			// skip straight to good-in-slot-0 passes.
-			w := s.acquire()
-			spec.good = w.computeGoodTrace(spec.init, seq)
-			s.release(w)
-			cache.put(opt.Init, seq, spec.good)
-		}
-	}
-
 	for queue := targets; len(queue) > 0; {
-		width = s.effWidth(len(queue))
-		bs = batchSize
-		if width > 1 {
-			bs = 64*width - 1
-		}
-		if spec.good != nil {
-			bs++ // a cached good machine frees slot 0 for one more fault
-		}
+		width := effWidth(len(queue))
+		bs := 64*width - 1
 		nb := (len(queue) + bs - 1) / bs
 		survByPass := make([][]int, nb)
 
@@ -651,165 +500,17 @@ func containsAllIdx(set *fault.Set, batch []int) bool {
 	return true
 }
 
-// simulate runs one pass at the chosen width: single-word passes take
-// the interpreter engine, wider ones the compiled batch kernel. The
-// pass-work counters record each pass and the vectors it actually
-// executed (early exits cut the vector count). The returned slice holds
-// the survivors of a repacked pass (nil when the pass ran to completion
-// or fully detected its faults).
+// simulate runs one pass at the chosen width and updates the pass-work
+// counters: each pass and the vectors it actually executed (early exits
+// cut the vector count). The returned slice holds the survivors of a
+// repacked pass (nil when the pass ran to completion or fully detected
+// its faults).
 func (w *worker) simulate(batch []int, spec *runSpec, width int, detected, potential *fault.Set) []int {
-	var nvec int
-	var surv []int
-	if width <= 1 {
-		nvec, surv = w.runBatch(batch, spec, detected, potential)
-	} else {
-		nvec, surv = w.runBatchVec(batch, spec, width, detected, potential)
-	}
+	nvec, surv := w.runPass(batch, spec, width, detected, potential)
 	w.s.passes.Add(1)
 	w.s.passVectors.Add(int64(nvec))
 	w.s.faultSlots.Add(int64(len(batch)))
 	return surv
-}
-
-// runBatch simulates one parallel-fault pass over spec.seq. batch holds
-// the fault indices of the pass; detections are added to detected and
-// potential detections to potential (nil = not collected). In profile
-// mode (spec.profile non-nil) per-time detection data is recorded
-// instead of early-exiting. It returns the number of input vectors
-// actually executed, plus the undetected survivors when the pass
-// repacked (see run).
-func (w *worker) runBatch(batch []int, spec *runSpec, detected, potential *fault.Set) (int, []int) {
-	s := w.s
-	eng := w.engine()
-	eng.Reset()
-	w.injBuf = w.injBuf[:0]
-	slot0 := uint(1) // slot of the first faulty machine
-	if spec.good != nil {
-		slot0 = 0 // cached good machine: slot 0 carries a fault too
-	}
-	var batchMask uint64
-	for bi, fi := range batch {
-		mask := uint64(1) << (uint(bi) + slot0)
-		batchMask |= mask
-		w.injBuf = append(w.injBuf, s.faults[fi].Injection(mask))
-	}
-	eng.SetInjections(w.injBuf)
-
-	s.scanIn(eng, spec.init)
-
-	profile := spec.profile
-	var detMask uint64
-	for u, vec := range spec.seq {
-		if spec.abort != nil && spec.abort.Load() {
-			return u, nil // another pass already failed the must-detect check
-		}
-		eng.SetPIVector(vec)
-		eng.EvalComb()
-		var diff, pot uint64
-		for i := range s.c.POs {
-			wv := eng.PO(i)
-			var g logic.Word
-			if spec.good != nil {
-				g = spec.good.po[u][i]
-			} else {
-				g = wv.BroadcastSlot(0)
-			}
-			diff |= logic.DiffDefinite(wv, g)
-			if potential != nil {
-				pot |= g.Defined() &^ wv.Defined()
-			}
-		}
-		if pot &= batchMask; pot != 0 {
-			for bi := range batch {
-				if pot&(1<<(uint(bi)+slot0)) != 0 {
-					potential.Add(batch[bi])
-				}
-			}
-		}
-		diff &= batchMask &^ detMask
-		if diff != 0 {
-			for bi := range batch {
-				if diff&(1<<(uint(bi)+slot0)) != 0 {
-					detected.Add(batch[bi])
-					if profile != nil {
-						profile.poDetect[batch[bi]] = int32(u)
-					}
-					if spec.rec != nil {
-						spec.rec.first[batch[bi]] = int32(u)
-					}
-				}
-			}
-			detMask |= diff
-		}
-		eng.ClockFF()
-		if profile != nil {
-			// Record which faults a scan-out after this clock would catch.
-			var sdiff uint64
-			for k, ff := range s.observed {
-				wv := eng.State(ff)
-				var g logic.Word
-				if spec.good != nil {
-					g = spec.good.obs[u][k]
-				} else {
-					g = wv.BroadcastSlot(0)
-				}
-				sdiff |= logic.DiffDefinite(wv, g)
-			}
-			sdiff &= batchMask
-			if sdiff != 0 {
-				for bi := range batch {
-					if sdiff&(1<<(uint(bi)+slot0)) != 0 {
-						profile.setStateDiff(batch[bi], u)
-					}
-				}
-			}
-			continue
-		}
-		if detMask == batchMask && potential == nil {
-			return u + 1, nil // every fault in this pass already detected
-		}
-		if spec.repack && repackable(u, len(spec.seq)) {
-			if live := len(batch) - bits.OnesCount64(detMask); 2*live <= len(batch) {
-				return u + 1, undetectedOf(batch, slot0, func(bit uint) bool {
-					return detMask&(1<<bit) != 0
-				})
-			}
-		}
-	}
-	if spec.scanOut {
-		last := len(spec.seq) - 1
-		var sdiff, spot uint64
-		for k, ff := range s.observed {
-			wv := eng.State(ff)
-			var g logic.Word
-			if spec.good != nil && last >= 0 {
-				g = spec.good.obs[last][k]
-			} else {
-				g = wv.BroadcastSlot(0)
-			}
-			sdiff |= logic.DiffDefinite(wv, g)
-			if potential != nil {
-				spot |= g.Defined() &^ wv.Defined()
-			}
-		}
-		if spot &= batchMask; spot != 0 {
-			for bi := range batch {
-				if spot&(1<<(uint(bi)+slot0)) != 0 {
-					potential.Add(batch[bi])
-				}
-			}
-		}
-		sdiff &= batchMask &^ detMask
-		for bi := range batch {
-			if sdiff&(1<<(uint(bi)+slot0)) != 0 {
-				detected.Add(batch[bi])
-				if spec.rec != nil {
-					spec.rec.so[batch[bi]] = true
-				}
-			}
-		}
-	}
-	return len(spec.seq), nil
 }
 
 // repackable reports whether a pass at vector u (of seqLen) may still
@@ -820,36 +521,23 @@ func repackable(u, seqLen int) bool {
 	return 4*(u+1) <= 3*seqLen
 }
 
-// undetectedOf collects the batch members whose slot bit fails det.
-// A repacking pass only aborts when survivors number at most half
-// of the batch, so consecutive generations shrink geometrically.
-func undetectedOf(batch []int, slot0 uint, det func(bit uint) bool) []int {
-	var surv []int
-	for bi, fi := range batch {
-		if !det(uint(bi) + slot0) {
-			surv = append(surv, fi)
-		}
-	}
-	return surv
-}
-
-// runBatchVec is runBatch on the compiled batch kernel: one pass over
-// spec.seq carries up to 64*width - 1 faulty machines (64*width with a
-// cached good trace). The observation logic mirrors runBatch word by
-// word — the good trace is slot-uniform, so comparing every word
-// against the same good word is exact — which keeps detection results
-// bit-identical to the interpreter at any width. It returns the number
-// of input vectors actually executed, plus the undetected survivors when
-// the pass repacked (see run).
-func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
+// runPass simulates one parallel-fault pass over spec.seq on the
+// compiled batch kernel. batch holds the fault indices of the pass, at
+// most 64*width - 1 of them: slot 0 carries the good machine and fault
+// batch[i] sits in slot i+1. Inputs are broadcast and slot 0 is never
+// injected, so the good value of a signal is bit 0 of its word 0, and
+// every word compares against that bit's broadcast. Detections are added
+// to detected and
+// potential detections to potential (nil = not collected). In profile
+// mode (spec.profile non-nil) per-time detection data is recorded
+// instead of early-exiting. It returns the number of input vectors
+// actually executed, plus the undetected survivors when the pass
+// repacked (see run).
+func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
 	eng.Reset()
 
-	slot0 := 1 // slot of the first faulty machine
-	if spec.good != nil {
-		slot0 = 0 // cached good machine: slot 0 carries a fault too
-	}
 	if need := len(batch) * width; cap(wk.maskBuf) < need {
 		wk.maskBuf = make([]uint64, need)
 	} else {
@@ -869,7 +557,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 
 	wk.binjBuf = wk.binjBuf[:0]
 	for bi, fi := range batch {
-		gs := bi + slot0 // global slot of this fault
+		gs := bi + 1 // global slot of this fault
 		m := wk.maskBuf[bi*width : (bi+1)*width]
 		m[gs>>6] = 1 << (uint(gs) & 63)
 		batchMask[gs>>6] |= m[gs>>6]
@@ -891,12 +579,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		clear(pot)
 		for i := range s.c.POs {
 			wv := eng.PO(i)
-			var g logic.Word
-			if spec.good != nil {
-				g = spec.good.po[u][i]
-			} else {
-				g = wv[0].BroadcastSlot(0)
-			}
+			g := wv[0].BroadcastSlot(0)
 			for k := 0; k < width; k++ {
 				diff[k] |= logic.DiffDefinite(wv[k], g)
 			}
@@ -911,14 +594,14 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			if potential != nil {
 				for m := pot[k] & batchMask[k]; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
-					potential.Add(batch[k*64+b-slot0])
+					potential.Add(batch[k*64+b-1])
 				}
 			}
 			d := diff[k] & batchMask[k] &^ detMask[k]
 			if d != 0 {
 				for m := d; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
-					fi := batch[k*64+b-slot0]
+					fi := batch[k*64+b-1]
 					detected.Add(fi)
 					if profile != nil {
 						profile.poDetect[fi] = int32(u)
@@ -934,14 +617,9 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 		if profile != nil {
 			// Record which faults a scan-out after this clock would catch.
 			clear(diff)
-			for j, ff := range s.observed {
+			for _, ff := range s.observed {
 				wv := eng.State(ff)
-				var g logic.Word
-				if spec.good != nil {
-					g = spec.good.obs[u][j]
-				} else {
-					g = wv[0].BroadcastSlot(0)
-				}
+				g := wv[0].BroadcastSlot(0)
 				for k := 0; k < width; k++ {
 					diff[k] |= logic.DiffDefinite(wv[k], g)
 				}
@@ -949,7 +627,7 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			for k := 0; k < width; k++ {
 				for m := diff[k] & batchMask[k]; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
-					profile.setStateDiff(batch[k*64+b-slot0], u)
+					profile.setStateDiff(batch[k*64+b-1], u)
 				}
 			}
 			continue
@@ -962,25 +640,25 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			for k := 0; k < width; k++ {
 				ndet += bits.OnesCount64(detMask[k])
 			}
+			// Abort only when survivors number at most half of the batch,
+			// so consecutive generations shrink geometrically.
 			if live := len(batch) - ndet; 2*live <= len(batch) {
-				return u + 1, undetectedOf(batch, uint(slot0), func(bit uint) bool {
-					return detMask[bit>>6]&(1<<(bit&63)) != 0
-				})
+				var surv []int
+				for bi, fi := range batch {
+					if gs := bi + 1; detMask[gs>>6]&(1<<(uint(gs)&63)) == 0 {
+						surv = append(surv, fi)
+					}
+				}
+				return u + 1, surv
 			}
 		}
 	}
 	if spec.scanOut {
-		last := len(spec.seq) - 1
 		clear(diff)
 		clear(pot)
-		for j, ff := range s.observed {
+		for _, ff := range s.observed {
 			wv := eng.State(ff)
-			var g logic.Word
-			if spec.good != nil && last >= 0 {
-				g = spec.good.obs[last][j]
-			} else {
-				g = wv[0].BroadcastSlot(0)
-			}
+			g := wv[0].BroadcastSlot(0)
 			for k := 0; k < width; k++ {
 				diff[k] |= logic.DiffDefinite(wv[k], g)
 			}
@@ -995,12 +673,12 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 			if potential != nil {
 				for m := pot[k] & batchMask[k]; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
-					potential.Add(batch[k*64+b-slot0])
+					potential.Add(batch[k*64+b-1])
 				}
 			}
 			for m := diff[k] & batchMask[k] &^ detMask[k]; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
-				fi := batch[k*64+b-slot0]
+				fi := batch[k*64+b-1]
 				detected.Add(fi)
 				if spec.rec != nil {
 					spec.rec.so[fi] = true
@@ -1011,8 +689,9 @@ func (wk *worker) runBatchVec(batch []int, spec *runSpec, width int, detected, p
 	return len(spec.seq), nil
 }
 
-// scanInVec is scanIn for the batch kernel: scan-in values broadcast to
-// every slot.
+// scanInVec loads the scan-in vector into every slot of eng: under full
+// scan si is indexed by flip-flop position; under partial scan by chain
+// position, with unscanned flip-flops left X.
 func (s *Simulator) scanInVec(eng *sim.BatchEngine, si logic.Vector) {
 	nff := s.c.NumFFs()
 	if s.chain == nil {
@@ -1040,11 +719,6 @@ func masksEqual(a, b []uint64) bool {
 		}
 	}
 	return true
-}
-
-// GoodTrace returns the good-machine trace of seq from init (nil = all X).
-func (s *Simulator) GoodTrace(init logic.Vector, seq logic.Sequence) *sim.Trace {
-	return sim.RunSequence(s.c, init, seq)
 }
 
 // Coverage is the fraction of the fault list detected by set (0..1).

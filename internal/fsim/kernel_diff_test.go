@@ -1,4 +1,4 @@
-package fsim
+package fsim_test
 
 import (
 	"fmt"
@@ -6,27 +6,33 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/oracle"
 	"repro/internal/scan"
 )
 
+// These tests live in package fsim_test so they can use the scalar
+// reference simulator: package oracle imports core, which imports fsim.
+
 // kernelDiffFixture builds a circuit, its collapsed faults, an
-// X-bearing input sequence and a scan-in vector for the width sweep.
-func kernelDiffFixture(t testing.TB, partial bool) (*Simulator, []fault.Fault, logic.Sequence, logic.Vector) {
+// X-bearing input sequence and a scan-in vector, plus the matching
+// optimized and reference simulators.
+func kernelDiffFixture(t testing.TB, partial bool) (*fsim.Simulator, *oracle.Sim, logic.Sequence, logic.Vector) {
 	t.Helper()
-	c := gen.MustGenerate(gen.Params{Name: "kd", Seed: 17, PIs: 6, POs: 5, FFs: 16, Gates: 260, MaxFanin: 5})
+	c := gen.MustGenerate(gen.Params{Name: "kd", Seed: 17, PIs: 6, POs: 5, FFs: 16, Gates: 100, MaxFanin: 5})
 	faults := fault.Collapse(c)
-	if len(faults) <= 64 {
-		t.Fatalf("fixture too small: %d faults", len(faults))
+	if len(faults) < 4*64 {
+		t.Fatalf("fixture too small for 4-word passes: %d faults", len(faults))
 	}
 	r := rand.New(rand.NewSource(9))
-	seq := make(logic.Sequence, 20)
+	seq := make(logic.Sequence, 12)
 	for u := range seq {
 		seq[u] = make(logic.Vector, c.NumPIs())
 		for i := range seq[u] {
 			// Sprinkle X inputs: the kernel's three-valued semantics must
-			// match the interpreter on unknowns, not just on 0/1.
+			// match the reference on unknowns, not just on 0/1.
 			switch r.Intn(6) {
 			case 0:
 				seq[u][i] = logic.X
@@ -37,33 +43,52 @@ func kernelDiffFixture(t testing.TB, partial bool) (*Simulator, []fault.Fault, l
 			}
 		}
 	}
-	if !partial {
-		si := make(logic.Vector, c.NumFFs())
-		for i := range si {
-			si[i] = logic.Value(r.Intn(2))
+	var ch *scan.Chain
+	nsv := c.NumFFs()
+	if partial {
+		ffs := make([]int, c.NumFFs()/2)
+		for i := range ffs {
+			ffs[i] = 2 * i
 		}
-		return New(c, faults), faults, seq, si
+		var err error
+		if ch, err = scan.NewChain(c.NumFFs(), ffs); err != nil {
+			t.Fatal(err)
+		}
+		nsv = len(ffs)
 	}
-	ffs := make([]int, c.NumFFs()/2)
-	for i := range ffs {
-		ffs[i] = 2 * i
-	}
-	ch, err := scan.NewChain(c.NumFFs(), ffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	si := make(logic.Vector, len(ffs))
+	si := make(logic.Vector, nsv)
 	for i := range si {
 		si[i] = logic.Value(r.Intn(2))
 	}
-	return NewChain(c, faults, ch), faults, seq, si
+	return fsim.NewChain(c, faults, ch), oracle.NewChain(c, faults, ch), seq, si
 }
 
-// TestKernelWidthEquivalence is the fsim-level differential: for full
-// and partial scan, serial and parallel workers, plain / Potential /
-// Profile / DetectsAll runs, every batch width must reproduce the
-// interpreter's (SetBatchWords(1)) results bit for bit — with a cold
-// cache and with the memoized good trace.
+// randomTargets returns a seeded random set of size faults out of n.
+func randomTargets(r *rand.Rand, n, size int) *fault.Set {
+	set := fault.NewSet(n)
+	for _, f := range r.Perm(n)[:size] {
+		set.Add(f)
+	}
+	return set
+}
+
+// restrict returns set ∩ targets (a copy of set when targets is nil).
+func restrict(set, targets *fault.Set) *fault.Set {
+	out := set.Clone()
+	if targets != nil {
+		out.IntersectWith(targets)
+	}
+	return out
+}
+
+// TestKernelWidthEquivalence is the fsim-level differential against the
+// scalar reference. The pass width follows the target count, so target
+// sets of 40, 100 and 150 faults run at 1, 2 and 3 words and the full
+// list at 4. At every width, for full and partial scan and for serial
+// and parallel workers, fsim must reproduce oracle.Sim's hard and
+// potential sets, Profile must match the reference on every prefix test
+// (SI, T[0..u]), and AllDetected must accept exactly the detected
+// faults.
 func TestKernelWidthEquivalence(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		name := "full"
@@ -71,56 +96,63 @@ func TestKernelWidthEquivalence(t *testing.T) {
 			name = "partial"
 		}
 		t.Run(name, func(t *testing.T) {
-			s, faults, seq, si := kernelDiffFixture(t, partial)
-
-			// Interpreter reference.
-			ref := New(s.Circuit(), faults)
-			if partial {
-				ref = NewChain(s.Circuit(), faults, mustChain(t, s))
+			s, orc, seq, si := kernelDiffFixture(t, partial)
+			n := s.NumFaults()
+			wantPot := fault.NewSet(n)
+			want := orc.Detect(seq, oracle.Options{Init: si, ScanOut: true, Potential: wantPot})
+			wantPrefix := make([]*fault.Set, len(seq))
+			for u := range seq {
+				wantPrefix[u] = orc.DetectTest(si, seq[:u+1], nil)
 			}
-			ref.SetBatchWords(1)
-			refPot := fault.NewSet(len(faults))
-			refDet := ref.Detect(seq, Options{Init: si, ScanOut: true, Potential: refPot})
-			refProf := ref.Profile(si, seq, nil)
 
-			for _, words := range []int{1, 4, 8} {
+			r := rand.New(rand.NewSource(12))
+			for _, arm := range []struct{ words, size int }{{1, 40}, {2, 100}, {3, 150}, {4, n}} {
+				words, size := arm.words, arm.size
+				var targets *fault.Set // nil: the whole fault list
+				if size < n {
+					targets = randomTargets(r, n, size)
+				}
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("w%d/workers%d", words, workers), func(t *testing.T) {
-						s.SetBatchWords(words).SetWorkers(workers)
-						// Twice: the second run replays against the memoized
-						// good trace (one extra fault in slot 0).
-						for rep := 0; rep < 2; rep++ {
-							pot := fault.NewSet(len(faults))
-							det := s.Detect(seq, Options{Init: si, ScanOut: true, Potential: pot})
-							if !det.Equal(refDet) {
-								t.Fatalf("rep %d: detected set differs from interpreter", rep)
+						s.SetWorkers(workers)
+						before := s.Stats()
+						pot := fault.NewSet(n)
+						det := s.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: pot})
+						// Potential mode never repacks, so one generation of
+						// passes at the derived width covers the targets.
+						slots := 64*words - 1
+						if got, wantPasses := s.Stats().Sub(before).Passes, int64((size+slots-1)/slots); got != wantPasses {
+							t.Fatalf("%d targets ran in %d passes, want %d at %d words", size, got, wantPasses, words)
+						}
+						wantDet := restrict(want, targets)
+						if !det.Equal(wantDet) {
+							t.Fatalf("detected set differs from oracle: fsim %d, oracle %d", det.Count(), wantDet.Count())
+						}
+						if wp := restrict(wantPot, targets); !pot.Equal(wp) {
+							t.Fatalf("potential set differs from oracle: fsim %d, oracle %d", pot.Count(), wp.Count())
+						}
+						if plain := s.DetectTest(si, seq, targets); !plain.Equal(wantDet) {
+							t.Fatal("plain detected set differs from oracle")
+						}
+						prof := s.Profile(si, seq, targets)
+						for f := 0; f < n; f++ {
+							if targets != nil && !targets.Has(f) {
+								continue
 							}
-							if !pot.Equal(refPot) {
-								t.Fatalf("rep %d: potential set differs from interpreter", rep)
-							}
-							if plain := s.DetectTest(si, seq, nil); !plain.Equal(refDet) {
-								t.Fatalf("rep %d: plain detected set differs", rep)
-							}
-							prof := s.Profile(si, seq, nil)
-							for f := range faults {
-								if prof.PODetectTime(f) != refProf.PODetectTime(f) {
-									t.Fatalf("rep %d fault %d: PO detect time %d != %d",
-										rep, f, prof.PODetectTime(f), refProf.PODetectTime(f))
+							for u := range seq {
+								if prof.DetectedByPrefix(f, u) != wantPrefix[u].Has(f) {
+									t.Fatalf("fault %d prefix %d: DetectedByPrefix = %v, oracle %v",
+										f, u, prof.DetectedByPrefix(f, u), wantPrefix[u].Has(f))
 								}
-								for u := 0; u < len(seq); u++ {
-									if prof.ScanOutDetects(f, u) != refProf.ScanOutDetects(f, u) {
-										t.Fatalf("rep %d fault %d u %d: scan-out detection differs", rep, f, u)
-									}
-								}
 							}
-							if !s.AllDetected(si, seq, refDet) {
-								t.Fatalf("rep %d: AllDetected rejected the interpreter's detected set", rep)
-							}
-							undet := fault.NewFullSet(len(faults))
-							undet.SubtractWith(refDet)
-							if undet.Count() > 0 && s.AllDetected(si, seq, undet) {
-								t.Fatalf("rep %d: AllDetected accepted undetected faults", rep)
-							}
+						}
+						if !s.AllDetected(si, seq, wantDet) {
+							t.Fatal("AllDetected rejected the oracle's detected set")
+						}
+						undet := fault.NewFullSet(n)
+						undet.SubtractWith(want)
+						if undet = restrict(undet, targets); undet.Count() > 0 && s.AllDetected(si, seq, undet) {
+							t.Fatal("AllDetected accepted undetected faults")
 						}
 					})
 				}
@@ -129,50 +161,19 @@ func TestKernelWidthEquivalence(t *testing.T) {
 	}
 }
 
-// mustChain rebuilds the scan chain of a partial-scan simulator.
-func mustChain(t *testing.T, s *Simulator) *scan.Chain {
-	t.Helper()
-	ch, err := scan.NewChain(s.Circuit().NumFFs(), s.Chain())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ch
-}
-
-// TestKernelTargetSubsets drives runs whose target sets shrink below one
-// word: the adaptive width must fall back to the interpreter without
-// changing any result (the fault-dropping path of the compaction loops).
+// TestKernelTargetSubsets drives runs whose target sets sit on either
+// side of the width boundaries (63/64 targets switch from 1 to 2 words,
+// 127/128 from 2 to 3) — the fault-dropping path of the compaction
+// loops — against the scalar reference.
 func TestKernelTargetSubsets(t *testing.T) {
-	s, faults, seq, si := kernelDiffFixture(t, false)
-	s.SetBatchWords(8)
-	ref := New(s.Circuit(), faults).SetBatchWords(1)
+	s, orc, seq, si := kernelDiffFixture(t, false)
+	n := s.NumFaults()
+	want := orc.DetectTest(si, seq, nil)
 	r := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 2, 63, 64, 65, 130} {
-		targets := fault.NewSet(len(faults))
-		for targets.Count() < n {
-			targets.Add(r.Intn(len(faults)))
+	for _, size := range []int{1, 2, 63, 64, 65, 127, 128, 130} {
+		targets := randomTargets(r, n, size)
+		if got := s.DetectTest(si, seq, targets); !got.Equal(restrict(want, targets)) {
+			t.Errorf("targets=%d: detected set differs from oracle", size)
 		}
-		got := s.DetectTest(si, seq, targets)
-		want := ref.DetectTest(si, seq, targets)
-		if !got.Equal(want) {
-			t.Errorf("targets=%d: kernel detected set differs from interpreter", n)
-		}
-	}
-}
-
-// TestSetBatchWordsClamping pins the SetBatchWords contract.
-func TestSetBatchWordsClamping(t *testing.T) {
-	s, _, _, _ := kernelDiffFixture(t, false)
-	if got := s.SetBatchWords(0).BatchWords(); got != defaultBatchWords {
-		t.Errorf("SetBatchWords(0) = %d, want default %d", got, defaultBatchWords)
-	}
-	if got := s.SetBatchWords(-3).BatchWords(); got != defaultBatchWords {
-		t.Errorf("SetBatchWords(-3) = %d, want default %d", got, defaultBatchWords)
-	}
-	if got := s.SetBatchWords(1).BatchWords(); got != 1 {
-		t.Errorf("SetBatchWords(1) = %d", got)
-	}
-	if got := s.SetBatchWords(1 << 20).BatchWords(); got != maxBatchWords {
-		t.Errorf("huge SetBatchWords = %d, want cap %d", got, maxBatchWords)
 	}
 }

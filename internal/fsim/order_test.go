@@ -88,8 +88,8 @@ func TestSetOrderInstallAndRestore(t *testing.T) {
 }
 
 // TestOrderInvariantResults reruns the same detection queries under
-// several permutations (including reversed) and worker/batch-width
-// settings: the traversal order is an internal scheduling detail, so
+// several permutations (including reversed) and worker counts: the
+// traversal order is an internal scheduling detail, so
 // every detected set must be bit-identical and indexed canonically.
 func TestOrderInvariantResults(t *testing.T) {
 	c, ok := gen.RosterCircuit("s298")

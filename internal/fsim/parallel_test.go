@@ -8,7 +8,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/logic"
-	"repro/internal/samples"
 	"repro/internal/scan"
 )
 
@@ -31,9 +30,8 @@ func parallelFixture(t testing.TB) (*Simulator, []fault.Fault, logic.Sequence, l
 }
 
 // TestWorkersEquivalence checks that the detected (and potential) sets
-// are bit-identical for any worker count, with and without the
-// good-machine trace cached, in plain and Potential mode, under full and
-// partial scan. Detection is exact per fault, so partitioning the fault
+// are bit-identical for any worker count, on fresh and on reused pool
+// workers, in plain and Potential mode, under full and partial scan. Detection is exact per fault, so partitioning the fault
 // list over passes and workers must not change any result.
 func TestWorkersEquivalence(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
@@ -52,7 +50,7 @@ func TestWorkersEquivalence(t *testing.T) {
 		return a
 	}
 
-	// Reference: fresh simulator, serial, cold cache.
+	// Reference: fresh simulator, serial.
 	ref := runArm(New(s.Circuit(), faults), false)
 	refPot := runArm(New(s.Circuit(), faults), true)
 	if !ref.det.Equal(refPot.det) {
@@ -61,8 +59,8 @@ func TestWorkersEquivalence(t *testing.T) {
 
 	for _, n := range []int{1, 2, 3, 8} {
 		s.SetWorkers(n)
-		// Twice per count: the second run uses the memoized good trace
-		// (64-fault passes) and must still match the cold 63-fault runs.
+		// Twice per count: the second run reuses the pooled workers'
+		// engines and buffers, which must carry nothing over.
 		for rep := 0; rep < 2; rep++ {
 			got := runArm(s, false)
 			if !got.det.Equal(ref.det) {
@@ -113,7 +111,7 @@ func TestWorkersEquivalencePartialScan(t *testing.T) {
 // TestConcurrentUse exercises one shared Simulator from many goroutines
 // (mixed Detect / DetectTest / Profile / DetectsAll traffic) and checks
 // every call returns the same sets as a serial run. Run under -race this
-// also proves the pool and trace cache are data-race free.
+// also proves the worker pool is data-race free.
 func TestConcurrentUse(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
 	s.SetWorkers(4)
@@ -182,65 +180,5 @@ func TestDetectsAllEarlyAbort(t *testing.T) {
 		if s.AllDetected(si, seq, must) {
 			t.Errorf("workers=%d: AllDetected must fail with undetected faults", n)
 		}
-	}
-}
-
-// TestTraceCacheClonesKey mutates the caller's scan-in vector and
-// sequence after the runs that populate the trace cache; the cache keeps
-// private clones, so later lookups with the original values must still
-// hit the correct trace and produce correct results.
-func TestTraceCacheClonesKey(t *testing.T) {
-	s, _, seq, si := parallelFixture(t)
-	ref := s.DetectTest(si, seq, nil)  // miss: marks the key seen
-	got2 := s.DetectTest(si, seq, nil) // miss again: computes + caches the trace
-	if tr, _ := s.cache.lookup(si, seq); tr == nil {
-		t.Fatal("trace should be cached after a repeated multi-pass run")
-	}
-	siCopy, seqCopy := si.Clone(), seq.Clone()
-	for i := range si {
-		si[i] = logic.X
-	}
-	for u := range seq {
-		for i := range seq[u] {
-			seq[u][i] = logic.X
-		}
-	}
-	got3 := s.DetectTest(siCopy, seqCopy, nil) // cache hit via cloned key
-	if !got2.Equal(ref) || !got3.Equal(ref) {
-		t.Error("cached-trace runs differ from the cold run")
-	}
-	if tr, _ := s.cache.lookup(siCopy, seqCopy); tr == nil {
-		t.Error("mutating the caller's vectors must not invalidate the cached key")
-	}
-	if tr, _ := s.cache.lookup(si, seq); tr != nil {
-		t.Error("the mutated key must not hit the cache")
-	}
-}
-
-// TestTraceCacheRepeatGate checks the second-miss rule: a single
-// multi-pass run does not pay for a trace, the second run of the same
-// key does, and single-pass runs never do.
-func TestTraceCacheRepeatGate(t *testing.T) {
-	s, _, seq, si := parallelFixture(t)
-	s.DetectTest(si, seq, nil)
-	if tr, _ := s.cache.lookup(si, seq); tr != nil {
-		t.Error("first run of a key must not compute a trace")
-	}
-	// The key is marked seen now, so the next run computes the trace.
-	s.DetectTest(si, seq, nil)
-	if tr, _ := s.cache.lookup(si, seq); tr == nil {
-		t.Error("repeated multi-pass run must compute and cache the trace")
-	}
-
-	// Single-pass runs (few targets) never cache, repeated or not.
-	small := samples.S27()
-	sf := fault.Collapse(small)
-	ss := New(small, sf)
-	sseq := randomSeq(rand.New(rand.NewSource(6)), small.NumPIs(), 8)
-	for i := 0; i < 3; i++ {
-		ss.DetectTest(vec("000"), sseq, nil)
-	}
-	if tr, _ := ss.cache.lookup(vec("000"), sseq); tr != nil {
-		t.Error("single-pass runs must not pay for a trace")
 	}
 }

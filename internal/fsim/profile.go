@@ -15,8 +15,8 @@ import (
 //
 // This is the data structure behind Phase 1 Step 3 of the paper: the
 // prefix test τ_SO,i = (SI, T[0..i]) detects f iff poDetect[f] <= i or
-// bit i of stateDiff[f] is set. One parallel-fault pass per 63 faults
-// replaces the O(L) separate prefix simulations of a naive
+// bit i of stateDiff[f] is set. One parallel-fault pass per up to 255
+// faults replaces the O(L) separate prefix simulations of a naive
 // implementation.
 type Profile struct {
 	seqLen    int

@@ -17,13 +17,13 @@ import (
 // scan-out itself.
 //
 // Unlike Profile, a Record is a by-product of ordinary grading: the
-// per-pass early exit, survivor repacking, the trace cache and the
-// worker pool all stay engaged, so recording costs nothing beyond the
-// grading pass itself. The data is packing-independent — a fault's first
-// PO detection and its final scan-out status do not depend on which
-// faults share its pass — so Records are bit-identical at every worker
-// count, batch width and simulation order (asserted by the differential
-// tests in record_test.go and package oracle).
+// per-pass early exit, survivor repacking and the worker pool all stay
+// engaged, so recording costs nothing beyond the grading pass itself.
+// The data is packing-independent — a fault's first PO detection and its
+// final scan-out status do not depend on which faults share its pass —
+// so Records are bit-identical at every worker count, pass width and
+// simulation order (asserted by the differential tests in record_test.go
+// and package oracle).
 type Record struct {
 	seqLen int
 	first  []int32 // earliest PO-detect time per fault, or -1

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
+	"repro/internal/sim"
 )
 
 func small() Params {
@@ -133,8 +134,7 @@ func TestGeneratedStateIsControllable(t *testing.T) {
 		seq[i] = randVec(r, c.NumPIs())
 	}
 	changed := make([]bool, c.NumFFs())
-	eng := fsim.New(c, nil)
-	tr := eng.GoodTrace(logic.NewVector(c.NumFFs(), logic.Zero), seq)
+	tr := sim.RunSequence(c, logic.NewVector(c.NumFFs(), logic.Zero), seq)
 	for _, st := range tr.States {
 		for i, v := range st {
 			if v == logic.One {

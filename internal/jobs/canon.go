@@ -99,8 +99,8 @@ func CircuitDigest(c *circuit.Circuit) string {
 
 // ConfigFingerprint hashes the result-affecting fields of a pipeline
 // config under the given effective seed. Fields that are proven not to
-// change any artifact byte — Workers, BatchWords, Order (pass packing
-// only), Check/CheckSample (observation only), Progress — are excluded,
+// change any artifact byte — Workers, Order (pass packing only),
+// Check/CheckSample (observation only), Progress — are excluded,
 // so e.g. a serial run and an 8-worker run share one cache entry.
 // Deleting an excluded field leaves every key unchanged. The "v2" prefix
 // retired the version-1 summary.json bundles (they lack the

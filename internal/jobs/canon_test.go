@@ -89,19 +89,40 @@ func TestCanonicalTextSensitiveToPIOrder(t *testing.T) {
 
 func TestConfigFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	base := ConfigFingerprint(workload.Config{}, 1)
-	// Workers, BatchWords, Order, Check and CheckSample are proven
-	// result-invariant (the order-invariance and audit tests), so they
-	// must not change the artifact identity.
+	// Workers, Order, Check and CheckSample are proven result-invariant
+	// (the order-invariance and audit tests), so they must not change the
+	// artifact identity.
 	for name, cfg := range map[string]workload.Config{
-		"workers":    {Workers: 8},
-		"batchwords": {BatchWords: 4},
-		"order":      {Order: "none"},
-		"check":      {Check: true, CheckSample: 17},
-		"defaults":   {T0MaxLen: 300, RandomT0Len: 1000, T0Compactor: "omit"},
-		"progress":   {Progress: func(string) {}},
+		"workers":  {Workers: 8},
+		"order":    {Order: "none"},
+		"check":    {Check: true, CheckSample: 17},
+		"defaults": {T0MaxLen: 300, RandomT0Len: 1000, T0Compactor: "omit"},
+		"progress": {Progress: func(string) {}},
 	} {
 		if got := ConfigFingerprint(cfg, 1); got != base {
 			t.Errorf("%s changed the fingerprint: %s vs %s", name, got, base)
+		}
+	}
+}
+
+// TestConfigFingerprintPinned pins fingerprints to fixed hex values:
+// cached bundles stay reachable only while their keys are unchanged, so
+// deleting an excluded config field, or any other edit to the
+// fingerprint, must leave these bytes alone. The service row is the
+// config of the benchmark's upload keys.
+func TestConfigFingerprintPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  workload.Config
+		seed int64
+		want string
+	}{
+		{"zero/seed0", workload.Config{}, 0, "74ae71138a65d5a257abe86400be849c"},
+		{"zero/seed1", workload.Config{}, 1, "eee5dd416e7798ddd7853c59b8440c56"},
+		{"service", workload.Config{Seed: 1, T0MaxLen: 60, RandomT0Len: 200, Workers: 1}, 1, "89aa98fb5b3627d98dbf55892428cded"},
+	} {
+		if got := ConfigFingerprint(tc.cfg, tc.seed); got != tc.want {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, got, tc.want)
 		}
 	}
 }

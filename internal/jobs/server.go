@@ -76,7 +76,6 @@ type ConfigDTO struct {
 	Uncollapsed   bool   `json:"uncollapsed,omitempty"`
 	ScanFFs       int    `json:"scan_ffs,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
-	BatchWords    int    `json:"batch_words,omitempty"`
 	Order         string `json:"order,omitempty"`
 	Check         bool   `json:"check,omitempty"`
 	CheckSample   int    `json:"check_sample,omitempty"`
@@ -96,7 +95,6 @@ func (d ConfigDTO) Config() workload.Config {
 		Uncollapsed:   d.Uncollapsed,
 		ScanFFs:       d.ScanFFs,
 		Workers:       d.Workers,
-		BatchWords:    d.BatchWords,
 		Order:         d.Order,
 		Check:         d.Check,
 		CheckSample:   d.CheckSample,

@@ -363,6 +363,7 @@ func TestUploadErrors(t *testing.T) {
 		{"combinational only", "text/plain", "INPUT(A)\nOUTPUT(B)\nB = NOT(A)\n", http.StatusUnprocessableEntity, "unsupported_circuit"},
 		{"malformed json", "application/json", `{"bench": `, http.StatusBadRequest, "bad_request"},
 		{"unknown json field", "application/json", `{"benchx": "y"}`, http.StatusBadRequest, "bad_request"},
+		{"retired config field", "application/json", `{"roster": "b01", "config": {"batch_words": 4}}`, http.StatusBadRequest, "bad_request"},
 		{"unknown roster", "application/json", `{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
 		{"no source", "application/json", `{}`, http.StatusBadRequest, "bad_request"},
 	}

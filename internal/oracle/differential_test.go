@@ -21,9 +21,9 @@ var sweepCircuits = []string{"b01", "b02", "b06", "s298", "s344"}
 // circuit × seed × scan configuration × worker count, the optimized
 // parallel-fault simulator and the scalar reference must produce
 // identical hard and potential detection sets. Each configuration is
-// graded three times with the same key so the fsim trace cache walks its
-// miss → repeat-miss (trace computed) → hit path; the sets must not
-// change across repetitions.
+// graded three times on the same simulator, so later runs reuse the
+// pooled workers' engines and buffers; the sets must not change across
+// repetitions.
 func TestDifferentialSweep(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -89,11 +89,10 @@ func TestDifferentialSweep(t *testing.T) {
 }
 
 // TestDifferentialBatchWidths sweeps the compiled kernel's batch width
-// against the scalar reference on roster circuits large enough that the
-// kernel path genuinely engages (several hundred collapsed faults):
-// 64-slot (interpreter), 256-slot and 512-slot passes must all grade
-// identically, under full and partial scan, with and without a cached
-// good trace.
+// against the scalar reference on roster circuits with several hundred
+// collapsed faults. The width follows the target count, so target sets
+// of 40, 100 and 150 faults run at 1, 2 and 3 words and the full list at
+// 4; every width must grade identically, under full and partial scan.
 func TestDifferentialBatchWidths(t *testing.T) {
 	for _, name := range []string{"s298", "s344", "b04"} {
 		c, ok := gen.RosterCircuit(name)
@@ -120,17 +119,21 @@ func TestDifferentialBatchWidths(t *testing.T) {
 				orc := NewChain(c, faults, chain)
 				si := randVec(r, orc.Nsv(), true)
 				seq := randSeq(r, 10, c.NumPIs(), true)
-				opot := fault.NewSet(len(faults))
-				want := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: opot})
-				for _, words := range []int{1, 4, 8} {
-					fs := fsim.NewChain(c, faults, chain).SetBatchWords(words)
-					for rep := 0; rep < 2; rep++ {
-						fpot := fault.NewSet(len(faults))
-						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Potential: fpot})
-						if !got.Equal(want) || !fpot.Equal(opot) {
-							t.Fatalf("words=%d rep=%d: sets differ from oracle (hard %d/%d, potential %d/%d)",
-								words, rep, got.Count(), want.Count(), fpot.Count(), opot.Count())
-						}
+				allPot := fault.NewSet(len(faults))
+				all := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: allPot})
+				fs := fsim.NewChain(c, faults, chain)
+				for _, size := range []int{40, 100, 150, len(faults)} {
+					// Detection is per fault, so the reference for a target
+					// set is the full-list result restricted to it.
+					targets := randTargets(r, len(faults), size)
+					want, opot := all.Clone(), allPot.Clone()
+					want.IntersectWith(targets)
+					opot.IntersectWith(targets)
+					fpot := fault.NewSet(len(faults))
+					got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: fpot})
+					if !got.Equal(want) || !fpot.Equal(opot) {
+						t.Fatalf("%d targets: sets differ from oracle (hard %d/%d, potential %d/%d)",
+							size, got.Count(), want.Count(), fpot.Count(), opot.Count())
 					}
 				}
 			})
@@ -173,9 +176,12 @@ func TestDifferentialGenerated(t *testing.T) {
 // TestDifferentialOrdered reruns the sweep with an ADI-installed
 // traversal order on the optimized simulator: ordering is a scheduling
 // permutation inside fsim, so the detected and potential sets must stay
-// bit-identical to the scalar reference across circuits, seeds, worker
-// counts and batch widths — including the survivor-repacking path that
-// ordered dropping enables.
+// bit-identical to the scalar reference across circuits, seeds and
+// worker counts — including the survivor-repacking path that ordered
+// dropping enables. The bw arm bounds the pass width the only way it is
+// set, through the target count: bw0 grades the whole fault list, bw4 a
+// random subset that fits one 4-word pass (at most 255 faults), which
+// also runs the order filter over an explicit target set.
 func TestDifferentialOrdered(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -189,17 +195,21 @@ func TestDifferentialOrdered(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/seed%d/w%d/bw%d", name, seed, workers, words), func(t *testing.T) {
 						t.Parallel()
 						r := rand.New(rand.NewSource(seed * 313))
-						fs := fsim.New(c, faults).SetWorkers(workers).SetBatchWords(words)
+						fs := fsim.New(c, faults).SetWorkers(workers)
 						adi.Install(fs, adi.Options{Seed: seed})
 						orc := New(c, faults)
+						var targets *fault.Set // bw0: the whole fault list
+						if words > 0 {
+							targets = randTargets(r, len(faults), min(64*words-1, len(faults)))
+						}
 
 						si := randVec(r, orc.Nsv(), true)
 						seq := randSeq(r, 8+r.Intn(5), c.NumPIs(), true)
 
 						fpot := fault.NewSet(len(faults))
 						opot := fault.NewSet(len(faults))
-						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Potential: fpot})
-						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: opot})
+						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: fpot})
+						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets, Potential: opot})
 						if !got.Equal(want) || !fpot.Equal(opot) {
 							t.Fatalf("ordered sets differ from oracle (hard %d/%d, potential %d/%d)",
 								got.Count(), want.Count(), fpot.Count(), opot.Count())
@@ -207,7 +217,7 @@ func TestDifferentialOrdered(t *testing.T) {
 						// Long no-scan sequence: the repacking fast path fires
 						// here; results must not change.
 						long := randSeq(r, 40, c.NumPIs(), true)
-						if g, w := fs.Detect(long, fsim.Options{}), orc.Detect(long, Options{}); !g.Equal(w) {
+						if g, w := fs.Detect(long, fsim.Options{Targets: targets}), orc.Detect(long, Options{Targets: targets}); !g.Equal(w) {
 							t.Fatalf("ordered no-scan sets differ: fsim %d, oracle %d", g.Count(), w.Count())
 						}
 					})

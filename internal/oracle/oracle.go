@@ -4,7 +4,7 @@
 // invariant checks over the artifacts the pipeline produces (audit.go).
 //
 // The reference simulator deliberately shares nothing with package fsim:
-// no 64-slot words, no trace cache, no worker pool, no early exits. One
+// no 64-slot words, no compiled kernel, no worker pool, no early exits. One
 // fresh engine per fault, one comparison per observation point. It is
 // orders of magnitude slower than fsim and exists only so that fsim's
 // optimizations — and every future one — can be checked against an

@@ -32,6 +32,15 @@ func randSeq(r *rand.Rand, cycles, n int, xs bool) logic.Sequence {
 	return seq
 }
 
+// randTargets returns a random set of size faults out of n.
+func randTargets(r *rand.Rand, n, size int) *fault.Set {
+	set := fault.NewSet(n)
+	for _, f := range r.Perm(n)[:size] {
+		set.Add(f)
+	}
+	return set
+}
+
 // TestMatchesFsimS27 exercises every Detect mode on the hand-written
 // s27: full scan, partial scan, no scan, with and without Potential.
 func TestMatchesFsimS27(t *testing.T) {

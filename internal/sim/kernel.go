@@ -245,6 +245,9 @@ func (e *BatchEngine) EvalComb() {
 // ~2x per instruction over the variable-width loop below.
 func (e *BatchEngine) exec() {
 	switch e.w {
+	case 1:
+		e.exec1()
+		return
 	case 4:
 		e.exec4()
 		return
@@ -310,6 +313,46 @@ func (e *BatchEngine) exec() {
 				}
 			}
 		}
+		if flags[ins.dst] != 0 {
+			e.fix(int(ins.dst))
+		}
+	}
+}
+
+// exec1 is exec specialized for 1-word batches (64 slots), the width of
+// every pass whose targets fit one word: each operand is a single Word
+// read and written by value, with no per-instruction slice setup.
+func (e *BatchEngine) exec1() {
+	vals := e.vals
+	flags := e.flags
+	for _, ins := range e.p.instrs {
+		a := vals[ins.a]
+		var v logic.Word
+		switch ins.op {
+		case opBuf:
+			v = a
+		case opNot:
+			v = logic.Word{Zero: a.One, One: a.Zero}
+		case opAnd2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.Zero | b.Zero, One: a.One & b.One}
+		case opNand2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.One & b.One, One: a.Zero | b.Zero}
+		case opOr2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.Zero & b.Zero, One: a.One | b.One}
+		case opNor2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.One | b.One, One: a.Zero & b.Zero}
+		case opXor2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.Zero&b.Zero | a.One&b.One, One: a.Zero&b.One | a.One&b.Zero}
+		case opXnor2:
+			b := vals[ins.b]
+			v = logic.Word{Zero: a.Zero&b.One | a.One&b.Zero, One: a.Zero&b.Zero | a.One&b.One}
+		}
+		vals[ins.dst] = v
 		if flags[ins.dst] != 0 {
 			e.fix(int(ins.dst))
 		}

@@ -6,8 +6,8 @@ import (
 )
 
 // TestOrderInvariance is the pipeline-level guarantee behind the -order
-// flag: the ADI traversal order (and the worker/batch-width settings it
-// composes with) only repacks simulation passes, so every rendered table
+// flag: the ADI traversal order (and the worker count it composes with)
+// only repacks simulation passes, so every rendered table
 // — and with it every detected count and N_cyc — must be byte-identical
 // to the ascending-order run. Checked on the collapsed default and on
 // the uncollapsed baseline arm.
@@ -37,27 +37,24 @@ func TestOrderInvariance(t *testing.T) {
 				}
 
 				for _, arm := range []struct {
-					order      string
-					workers    int
-					batchWords int
+					order   string
+					workers int
 				}{
-					{"adi", 0, 0},
-					{"adi", 4, 0},
-					{"adi", 0, 4},
-					{"none", 4, 4},
+					{"adi", 0},
+					{"adi", 4},
+					{"none", 4},
 				} {
 					cfg := base
 					cfg.Uncollapsed = uncollapsed
 					cfg.Order = arm.order
 					cfg.Workers = arm.workers
-					cfg.BatchWords = arm.batchWords
 					run, err := RunByName(name, cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := AllTables(Rows([]*CircuitRun{run})); got != want {
-						t.Errorf("order=%s workers=%d words=%d: tables differ from order=none baseline\n--- want ---\n%s--- got ---\n%s",
-							arm.order, arm.workers, arm.batchWords, want, got)
+						t.Errorf("order=%s workers=%d: tables differ from order=none baseline\n--- want ---\n%s--- got ---\n%s",
+							arm.order, arm.workers, want, got)
 					}
 					if run.SimStats.PassVectors == 0 {
 						t.Errorf("order=%s: zero simulation work recorded", arm.order)

@@ -62,10 +62,6 @@ type Config struct {
 	// (fsim.Simulator.SetWorkers): 0 keeps runs serial, negative selects
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// BatchWords sets the compiled-kernel batch width in words
-	// (fsim.Simulator.SetBatchWords): 0 keeps the fsim default, 1 forces
-	// the interpreter engine. Results are identical for any value.
-	BatchWords int
 	// Order selects the fault simulation order: "adi" (default, the
 	// accidental-detection-index order of arXiv:0710.4637, installed via
 	// fsim.Simulator.SetOrder) or "none" (ascending fault index). The
@@ -243,9 +239,6 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	s := fsim.NewChain(ckt, faults, chain)
 	if cfg.Workers != 0 {
 		s.SetWorkers(cfg.Workers)
-	}
-	if cfg.BatchWords != 0 {
-		s.SetBatchWords(cfg.BatchWords)
 	}
 	switch cfg.Order {
 	case "adi":
