@@ -29,8 +29,6 @@ func main() {
 	testsPath := flag.String("tests", "", "scan test set file (internal/scan text format)")
 	seqPath := flag.String("seq", "", "raw PI sequence file (applied without scan from all-X)")
 	workers := flag.Int("workers", 0, "worker goroutines per simulation run (0 = NumCPU, 1 = serial)")
-	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (results are identical)")
-	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	verbose := flag.Bool("v", false, "list undetected faults")
 	check := flag.Bool("check", false, "audit the result against the scalar reference simulator (sampled)")
 	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
@@ -53,24 +51,12 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(c.Stats())
-	var faults []fault.Fault
-	if *collapse {
-		cc := fault.CollapseWithMap(c)
-		faults = cc.Reps
-		fmt.Printf("faults: %d collapsed of %d total (ratio %.2f)\n",
-			len(cc.Reps), len(cc.Universe), cc.Ratio())
-	} else {
-		faults = fault.Universe(c)
-		fmt.Printf("faults: %d (uncollapsed)\n", len(faults))
-	}
+	cc := fault.CollapseWithMap(c)
+	faults := cc.Reps
+	fmt.Printf("faults: %d collapsed of %d total (ratio %.2f)\n",
+		len(cc.Reps), len(cc.Universe), cc.Ratio())
 	s := fsim.New(c, faults).SetWorkers(*workers)
-	switch *order {
-	case "adi":
-		adi.Install(s, adi.Options{Seed: 1})
-	case "none":
-	default:
-		log.Fatalf("unknown -order %q (want adi or none)", *order)
-	}
+	adi.Install(s, adi.Options{Seed: 1})
 
 	detected := fault.NewSet(len(faults))
 	var audit func() *oracle.Report
@@ -126,6 +112,9 @@ func main() {
 
 	fmt.Printf("fault coverage: %d/%d (%.2f%%)\n",
 		detected.Count(), len(faults), 100*fsim.Coverage(detected, len(faults)))
+	universe := cc.ExpandCount(detected)
+	fmt.Printf("universe coverage: %d/%d (%.2f%%)\n",
+		universe, len(cc.Universe), 100*float64(universe)/float64(len(cc.Universe)))
 	st := s.Stats()
 	fmt.Printf("simulation work: %d passes, %d pass-vectors, %d fault slots\n",
 		st.Passes, st.PassVectors, st.FaultSlots)

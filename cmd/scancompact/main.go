@@ -43,8 +43,6 @@ func main() {
 	noPhase4 := flag.Bool("nophase4", false, "skip Phase 4 static compaction")
 	scanFFs := flag.Int("scan", 0, "partial scan: scan only the first N flip-flops (0 = full scan)")
 	workers := flag.Int("workers", 0, "worker goroutines per fault-simulation run (0 = NumCPU, 1 = serial)")
-	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (results are identical)")
-	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	check := flag.Bool("check", false, "audit the result against the scalar reference simulator (sampled)")
 	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
 	cacheDir := flag.String("cache", "", "artifact cache directory (empty = no caching)")
@@ -72,8 +70,6 @@ func main() {
 		Seed:          *seed,
 		T0MaxLen:      *t0len,
 		Workers:       *workers,
-		Order:         *order,
-		Uncollapsed:   !*collapse,
 		Check:         *check,
 		CheckSample:   *checkSample,
 		ScanFFs:       *scanFFs,
@@ -121,12 +117,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if row.CollapsedUniverse > 0 {
-		fmt.Printf("collapsed stuck-at faults: %d of %d total (ratio %.2f)\n",
-			row.Faults, row.CollapsedUniverse, float64(row.Faults)/float64(row.CollapsedUniverse))
-	} else {
-		fmt.Printf("stuck-at faults: %d (uncollapsed)\n", row.Faults)
-	}
+	fmt.Printf("collapsed stuck-at faults: %d of %d total (ratio %.2f)\n",
+		row.Faults, row.CollapsedUniverse, float64(row.Faults)/float64(row.CollapsedUniverse))
 	fmt.Printf("combinational test set C: %d tests, %d detected, %d untestable, %d aborted\n",
 		row.CombTests, row.CombDetected, row.CombUntestable, row.CombAborted)
 
@@ -141,8 +133,9 @@ func main() {
 	if *check {
 		fmt.Println("oracle audit: passed")
 	}
-	fmt.Printf("faults detected: T0 %d, tau_seq %d, final %d / %d\n",
-		arm.T0Detected, arm.SeqDetected, arm.FinalDetected, row.Faults)
+	fmt.Printf("faults detected: T0 %d, tau_seq %d, final %d / %d (universe %d / %d)\n",
+		arm.T0Detected, arm.SeqDetected, arm.FinalDetected, row.Faults,
+		arm.UniverseFinalDetected, row.CollapsedUniverse)
 	fmt.Printf("tau_seq: scan-in + %d at-speed vectors; %d length-1 tests added\n",
 		arm.SeqLen, arm.Added)
 	fmt.Printf("test application: initial %d cycles, compacted %d cycles (%d tests)\n",

@@ -41,8 +41,6 @@ func main() {
 	pow := flag.Bool("power", false, "also print the test-power extension table")
 	nodyn := flag.Bool("nodyn", false, "skip the [2,3] dynamic baseline")
 	workers := flag.Int("workers", 1, "worker goroutines per fault-simulation run (0 = NumCPU; -p already parallelizes across circuits)")
-	order := flag.String("order", "adi", "fault simulation order: adi (accidental-detection index) or none (tables are identical)")
-	collapse := flag.Bool("collapse", true, "target the structurally collapsed fault list instead of the full universe")
 	check := flag.Bool("check", false, "audit every run against the scalar reference simulator (sampled; slower)")
 	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
 	universe := flag.Bool("universe", false, "also print the uncollapsed-universe coverage extension table")
@@ -67,8 +65,6 @@ func main() {
 		SkipRandom:  *norand,
 		SkipDynamic: *nodyn,
 		Workers:     *workers,
-		Order:       *order,
-		Uncollapsed: !*collapse,
 		Check:       *check,
 		CheckSample: *checkSample,
 	}

@@ -4,24 +4,31 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/scan"
 	"repro/internal/scomp"
 )
 
+func sameTest(a, b scan.Test) bool {
+	if !a.SI.Equal(b.SI) || a.Len() != b.Len() {
+		return false
+	}
+	for u := range a.Seq {
+		if !a.Seq[u].Equal(b.Seq[u]) {
+			return false
+		}
+	}
+	return true
+}
+
 func sameTests(a, b *scan.Set) bool {
 	if a.NumTests() != b.NumTests() {
 		return false
 	}
-	for i, ta := range a.Tests {
-		tb := b.Tests[i]
-		if !ta.SI.Equal(tb.SI) || ta.Len() != tb.Len() {
+	for i := range a.Tests {
+		if !sameTest(a.Tests[i], b.Tests[i]) {
 			return false
-		}
-		for u := range ta.Seq {
-			if !ta.Seq[u].Equal(tb.Seq[u]) {
-				return false
-			}
 		}
 	}
 	return true
@@ -36,15 +43,20 @@ func sameTests(a, b *scan.Set) bool {
 //   - FinalDetected equals the cold DetectTest union over Final, so the
 //     ledger-credited final accounting is exact;
 //   - SeqDetected equals DetectTest(τ_seq), so the recorded grading of
-//     τ_C is exact.
+//     τ_C is exact;
+//   - a run in ADI simulation order yields the same Final, Initial,
+//     FinalDetected, SeqDetected and τ_seq, so no decision of the
+//     procedure, its Phase 3 n(f) ties included, depends on the order.
 func TestLedgerEquivalence(t *testing.T) {
 	for _, seed := range []int64{101, 107} {
 		fx := newFixture(t, seed)
+		perm := adi.Install(fx.s, adi.Options{Seed: seed})
 		for _, xferLen := range []int{0, 4} {
 			static := scomp.Options{TransferLen: xferLen, Seed: 404}
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("seed=%d xfer=%d workers=%d", seed, xferLen, workers)
 				fx.s.SetWorkers(workers)
+				fx.s.SetOrder(nil)
 				res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{Static: static})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
@@ -63,6 +75,18 @@ func TestLedgerEquivalence(t *testing.T) {
 				if seq := fx.s.DetectTest(res.TauSeq.SI, res.TauSeq.Seq, nil); !res.SeqDetected.Equal(seq) {
 					t.Fatalf("%s: tau_seq detected %d faults, cold re-grade %d",
 						name, res.SeqDetected.Count(), seq.Count())
+				}
+
+				fx.s.SetOrder(perm)
+				ord, err := Run(fx.s, fx.C, fx.t0.Seq, Options{Static: static})
+				if err != nil {
+					t.Fatalf("%s ordered: %v", name, err)
+				}
+				if !sameTests(ord.Final, res.Final) || !sameTests(ord.Initial, res.Initial) || !sameTest(ord.TauSeq, res.TauSeq) {
+					t.Fatalf("%s: ADI-ordered run built different test sets", name)
+				}
+				if !ord.FinalDetected.Equal(res.FinalDetected) || !ord.SeqDetected.Equal(res.SeqDetected) {
+					t.Fatalf("%s: ADI-ordered run detected different faults", name)
 				}
 			}
 		}

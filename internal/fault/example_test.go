@@ -11,12 +11,9 @@ func ExampleCollapse() {
 	c := samples.S27()
 	full := fault.Universe(c)
 	collapsed := fault.Collapse(c)
-	checkpoints := fault.Checkpoints(c)
 	fmt.Println("universe:   ", len(full))
 	fmt.Println("collapsed:  ", len(collapsed))
-	fmt.Println("checkpoints:", len(checkpoints))
 	// Output:
 	// universe:    76
 	// collapsed:   38
-	// checkpoints: 32
 }

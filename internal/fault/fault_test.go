@@ -248,37 +248,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Error("Clone aliases storage")
 	}
 }
-
-func TestCheckpointsNotLargerThanCollapsed(t *testing.T) {
-	// On tiny circuits the two lists can coincide in size (s27: 32 both);
-	// the checkpoint list must never be larger, and must be a strict
-	// subset of the uncollapsed universe.
-	for _, c := range []*circuit.Circuit{samples.S27(), samples.Comb4(), samples.ShiftReg(6)} {
-		cp := Checkpoints(c)
-		col := Collapse(c)
-		if len(cp) == 0 || len(cp) > len(col) {
-			t.Errorf("%s: checkpoints %d vs collapsed %d", c.Name, len(cp), len(col))
-		}
-		if len(cp) >= len(Universe(c)) {
-			t.Errorf("%s: checkpoints not below the raw universe", c.Name)
-		}
-	}
-}
-
-func TestCheckpointsContents(t *testing.T) {
-	c := samples.S27()
-	cp := Checkpoints(c)
-	for _, f := range cp {
-		if f.Pin < 0 {
-			kind := c.Nodes[f.Node].Kind
-			if kind != circuit.Input && kind != circuit.DFF {
-				t.Errorf("stem checkpoint on non-source %s", f.String(c))
-			}
-			continue
-		}
-		d := c.Nodes[f.Node].Fanin[f.Pin]
-		if fanoutConnections(c, d) <= 1 {
-			t.Errorf("branch checkpoint %s on fanout-free connection", f.String(c))
-		}
-	}
-}

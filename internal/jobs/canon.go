@@ -99,7 +99,7 @@ func CircuitDigest(c *circuit.Circuit) string {
 
 // ConfigFingerprint hashes the result-affecting fields of a pipeline
 // config under the given effective seed. Fields that are proven not to
-// change any artifact byte — Workers, Order (pass packing only),
+// change any artifact byte — Workers (pass sharding only),
 // Check/CheckSample (observation only), Progress — are excluded,
 // so e.g. a serial run and an 8-worker run share one cache entry.
 // Deleting an excluded field leaves every key unchanged. The "v2" prefix
@@ -114,13 +114,13 @@ func ConfigFingerprint(cfg workload.Config, seed int64) string {
 	if cfg.RandomT0Len == 0 {
 		cfg.RandomT0Len = 1000
 	}
-	if cfg.T0Compactor == "" {
-		cfg.T0Compactor = "omit"
-	}
+	// t0comp=omit and uncollapsed=false are literals: the pipeline always
+	// runs that way since its T_0-conditioner and fault-list switches
+	// were retired, and writing their values keeps every stored key.
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "v2;seed=%d;t0max=%d;randlen=%d;t0comp=%s;", seed, cfg.T0MaxLen, cfg.RandomT0Len, cfg.T0Compactor)
-	fmt.Fprintf(&sb, "skiprand=%t;skipdyn=%t;skipbase=%t;skipdir=%t;uncollapsed=%t;scanffs=%d;",
-		cfg.SkipRandom, cfg.SkipDynamic, cfg.SkipBaselines, cfg.SkipDirected, cfg.Uncollapsed, cfg.ScanFFs)
+	fmt.Fprintf(&sb, "v2;seed=%d;t0max=%d;randlen=%d;t0comp=omit;", seed, cfg.T0MaxLen, cfg.RandomT0Len)
+	fmt.Fprintf(&sb, "skiprand=%t;skipdyn=%t;skipbase=%t;skipdir=%t;uncollapsed=false;scanffs=%d;",
+		cfg.SkipRandom, cfg.SkipDynamic, cfg.SkipBaselines, cfg.SkipDirected, cfg.ScanFFs)
 	co := cfg.Core
 	fmt.Fprintf(&sb, "core=%d,%t,%t,%t,%t,%t,%d,%d,%d",
 		co.MaxIterations, co.UseBestPrefix, co.SkipOmission, co.SkipStaticCompaction,

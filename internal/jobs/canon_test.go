@@ -89,14 +89,13 @@ func TestCanonicalTextSensitiveToPIOrder(t *testing.T) {
 
 func TestConfigFingerprintIgnoresExecutionKnobs(t *testing.T) {
 	base := ConfigFingerprint(workload.Config{}, 1)
-	// Workers, Order, Check and CheckSample are proven result-invariant
-	// (the order-invariance and audit tests), so they must not change the
+	// Workers, Check and CheckSample are proven result-invariant (the
+	// order-invariance and audit tests), so they must not change the
 	// artifact identity.
 	for name, cfg := range map[string]workload.Config{
 		"workers":  {Workers: 8},
-		"order":    {Order: "none"},
 		"check":    {Check: true, CheckSample: 17},
-		"defaults": {T0MaxLen: 300, RandomT0Len: 1000, T0Compactor: "omit"},
+		"defaults": {T0MaxLen: 300, RandomT0Len: 1000},
 		"progress": {Progress: func(string) {}},
 	} {
 		if got := ConfigFingerprint(cfg, 1); got != base {
@@ -134,12 +133,10 @@ func TestConfigFingerprintSensitiveToResults(t *testing.T) {
 		"seed":        ConfigFingerprint(workload.Config{}, 2),
 		"t0maxlen":    ConfigFingerprint(workload.Config{T0MaxLen: 81}, 1),
 		"randlen":     ConfigFingerprint(workload.Config{RandomT0Len: 151}, 1),
-		"compactor":   ConfigFingerprint(workload.Config{T0Compactor: "restore"}, 1),
 		"skiprandom":  ConfigFingerprint(workload.Config{SkipRandom: true}, 1),
 		"skipdynamic": ConfigFingerprint(workload.Config{SkipDynamic: true}, 1),
 		"skipbase":    ConfigFingerprint(workload.Config{SkipBaselines: true}, 1),
 		"skipdir":     ConfigFingerprint(workload.Config{SkipDirected: true}, 1),
-		"uncollapsed": ConfigFingerprint(workload.Config{Uncollapsed: true}, 1),
 		"scanffs":     ConfigFingerprint(workload.Config{ScanFFs: 3}, 1),
 	} {
 		for prev, pfp := range seen {

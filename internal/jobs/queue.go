@@ -38,11 +38,14 @@ type resolved struct {
 
 // Resolve parses/generates the request's circuit and computes its
 // artifact key without running anything. It is also the submission-time
-// validation gate: malformed netlists and unknown roster names fail
-// here, before a job is created.
+// validation gate: malformed netlists, unknown roster names and configs
+// workload.Config.Validate rejects fail here, before a job is created.
 func (q *Queue) resolve(req Request) (*resolved, error) {
 	cfg := req.Config
 	cfg.Progress = nil // never part of identity; reinstalled per run
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	sources := 0
 	if req.Bench != "" {
 		sources++

@@ -63,22 +63,21 @@ func httpError(w http.ResponseWriter, status int, code, msg string) {
 
 // ConfigDTO is the wire form of the pipeline config: the submittable
 // subset of workload.Config (function-valued and expert fields stay
-// server-side).
+// server-side). Bodies are decoded with unknown fields disallowed, so
+// a field not listed here, such as a retired one, gets a 400 rather
+// than being silently ignored.
 type ConfigDTO struct {
-	Seed          int64  `json:"seed,omitempty"`
-	T0MaxLen      int    `json:"t0_max_len,omitempty"`
-	RandomT0Len   int    `json:"random_t0_len,omitempty"`
-	T0Compactor   string `json:"t0_compactor,omitempty"`
-	SkipRandom    bool   `json:"skip_random,omitempty"`
-	SkipDynamic   bool   `json:"skip_dynamic,omitempty"`
-	SkipBaselines bool   `json:"skip_baselines,omitempty"`
-	SkipDirected  bool   `json:"skip_directed,omitempty"`
-	Uncollapsed   bool   `json:"uncollapsed,omitempty"`
-	ScanFFs       int    `json:"scan_ffs,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Order         string `json:"order,omitempty"`
-	Check         bool   `json:"check,omitempty"`
-	CheckSample   int    `json:"check_sample,omitempty"`
+	Seed          int64 `json:"seed,omitempty"`
+	T0MaxLen      int   `json:"t0_max_len,omitempty"`
+	RandomT0Len   int   `json:"random_t0_len,omitempty"`
+	SkipRandom    bool  `json:"skip_random,omitempty"`
+	SkipDynamic   bool  `json:"skip_dynamic,omitempty"`
+	SkipBaselines bool  `json:"skip_baselines,omitempty"`
+	SkipDirected  bool  `json:"skip_directed,omitempty"`
+	ScanFFs       int   `json:"scan_ffs,omitempty"`
+	Workers       int   `json:"workers,omitempty"`
+	Check         bool  `json:"check,omitempty"`
+	CheckSample   int   `json:"check_sample,omitempty"`
 }
 
 // Config maps the DTO onto the pipeline config.
@@ -87,15 +86,12 @@ func (d ConfigDTO) Config() workload.Config {
 		Seed:          d.Seed,
 		T0MaxLen:      d.T0MaxLen,
 		RandomT0Len:   d.RandomT0Len,
-		T0Compactor:   d.T0Compactor,
 		SkipRandom:    d.SkipRandom,
 		SkipDynamic:   d.SkipDynamic,
 		SkipBaselines: d.SkipBaselines,
 		SkipDirected:  d.SkipDirected,
-		Uncollapsed:   d.Uncollapsed,
 		ScanFFs:       d.ScanFFs,
 		Workers:       d.Workers,
-		Order:         d.Order,
 		Check:         d.Check,
 		CheckSample:   d.CheckSample,
 	}

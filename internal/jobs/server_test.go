@@ -364,6 +364,11 @@ func TestUploadErrors(t *testing.T) {
 		{"malformed json", "application/json", `{"bench": `, http.StatusBadRequest, "bad_request"},
 		{"unknown json field", "application/json", `{"benchx": "y"}`, http.StatusBadRequest, "bad_request"},
 		{"retired config field", "application/json", `{"roster": "b01", "config": {"batch_words": 4}}`, http.StatusBadRequest, "bad_request"},
+		{"retired order field", "application/json", `{"roster": "b01", "config": {"order": "adi"}}`, http.StatusBadRequest, "bad_request"},
+		{"retired uncollapsed field", "application/json", `{"roster": "b01", "config": {"uncollapsed": true}}`, http.StatusBadRequest, "bad_request"},
+		{"retired t0_compactor field", "application/json", `{"roster": "b01", "config": {"t0_compactor": "restore"}}`, http.StatusBadRequest, "bad_request"},
+		{"negative random T0 length", "application/json", `{"roster": "b01", "config": {"random_t0_len": -5}}`, http.StatusBadRequest, "bad_request"},
+		{"negative T0 cap", "application/json", `{"roster": "b01", "config": {"t0_max_len": -3}}`, http.StatusBadRequest, "bad_request"},
 		{"unknown roster", "application/json", `{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
 		{"no source", "application/json", `{}`, http.StatusBadRequest, "bad_request"},
 	}

@@ -22,8 +22,7 @@ type ArmRow struct {
 	// and FinalDetected over the full uncollapsed fault universe:
 	// detecting a collapsed representative detects its whole structural
 	// equivalence class (fault.Collapsed.Members), so the expansion is
-	// exact, not an estimate. When the run targeted the uncollapsed list
-	// directly the two pairs coincide.
+	// exact, not an estimate.
 	UniverseSeqDetected   int
 	UniverseFinalDetected int
 
@@ -45,9 +44,8 @@ type Row struct {
 	// extension tables re-grade the final sets against it.
 	Circuit *circuit.Circuit
 
-	// Faults is the simulated fault count (collapsed representatives by
-	// default); CollapsedUniverse is the uncollapsed universe size, or 0
-	// when the run targeted the full universe directly.
+	// Faults is the simulated fault count (collapsed representatives);
+	// CollapsedUniverse is the uncollapsed universe size they stand for.
 	Faults            int
 	CollapsedUniverse int
 
@@ -72,13 +70,12 @@ type Row struct {
 }
 
 // armRow converts one core result into its table row; cc expands the
-// collapsed detection counts to the full universe (nil when the run
-// targeted the uncollapsed list, making the expansion the identity).
+// collapsed detection counts to the full universe.
 func armRow(r *core.Result, cc *fault.Collapsed) *ArmRow {
 	if r == nil {
 		return nil
 	}
-	a := &ArmRow{
+	return &ArmRow{
 		T0Detected:    r.T0Detected.Count(),
 		SeqDetected:   r.SeqDetected.Count(),
 		FinalDetected: r.FinalDetected.Count(),
@@ -87,33 +84,26 @@ func armRow(r *core.Result, cc *fault.Collapsed) *ArmRow {
 		Added:         r.Added,
 		Initial:       r.Initial,
 		Final:         r.Final,
+
+		UniverseSeqDetected:   cc.ExpandCount(r.SeqDetected),
+		UniverseFinalDetected: cc.ExpandCount(r.FinalDetected),
 	}
-	if cc != nil {
-		a.UniverseSeqDetected = cc.ExpandCount(r.SeqDetected)
-		a.UniverseFinalDetected = cc.ExpandCount(r.FinalDetected)
-	} else {
-		a.UniverseSeqDetected = a.SeqDetected
-		a.UniverseFinalDetected = a.FinalDetected
-	}
-	return a
 }
 
 // Row condenses the run into its table-level view.
 func (r *CircuitRun) Row() *Row {
 	row := &Row{
-		Name:      r.Entry.Params.Name,
-		Nsv:       r.Nsv(),
-		Circuit:   r.Circuit,
-		Faults:    len(r.Faults),
-		T0Len:     len(r.T0),
-		Base4Init: r.Base4Init,
-		Base4Comp: r.Base4Comp,
-		BaseDyn:   r.BaseDyn,
-		Proposed:  armRow(r.Proposed, r.Collapsed),
-		Rand:      armRow(r.ProposedRand, r.Collapsed),
-	}
-	if r.Collapsed != nil {
-		row.CollapsedUniverse = len(r.Collapsed.Universe)
+		Name:              r.Entry.Params.Name,
+		Nsv:               r.Nsv(),
+		Circuit:           r.Circuit,
+		Faults:            len(r.Faults),
+		CollapsedUniverse: len(r.Collapsed.Universe),
+		T0Len:             len(r.T0),
+		Base4Init:         r.Base4Init,
+		Base4Comp:         r.Base4Comp,
+		BaseDyn:           r.BaseDyn,
+		Proposed:          armRow(r.Proposed, r.Collapsed),
+		Rand:              armRow(r.ProposedRand, r.Collapsed),
 	}
 	if r.Comb != nil {
 		row.CombTests = len(r.Comb.Tests)

@@ -150,17 +150,12 @@ func TableDelay(rows []*Row) *tabfmt.Table {
 // detecting a representative detects every member of its structural
 // equivalence class (fault.Collapsed.Members), so the universe-level
 // coverage is exact and directly comparable across tools that do not
-// collapse. For a run that already targeted the uncollapsed list the
-// two column groups coincide.
+// collapse.
 func TableUniverse(rows []*Row) *tabfmt.Table {
 	t := tabfmt.New("Extension table: uncollapsed-universe fault coverage",
 		"circuit", "reps", "universe", "scan", "final", "rand final")
 	for _, r := range rows {
-		universe := r.CollapsedUniverse
-		if universe == 0 {
-			universe = r.Faults
-		}
-		cells := []interface{}{r.Name, r.Faults, universe,
+		cells := []interface{}{r.Name, r.Faults, r.CollapsedUniverse,
 			r.Proposed.UniverseSeqDetected, r.Proposed.UniverseFinalDetected}
 		if r.Rand != nil {
 			cells = append(cells, r.Rand.UniverseFinalDetected)

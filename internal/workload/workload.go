@@ -33,7 +33,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/oracle"
-	"repro/internal/restore"
 	"repro/internal/scan"
 	"repro/internal/scomp"
 	"repro/internal/seqgen"
@@ -41,7 +40,12 @@ import (
 )
 
 // Config tunes the pipeline. The zero value reproduces the paper's
-// setup (random T_0 length 1000; everything else defaulted).
+// setup (random T_0 length 1000; everything else defaulted). Three
+// choices are fixed, not configurable: every run targets the
+// structurally collapsed fault list (fault.CollapseWithMap), simulates
+// it in accidental-detection-index order (adi.Install; the order only
+// repacks passes, so no result depends on it), and conditions the
+// directed T_0 with vector omission, the role of [11] in the paper.
 type Config struct {
 	// Seed offsets every per-circuit seed; 0 keeps the roster defaults.
 	Seed int64
@@ -49,11 +53,6 @@ type Config struct {
 	T0MaxLen int
 	// RandomT0Len is the random-sequence length (0 = the paper's 1000).
 	RandomT0Len int
-	// T0Compactor selects how the directed T_0 is conditioned before the
-	// procedure (the role of [11] in the paper): "omit" (default,
-	// vector omission), "restore" (vector restoration — the literal [11]
-	// algorithm, slower on large keep-sets), or "none".
-	T0Compactor string
 	// SkipRandom skips the random-T_0 arm (Tables 3-5 right columns).
 	SkipRandom bool
 	// SkipDynamic skips the [2,3] dynamic baseline (Table 3 column 1).
@@ -62,17 +61,6 @@ type Config struct {
 	// (fsim.Simulator.SetWorkers): 0 keeps runs serial, negative selects
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
-	// Order selects the fault simulation order: "adi" (default, the
-	// accidental-detection-index order of arXiv:0710.4637, installed via
-	// fsim.Simulator.SetOrder) or "none" (ascending fault index). The
-	// order only changes pass packing inside the simulator — every
-	// detected set, table and N_cyc is identical either way.
-	Order string
-	// Uncollapsed targets the full uncollapsed fault universe instead of
-	// the structurally collapsed representatives. Roughly doubles the
-	// simulated fault count for identical information; kept as the
-	// baseline arm of BENCH_adi.json.
-	Uncollapsed bool
 	// Check audits every run against the reference simulator in package
 	// oracle: the proposed procedure through core.Options.Audit, the
 	// baselines and T_0 grading through sampled re-simulation. A
@@ -117,12 +105,23 @@ func (c Config) Chain(ckt *circuit.Circuit) (*scan.Chain, error) {
 	return scan.NewChain(ckt.NumFFs(), ffs)
 }
 
+// Validate rejects settings no run can use: a negative directed T_0
+// cap or random T_0 length (0 selects the default). The jobs layer
+// calls it when a request is submitted, so a bad config fails before a
+// job exists.
+func (c Config) Validate() error {
+	if c.T0MaxLen < 0 {
+		return fmt.Errorf("workload: negative T0MaxLen %d", c.T0MaxLen)
+	}
+	if c.RandomT0Len < 0 {
+		return fmt.Errorf("workload: negative RandomT0Len %d", c.RandomT0Len)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.T0MaxLen == 0 {
 		c.T0MaxLen = 300
-	}
-	if c.Order == "" {
-		c.Order = "adi"
 	}
 	if c.RandomT0Len == 0 {
 		c.RandomT0Len = 1000
@@ -149,8 +148,8 @@ type CircuitRun struct {
 	// Chain is the partial-scan chain (nil under full scan).
 	Chain  *scan.Chain
 	Faults []fault.Fault
-	// Collapsed maps the simulated representatives back to the full
-	// fault universe (nil when the run targeted the uncollapsed list).
+	// Collapsed maps the simulated representatives (Faults) back to the
+	// full fault universe.
 	Collapsed *fault.Collapsed
 	// SimStats is the pipeline simulator's cumulative pass work.
 	SimStats fsim.PassStats
@@ -206,6 +205,9 @@ func RunCircuit(ckt *circuit.Circuit, cfg Config) (*CircuitRun, error) {
 // runPipeline is the shared pipeline body behind Run and RunCircuit —
 // the one code path the CLIs and the compactd service both execute.
 func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Config) (*CircuitRun, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	progress := cfg.Progress
 	if progress == nil {
@@ -218,14 +220,8 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 		return nil, fmt.Errorf("workload %s: %v", name, err)
 	}
 
-	var faults []fault.Fault
-	var collapsed *fault.Collapsed
-	if cfg.Uncollapsed {
-		faults = fault.Universe(ckt)
-	} else {
-		collapsed = fault.CollapseWithMap(ckt)
-		faults = collapsed.Reps
-	}
+	collapsed := fault.CollapseWithMap(ckt)
+	faults := collapsed.Reps
 
 	progress("atpg")
 	comb, err := atpg.Generate(ckt, faults, atpg.Options{Seed: seed, Chain: chain})
@@ -240,13 +236,7 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	if cfg.Workers != 0 {
 		s.SetWorkers(cfg.Workers)
 	}
-	switch cfg.Order {
-	case "adi":
-		adi.Install(s, adi.Options{Seed: seed})
-	case "none":
-	default:
-		return nil, fmt.Errorf("workload %s: unknown Order %q", name, cfg.Order)
-	}
+	adi.Install(s, adi.Options{Seed: seed})
 	run := &CircuitRun{Entry: entry, Circuit: ckt, Chain: chain, Faults: faults, Collapsed: collapsed, Comb: comb}
 
 	// Directed T_0, compacted the way [11] conditions the sequences the
@@ -259,16 +249,8 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 		}
 		t0c := t0res.Seq
 		if len(t0c) <= 800 {
-			switch cfg.T0Compactor {
-			case "", "omit":
-				t0c, _ = vecomit.CompactSequence(s, t0res.Seq, t0res.Detected,
-					vecomit.Options{MaxPasses: 1})
-			case "restore":
-				t0c, _ = restore.Compact(s, t0res.Seq, t0res.Detected, restore.Options{})
-			case "none":
-			default:
-				return nil, fmt.Errorf("workload %s: unknown T0Compactor %q", name, cfg.T0Compactor)
-			}
+			t0c, _ = vecomit.CompactSequence(s, t0res.Seq, t0res.Detected,
+				vecomit.Options{MaxPasses: 1})
 		}
 		run.T0 = t0c
 		run.T0Detected = s.Detect(t0c, fsim.Options{})

@@ -103,6 +103,19 @@ func TestRunByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeLengths: a negative T_0 length is an error from
+// the pipeline, not a panic inside it.
+func TestRunRejectsNegativeLengths(t *testing.T) {
+	for name, cfg := range map[string]Config{
+		"t0maxlen": {T0MaxLen: -3},
+		"randlen":  {RandomT0Len: -5},
+	} {
+		if _, err := RunByName("b01", cfg); err == nil {
+			t.Errorf("%s: negative length accepted", name)
+		}
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	runs := smallRuns(t)
 	out := AllTables(Rows(runs))
@@ -167,29 +180,6 @@ func TestRosterEntryMetadata(t *testing.T) {
 		if r.Circuit == nil || len(r.Faults) == 0 {
 			t.Errorf("%s: missing artifacts", r.Entry.Params.Name)
 		}
-	}
-}
-
-func TestT0CompactorOptions(t *testing.T) {
-	for _, mode := range []string{"omit", "restore", "none"} {
-		cfg := fastCfg()
-		cfg.T0Compactor = mode
-		cfg.SkipRandom, cfg.SkipDynamic = true, true
-		r, err := RunByName("b02", cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if len(r.T0) == 0 {
-			t.Errorf("%s: empty T0", mode)
-		}
-		if !r.Proposed.FinalDetected.ContainsAll(r.Comb.Detected) {
-			t.Errorf("%s: coverage lost", mode)
-		}
-	}
-	cfg := fastCfg()
-	cfg.T0Compactor = "bogus"
-	if _, err := RunByName("b02", cfg); err == nil {
-		t.Error("unknown compactor must fail")
 	}
 }
 
