@@ -3,7 +3,6 @@ package repro
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"testing"
 
 	"repro/internal/atpg"
@@ -11,8 +10,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
-	"repro/internal/logic"
-	"repro/internal/scomp"
 	"repro/internal/seqgen"
 	"repro/internal/workload"
 )
@@ -167,70 +164,25 @@ func BenchmarkTablePower(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---
-
-// ablationFixture prepares one circuit's inputs once so the ablation
-// benchmarks time only the core procedure.
-type ablationFixture struct {
-	sim *fsim.Simulator
-	C   []atpg.CombTest
-	t0  logic.Sequence
-}
-
-var (
-	ablOnce sync.Once
-	abl     ablationFixture
-)
-
-func ablationSetup(b *testing.B) *ablationFixture {
-	b.Helper()
-	ablOnce.Do(func() {
-		c := gen.MustGenerate(gen.Params{Name: "abl", Seed: 404, PIs: 5, POs: 4, FFs: 14, Gates: 150})
-		faults := fault.Collapse(c)
-		comb, err := atpg.Generate(c, faults, atpg.Options{Seed: 404})
-		if err != nil {
-			panic(err)
-		}
-		t0 := seqgen.Generate(c, faults, seqgen.Options{Seed: 404, MaxLen: 150})
-		abl = ablationFixture{sim: fsim.New(c, faults), C: comb.Tests, t0: t0.Seq}
-	})
-	return &abl
-}
-
-func benchCore(b *testing.B, opt core.Options) {
-	fx := ablationSetup(b)
+// BenchmarkAblationBaseline times core.Run alone in the paper's
+// configuration (i_0 rule, omission, iteration and Phase 4 all on) on
+// the 14-FF fixture of EXPERIMENTS.md §Ablations, and reports its final
+// N_cyc.
+func BenchmarkAblationBaseline(b *testing.B) {
+	c := gen.MustGenerate(gen.Params{Name: "abl", Seed: 404, PIs: 5, POs: 4, FFs: 14, Gates: 150})
+	faults := fault.Collapse(c)
+	comb, err := atpg.Generate(c, faults, atpg.Options{Seed: 404})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t0 := seqgen.Generate(c, faults, seqgen.Options{Seed: 404, MaxLen: 150})
+	s := fsim.New(c, faults)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Run(fx.sim, fx.C, fx.t0, opt)
+		res, err := core.Run(s, comb.Tests, t0.Seq, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(res.Final.Cycles(fx.sim.Circuit().NumFFs())), "cycles")
+		b.ReportMetric(float64(res.Final.Cycles(c.NumFFs())), "cycles")
 	}
-}
-
-// BenchmarkAblationBaseline is the paper's configuration (i_0 rule,
-// omission on, iteration on, Phase 4 on).
-func BenchmarkAblationBaseline(b *testing.B) { benchCore(b, core.Options{}) }
-
-// BenchmarkAblationScanOutRule uses the i_1 scan-out selection the paper
-// rejects (§3.1): longer sequences for marginal coverage.
-func BenchmarkAblationScanOutRule(b *testing.B) { benchCore(b, core.Options{UseBestPrefix: true}) }
-
-// BenchmarkAblationNoOmission disables Phase 2 vector omission.
-func BenchmarkAblationNoOmission(b *testing.B) { benchCore(b, core.Options{SkipOmission: true}) }
-
-// BenchmarkAblationNoIteration runs Phases 1+2 exactly once.
-func BenchmarkAblationNoIteration(b *testing.B) { benchCore(b, core.Options{SkipIteration: true}) }
-
-// BenchmarkAblationNoPhase4 stops after Phase 3 (the "init" column of
-// Table 3).
-func BenchmarkAblationNoPhase4(b *testing.B) {
-	benchCore(b, core.Options{SkipStaticCompaction: true})
-}
-
-// BenchmarkAblationTransferSequences enables the [7] improvement inside
-// the Phase 4 combiner (the paper calls it orthogonal; this measures it).
-func BenchmarkAblationTransferSequences(b *testing.B) {
-	benchCore(b, core.Options{Static: scomp.Options{TransferLen: 6, Seed: 404}})
 }

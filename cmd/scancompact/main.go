@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/response"
 	"repro/internal/scan"
@@ -40,7 +39,6 @@ func main() {
 	randT0 := flag.Bool("random-t0", false, "use a random T0 (length -t0len) instead of the directed generator")
 	out := flag.String("o", "", "write the final test set to this file")
 	respOut := flag.String("responses", "", "write expected tester responses to this file")
-	noPhase4 := flag.Bool("nophase4", false, "skip Phase 4 static compaction")
 	scanFFs := flag.Int("scan", 0, "partial scan: scan only the first N flip-flops (0 = full scan)")
 	workers := flag.Int("workers", 0, "worker goroutines per fault-simulation run (0 = NumCPU, 1 = serial)")
 	check := flag.Bool("check", false, "audit the result against the scalar reference simulator (sampled)")
@@ -75,7 +73,6 @@ func main() {
 		ScanFFs:       *scanFFs,
 		SkipBaselines: true,
 		SkipDynamic:   true,
-		Core:          core.Options{SkipStaticCompaction: *noPhase4},
 	}
 	if *workers == 0 {
 		cfg.Workers = -1 // NumCPU

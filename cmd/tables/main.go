@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
@@ -32,32 +33,42 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tables: ")
-	par := flag.Int("p", runtime.NumCPU(), "circuits to run in parallel")
-	t0len := flag.Int("t0len", 0, "directed T0 length cap (0 = default)")
-	randlen := flag.Int("randlen", 0, "random T0 length (0 = paper's 1000)")
-	norand := flag.Bool("norand", false, "skip the random-T0 arm")
-	delay := flag.Bool("delay", false, "also print the transition-fault coverage extension table")
-	markdown := flag.Bool("md", false, "render the tables as markdown")
-	pow := flag.Bool("power", false, "also print the test-power extension table")
-	nodyn := flag.Bool("nodyn", false, "skip the [2,3] dynamic baseline")
-	workers := flag.Int("workers", 1, "worker goroutines per fault-simulation run (0 = NumCPU; -p already parallelizes across circuits)")
-	check := flag.Bool("check", false, "audit every run against the scalar reference simulator (sampled; slower)")
-	checkSample := flag.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
-	universe := flag.Bool("universe", false, "also print the uncollapsed-universe coverage extension table")
-	cacheDir := flag.String("cache", "", "artifact cache directory (empty = no caching)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole command: it parses args, runs one job per circuit,
+// prints the tables to stdout and the run summary to stderr. Rows that
+// succeeded are printed even when other circuits fail; the failures
+// come back joined.
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("tables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	par := fs.Int("p", runtime.NumCPU(), "circuits to run in parallel")
+	t0len := fs.Int("t0len", 0, "directed T0 length cap (0 = default)")
+	randlen := fs.Int("randlen", 0, "random T0 length (0 = paper's 1000)")
+	norand := fs.Bool("norand", false, "skip the random-T0 arm")
+	delay := fs.Bool("delay", false, "also print the transition-fault coverage extension table")
+	markdown := fs.Bool("md", false, "render the tables as markdown")
+	pow := fs.Bool("power", false, "also print the test-power extension table")
+	nodyn := fs.Bool("nodyn", false, "skip the [2,3] dynamic baseline")
+	workers := fs.Int("workers", 1, "worker goroutines per fault-simulation run (0 = NumCPU; -p already parallelizes across circuits)")
+	check := fs.Bool("check", false, "audit every run against the scalar reference simulator (sampled; slower)")
+	checkSample := fs.Int("checksample", 0, "faults re-simulated per audit direction (0 = default, -1 = all)")
+	universe := fs.Bool("universe", false, "also print the uncollapsed-universe coverage extension table")
+	cacheDir := fs.String("cache", "", "artifact cache directory (empty = no caching)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProfiles, err := cliutil.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	defer func() {
-		if err := stopProfiles(); err != nil {
-			log.Print(err)
-		}
-	}()
+	defer func() { err = errors.Join(err, stopProfiles()) }()
 
 	cfg := workload.Config{
 		T0MaxLen:    *t0len,
@@ -71,16 +82,15 @@ func main() {
 	if *workers == 0 {
 		cfg.Workers = -1 // NumCPU
 	}
-	names := flag.Args()
+	names := fs.Args()
 	if len(names) == 0 {
 		names = gen.RosterNames()
 	}
 
 	var store *jobs.Store
 	if *cacheDir != "" {
-		var err error
 		if store, err = jobs.OpenStore(*cacheDir, 0); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	queue := jobs.NewQueue(store, jobs.Options{Workers: *par, MaxPending: len(names) + 1})
@@ -136,28 +146,26 @@ func main() {
 			tabs = append(tabs, workload.TableUniverse(rows))
 		}
 		for _, t := range tabs {
-			fmt.Println(t.RenderMarkdown())
+			fmt.Fprintln(stdout, t.RenderMarkdown())
 		}
 	} else {
-		fmt.Print(workload.AllTables(rows))
+		fmt.Fprint(stdout, workload.AllTables(rows))
 		if *delay {
-			fmt.Print(workload.TableDelay(rows).Render())
+			fmt.Fprint(stdout, workload.TableDelay(rows).Render())
 		}
 		if *pow {
-			fmt.Print(workload.TablePower(rows).Render())
+			fmt.Fprint(stdout, workload.TablePower(rows).Render())
 		}
 		if *universe {
-			fmt.Print(workload.TableUniverse(rows).Render())
+			fmt.Fprint(stdout, workload.TableUniverse(rows).Render())
 		}
 	}
 	if *check {
-		fmt.Fprintln(os.Stderr, "oracle audit: all runs passed")
+		fmt.Fprintln(stderr, "oracle audit: all runs passed")
 	}
 	if cached > 0 {
-		fmt.Fprintf(os.Stderr, "%d of %d circuits served from artifact cache\n", cached, len(names))
+		fmt.Fprintf(stderr, "%d of %d circuits served from artifact cache\n", cached, len(names))
 	}
-	fmt.Fprintf(os.Stderr, "completed %d circuits in %v\n", len(rows), time.Since(start).Round(time.Millisecond))
-	if err := errors.Join(errs...); err != nil {
-		log.Fatal(err)
-	}
+	fmt.Fprintf(stderr, "completed %d circuits in %v\n", len(rows), time.Since(start).Round(time.Millisecond))
+	return errors.Join(errs...)
 }

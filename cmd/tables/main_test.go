@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -78,4 +82,58 @@ func TestGoldenTablesWithCheck(t *testing.T) {
 	if got != string(want) {
 		t.Error("-check changed the table output")
 	}
+}
+
+// TestFullRoster runs the command as `tables -delay` over the whole
+// roster, every arm at its default setting, and diffs the output with
+// the checked-in reproduction, tables_output.txt. It takes minutes, so
+// it runs only with FULL_ROSTER=1.
+func TestFullRoster(t *testing.T) {
+	if os.Getenv("FULL_ROSTER") != "1" {
+		t.Skip("set FULL_ROSTER=1 to check the full reproduction")
+	}
+	want, err := os.ReadFile(filepath.Join("..", "..", "tables_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stdout bytes.Buffer
+	if err := run([]string{"-delay"}, &stdout, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if msg := firstDiff(stdout.String(), string(want)); msg != "" {
+		t.Errorf("tables -delay differs from tables_output.txt: %s", msg)
+	}
+}
+
+// firstDiff describes the first line where got and want differ, with
+// the table heading above it and the row's circuit; "" means equal.
+func firstDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	line := func(lines []string, i int) string {
+		if i < len(lines) {
+			return lines[i]
+		}
+		return ""
+	}
+	for i := 0; i < max(len(g), len(w)); i++ {
+		gl, wl := line(g, i), line(w, i)
+		if gl == wl {
+			continue
+		}
+		// A table's heading opens its blank-line-separated block, and a
+		// row's first field names its circuit.
+		h := min(i, len(w))
+		for h > 0 && w[h-1] != "" {
+			h--
+		}
+		circuit := "?"
+		if f := strings.Fields(wl); len(f) > 0 {
+			circuit = f[0]
+		} else if f := strings.Fields(gl); len(f) > 0 {
+			circuit = f[0]
+		}
+		return fmt.Sprintf("line %d, in %q, circuit %s:\n got: %q\nwant: %q",
+			i+1, line(w, h), circuit, gl, wl)
+	}
+	return ""
 }

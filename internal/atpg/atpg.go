@@ -29,13 +29,10 @@ func (t CombTest) ScanTest() scan.Test {
 type Options struct {
 	// Seed drives the random phase and random fill.
 	Seed int64
-	// RandomPatterns is the number of random patterns tried before the
-	// deterministic phase (0 means the default of 256).
-	RandomPatterns int
 	// BacktrackLimit bounds PODEM backtracks per fault (0 = default 100).
 	BacktrackLimit int
-	// Compact enables the reverse-order greedy compaction pass (on by
-	// default via Generate; disable for debugging).
+	// NoCompaction disables the reverse-order greedy compaction pass
+	// (on by default; disable for debugging).
 	NoCompaction bool
 	// Chain restricts the controllable present-state lines and the
 	// observable next-state lines to a partial scan chain (nil = full
@@ -58,14 +55,15 @@ func (r *Result) FaultCoverage() float64 {
 	return fsim.Coverage(r.Detected, r.Detected.Len())
 }
 
+// randomPatterns is the number of random patterns tried before the
+// deterministic phase.
+const randomPatterns = 256
+
 // Generate produces a compact combinational test set for the full-scan
 // view of c over the given fault list. Three phases: random patterns
 // with fault dropping, PODEM for the survivors, reverse-order greedy
 // compaction.
 func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, error) {
-	if opt.RandomPatterns == 0 {
-		opt.RandomPatterns = 256
-	}
 	if opt.BacktrackLimit == 0 {
 		opt.BacktrackLimit = maxBacktracks
 	}
@@ -92,7 +90,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 	var tests []CombTest
 
 	// Phase 1: random patterns. Keep a pattern iff it detects a new fault.
-	for i := 0; i < opt.RandomPatterns && remaining.Count() > 0; i++ {
+	for i := 0; i < randomPatterns && remaining.Count() > 0; i++ {
 		t := CombTest{
 			State: randomVector(r, stateWidth),
 			PI:    randomVector(r, c.NumPIs()),

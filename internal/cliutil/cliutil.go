@@ -6,12 +6,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/gen"
-	"repro/internal/verilog"
 )
 
 // StartProfiles resolves the common -cpuprofile/-memprofile flag pair:
@@ -57,17 +55,13 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 }
 
 // LoadCircuit resolves the common -bench/-roster flag pair: benchPath
-// parses a netlist from disk (.bench format, or structural Verilog when
-// the file ends in .v), rosterName generates the synthetic substitute.
-// Exactly one must be set.
+// parses a .bench netlist from disk, rosterName generates the synthetic
+// substitute. Exactly one must be set.
 func LoadCircuit(benchPath, rosterName string) (*circuit.Circuit, error) {
 	switch {
 	case benchPath != "" && rosterName != "":
 		return nil, fmt.Errorf("use either -bench or -roster, not both")
 	case benchPath != "":
-		if strings.HasSuffix(benchPath, ".v") || strings.HasSuffix(benchPath, ".verilog") {
-			return verilog.ParseFile(benchPath)
-		}
 		return bench.ParseFile(benchPath)
 	case rosterName != "":
 		c, ok := gen.RosterCircuit(rosterName)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/samples"
-	"repro/internal/verilog"
 )
 
 func TestLoadCircuitFromRoster(t *testing.T) {
@@ -50,20 +49,5 @@ func TestLoadCircuitErrors(t *testing.T) {
 	}
 	if _, err := LoadCircuit(filepath.Join(os.TempDir(), "definitely-missing.bench"), ""); err == nil {
 		t.Error("missing file should fail")
-	}
-}
-
-func TestLoadCircuitFromVerilogFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "s27.v")
-	if err := verilog.WriteFile(path, samples.S27()); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadCircuit(path, "")
-	if err != nil {
-		t.Fatalf("verilog load: %v", err)
-	}
-	if c.NumFFs() != 3 {
-		t.Error("wrong circuit loaded from verilog")
 	}
 }

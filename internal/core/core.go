@@ -34,35 +34,12 @@ import (
 )
 
 // Options tunes the procedure. The zero value reproduces the paper's
-// configuration.
+// configuration: the i_0 scan-out rule, all four phases, and plain [4]
+// combining in Phase 4.
 type Options struct {
 	// MaxIterations caps the Phase 1+2 iterations (0 = default 8; the
 	// natural stop — a repeated scan-in selection — usually hits first).
 	MaxIterations int
-	// UseBestPrefix switches Step 3 from the paper's i_0 rule (earliest
-	// covering prefix) to the alternative i_1 rule (prefix maximizing
-	// detected faults). The paper reports i_0 works better; this switch
-	// exists for the ablation benchmarks.
-	UseBestPrefix bool
-	// SkipOmission disables Phase 2 (ablation).
-	SkipOmission bool
-	// SkipStaticCompaction disables Phase 4, leaving the "initial" test
-	// set of the paper's Table 3.
-	SkipStaticCompaction bool
-	// SkipIteration runs Phases 1+2 exactly once (ablation).
-	SkipIteration bool
-	// UseLastIteration takes the literal reading of the paper's §3.3
-	// ("the final test obtained is denoted τ_seq"): τ_seq is the τ_C of
-	// the last iteration. The default keeps the best τ_C seen across
-	// iterations (highest coverage, then shortest), which can only help
-	// and guards against a final iteration that trades coverage away.
-	UseLastIteration bool
-
-	// OmitMaxLen skips Phase 2 for sequences longer than this bound
-	// (0 = default 800). Very long sequences make single-vector omission
-	// quadratic; the paper's own results show omission achieving nothing
-	// on exactly those cases (Table 5, s1423/s5378 keep length 1000).
-	OmitMaxLen int
 
 	// SIScoreSample bounds the number of faults used to *score* scan-in
 	// candidates in Step 2 (0 = default 1008, i.e. 16 simulation passes;
@@ -77,12 +54,6 @@ type Options struct {
 	// uniform stride, so the pool stays representative.
 	SICandidateLimit int
 
-	// Omit configures the Phase 2 engine.
-	Omit vecomit.Options
-	// Static configures the Phase 4 engine. Run sets its InitialRecords
-	// itself: Phase 4's ledger is seeded with the τ_seq record.
-	Static scomp.Options
-
 	// Audit, when non-nil, is called with the completed Result before Run
 	// returns; a non-nil error fails the run. Package oracle provides an
 	// implementation that re-checks the result's coverage claims against
@@ -92,15 +63,16 @@ type Options struct {
 	Audit func(*Result) error
 }
 
+// OmitMaxLen is the longest sequence the pipeline hands to vector
+// omission: Phase 2 here, and the T_0 conditioning in package workload.
+// Omission is quadratic on long sequences, and the paper's own results
+// show it achieving nothing on exactly those cases (Table 5, s1423 and
+// s5378 keep length 1000).
+const OmitMaxLen = 800
+
 func (o Options) withDefaults() Options {
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 8
-	}
-	if o.SkipIteration {
-		o.MaxIterations = 1
-	}
-	if o.OmitMaxLen == 0 {
-		o.OmitMaxLen = 800
 	}
 	if o.SIScoreSample == 0 {
 		o.SIScoreSample = 1008
@@ -160,8 +132,7 @@ type Result struct {
 	Initial         *scan.Set
 	InitialDetected *fault.Set
 
-	// Final is the set after Phase 4 static compaction (Table 3 "comp");
-	// equal to Initial when SkipStaticCompaction is set.
+	// Final is the set after Phase 4 static compaction (Table 3 "comp").
 	Final         *scan.Set
 	FinalDetected *fault.Set
 
@@ -249,21 +220,13 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		// Step 3: scan-out time selection. The profile pass covers all
 		// faults so F_SO can exceed F_SI.
 		prof := s.Profile(si, cur, nil)
-		var u int
-		var fso *fault.Set
-		if opt.UseBestPrefix {
-			u, fso = prof.BestPrefix(fsi)
-		} else {
-			u = prof.EarliestPrefixCovering(fsi)
-			if u >= 0 {
-				fso = prof.DetectedByPrefixSet(u)
-			}
-		}
+		u := prof.EarliestPrefixCovering(fsi)
 		if u < 0 {
 			// Cannot happen when the full sequence detects F_SI; guard
 			// against pathological inputs anyway.
 			return nil, fmt.Errorf("core: no scan-out time covers F_SI (iteration %d)", iter)
 		}
+		fso := prof.DetectedByPrefixSet(u)
 		tso := scan.Test{SI: si.Clone(), Seq: cur[:u+1].Clone()}
 		res.Timings.Phase1 += time.Since(p1start)
 
@@ -271,9 +234,9 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		// where it is quadratic and historically unproductive).
 		p2start := time.Now()
 		tc := tso
-		if !opt.SkipOmission && tso.Len() <= opt.OmitMaxLen {
+		if tso.Len() <= OmitMaxLen {
 			var ost vecomit.Stats
-			tc, ost = vecomit.CompactTest(s, tso, fso, opt.Omit)
+			tc, ost = vecomit.CompactTest(s, tso, fso, vecomit.Options{})
 			res.OmitStats.Add(ost)
 		}
 		// The full-universe grading of τ_C doubles as its ledger record:
@@ -299,7 +262,10 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 			FC:          fc,
 		})
 
-		if opt.UseLastIteration || bestDet == nil || fc.Count() > bestDet.Count() ||
+		// τ_seq is the best τ_C seen (highest coverage, then shortest),
+		// not the last one as a literal reading of §3.3 has it: a final
+		// iteration that trades coverage away cannot lower the result.
+		if bestDet == nil || fc.Count() > bestDet.Count() ||
 			(fc.Count() == bestDet.Count() && tc.Len() < best.Len()) {
 			best, bestDet, bestRec = tc.Clone(), fc, fcRec
 		}
@@ -327,24 +293,13 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 	res.Timings.Phase3 = time.Since(p3start)
 
 	// --- Phase 4: static compaction [4] ---
-	if opt.SkipStaticCompaction {
-		res.Final = res.Initial.Clone()
-		res.FinalDetected = res.InitialDetected.Clone()
-		if opt.Audit != nil {
-			if err := opt.Audit(res); err != nil {
-				return nil, fmt.Errorf("core: audit failed: %w", err)
-			}
-		}
-		return res, nil
-	}
 	p4start := time.Now()
 	// Seed the combiner's ledger with the τ_seq record the iteration loop
 	// already paid for (test 0 of the initial set); the Phase 3 additions
 	// are graded by the combiner itself.
-	staticOpt := opt.Static
-	staticOpt.InitialRecords = []*fsim.Record{bestRec}
 	var led *fsim.Ledger
-	res.Final, led, res.StaticStats = scomp.CompactWithLedger(s, res.Initial, staticOpt)
+	res.Final, led, res.StaticStats = scomp.CompactWithLedger(s, res.Initial,
+		scomp.Options{InitialRecords: []*fsim.Record{bestRec}})
 	res.FinalDetected = fault.NewSet(nf)
 	// Drop-on-detect: the union only needs each fault detected once, so
 	// faults covered by earlier tests are excluded from the remaining

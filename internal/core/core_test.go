@@ -141,55 +141,6 @@ func TestRunTraceAndTermination(t *testing.T) {
 	}
 }
 
-func TestRunAblations(t *testing.T) {
-	fx := newFixture(t, 105)
-	base, err := Run(fx.s, fx.C, fx.t0.Seq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Run("best prefix (i1)", func(t *testing.T) {
-		res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{UseBestPrefix: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// i1 maximizes per-iteration detection; it must not detect fewer
-		// faults with tau_seq in the first iteration than i0 does.
-		if res.Trace[0].DetectedSO < base.Trace[0].DetectedSO {
-			t.Error("i1 first-iteration coverage below i0")
-		}
-		if !res.InitialDetected.ContainsAll(fx.comb.Detected) {
-			t.Error("i1 run lost coverage")
-		}
-	})
-	t.Run("no omission", func(t *testing.T) {
-		res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{SkipOmission: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Trace[0].LenOut != res.Trace[0].ScanOutTime+1 {
-			t.Error("without omission the iteration length must equal the scan-out prefix")
-		}
-	})
-	t.Run("no static compaction", func(t *testing.T) {
-		res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{SkipStaticCompaction: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Final.NumTests() != res.Initial.NumTests() {
-			t.Error("Phase 4 skipped but final set differs from initial")
-		}
-	})
-	t.Run("single iteration", func(t *testing.T) {
-		res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{SkipIteration: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Trace) != 1 {
-			t.Errorf("SkipIteration ran %d iterations", len(res.Trace))
-		}
-	})
-}
-
 func TestRunErrors(t *testing.T) {
 	fx := newFixture(t, 106)
 	if _, err := Run(fx.s, nil, fx.t0.Seq, Options{}); err == nil {
@@ -250,26 +201,6 @@ func TestRunOnS27(t *testing.T) {
 	if !res.FinalDetected.ContainsAll(comb.Detected) {
 		t.Errorf("s27 final coverage %d misses C-detectable faults (%d)",
 			res.FinalDetected.Count(), comb.Detected.Count())
-	}
-}
-
-func TestRunUseLastIteration(t *testing.T) {
-	fx := newFixture(t, 109)
-	res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{UseLastIteration: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The last iteration's compacted length must equal tau_seq's length.
-	last := res.Trace[len(res.Trace)-1]
-	if res.TauSeq.Len() != last.LenOut {
-		t.Errorf("tau_seq length %d != last iteration %d", res.TauSeq.Len(), last.LenOut)
-	}
-	if res.SeqDetected.Count() != last.DetectedC {
-		t.Errorf("tau_seq coverage %d != last iteration %d", res.SeqDetected.Count(), last.DetectedC)
-	}
-	// Regardless of the rule, the overall flow still covers C.
-	if !res.FinalDetected.ContainsAll(fx.comb.Detected) {
-		t.Error("paper-literal rule lost coverage")
 	}
 }
 

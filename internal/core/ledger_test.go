@@ -35,8 +35,7 @@ func sameTests(a, b *scan.Set) bool {
 }
 
 // TestLedgerEquivalence checks the ledger shortcuts of a full Run
-// against cold recomputation, at several worker counts, with and
-// without transfer sequences:
+// against cold recomputation, at several worker counts:
 //
 //   - Final equals an unseeded scomp.Compact of Initial, so seeding
 //     Phase 4 with the τ_seq record changes nothing;
@@ -51,43 +50,40 @@ func TestLedgerEquivalence(t *testing.T) {
 	for _, seed := range []int64{101, 107} {
 		fx := newFixture(t, seed)
 		perm := adi.Install(fx.s, adi.Options{Seed: seed})
-		for _, xferLen := range []int{0, 4} {
-			static := scomp.Options{TransferLen: xferLen, Seed: 404}
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("seed=%d xfer=%d workers=%d", seed, xferLen, workers)
-				fx.s.SetWorkers(workers)
-				fx.s.SetOrder(nil)
-				res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{Static: static})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if want, _ := scomp.Compact(fx.s, res.Initial, static); !sameTests(res.Final, want) {
-					t.Fatalf("%s: final set differs from an unseeded compaction of the initial set", name)
-				}
-				cold := fault.NewSet(fx.faults)
-				for _, tst := range res.Final.Tests {
-					cold.UnionWith(fx.s.DetectTest(tst.SI, tst.Seq, nil))
-				}
-				if !res.FinalDetected.Equal(cold) {
-					t.Fatalf("%s: final detected %d faults, cold re-grade %d",
-						name, res.FinalDetected.Count(), cold.Count())
-				}
-				if seq := fx.s.DetectTest(res.TauSeq.SI, res.TauSeq.Seq, nil); !res.SeqDetected.Equal(seq) {
-					t.Fatalf("%s: tau_seq detected %d faults, cold re-grade %d",
-						name, res.SeqDetected.Count(), seq.Count())
-				}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			fx.s.SetWorkers(workers)
+			fx.s.SetOrder(nil)
+			res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if want, _ := scomp.Compact(fx.s, res.Initial, scomp.Options{}); !sameTests(res.Final, want) {
+				t.Fatalf("%s: final set differs from an unseeded compaction of the initial set", name)
+			}
+			cold := fault.NewSet(fx.faults)
+			for _, tst := range res.Final.Tests {
+				cold.UnionWith(fx.s.DetectTest(tst.SI, tst.Seq, nil))
+			}
+			if !res.FinalDetected.Equal(cold) {
+				t.Fatalf("%s: final detected %d faults, cold re-grade %d",
+					name, res.FinalDetected.Count(), cold.Count())
+			}
+			if seq := fx.s.DetectTest(res.TauSeq.SI, res.TauSeq.Seq, nil); !res.SeqDetected.Equal(seq) {
+				t.Fatalf("%s: tau_seq detected %d faults, cold re-grade %d",
+					name, res.SeqDetected.Count(), seq.Count())
+			}
 
-				fx.s.SetOrder(perm)
-				ord, err := Run(fx.s, fx.C, fx.t0.Seq, Options{Static: static})
-				if err != nil {
-					t.Fatalf("%s ordered: %v", name, err)
-				}
-				if !sameTests(ord.Final, res.Final) || !sameTests(ord.Initial, res.Initial) || !sameTest(ord.TauSeq, res.TauSeq) {
-					t.Fatalf("%s: ADI-ordered run built different test sets", name)
-				}
-				if !ord.FinalDetected.Equal(res.FinalDetected) || !ord.SeqDetected.Equal(res.SeqDetected) {
-					t.Fatalf("%s: ADI-ordered run detected different faults", name)
-				}
+			fx.s.SetOrder(perm)
+			ord, err := Run(fx.s, fx.C, fx.t0.Seq, Options{})
+			if err != nil {
+				t.Fatalf("%s ordered: %v", name, err)
+			}
+			if !sameTests(ord.Final, res.Final) || !sameTests(ord.Initial, res.Initial) || !sameTest(ord.TauSeq, res.TauSeq) {
+				t.Fatalf("%s: ADI-ordered run built different test sets", name)
+			}
+			if !ord.FinalDetected.Equal(res.FinalDetected) || !ord.SeqDetected.Equal(res.SeqDetected) {
+				t.Fatalf("%s: ADI-ordered run detected different faults", name)
 			}
 		}
 	}

@@ -253,10 +253,6 @@ func (s *Simulator) release(w *worker) {
 	s.mu.Unlock()
 }
 
-// Chain returns the scanned flip-flop positions in scan order, or nil
-// under full scan. Do not modify the returned slice.
-func (s *Simulator) Chain() []int { return s.chain }
-
 // Nsv returns the number of scanned state variables (the cost model's
 // N_SV): the chain length, or every flip-flop under full scan.
 func (s *Simulator) Nsv() int {

@@ -148,32 +148,6 @@ func (p *Profile) EarliestPrefixCovering(must *fault.Set) int {
 	return -1
 }
 
-// BestPrefix returns, among prefixes u that cover must, the one detecting
-// the largest total number of simulated faults, breaking ties toward the
-// smallest u (the paper's alternative i_1 rule). It returns -1 if no
-// prefix covers must.
-func (p *Profile) BestPrefix(must *fault.Set) (u int, detected *fault.Set) {
-	best := -1
-	var bestSet *fault.Set
-	bestCount := -1
-	for u := 0; u < p.seqLen; u++ {
-		covered := true
-		must.ForEach(func(f int) {
-			if covered && !p.DetectedByPrefix(f, u) {
-				covered = false
-			}
-		})
-		if !covered {
-			continue
-		}
-		set := p.DetectedByPrefixSet(u)
-		if c := set.Count(); c > bestCount {
-			best, bestSet, bestCount = u, set, c
-		}
-	}
-	return best, bestSet
-}
-
 func (p *Profile) setStateDiff(f, u int) {
 	if p.stateDiff[f] == nil {
 		p.stateDiff[f] = make([]uint64, (p.seqLen+63)/64)

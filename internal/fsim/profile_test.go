@@ -127,32 +127,6 @@ func TestProfileScanOutNonMonotone(t *testing.T) {
 	}
 }
 
-func TestBestPrefix(t *testing.T) {
-	c := samples.S27()
-	faults := fault.Collapse(c)
-	s := New(c, faults)
-	r := rand.New(rand.NewSource(55))
-	seq := randomSeq(r, c.NumPIs(), 25)
-	si := vec("101")
-	p := s.Profile(si, seq, nil)
-	full := p.DetectedFull()
-	u0 := p.EarliestPrefixCovering(full)
-	u1, set1 := p.BestPrefix(full)
-	if u1 < 0 {
-		t.Fatal("BestPrefix found nothing though full coverage exists")
-	}
-	if set1 == nil || !set1.ContainsAll(full) {
-		t.Error("BestPrefix set must cover the required faults")
-	}
-	// i_1 maximizes count, so its count is >= the i_0 prefix count.
-	if u0 >= 0 {
-		c0 := p.DetectedByPrefixSet(u0).Count()
-		if set1.Count() < c0 {
-			t.Errorf("BestPrefix count %d < earliest-prefix count %d", set1.Count(), c0)
-		}
-	}
-}
-
 func TestProfileEmptySequence(t *testing.T) {
 	c := samples.Toggle()
 	s := New(c, fault.Collapse(c))

@@ -121,10 +121,11 @@ func ConfigFingerprint(cfg workload.Config, seed int64) string {
 	fmt.Fprintf(&sb, "v2;seed=%d;t0max=%d;randlen=%d;t0comp=omit;", seed, cfg.T0MaxLen, cfg.RandomT0Len)
 	fmt.Fprintf(&sb, "skiprand=%t;skipdyn=%t;skipbase=%t;skipdir=%t;uncollapsed=false;scanffs=%d;",
 		cfg.SkipRandom, cfg.SkipDynamic, cfg.SkipBaselines, cfg.SkipDirected, cfg.ScanFFs)
+	// The five false flags and the 0 are core's retired ablation switches
+	// and omission bound, written at their zero values to keep every key.
 	co := cfg.Core
-	fmt.Fprintf(&sb, "core=%d,%t,%t,%t,%t,%t,%d,%d,%d",
-		co.MaxIterations, co.UseBestPrefix, co.SkipOmission, co.SkipStaticCompaction,
-		co.SkipIteration, co.UseLastIteration, co.OmitMaxLen, co.SIScoreSample, co.SICandidateLimit)
+	fmt.Fprintf(&sb, "core=%d,false,false,false,false,false,0,%d,%d",
+		co.MaxIterations, co.SIScoreSample, co.SICandidateLimit)
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:16])
 }

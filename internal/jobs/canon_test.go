@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -138,6 +139,9 @@ func TestConfigFingerprintSensitiveToResults(t *testing.T) {
 		"skipbase":    ConfigFingerprint(workload.Config{SkipBaselines: true}, 1),
 		"skipdir":     ConfigFingerprint(workload.Config{SkipDirected: true}, 1),
 		"scanffs":     ConfigFingerprint(workload.Config{ScanFFs: 3}, 1),
+		"maxiter":     ConfigFingerprint(workload.Config{Core: core.Options{MaxIterations: 3}}, 1),
+		"siscore":     ConfigFingerprint(workload.Config{Core: core.Options{SIScoreSample: 100}}, 1),
+		"sicand":      ConfigFingerprint(workload.Config{Core: core.Options{SICandidateLimit: 10}}, 1),
 	} {
 		for prev, pfp := range seen {
 			if fp == pfp {

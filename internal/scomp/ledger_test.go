@@ -63,27 +63,17 @@ func setsIdentical(a, b *scan.Set) bool {
 // row-major order:
 //
 //   - risk = (cred_i ∪ cred_j) minus every other live test's credit;
-//   - the combination is accepted iff it detects the whole risk set,
-//     directly or, when that fails and transfers are enabled, with the
-//     transfer sequence spliced in;
+//   - the combination is accepted iff it detects the whole risk set;
 //   - the new credit is the combination's detections ∩ (cred_i ∪ cred_j).
 //
 // The engine, too, credits a combination only inside cred_i ∪ cred_j,
 // so a whole-union re-grade would not be a like-for-like reference.
-// Like the engine, an accept at the last live pair of a scan restarts
-// the scan from the first pair within the same round.
-func referenceCompact(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, Stats) {
+// A round ends after the last live pair of the scan, accepted or not.
+func referenceCompact(s *fsim.Simulator, ts *scan.Set) (*scan.Set, Stats) {
 	var st Stats
 	n := len(ts.Tests)
 	if n <= 1 {
 		return ts.Clone(), st
-	}
-	if max := s.Nsv() - 1; opt.TransferLen > max {
-		opt.TransferLen = max
-	}
-	var r *rand.Rand
-	if opt.TransferLen > 0 {
-		r = rand.New(rand.NewSource(opt.Seed))
 	}
 	tests := make([]scan.Test, n)
 	cred := make([]*fault.Set, n) // nil once the test is absorbed
@@ -91,24 +81,16 @@ func referenceCompact(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, 
 		tests[i] = t.Clone()
 		cred[i] = s.DetectTest(t.SI, t.Seq, nil)
 	}
-	detectsAll := func(t scan.Test, risk *fault.Set) bool {
-		return s.DetectTest(t.SI, t.Seq, risk).ContainsAll(risk)
-	}
-
-	live := func(p int) bool {
-		i, j := p/n, p%n
-		return i != j && cred[i] != nil && cred[j] != nil
-	}
 
 	for {
 		st.Rounds++
 		changed := false
 		// p walks the ordered pairs (p/n, p%n) in row-major order.
 		for p := 0; p < n*n; p++ {
-			if !live(p) {
+			i, j := p/n, p%n
+			if i == j || cred[i] == nil || cred[j] == nil {
 				continue
 			}
-			i, j := p/n, p%n
 			union := cred[i].Clone()
 			union.UnionWith(cred[j])
 			risk := union.Clone()
@@ -122,40 +104,16 @@ func referenceCompact(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, 
 				Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
 			}
 			st.Attempts++
-			if !detectsAll(combined, risk) {
-				if opt.TransferLen <= 0 {
-					continue
-				}
-				xfer := transferSequence(s, tests[i], tests[j].SI, opt, r)
-				if xfer == nil {
-					continue
-				}
-				combined.Seq = append(append(tests[i].Seq.Clone(), xfer...), tests[j].Seq.Clone()...)
-				st.Attempts++
-				if !detectsAll(combined, risk) {
-					continue
-				}
-				st.TransferCombined++
-				st.TransferVectors += len(xfer)
-			}
-			// An accept at the last live pair restarts the scan.
-			restart := true
-			for q := p + 1; q < n*n && restart; q++ {
-				restart = !live(q)
+			if !s.DetectTest(combined.SI, combined.Seq, risk).ContainsAll(risk) {
+				continue
 			}
 			cred[i] = s.DetectTest(combined.SI, combined.Seq, union)
 			cred[j] = nil
 			tests[i] = combined
 			st.Combined++
 			changed = true
-			if restart {
-				p = -1
-			}
 		}
 		if !changed {
-			break
-		}
-		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
 			break
 		}
 	}
@@ -170,48 +128,42 @@ func referenceCompact(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set, 
 }
 
 // TestLedgerEquivalence checks the ledger engine against
-// referenceCompact at several worker counts, with and without transfer
-// sequences and with the simulation order re-ranked between rounds: it
-// must combine exactly the same pairs in the same order, producing an
-// identical test set.
+// referenceCompact at several worker counts and with the simulation
+// order re-ranked between rounds: it must combine exactly the same
+// pairs in the same order, producing an identical test set.
 func TestLedgerEquivalence(t *testing.T) {
 	totalShort := 0
-	// Seed 15 with transfers accepts at the last live pair of a scan,
-	// which restarts the scan.
-	for _, seed := range []int64{5, 11, 15} {
-		for _, xferLen := range []int{0, 3} {
-			p, ts := ledgerFixture(t, seed, 12)
-			c := gen.MustGenerate(*p)
-			faults := fault.Collapse(c)
+	// Seed 66 accepts at the last live pair of a scan, which ends the
+	// round.
+	for _, seed := range []int64{5, 11, 15, 66} {
+		p, ts := ledgerFixture(t, seed, 12)
+		c := gen.MustGenerate(*p)
+		faults := fault.Collapse(c)
 
-			ref, refSt := referenceCompact(fsim.New(c, faults), ts, Options{TransferLen: xferLen})
+		ref, refSt := referenceCompact(fsim.New(c, faults), ts)
 
-			for _, workers := range []int{1, 4} {
-				for _, ordered := range []bool{false, true} {
-					name := fmt.Sprintf("seed=%d xfer=%d workers=%d adi=%v",
-						seed, xferLen, workers, ordered)
-					s := fsim.New(c, faults).SetWorkers(workers)
-					if ordered {
-						adi.Install(s, adi.Options{Seed: 7})
-					}
-					entry := s.Order()
-					out, led, st := CompactWithLedger(s, ts, Options{TransferLen: xferLen})
-					if !setsIdentical(out, ref) {
-						t.Fatalf("%s: ledger set differs from the reference (%d vs %d tests)",
-							name, out.NumTests(), ref.NumTests())
-					}
-					if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts ||
-						st.Rounds != refSt.Rounds ||
-						st.TransferCombined != refSt.TransferCombined ||
-						st.TransferVectors != refSt.TransferVectors {
-						t.Fatalf("%s: trial stats differ: %+v vs %+v", name, st, refSt)
-					}
-					if got := s.Order(); (got == nil) != (entry == nil) {
-						t.Fatalf("%s: entry simulation order not restored", name)
-					}
-					verifyLedger(t, name, c, faults, out, led)
-					totalShort += st.ShortCircuits
+		for _, workers := range []int{1, 4} {
+			for _, ordered := range []bool{false, true} {
+				name := fmt.Sprintf("seed=%d workers=%d adi=%v", seed, workers, ordered)
+				s := fsim.New(c, faults).SetWorkers(workers)
+				if ordered {
+					adi.Install(s, adi.Options{Seed: 7})
 				}
+				entry := s.Order()
+				out, led, st := CompactWithLedger(s, ts, Options{})
+				if !setsIdentical(out, ref) {
+					t.Fatalf("%s: ledger set differs from the reference (%d vs %d tests)",
+						name, out.NumTests(), ref.NumTests())
+				}
+				if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts ||
+					st.Rounds != refSt.Rounds {
+					t.Fatalf("%s: trial stats differ: %+v vs %+v", name, st, refSt)
+				}
+				if got := s.Order(); (got == nil) != (entry == nil) {
+					t.Fatalf("%s: entry simulation order not restored", name)
+				}
+				verifyLedger(t, name, c, faults, out, led)
+				totalShort += st.ShortCircuits
 			}
 		}
 	}

@@ -16,9 +16,7 @@ import (
 // TestCompactPreservesCoverageOracle checks [4]'s static-combining
 // contract against the reference simulator: the compacted set covers
 // everything the initial set covered, costs no more cycles, and its
-// coverage claim survives a full (unsampled) oracle audit. Transfer
-// sequences are exercised too, since they splice synthesized vectors
-// into tests.
+// coverage claim survives a full (unsampled) oracle audit.
 func TestCompactPreservesCoverageOracle(t *testing.T) {
 	c := gen.MustGenerate(gen.Params{Name: "sc", Seed: 41, PIs: 4, POs: 3, FFs: 7, Gates: 90})
 	faults := fault.Collapse(c)
@@ -31,25 +29,21 @@ func TestCompactPreservesCoverageOracle(t *testing.T) {
 	initial := scomp.FromCombTests(comb.Tests)
 	required := orc.DetectSet(initial, nil)
 
-	for _, opt := range []scomp.Options{{}, {TransferLen: 3, Seed: 5}} {
-		compacted, st := scomp.Compact(s, initial, opt)
-		after := orc.DetectSet(compacted, nil)
-		if !after.ContainsAll(required) {
-			missing := required.Clone()
-			missing.SubtractWith(after)
-			t.Fatalf("opt %+v: combining lost %d faults (%d combinations)",
-				opt, missing.Count(), st.Combined)
-		}
-		nsv := c.NumFFs()
-		if compacted.Cycles(nsv) > initial.Cycles(nsv) {
-			t.Fatalf("opt %+v: compaction raised N_cyc (%d → %d)",
-				opt, initial.Cycles(nsv), compacted.Cycles(nsv))
-		}
-		rep := oracle.AuditCoverage(c, faults, nil, compacted, after, required,
-			oracle.AuditOptions{SampleFaults: -1, SampleTests: -1})
-		if !rep.Ok() {
-			t.Fatalf("opt %+v: audit failed:\n%s", opt, rep)
-		}
+	compacted, st := scomp.Compact(s, initial, scomp.Options{})
+	after := orc.DetectSet(compacted, nil)
+	if !after.ContainsAll(required) {
+		missing := required.Clone()
+		missing.SubtractWith(after)
+		t.Fatalf("combining lost %d faults (%d combinations)", missing.Count(), st.Combined)
+	}
+	nsv := c.NumFFs()
+	if compacted.Cycles(nsv) > initial.Cycles(nsv) {
+		t.Fatalf("compaction raised N_cyc (%d → %d)", initial.Cycles(nsv), compacted.Cycles(nsv))
+	}
+	rep := oracle.AuditCoverage(c, faults, nil, compacted, after, required,
+		oracle.AuditOptions{SampleFaults: -1, SampleTests: -1})
+	if !rep.Ok() {
+		t.Fatalf("audit failed:\n%s", rep)
 	}
 }
 

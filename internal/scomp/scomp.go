@@ -30,38 +30,15 @@
 package scomp
 
 import (
-	"math/rand"
-
 	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/fsim"
-	"repro/internal/logic"
 	"repro/internal/scan"
-	"repro/internal/sim"
 )
 
-// Options configures the combining loop.
+// Options configures the combining loop. The zero value runs the plain
+// procedure of [4], the one the paper uses in Phase 4.
 type Options struct {
-	// MaxRounds bounds the number of full passes over all test pairs
-	// (0 = no bound; the procedure runs to its natural fixpoint).
-	MaxRounds int
-
-	// TransferLen enables the improvement of [7] ("Reducing Test
-	// Application Time for Full Scan Circuits by the Addition of
-	// Transfer Sequences", ATS 2000): when the direct combination of
-	// τ_i and τ_j fails, a transfer sequence X of at most TransferLen
-	// functional vectors is synthesized to steer the state reached after
-	// T_i toward SI_j, and the combination (SI_i, T_i·X·T_j) is tried
-	// instead. Profitable whenever len(X) < N_SV, since the combination
-	// removes one scan operation. 0 disables transfer sequences (the
-	// plain [4] procedure the paper uses).
-	TransferLen int
-	// TransferCandidates is the number of candidate vectors evaluated
-	// per transfer step (0 = default 8).
-	TransferCandidates int
-	// Seed drives transfer-candidate generation.
-	Seed int64
-
 	// InitialRecords optionally seeds the ledger rows of the input tests
 	// (index-aligned with ts.Tests; nil entries are graded normally).
 	// Each record must be the exact full-fault-list Record of its test —
@@ -71,20 +48,16 @@ type Options struct {
 
 // Stats describes one compaction run.
 type Stats struct {
-	Combined         int // accepted pair combinations
-	TransferCombined int // combinations accepted only thanks to a transfer sequence
-	TransferVectors  int // total transfer vectors inserted
-	Attempts         int // candidate trials, transfer retries included
-	Rounds           int // full passes over the pair space
-	ShortCircuits    int // trials committed without any simulation (risk fully carried by the ledger)
-	FaultsSimulated  int // total fault slots across all trial/accept simulations
+	Combined        int // accepted pair combinations
+	Attempts        int // candidate trials
+	Rounds          int // full passes over the pair space
+	ShortCircuits   int // trials committed without any simulation (risk fully carried by the ledger)
+	FaultsSimulated int // total fault slots across all trial/accept simulations
 }
 
 // Add accumulates o into s (used by core to aggregate per-phase stats).
 func (s *Stats) Add(o Stats) {
 	s.Combined += o.Combined
-	s.TransferCombined += o.TransferCombined
-	s.TransferVectors += o.TransferVectors
 	s.Attempts += o.Attempts
 	s.Rounds += o.Rounds
 	s.ShortCircuits += o.ShortCircuits
@@ -119,15 +92,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 			}
 		}
 		return ts.Clone(), led, st
-	}
-	if max := s.Nsv() - 1; opt.TransferLen > max {
-		// Longer transfers than N_SV-1 cannot be profitable: the scan
-		// operation they replace costs N_SV cycles.
-		opt.TransferLen = max
-	}
-	var r *rand.Rand
-	if opt.TransferLen > 0 {
-		r = rand.New(rand.NewSource(opt.Seed))
 	}
 
 	tests := make([]scan.Test, n)
@@ -289,46 +253,21 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 				hit = true
 			default:
 				st.FaultsSimulated += mustSim.Count()
-				if opt.TransferLen > 0 {
-					// [7]: steer the post-T_i state toward SI_j with a
-					// short transfer sequence and retry. The T_i prefix
-					// is intact, so the carried PO detections still
-					// stand and mustSim is unchanged.
-					if xfer := transferSequence(s, tests[i], tests[j].SI, opt, r); xfer != nil {
-						withX := scan.Test{
-							SI: tests[i].SI.Clone(),
-							Seq: append(append(tests[i].Seq.Clone(), xfer...),
-								tests[j].Seq.Clone()...),
-						}
-						st.Attempts++
-						st.FaultsSimulated += mustSim.Count()
-						if rec2, ok2 := s.RecordMust(withX.Seq,
-							fsim.Options{Init: withX.SI, ScanOut: true}, mustSim); ok2 {
-							combined = withX
-							recMust = rec2
-							hit = true
-							st.TransferCombined++
-							st.TransferVectors += len(xfer)
-						}
-					}
-				}
 			}
 			// The successor is taken before an accept changes the live
-			// set. After an accept at the last live pair there is none
-			// (nextPair returns 0, 0), so the scan restarts from the
-			// first pair within the same round.
+			// set. After an accept at the last live pair there is none,
+			// and the round ends.
 			ti, tj := i, j
 			i, j, ok = nextPair(ti, tj+1)
 			if hit {
 				accept(ti, tj, combined, recMust)
 				changed = true
-				i, j, ok = nextPair(i, j)
+				if ok {
+					i, j, ok = nextPair(i, j)
+				}
 			}
 		}
 		if !changed {
-			break
-		}
-		if opt.MaxRounds > 0 && st.Rounds >= opt.MaxRounds {
 			break
 		}
 	}
@@ -344,110 +283,8 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	return out, outLed, st
 }
 
-// transferSequence greedily builds a sequence of at most opt.TransferLen
-// vectors that drives the good-machine state reached after applying
-// from's test toward the target scan-in state: at each step the
-// candidate vector minimizing the Hamming distance of the next state to
-// target wins. Returns nil when no progress is possible.
-func transferSequence(s *fsim.Simulator, from scan.Test, target logic.Vector, opt Options, r *rand.Rand) logic.Sequence {
-	cands := opt.TransferCandidates
-	if cands <= 0 {
-		cands = 8
-	}
-	c := s.Circuit()
-	eng := sim.New(c)
-	eng.SetStateVector(stateForEngine(s, from.SI))
-	for _, v := range from.Seq {
-		eng.SetPIVector(v)
-		eng.Step()
-	}
-
-	// Resolve the scanned positions once; distanceToTarget runs per
-	// candidate per step and must not rebuild the full-scan chain.
-	chain := s.Chain()
-	if chain == nil {
-		chain = make([]int, c.NumFFs())
-		for i := range chain {
-			chain[i] = i
-		}
-	}
-
-	var out logic.Sequence
-	cur := distanceToTarget(chain, eng, target)
-	for step := 0; step < opt.TransferLen; step++ {
-		if cur == 0 {
-			break
-		}
-		var bestVec logic.Vector
-		bestDist := cur
-		state := eng.StateWords(nil)
-		for k := 0; k < cands; k++ {
-			v := make(logic.Vector, c.NumPIs())
-			for i := range v {
-				v[i] = logic.Value(r.Intn(2))
-			}
-			eng.LoadStateWords(state)
-			eng.SetPIVector(v)
-			eng.Step()
-			if d := distanceToTarget(chain, eng, target); d < bestDist {
-				bestDist, bestVec = d, v
-			}
-		}
-		eng.LoadStateWords(state)
-		if bestVec == nil {
-			break // no candidate makes progress
-		}
-		eng.SetPIVector(bestVec)
-		eng.Step()
-		out = append(out, bestVec)
-		cur = bestDist
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// stateForEngine expands a scan-in vector (chain-indexed under partial
-// scan) into a full flip-flop state vector for a raw engine.
-func stateForEngine(s *fsim.Simulator, si logic.Vector) logic.Vector {
-	c := s.Circuit()
-	full := logic.NewVector(c.NumFFs(), logic.X)
-	chain := s.Chain()
-	if chain == nil {
-		copy(full, si)
-		return full
-	}
-	for k, ff := range chain {
-		if k < len(si) {
-			full[ff] = si[k]
-		}
-	}
-	return full
-}
-
-// distanceToTarget counts the chained flip-flops whose current value
-// definitely differs from (or cannot be confirmed equal to) the target
-// scan-in value.
-func distanceToTarget(chain []int, eng *sim.Engine, target logic.Vector) int {
-	d := 0
-	for k, ff := range chain {
-		want := logic.X
-		if k < len(target) {
-			want = target[k]
-		}
-		if !want.IsBinary() {
-			continue
-		}
-		if got := eng.State(ff).Get(0); got != want {
-			d++
-		}
-	}
-	return d
-}
-
-// InitialFromComb converts a combinational test set (state, PI) pairs
-// into the length-1 scan test set that [4] uses as its starting point.
+// CombSource is a combinational test, a (state, PI) pair, that converts
+// into the length-1 scan test [4] starts from.
 type CombSource interface {
 	ScanTest() scan.Test
 }

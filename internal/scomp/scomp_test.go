@@ -97,17 +97,6 @@ func TestCompactDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestCompactMaxRounds(t *testing.T) {
-	s, initial, want := buildC(t, 6)
-	out, st := Compact(s, initial, Options{MaxRounds: 1})
-	if st.Rounds > 1 {
-		t.Errorf("rounds = %d despite MaxRounds 1", st.Rounds)
-	}
-	if !coverage(s, out).ContainsAll(want) {
-		t.Error("coverage lost under round limit")
-	}
-}
-
 func TestCompactOnGeneratedCircuit(t *testing.T) {
 	c := gen.MustGenerate(gen.Params{Name: "t", Seed: 12, PIs: 5, POs: 4, FFs: 10, Gates: 120})
 	faults := fault.Collapse(c)

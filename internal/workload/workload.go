@@ -248,7 +248,7 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 			return nil, fmt.Errorf("workload %s: empty T0", name)
 		}
 		t0c := t0res.Seq
-		if len(t0c) <= 800 {
+		if len(t0c) <= core.OmitMaxLen {
 			t0c, _ = vecomit.CompactSequence(s, t0res.Seq, t0res.Detected,
 				vecomit.Options{MaxPasses: 1})
 		}
