@@ -21,28 +21,20 @@ import (
 	"repro/internal/logic"
 )
 
-// Options tunes the random-pattern sampling budget.
+// patterns is the number of random scan tests sampled. Each test costs
+// one full-universe grading pass set, so the budget is the dominant cost
+// of Compute.
+const patterns = 32
+
+// seqLen is the functional sequence length of each sampled test: one
+// capture cycle plus scan-out already separates easy from hard faults
+// well.
+const seqLen = 1
+
+// Options configures the random-pattern sampling.
 type Options struct {
-	// Patterns is the number of random scan tests sampled (0 = 32).
-	// Each test costs one full-universe grading pass set, so the budget
-	// is the dominant cost of Compute.
-	Patterns int
-	// SeqLen is the functional sequence length of each sampled test
-	// (0 = 1): one capture cycle plus scan-out already separates easy
-	// from hard faults well.
-	SeqLen int
 	// Seed makes the sample reproducible.
 	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Patterns == 0 {
-		o.Patterns = 32
-	}
-	if o.SeqLen == 0 {
-		o.SeqLen = 1
-	}
-	return o
 }
 
 // Compute returns the accidental-detection index of every fault in s's
@@ -50,16 +42,15 @@ func (o Options) withDefaults() Options {
 // sample is drawn from opt.Seed, so scores are reproducible; they do not
 // depend on worker count or pass packing (detection is exact).
 func Compute(s *fsim.Simulator, opt Options) []int {
-	opt = opt.withDefaults()
 	r := rand.New(rand.NewSource(opt.Seed))
 	scores := make([]int, s.NumFaults())
 	nsv, npi := s.Nsv(), s.Circuit().NumPIs()
-	for p := 0; p < opt.Patterns; p++ {
+	for p := 0; p < patterns; p++ {
 		si := make(logic.Vector, nsv)
 		for i := range si {
 			si[i] = logic.Value(r.Intn(2))
 		}
-		seq := make(logic.Sequence, opt.SeqLen)
+		seq := make(logic.Sequence, seqLen)
 		for u := range seq {
 			seq[u] = make(logic.Vector, npi)
 			for i := range seq[u] {

@@ -21,7 +21,7 @@ func rosterSim(t *testing.T, name string) *fsim.Simulator {
 
 func TestComputeDeterministic(t *testing.T) {
 	s := rosterSim(t, "s298")
-	opt := Options{Patterns: 8, Seed: 42}
+	opt := Options{Seed: 42}
 	a := Compute(s, opt)
 	b := Compute(s, opt)
 	if len(a) != s.NumFaults() {
@@ -32,8 +32,8 @@ func TestComputeDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("fault %d: scores differ across identical runs (%d vs %d)", i, a[i], b[i])
 		}
-		if a[i] < 0 || a[i] > opt.Patterns {
-			t.Fatalf("fault %d: score %d outside [0, %d]", i, a[i], opt.Patterns)
+		if a[i] < 0 || a[i] > patterns {
+			t.Fatalf("fault %d: score %d outside [0, %d]", i, a[i], patterns)
 		}
 		if a[i] > 0 {
 			nonzero++
@@ -106,7 +106,7 @@ func TestInstallResultsInvariant(t *testing.T) {
 		faults := fault.Collapse(c)
 		plain := fsim.New(c, faults)
 		ordered := fsim.New(c, faults)
-		perm := Install(ordered, Options{Patterns: 16, Seed: 5})
+		perm := Install(ordered, Options{Seed: 5})
 		if len(perm) != len(faults) {
 			t.Fatalf("%s: perm length %d, want %d", name, len(perm), len(faults))
 		}
@@ -139,8 +139,11 @@ func TestInstallResultsInvariant(t *testing.T) {
 			if !gotSub.Equal(wantSub) {
 				t.Fatalf("%s rep %d: targeted detection differs", name, rep)
 			}
-			if pa, oa := plain.AllDetected(si, seq, want), ordered.AllDetected(si, seq, want); pa != oa {
-				t.Fatalf("%s rep %d: AllDetected answers differ (%v vs %v)", name, rep, pa, oa)
+			opt := fsim.Options{Init: si, ScanOut: true}
+			plainRec, pa := plain.RecordMustInto(nil, seq, opt, want)
+			ordRec, oa := ordered.RecordMustInto(nil, seq, opt, want)
+			if pa != oa || !plainRec.Detected().Equal(ordRec.Detected()) {
+				t.Fatalf("%s rep %d: must-detect checks differ (%v vs %v)", name, rep, pa, oa)
 			}
 		}
 	}
@@ -195,7 +198,7 @@ func TestOrderedDroppingReducesWork(t *testing.T) {
 	}
 	plain := fsim.New(c, faults)
 	ordered := fsim.New(c, faults)
-	Install(ordered, Options{Patterns: 32, Seed: 9})
+	Install(ordered, Options{Seed: 9})
 	wantDet, base := grade(plain)
 	ordered.ResetStats() // exclude the sampling cost from the comparison
 	gotDet, opt := grade(ordered)

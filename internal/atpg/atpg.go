@@ -203,8 +203,8 @@ func fillRandom(r *rand.Rand, v logic.Vector) {
 }
 
 // RunPodem exposes a single-fault PODEM run under full scan: it returns
-// the input assignment split into a test, and the search status. Used by
-// tests, diagnostics and the cmd/atpg tool.
+// the input assignment split into a test, and the search status. The
+// tests use it to check PODEM against exhaustive search.
 func RunPodem(c *circuit.Circuit, f fault.Fault, backtrackLimit int) (CombTest, Status) {
 	return RunPodemChain(c, f, backtrackLimit, nil)
 }

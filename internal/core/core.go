@@ -397,32 +397,3 @@ func sampleSet(src *fault.Set, limit int) *fault.Set {
 	})
 	return out
 }
-
-// Summary condenses a Result into the row data the paper's tables use.
-type Summary struct {
-	T0Detected    int
-	SeqDetected   int
-	FinalDetected int
-	T0Len         int
-	SeqLen        int
-	Added         int
-	InitCycles    int
-	CompCycles    int
-	AtSpeed       scan.AtSpeedStats
-}
-
-// Summarize computes the table-level metrics for a run on a circuit with
-// nsv scanned state variables.
-func (r *Result) Summarize(nsv int) Summary {
-	return Summary{
-		T0Detected:    r.T0Detected.Count(),
-		SeqDetected:   r.SeqDetected.Count(),
-		FinalDetected: r.FinalDetected.Count(),
-		T0Len:         r.T0Len,
-		SeqLen:        r.TauSeq.Len(),
-		Added:         r.Added,
-		InitCycles:    r.Initial.Cycles(nsv),
-		CompCycles:    r.Final.Cycles(nsv),
-		AtSpeed:       r.Final.AtSpeed(),
-	}
-}

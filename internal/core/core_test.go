@@ -167,24 +167,6 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	fx := newFixture(t, 108)
-	res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := res.Summarize(fx.nsv)
-	if sum.T0Detected != res.T0Detected.Count() || sum.SeqLen != res.TauSeq.Len() {
-		t.Error("summary fields inconsistent")
-	}
-	if sum.InitCycles != res.Initial.Cycles(fx.nsv) || sum.CompCycles != res.Final.Cycles(fx.nsv) {
-		t.Error("summary cycles inconsistent")
-	}
-	if sum.CompCycles > sum.InitCycles {
-		t.Error("compacted cycles exceed initial")
-	}
-}
-
 func TestRunOnS27(t *testing.T) {
 	c := samples.S27()
 	faults := fault.Collapse(c)

@@ -49,8 +49,7 @@ func TestRunPartialScan(t *testing.T) {
 	if len(res.TauSeq.SI) != ch.Nsv() {
 		t.Errorf("tau_seq SI width %d, want chain %d", len(res.TauSeq.SI), ch.Nsv())
 	}
-	sum := res.Summarize(s.Nsv())
-	if sum.CompCycles > sum.InitCycles {
+	if res.Final.Cycles(s.Nsv()) > res.Initial.Cycles(s.Nsv()) {
 		t.Error("phase 4 grew cycles under partial scan")
 	}
 	// Coverage: complete relative to the partial-scan-detectable set.

@@ -18,6 +18,12 @@
 // flip-flop state after the final functional clock differs observably
 // (full scan makes every flip-flop observable at scan-out).
 //
+// Every run goes through one pass loop. Detect and DetectTest grade;
+// Record and RecordTest also keep the per-fault detection record behind
+// the compaction ledger; RecordMustInto is the must-detect check of the
+// compaction trials, with a cross-pass early abort; Profile records
+// per-time detections for Phase 1.
+//
 // Simulation passes are independent, so a Simulator can shard them over
 // a pool of workers (SetWorkers); each worker owns a private batch engine
 // and detection results are merged after the fan-out.
@@ -120,7 +126,7 @@ type worker struct {
 	beng    *sim.BatchEngine
 	binjBuf []sim.BatchInjection
 	maskBuf []uint64 // per-fault kernel injection masks
-	vecBuf  []uint64 // batch/detected/diff/potential mask scratch
+	vecBuf  []uint64 // batch/detected/diff mask scratch
 }
 
 // kernel returns the worker's batch engine switched to the given width.
@@ -282,14 +288,6 @@ type Options struct {
 	// Targets limits simulation to the faults in the set; nil simulates
 	// the whole fault list.
 	Targets *fault.Set
-	// Potential, when non-nil, additionally collects potential
-	// detections: faults whose faulty machine shows X at an observation
-	// point where the good machine is definite. On silicon such a fault
-	// is detected with some probability; sequential ATPG tools report
-	// the count separately. A fault can appear in both sets (hard at one
-	// point, potential at another). Enabling this disables the per-pass
-	// early exit.
-	Potential *fault.Set
 }
 
 // runSpec carries the per-run parameters shared by every pass of one
@@ -317,34 +315,6 @@ func (s *Simulator) Detect(seq logic.Sequence, opt Options) *fault.Set {
 // DetectTest is Detect for a scan test (SI, T) with scan-out observation.
 func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fault.Set) *fault.Set {
 	return s.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets})
-}
-
-// DetectsAll reports whether the run described by opt over seq detects
-// every fault in must (opt.Targets and opt.Potential are overridden).
-// Passes abort early: once a finished pass leaves one of its faults
-// undetected, pending passes are skipped and — with parallel workers —
-// in-flight passes stop at their next time unit. Absence of detection
-// within a single pass still requires replaying that pass to its final
-// observation, so a negative answer costs at least one full pass.
-func (s *Simulator) DetectsAll(seq logic.Sequence, opt Options, must *fault.Set) bool {
-	if must == nil || must.Count() == 0 {
-		return true
-	}
-	opt.Targets = must
-	opt.Potential = nil
-	var abort atomic.Bool
-	detected := fault.NewSet(len(s.faults))
-	s.run(seq, opt, detected, nil, nil, &abort)
-	if abort.Load() {
-		return false
-	}
-	return detected.ContainsAll(must)
-}
-
-// AllDetected reports whether the scan test (si, seq) detects every
-// fault in must, with the early-abort behaviour of DetectsAll.
-func (s *Simulator) AllDetected(si logic.Vector, seq logic.Sequence, must *fault.Set) bool {
-	return s.DetectsAll(seq, Options{Init: si, ScanOut: true}, must)
 }
 
 // targetIndices resolves the target set to a freshly allocated slice of
@@ -386,14 +356,14 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // non-nil abort turns the run into a must-detect check: a completed pass
 // with an undetected fault aborts the remaining ones.
 //
-// In plain detection mode (no abort, profile or potential collection)
-// passes additionally repack: a pass most of whose faults are already
-// detected aborts early and hands its few undetected survivors to the
-// next generation, where survivors from many passes consolidate into
-// fresh, tighter passes (re-simulated from scratch). Per-fault detection
-// is independent of pass packing, so results are bit-identical; each
-// generation is at most half the size of the previous one, so the
-// loop terminates in O(log targets) generations.
+// In plain detection mode (no abort or profile) passes additionally
+// repack: a pass most of whose faults are already detected aborts early
+// and hands its few undetected survivors to the next generation, where
+// survivors from many passes consolidate into fresh, tighter passes
+// (re-simulated from scratch). Per-fault detection is independent of
+// pass packing, so results are bit-identical; each generation is at
+// most half the size of the previous one, so the loop terminates in
+// O(log targets) generations.
 func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, profile *Profile, rec *Record, abort *atomic.Bool) {
 	targets := s.targetIndices(opt.Targets)
 	if len(targets) == 0 {
@@ -405,7 +375,7 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		// per-fault data is packing-independent, and survivors of an
 		// aborted pass are re-simulated from scratch, so their entries are
 		// written (exactly once) by the generation that detects them.
-		repack: abort == nil && profile == nil && opt.Potential == nil && len(seq) > 1,
+		repack: abort == nil && profile == nil && len(seq) > 1,
 	}
 
 	for queue := targets; len(queue) > 0; {
@@ -414,64 +384,43 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		nb := (len(queue) + bs - 1) / bs
 		survByPass := make([][]int, nb)
 
-		workers := s.Workers()
-		if workers > nb {
-			workers = nb
-		}
-		if workers <= 1 {
+		// passes runs the passes it pulls from a shared counter on one
+		// worker, collecting detections into set, until none are left or
+		// the must-detect check fails. Survivors land in a per-pass slot,
+		// so the next generation's queue order does not depend on
+		// goroutine scheduling.
+		var next atomic.Int64
+		passes := func(set *fault.Set) {
 			w := s.acquire()
-			for k := 0; k < nb; k++ {
-				if abort != nil && abort.Load() {
-					break
+			defer s.release(w)
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= nb || abort != nil && abort.Load() {
+					return
 				}
 				batch := queue[k*bs : min((k+1)*bs, len(queue))]
-				survByPass[k] = w.simulate(batch, spec, width, detected, opt.Potential)
-				if abort != nil && !containsAllIdx(detected, batch) {
+				survByPass[k] = w.simulate(batch, spec, width, set)
+				if abort != nil && !containsAllIdx(set, batch) {
 					abort.Store(true)
-					break
+					return
 				}
 			}
-			s.release(w)
+		}
+		if workers := min(s.Workers(), nb); workers <= 1 {
+			passes(detected)
 		} else {
-			// Parallel fan-out: workers pull pass indices from a shared
-			// counter and collect into private sets, merged once at the
-			// end — the hot path takes no locks. Survivors land in a
-			// per-pass slot, so the next generation's queue order does not
-			// depend on goroutine scheduling.
-			var next atomic.Int64
+			// Parallel fan-out: each worker collects into a private set,
+			// merged once at the end — the hot path takes no locks.
 			var mu sync.Mutex
 			var wg sync.WaitGroup
 			for g := 0; g < workers; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					w := s.acquire()
-					defer s.release(w)
 					local := fault.NewSet(len(s.faults))
-					var localPot *fault.Set
-					if opt.Potential != nil {
-						localPot = fault.NewSet(len(s.faults))
-					}
-					for {
-						k := int(next.Add(1)) - 1
-						if k >= nb {
-							break
-						}
-						if abort != nil && abort.Load() {
-							break
-						}
-						batch := queue[k*bs : min((k+1)*bs, len(queue))]
-						survByPass[k] = w.simulate(batch, spec, width, local, localPot)
-						if abort != nil && !containsAllIdx(local, batch) {
-							abort.Store(true)
-							break
-						}
-					}
+					passes(local)
 					mu.Lock()
 					detected.UnionWith(local)
-					if localPot != nil {
-						opt.Potential.UnionWith(localPot)
-					}
 					mu.Unlock()
 				}()
 			}
@@ -501,8 +450,8 @@ func containsAllIdx(set *fault.Set, batch []int) bool {
 // cut the vector count). The returned slice holds the survivors of a
 // repacked pass (nil when the pass ran to completion or fully detected
 // its faults).
-func (w *worker) simulate(batch []int, spec *runSpec, width int, detected, potential *fault.Set) []int {
-	nvec, surv := w.runPass(batch, spec, width, detected, potential)
+func (w *worker) simulate(batch []int, spec *runSpec, width int, detected *fault.Set) []int {
+	nvec, surv := w.runPass(batch, spec, width, detected)
 	w.s.passes.Add(1)
 	w.s.passVectors.Add(int64(nvec))
 	w.s.faultSlots.Add(int64(len(batch)))
@@ -523,13 +472,11 @@ func repackable(u, seqLen int) bool {
 // batch[i] sits in slot i+1. Inputs are broadcast and slot 0 is never
 // injected, so the good value of a signal is bit 0 of its word 0, and
 // every word compares against that bit's broadcast. Detections are added
-// to detected and
-// potential detections to potential (nil = not collected). In profile
-// mode (spec.profile non-nil) per-time detection data is recorded
-// instead of early-exiting. It returns the number of input vectors
-// actually executed, plus the undetected survivors when the pass
-// repacked (see run).
-func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, potential *fault.Set) (int, []int) {
+// to detected. In profile mode (spec.profile non-nil) per-time detection
+// data is recorded instead of early-exiting. It returns the number of
+// input vectors actually executed, plus the undetected survivors when
+// the pass repacked (see run).
+func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
 	eng.Reset()
@@ -540,16 +487,15 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, poten
 		wk.maskBuf = wk.maskBuf[:need]
 		clear(wk.maskBuf)
 	}
-	if cap(wk.vecBuf) < 4*width {
-		wk.vecBuf = make([]uint64, 4*width)
+	if cap(wk.vecBuf) < 3*width {
+		wk.vecBuf = make([]uint64, 3*width)
 	} else {
-		wk.vecBuf = wk.vecBuf[:4*width]
+		wk.vecBuf = wk.vecBuf[:3*width]
 		clear(wk.vecBuf)
 	}
 	batchMask := wk.vecBuf[0*width : 1*width]
 	detMask := wk.vecBuf[1*width : 2*width]
 	diff := wk.vecBuf[2*width : 3*width]
-	pot := wk.vecBuf[3*width : 4*width]
 
 	wk.binjBuf = wk.binjBuf[:0]
 	for bi, fi := range batch {
@@ -572,27 +518,14 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, poten
 		eng.SetPIVector(vec)
 		eng.EvalComb()
 		clear(diff)
-		clear(pot)
 		for i := range s.c.POs {
 			wv := eng.PO(i)
 			g := wv[0].BroadcastSlot(0)
 			for k := 0; k < width; k++ {
 				diff[k] |= logic.DiffDefinite(wv[k], g)
 			}
-			if potential != nil {
-				gd := g.Defined()
-				for k := 0; k < width; k++ {
-					pot[k] |= gd &^ wv[k].Defined()
-				}
-			}
 		}
 		for k := 0; k < width; k++ {
-			if potential != nil {
-				for m := pot[k] & batchMask[k]; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					potential.Add(batch[k*64+b-1])
-				}
-			}
 			d := diff[k] & batchMask[k] &^ detMask[k]
 			if d != 0 {
 				for m := d; m != 0; m &= m - 1 {
@@ -628,7 +561,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, poten
 			}
 			continue
 		}
-		if potential == nil && masksEqual(detMask, batchMask) {
+		if masksEqual(detMask, batchMask) {
 			return u + 1, nil // every fault in this pass already detected
 		}
 		if spec.repack && repackable(u, len(spec.seq)) {
@@ -651,27 +584,14 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected, poten
 	}
 	if spec.scanOut {
 		clear(diff)
-		clear(pot)
 		for _, ff := range s.observed {
 			wv := eng.State(ff)
 			g := wv[0].BroadcastSlot(0)
 			for k := 0; k < width; k++ {
 				diff[k] |= logic.DiffDefinite(wv[k], g)
 			}
-			if potential != nil {
-				gd := g.Defined()
-				for k := 0; k < width; k++ {
-					pot[k] |= gd &^ wv[k].Defined()
-				}
-			}
 		}
 		for k := 0; k < width; k++ {
-			if potential != nil {
-				for m := pot[k] & batchMask[k]; m != 0; m &= m - 1 {
-					b := bits.TrailingZeros64(m)
-					potential.Add(batch[k*64+b-1])
-				}
-			}
 			for m := diff[k] & batchMask[k] &^ detMask[k]; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
 				fi := batch[k*64+b-1]

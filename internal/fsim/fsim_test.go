@@ -186,10 +186,11 @@ func TestAllDetected(t *testing.T) {
 	faults := []fault.Fault{{Node: eni, Pin: -1, Stuck: logic.Zero}}
 	s := New(c, faults)
 	must := fault.FromIndices(1, []int{0})
-	if !s.AllDetected(vec("0"), logic.Sequence{vec("1")}, must) {
+	opt := Options{Init: vec("0"), ScanOut: true}
+	if _, ok := s.RecordMustInto(nil, logic.Sequence{vec("1")}, opt, must); !ok {
 		t.Error("scan test should detect the en fault")
 	}
-	if s.AllDetected(vec("0"), logic.Sequence{vec("0")}, must) {
+	if _, ok := s.RecordMustInto(nil, logic.Sequence{vec("0")}, opt, must); ok {
 		t.Error("en=0 vector cannot detect en s-a-0")
 	}
 }
@@ -210,70 +211,5 @@ func TestCoverage(t *testing.T) {
 	}
 	if Coverage(set, 0) != 0 {
 		t.Error("Coverage with empty universe should be 0")
-	}
-}
-
-func TestPotentialDetections(t *testing.T) {
-	// y = sel ? q : a, with q an uninitialized flip-flop. Without scan,
-	// q is X in both machines. With a=1, sel=0 the good machine drives
-	// y=1 (definite). Under sel s-a-1 the faulty machine selects q=X:
-	// good definite, faulty X — the definition of a potential detection.
-	b := circuit.NewBuilder("pot")
-	b.Input("a")
-	b.Input("sel")
-	b.DFF("q", "d")
-	b.Gate("d", circuit.Buf, "a")
-	b.Gate("nsel", circuit.Not, "sel")
-	b.Gate("t0", circuit.And, "a", "nsel")
-	b.Gate("t1", circuit.And, "q", "sel")
-	b.Gate("y", circuit.Or, "t0", "t1")
-	b.Output("y")
-	c := b.MustBuild()
-	seli, _ := c.NodeByName("sel")
-	faults := []fault.Fault{{Node: seli, Pin: -1, Stuck: logic.One}}
-	s := New(c, faults)
-
-	pot := fault.NewSet(1)
-	hard := s.Detect(logic.Sequence{vec("10")}, Options{Potential: pot})
-	if hard.Has(0) {
-		t.Error("sel s-a-1 must not be hard-detected (faulty output is X)")
-	}
-	if !pot.Has(0) {
-		t.Error("sel s-a-1 must be potentially detected (good 1, faulty X)")
-	}
-
-	// With the flip-flop initialized by a preceding vector, the same
-	// fault becomes a hard detection (q=1 vs a path... drive a=1 twice:
-	// q becomes 1 in both machines, faulty y = q = 1 = good y, still
-	// undetected; drive a=1 then a=0,sel=0: good y=0, faulty y=q=1).
-	pot2 := fault.NewSet(1)
-	hard2 := s.Detect(logic.Sequence{vec("10"), vec("00")}, Options{Potential: pot2})
-	if !hard2.Has(0) {
-		t.Error("after initialization the fault must be hard-detected")
-	}
-}
-
-func TestPotentialNeverBlocksHardDetections(t *testing.T) {
-	// Enabling Potential (which disables the early exit) must not change
-	// the hard detected set.
-	c := samples.S27()
-	faults := fault.Collapse(c)
-	s := New(c, faults)
-	r := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 8; trial++ {
-		seq := randomSeq(r, c.NumPIs(), 8)
-		for u := range seq {
-			seq[u][r.Intn(len(seq[u]))] = logic.X
-		}
-		var init logic.Vector
-		if trial%2 == 0 {
-			init = vec("01x")
-		}
-		plain := s.Detect(seq, Options{Init: init, ScanOut: true})
-		pot := fault.NewSet(len(faults))
-		withPot := s.Detect(seq, Options{Init: init, ScanOut: true, Potential: pot})
-		if !plain.Equal(withPot) {
-			t.Fatalf("trial %d: hard set changed when collecting potentials", trial)
-		}
 	}
 }

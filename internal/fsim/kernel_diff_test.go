@@ -85,10 +85,9 @@ func restrict(set, targets *fault.Set) *fault.Set {
 // scalar reference. The pass width follows the target count, so target
 // sets of 40, 100 and 150 faults run at 1, 2 and 3 words and the full
 // list at 4. At every width, for full and partial scan and for serial
-// and parallel workers, fsim must reproduce oracle.Sim's hard and
-// potential sets, Profile must match the reference on every prefix test
-// (SI, T[0..u]), and AllDetected must accept exactly the detected
-// faults.
+// and parallel workers, fsim must reproduce oracle.Sim's detected set,
+// Profile must match the reference on every prefix test (SI, T[0..u]),
+// and the must-detect check must accept exactly the detected faults.
 func TestKernelWidthEquivalence(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		name := "full"
@@ -98,8 +97,7 @@ func TestKernelWidthEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s, orc, seq, si := kernelDiffFixture(t, partial)
 			n := s.NumFaults()
-			wantPot := fault.NewSet(n)
-			want := orc.Detect(seq, oracle.Options{Init: si, ScanOut: true, Potential: wantPot})
+			want := orc.DetectTest(si, seq, nil)
 			wantPrefix := make([]*fault.Set, len(seq))
 			for u := range seq {
 				wantPrefix[u] = orc.DetectTest(si, seq[:u+1], nil)
@@ -115,26 +113,18 @@ func TestKernelWidthEquivalence(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					t.Run(fmt.Sprintf("w%d/workers%d", words, workers), func(t *testing.T) {
 						s.SetWorkers(workers)
+						wantDet := restrict(want, targets)
+						if det := s.DetectTest(si, seq, targets); !det.Equal(wantDet) {
+							t.Fatalf("detected set differs from oracle: fsim %d, oracle %d", det.Count(), wantDet.Count())
+						}
 						before := s.Stats()
-						pot := fault.NewSet(n)
-						det := s.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: pot})
-						// Potential mode never repacks, so one generation of
-						// passes at the derived width covers the targets.
+						prof := s.Profile(si, seq, targets)
+						// Profile never repacks, so one generation of passes
+						// at the derived width covers the targets.
 						slots := 64*words - 1
 						if got, wantPasses := s.Stats().Sub(before).Passes, int64((size+slots-1)/slots); got != wantPasses {
 							t.Fatalf("%d targets ran in %d passes, want %d at %d words", size, got, wantPasses, words)
 						}
-						wantDet := restrict(want, targets)
-						if !det.Equal(wantDet) {
-							t.Fatalf("detected set differs from oracle: fsim %d, oracle %d", det.Count(), wantDet.Count())
-						}
-						if wp := restrict(wantPot, targets); !pot.Equal(wp) {
-							t.Fatalf("potential set differs from oracle: fsim %d, oracle %d", pot.Count(), wp.Count())
-						}
-						if plain := s.DetectTest(si, seq, targets); !plain.Equal(wantDet) {
-							t.Fatal("plain detected set differs from oracle")
-						}
-						prof := s.Profile(si, seq, targets)
 						for f := 0; f < n; f++ {
 							if targets != nil && !targets.Has(f) {
 								continue
@@ -146,13 +136,16 @@ func TestKernelWidthEquivalence(t *testing.T) {
 								}
 							}
 						}
-						if !s.AllDetected(si, seq, wantDet) {
-							t.Fatal("AllDetected rejected the oracle's detected set")
+						opt := fsim.Options{Init: si, ScanOut: true}
+						if _, ok := s.RecordMustInto(nil, seq, opt, wantDet); !ok {
+							t.Fatal("RecordMustInto rejected the oracle's detected set")
 						}
 						undet := fault.NewFullSet(n)
 						undet.SubtractWith(want)
-						if undet = restrict(undet, targets); undet.Count() > 0 && s.AllDetected(si, seq, undet) {
-							t.Fatal("AllDetected accepted undetected faults")
+						if undet = restrict(undet, targets); undet.Count() > 0 {
+							if _, ok := s.RecordMustInto(nil, seq, opt, undet); ok {
+								t.Fatal("RecordMustInto accepted undetected faults")
+							}
 						}
 					})
 				}

@@ -29,46 +29,24 @@ func parallelFixture(t testing.TB) (*Simulator, []fault.Fault, logic.Sequence, l
 	return New(c, faults), faults, seq, si
 }
 
-// TestWorkersEquivalence checks that the detected (and potential) sets
-// are bit-identical for any worker count, on fresh and on reused pool
-// workers, in plain and Potential mode, under full and partial scan. Detection is exact per fault, so partitioning the fault
-// list over passes and workers must not change any result.
+// TestWorkersEquivalence checks that the detected set is bit-identical
+// for any worker count, on fresh and on reused pool workers. Detection
+// is exact per fault, so partitioning the fault list over passes and
+// workers must not change any result.
 func TestWorkersEquivalence(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
-
-	type arm struct {
-		det, pot *fault.Set
-	}
-	runArm := func(s *Simulator, potential bool) arm {
-		a := arm{det: nil, pot: nil}
-		opt := Options{Init: si, ScanOut: true}
-		if potential {
-			a.pot = fault.NewSet(len(faults))
-			opt.Potential = a.pot
-		}
-		a.det = s.Detect(seq, opt)
-		return a
-	}
+	opt := Options{Init: si, ScanOut: true}
 
 	// Reference: fresh simulator, serial.
-	ref := runArm(New(s.Circuit(), faults), false)
-	refPot := runArm(New(s.Circuit(), faults), true)
-	if !ref.det.Equal(refPot.det) {
-		t.Fatal("Potential mode changed the hard detected set")
-	}
+	ref := New(s.Circuit(), faults).Detect(seq, opt)
 
 	for _, n := range []int{1, 2, 3, 8} {
 		s.SetWorkers(n)
 		// Twice per count: the second run reuses the pooled workers'
 		// engines and buffers, which must carry nothing over.
 		for rep := 0; rep < 2; rep++ {
-			got := runArm(s, false)
-			if !got.det.Equal(ref.det) {
+			if got := s.Detect(seq, opt); !got.Equal(ref) {
 				t.Fatalf("workers=%d rep=%d: detected set differs from serial", n, rep)
-			}
-			gotPot := runArm(s, true)
-			if !gotPot.det.Equal(ref.det) || !gotPot.pot.Equal(refPot.pot) {
-				t.Fatalf("workers=%d rep=%d: Potential-mode sets differ from serial", n, rep)
 			}
 		}
 	}
@@ -109,7 +87,7 @@ func TestWorkersEquivalencePartialScan(t *testing.T) {
 }
 
 // TestConcurrentUse exercises one shared Simulator from many goroutines
-// (mixed Detect / DetectTest / Profile / DetectsAll traffic) and checks
+// (mixed Detect / DetectTest / Profile / RecordMustInto traffic) and checks
 // every call returns the same sets as a serial run. Run under -race this
 // also proves the worker pool is data-race free.
 func TestConcurrentUse(t *testing.T) {
@@ -143,8 +121,8 @@ func TestConcurrentUse(t *testing.T) {
 						}
 					}
 				case 3:
-					if !s.AllDetected(si, seq, ref) {
-						errs <- "AllDetected rejected the reference set"
+					if _, ok := s.RecordMustInto(nil, seq, Options{Init: si, ScanOut: true}, ref); !ok {
+						errs <- "RecordMustInto rejected the reference set"
 					}
 				}
 			}
@@ -168,17 +146,18 @@ func TestDetectsAllEarlyAbort(t *testing.T) {
 	}
 	undet := fault.NewFullSet(len(faults))
 	undet.SubtractWith(det)
+	opt := Options{Init: si, ScanOut: true}
 	for _, n := range []int{1, 4} {
 		s.SetWorkers(n)
-		if !s.AllDetected(si, seq, det) {
-			t.Errorf("workers=%d: detected set must pass AllDetected", n)
+		if _, ok := s.RecordMustInto(nil, seq, opt, det); !ok {
+			t.Errorf("workers=%d: the detected set must pass the check", n)
 		}
 		// Any undetected fault in the must-set forces a false answer,
 		// whichever pass it lands in.
 		must := det.Clone()
 		undet.ForEach(func(f int) { must.Add(f) })
-		if s.AllDetected(si, seq, must) {
-			t.Errorf("workers=%d: AllDetected must fail with undetected faults", n)
+		if _, ok := s.RecordMustInto(nil, seq, opt, must); ok {
+			t.Errorf("workers=%d: the check must fail with undetected faults", n)
 		}
 	}
 }

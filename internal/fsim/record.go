@@ -77,14 +77,14 @@ func (r *Record) SafeBefore(f, p int) bool {
 
 // Reset re-initializes r to the empty record over the same fault count,
 // for a sequence of length seqLen — the reuse path of RecordMustInto.
+// Only detected faults carry per-fault data, so only their entries are
+// cleared: a reset costs O(detected), not O(faults).
 func (r *Record) Reset(seqLen int) {
 	r.seqLen = seqLen
-	for i := range r.first {
-		r.first[i] = -1
-	}
-	for i := range r.so {
-		r.so[i] = false
-	}
+	r.det.ForEach(func(f int) {
+		r.first[f] = -1
+		r.so[f] = false
+	})
 	r.det.Clear()
 }
 
@@ -135,10 +135,9 @@ func (r *Record) Merge(o *Record) {
 
 // Record fault-simulates seq under opt — exactly like Detect, including
 // the per-pass early exit and survivor repacking — and returns the
-// detection record as a by-product. opt.Potential is ignored.
+// detection record as a by-product.
 func (s *Simulator) Record(seq logic.Sequence, opt Options) *Record {
 	r := newRecord(len(s.faults), len(seq))
-	opt.Potential = nil
 	s.run(seq, opt, r.det, nil, r, nil)
 	return r
 }
@@ -148,36 +147,18 @@ func (s *Simulator) RecordTest(si logic.Vector, seq logic.Sequence, targets *fau
 	return s.Record(seq, Options{Init: si, ScanOut: true, Targets: targets})
 }
 
-// RecordMust is the recording variant of DetectsAll: it checks that the
-// run described by opt over seq detects every fault in must, with the
-// same cross-pass early abort, and on success additionally returns the
-// detection record over must. On failure the partial record is discarded
-// and (nil, false) is returned — an aborted run leaves some passes
-// unsimulated, so its record would be packing-dependent. The boolean is
-// identical to what DetectsAll returns for the same arguments.
-func (s *Simulator) RecordMust(seq logic.Sequence, opt Options, must *fault.Set) (*Record, bool) {
-	r := newRecord(len(s.faults), len(seq))
-	if must == nil || must.Count() == 0 {
-		return r, true
-	}
-	opt.Targets = must
-	opt.Potential = nil
-	var abort atomic.Bool
-	s.run(seq, opt, r.det, nil, r, &abort)
-	if abort.Load() || !r.det.ContainsAll(must) {
-		return nil, false
-	}
-	return r, true
-}
-
-// RecordMustInto is RecordMust with a caller-owned record buffer: buf is
-// reset and reused instead of allocating a fresh record per call (pass
-// nil on the first call to allocate one). The returned record aliases
-// buf. Unlike RecordMust, a failed check returns the buffer (with
-// unspecified contents) rather than nil, so the caller can keep reusing
-// it; the boolean is still identical to DetectsAll's. Trial loops that
-// accept most proposals use this to record in the same pass as the
-// check without paying a per-trial allocation.
+// RecordMustInto is the must-detect check: it reports whether the run
+// described by opt over seq detects every fault in must (opt.Targets is
+// overridden), and records the detections into a caller-owned buffer.
+// buf is reset and reused (pass nil on the first call to allocate one);
+// the returned record aliases it. Passes abort early: once a finished
+// pass leaves one of its faults undetected, pending passes are skipped
+// and — with parallel workers — in-flight passes stop at their next
+// time unit, so a negative answer costs at least one pass. On success
+// the record is complete over must; on failure its contents are
+// unspecified, since an aborted run leaves passes unsimulated, but the
+// buffer stays reusable. A trial loop so checks and records in one pass
+// without a per-trial allocation.
 func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options, must *fault.Set) (*Record, bool) {
 	if buf == nil {
 		buf = newRecord(len(s.faults), len(seq))
@@ -188,7 +169,6 @@ func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options,
 		return buf, true
 	}
 	opt.Targets = must
-	opt.Potential = nil
 	var abort atomic.Bool
 	s.run(seq, opt, buf.det, nil, buf, &abort)
 	if abort.Load() || !buf.det.ContainsAll(must) {

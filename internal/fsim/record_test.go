@@ -123,10 +123,10 @@ func recordsEqual(a, b *Record) bool {
 	return true
 }
 
-// TestRecordMustMatchesDetectsAll checks the recording must-detect
-// variant: the boolean matches DetectsAll for the same arguments, a
-// successful record is complete over must, and a failed check returns a
-// nil record.
+// TestRecordMustMatchesDetectsAll checks the must-detect check and its
+// record: the detected set passes and its record matches the full
+// record on every must fault, any undetected fault fails the check, and
+// an empty must set passes trivially.
 func TestRecordMustMatchesDetectsAll(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
 	det := s.DetectTest(si, seq, nil)
@@ -140,9 +140,9 @@ func TestRecordMustMatchesDetectsAll(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		s.SetWorkers(workers)
-		rec, ok := s.RecordMust(seq, opt, det)
-		if !ok || rec == nil {
-			t.Fatalf("workers=%d: RecordMust rejected the detected set", workers)
+		rec, ok := s.RecordMustInto(nil, seq, opt, det)
+		if !ok {
+			t.Fatalf("workers=%d: RecordMustInto rejected the detected set", workers)
 		}
 		if !rec.Detected().ContainsAll(det) {
 			t.Fatalf("workers=%d: successful record incomplete over must", workers)
@@ -159,20 +159,20 @@ func TestRecordMustMatchesDetectsAll(t *testing.T) {
 
 		must := det.Clone()
 		undet.ForEach(func(f int) { must.Add(f) })
-		if rec, ok := s.RecordMust(seq, opt, must); ok || rec != nil {
-			t.Fatalf("workers=%d: RecordMust accepted an undetectable set", workers)
+		if _, ok := s.RecordMustInto(rec, seq, opt, must); ok {
+			t.Fatalf("workers=%d: RecordMustInto accepted an undetectable set", workers)
 		}
-		if rec, ok := s.RecordMust(seq, opt, fault.NewSet(len(faults))); !ok || rec == nil {
+		if _, ok := s.RecordMustInto(rec, seq, opt, fault.NewSet(len(faults))); !ok {
 			t.Fatalf("workers=%d: empty must-set should trivially pass", workers)
 		}
 	}
 }
 
-// TestRecordMustInto checks the buffer-reuse variant against RecordMust
-// through a chain of reuses: a nil buffer allocates, every subsequent
-// call resets and refills the same buffer, and the data after each call
-// — including a reuse right after a failed check, whose buffer contents
-// are unspecified — matches a fresh RecordMust on the same input.
+// TestRecordMustInto checks buffer reuse through a chain of calls: a nil
+// buffer allocates, every subsequent call resets and refills the same
+// buffer, and the data after each call — including a reuse right after
+// a failed check, whose buffer contents are unspecified — matches a
+// fresh nil-buffer call on the same input.
 func TestRecordMustInto(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
 	det := s.DetectTest(si, seq, nil)
@@ -190,7 +190,7 @@ func TestRecordMustInto(t *testing.T) {
 		if round == 3 {
 			must.IntersectWith(det)
 		}
-		want, wantOK := s.RecordMust(seq, opt, must)
+		want, wantOK := s.RecordMustInto(nil, seq, opt, must)
 		got, ok := s.RecordMustInto(buf, seq, opt, must)
 		if got == nil {
 			t.Fatalf("round %d: RecordMustInto returned a nil buffer", round)
@@ -200,17 +200,17 @@ func TestRecordMustInto(t *testing.T) {
 		}
 		buf = got
 		if ok != wantOK {
-			t.Fatalf("round %d: verdict %v, RecordMust says %v", round, ok, wantOK)
+			t.Fatalf("round %d: verdict %v, fresh call says %v", round, ok, wantOK)
 		}
 		if !wantOK {
 			continue
 		}
 		if !got.Detected().Equal(want.Detected()) {
-			t.Fatalf("round %d: detected set differs from RecordMust", round)
+			t.Fatalf("round %d: detected set differs from a fresh call", round)
 		}
 		for f := 0; f < len(faults); f++ {
 			if got.FirstPO(f) != want.FirstPO(f) || got.ScanOutOnly(f) != want.ScanOutOnly(f) {
-				t.Fatalf("round %d: fault %d row differs from RecordMust", round, f)
+				t.Fatalf("round %d: fault %d row differs from a fresh call", round, f)
 			}
 		}
 	}

@@ -369,6 +369,7 @@ func TestUploadErrors(t *testing.T) {
 		{"retired t0_compactor field", "application/json", `{"roster": "b01", "config": {"t0_compactor": "restore"}}`, http.StatusBadRequest, "bad_request"},
 		{"negative random T0 length", "application/json", `{"roster": "b01", "config": {"random_t0_len": -5}}`, http.StatusBadRequest, "bad_request"},
 		{"negative T0 cap", "application/json", `{"roster": "b01", "config": {"t0_max_len": -3}}`, http.StatusBadRequest, "bad_request"},
+		{"negative scan flip-flop count", "application/json", `{"roster": "b01", "config": {"scan_ffs": -3}}`, http.StatusBadRequest, "bad_request"},
 		{"unknown roster", "application/json", `{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
 		{"no source", "application/json", `{}`, http.StatusBadRequest, "bad_request"},
 	}

@@ -11,9 +11,6 @@ package logic
 // intended way to build one.
 type WordVec []Word
 
-// NewWordVec returns an all-X vector of w words (64*w slots).
-func NewWordVec(w int) WordVec { return make(WordVec, w) }
-
 // Slots returns the number of simulation slots carried by v.
 func (v WordVec) Slots() int { return len(v) * SlotCount }
 
@@ -31,9 +28,6 @@ func (v WordVec) Fill(w Word) {
 		v[i] = w
 	}
 }
-
-// FillValue broadcasts a scalar value to every slot.
-func (v WordVec) FillValue(val Value) { v.Fill(FromValue(val)) }
 
 // Clone returns an independent copy of v.
 func (v WordVec) Clone() WordVec {

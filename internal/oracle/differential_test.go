@@ -20,7 +20,7 @@ var sweepCircuits = []string{"b01", "b02", "b06", "s298", "s344"}
 // TestDifferentialSweep is the acceptance sweep: for every roster
 // circuit × seed × scan configuration × worker count, the optimized
 // parallel-fault simulator and the scalar reference must produce
-// identical hard and potential detection sets. Each configuration is
+// identical detection sets. Each configuration is
 // graded three times on the same simulator, so later runs reuse the
 // pooled workers' engines and buffers; the sets must not change across
 // repetitions.
@@ -55,23 +55,11 @@ func TestDifferentialSweep(t *testing.T) {
 						si := randVec(r, orc.Nsv(), true)
 						seq := randSeq(r, 8+r.Intn(5), c.NumPIs(), true)
 
-						opot := fault.NewSet(len(faults))
-						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: opot})
+						want := orc.Detect(seq, Options{Init: si, ScanOut: true})
 						for rep := 0; rep < 3; rep++ {
-							fpot := fault.NewSet(len(faults))
-							got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Potential: fpot})
-							if !got.Equal(want) {
-								t.Fatalf("rep %d: hard sets differ: fsim %d, oracle %d",
-									rep, got.Count(), want.Count())
-							}
-							if !fpot.Equal(opot) {
-								t.Fatalf("rep %d: potential sets differ: fsim %d, oracle %d",
-									rep, fpot.Count(), opot.Count())
-							}
-							// Standard mode (no Potential) takes the early-exit
-							// paths fsim disables in Potential mode.
 							if got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true}); !got.Equal(want) {
-								t.Fatalf("rep %d: standard-mode set differs", rep)
+								t.Fatalf("rep %d: sets differ: fsim %d, oracle %d",
+									rep, got.Count(), want.Count())
 							}
 						}
 
@@ -119,21 +107,18 @@ func TestDifferentialBatchWidths(t *testing.T) {
 				orc := NewChain(c, faults, chain)
 				si := randVec(r, orc.Nsv(), true)
 				seq := randSeq(r, 10, c.NumPIs(), true)
-				allPot := fault.NewSet(len(faults))
-				all := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: allPot})
+				all := orc.Detect(seq, Options{Init: si, ScanOut: true})
 				fs := fsim.NewChain(c, faults, chain)
 				for _, size := range []int{40, 100, 150, len(faults)} {
 					// Detection is per fault, so the reference for a target
 					// set is the full-list result restricted to it.
 					targets := randTargets(r, len(faults), size)
-					want, opot := all.Clone(), allPot.Clone()
+					want := all.Clone()
 					want.IntersectWith(targets)
-					opot.IntersectWith(targets)
-					fpot := fault.NewSet(len(faults))
-					got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: fpot})
-					if !got.Equal(want) || !fpot.Equal(opot) {
-						t.Fatalf("%d targets: sets differ from oracle (hard %d/%d, potential %d/%d)",
-							size, got.Count(), want.Count(), fpot.Count(), opot.Count())
+					got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets})
+					if !got.Equal(want) {
+						t.Fatalf("%d targets: sets differ from oracle: fsim %d, oracle %d",
+							size, got.Count(), want.Count())
 					}
 				}
 			})
@@ -160,13 +145,11 @@ func TestDifferentialGenerated(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				si := randVec(r, c.NumFFs(), true)
 				seq := randSeq(r, 6+r.Intn(6), c.NumPIs(), true)
-				fpot := fault.NewSet(len(faults))
-				opot := fault.NewSet(len(faults))
-				got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Potential: fpot})
-				want := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: opot})
-				if !got.Equal(want) || !fpot.Equal(opot) {
-					t.Fatalf("rep %d: sets differ (hard %d/%d, potential %d/%d)",
-						rep, got.Count(), want.Count(), fpot.Count(), opot.Count())
+				got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true})
+				want := orc.Detect(seq, Options{Init: si, ScanOut: true})
+				if !got.Equal(want) {
+					t.Fatalf("rep %d: sets differ: fsim %d, oracle %d",
+						rep, got.Count(), want.Count())
 				}
 			}
 		})
@@ -175,8 +158,7 @@ func TestDifferentialGenerated(t *testing.T) {
 
 // TestDifferentialOrdered reruns the sweep with an ADI-installed
 // traversal order on the optimized simulator: ordering is a scheduling
-// permutation inside fsim, so the detected and potential sets must stay
-// bit-identical to the scalar reference across circuits, seeds and
+// permutation inside fsim, so the detected set must stay bit-identical to the scalar reference across circuits, seeds and
 // worker counts — including the survivor-repacking path that ordered
 // dropping enables. The bw arm bounds the pass width the only way it is
 // set, through the target count: bw0 grades the whole fault list, bw4 a
@@ -206,13 +188,11 @@ func TestDifferentialOrdered(t *testing.T) {
 						si := randVec(r, orc.Nsv(), true)
 						seq := randSeq(r, 8+r.Intn(5), c.NumPIs(), true)
 
-						fpot := fault.NewSet(len(faults))
-						opot := fault.NewSet(len(faults))
-						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets, Potential: fpot})
-						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets, Potential: opot})
-						if !got.Equal(want) || !fpot.Equal(opot) {
-							t.Fatalf("ordered sets differ from oracle (hard %d/%d, potential %d/%d)",
-								got.Count(), want.Count(), fpot.Count(), opot.Count())
+						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets})
+						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets})
+						if !got.Equal(want) {
+							t.Fatalf("ordered sets differ from oracle: fsim %d, oracle %d",
+								got.Count(), want.Count())
 						}
 						// Long no-scan sequence: the repacking fast path fires
 						// here; results must not change.

@@ -64,8 +64,7 @@ func TestFuzzEncodeRoundtrip(t *testing.T) {
 }
 
 // FuzzDifferential cross-checks fsim against the oracle on fuzzer-shaped
-// circuits and tests, in both standard and Potential mode, serial and
-// with a worker pool. Any byte string is a valid input; the decoder
+// circuits and tests, serial and with a worker pool. Any byte string is a valid input; the decoder
 // guarantees a well-formed netlist. (vecomit's FuzzOmissionDifferential
 // drives the omission engine with the same encoding.)
 func FuzzDifferential(f *testing.F) {
@@ -83,22 +82,12 @@ func FuzzDifferential(f *testing.F) {
 		}
 		faults := fault.Collapse(c)
 		orc := New(c, faults)
-		opot := fault.NewSet(len(faults))
-		want := orc.Detect(tst.Seq, Options{Init: tst.SI, ScanOut: true, Potential: opot})
+		want := orc.Detect(tst.Seq, Options{Init: tst.SI, ScanOut: true})
 		for _, workers := range []int{1, 4} {
 			fs := fsim.New(c, faults).SetWorkers(workers)
-			fpot := fault.NewSet(len(faults))
-			got := fs.Detect(tst.Seq, fsim.Options{Init: tst.SI, ScanOut: true, Potential: fpot})
-			if !got.Equal(want) {
-				t.Fatalf("workers=%d: hard sets differ: fsim %v, oracle %v",
-					workers, got.Indices(), want.Indices())
-			}
-			if !fpot.Equal(opot) {
-				t.Fatalf("workers=%d: potential sets differ: fsim %v, oracle %v",
-					workers, fpot.Indices(), opot.Indices())
-			}
 			if got := fs.Detect(tst.Seq, fsim.Options{Init: tst.SI, ScanOut: true}); !got.Equal(want) {
-				t.Fatalf("workers=%d: standard-mode set differs", workers)
+				t.Fatalf("workers=%d: sets differ: fsim %v, oracle %v",
+					workers, got.Indices(), want.Indices())
 			}
 		}
 	})

@@ -80,10 +80,6 @@ type Options struct {
 	// Targets limits simulation to the faults in the set; nil simulates
 	// the whole fault list.
 	Targets *fault.Set
-	// Potential, when non-nil, additionally collects potential
-	// detections: faults whose machine shows X at an observation point
-	// where the good machine is definite.
-	Potential *fault.Set
 }
 
 // scanIn loads the scan-in vector into e with fsim's semantics: under
@@ -139,9 +135,7 @@ func (s *Sim) goodTrace(si logic.Vector, seq logic.Sequence) *trace {
 
 // Detect fault-simulates seq under opt, one fault at a time, and returns
 // the set of detected faults. A fault is detected when an observation
-// point carries definite, differing good and faulty values; it is
-// potentially detected (collected into opt.Potential when non-nil) when
-// the good value is definite and the faulty one is not.
+// point carries definite, differing good and faulty values.
 func (s *Sim) Detect(seq logic.Sequence, opt Options) *fault.Set {
 	detected := fault.NewSet(len(s.faults))
 	if len(seq) == 0 {
@@ -154,22 +148,18 @@ func (s *Sim) Detect(seq logic.Sequence, opt Options) *fault.Set {
 		if opt.Targets != nil && !opt.Targets.Has(fi) {
 			continue
 		}
-		hard, pot := s.simFault(fi, seq, opt, good)
-		if hard {
+		if s.simFault(fi, seq, opt, good) {
 			detected.Add(fi)
-		}
-		if pot && opt.Potential != nil {
-			opt.Potential.Add(fi)
 		}
 	}
 	return detected
 }
 
 // simFault replays seq against the single faulty machine fi and reports
-// hard and potential detection. No early exit: the whole test is always
+// whether it is detected. No early exit: the whole test is always
 // replayed, keeping the control flow trivially equivalent to the
 // detection definition.
-func (s *Sim) simFault(fi int, seq logic.Sequence, opt Options, good *trace) (hard, pot bool) {
+func (s *Sim) simFault(fi int, seq logic.Sequence, opt Options, good *trace) (detected bool) {
 	f := s.faults[fi]
 	e := esim.New(s.c)
 	e.InjectFault(f.Node, f.Pin, f.Stuck)
@@ -180,10 +170,7 @@ func (s *Sim) simFault(fi int, seq logic.Sequence, opt Options, good *trace) (ha
 		for i := range s.c.POs {
 			g, fv := good.po[u][i], e.PO(i)
 			if g.IsBinary() && fv.IsBinary() && g != fv {
-				hard = true
-			}
-			if g.IsBinary() && !fv.IsBinary() {
-				pot = true
+				detected = true
 			}
 		}
 		e.ClockFF()
@@ -193,14 +180,11 @@ func (s *Sim) simFault(fi int, seq logic.Sequence, opt Options, good *trace) (ha
 		for k, ff := range s.observed {
 			g, fv := last[k], e.Val(s.c.DFFs[ff])
 			if g.IsBinary() && fv.IsBinary() && g != fv {
-				hard = true
-			}
-			if g.IsBinary() && !fv.IsBinary() {
-				pot = true
+				detected = true
 			}
 		}
 	}
-	return hard, pot
+	return detected
 }
 
 // DetectTest is Detect for a scan test (SI, T) with scan-out observation.

@@ -42,7 +42,7 @@ func randTargets(r *rand.Rand, n, size int) *fault.Set {
 }
 
 // TestMatchesFsimS27 exercises every Detect mode on the hand-written
-// s27: full scan, partial scan, no scan, with and without Potential.
+// s27: full scan, partial scan and no scan.
 func TestMatchesFsimS27(t *testing.T) {
 	c := samples.S27()
 	faults := fault.Collapse(c)
@@ -60,17 +60,11 @@ func TestMatchesFsimS27(t *testing.T) {
 			si := randVec(r, orc.Nsv(), true)
 			seq := randSeq(r, 1+r.Intn(6), c.NumPIs(), true)
 
-			fpot := fault.NewSet(len(faults))
-			opot := fault.NewSet(len(faults))
-			fgot := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Potential: fpot})
-			ogot := orc.Detect(seq, Options{Init: si, ScanOut: true, Potential: opot})
+			fgot := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true})
+			ogot := orc.Detect(seq, Options{Init: si, ScanOut: true})
 			if !fgot.Equal(ogot) {
 				t.Fatalf("chain=%v trial %d: detected sets differ: fsim %d, oracle %d",
 					chain, trial, fgot.Count(), ogot.Count())
-			}
-			if !fpot.Equal(opot) {
-				t.Fatalf("chain=%v trial %d: potential sets differ: fsim %d, oracle %d",
-					chain, trial, fpot.Count(), opot.Count())
 			}
 
 			// No-scan arm, PO observation only.

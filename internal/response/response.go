@@ -4,14 +4,13 @@
 // cycle. These are the SO_i values of the paper's test notation
 // τ_i = (SI_i, T_i, SO_i) — recomputable from the netlist, so the rest
 // of the repository stores tests without them; this package materializes
-// them for export to a tester or for diagnosis.
+// them for export to a tester.
 package response
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -110,44 +109,4 @@ func Write(w io.Writer, ts *scan.Set, resps []TestResponse) error {
 		fmt.Fprintln(bw, "end")
 	}
 	return bw.Flush()
-}
-
-// WriteString renders the responses to a string.
-func WriteString(ts *scan.Set, resps []TestResponse) string {
-	var sb strings.Builder
-	if err := Write(&sb, ts, resps); err != nil {
-		panic(err) // only the length mismatch can fail, and callers pair them
-	}
-	return sb.String()
-}
-
-// FailSignature compares an observed response against the expected one
-// and reports whether they mismatch on any definite expected value
-// (X expectations match anything — an unknown good value cannot fail).
-func FailSignature(expected, observed TestResponse) bool {
-	for u := range expected.POs {
-		if u >= len(observed.POs) {
-			return true
-		}
-		if mismatch(expected.POs[u], observed.POs[u]) {
-			return true
-		}
-	}
-	return mismatch(expected.ScanOut, observed.ScanOut)
-}
-
-func mismatch(exp, obs logic.Vector) bool {
-	for i, e := range exp {
-		if !e.IsBinary() {
-			continue
-		}
-		if i >= len(obs) {
-			return true
-		}
-		o := obs[i]
-		if o.IsBinary() && o != e {
-			return true
-		}
-	}
-	return false
 }

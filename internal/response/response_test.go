@@ -118,7 +118,11 @@ func TestForSetAndWrite(t *testing.T) {
 	for i, tst := range ts.Tests {
 		assertSame(t, orc.GoodResponse(tst), resps[i])
 	}
-	out := response.WriteString(ts, resps)
+	var sb strings.Builder
+	if err := response.Write(&sb, ts, resps); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
 	for _, want := range []string{"response v1", "si 000", "-> po", "so "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -135,36 +139,5 @@ func TestWriteLengthMismatch(t *testing.T) {
 	err := response.Write(&strings.Builder{}, ts, nil)
 	if err == nil {
 		t.Error("mismatched lengths must fail")
-	}
-}
-
-func TestFailSignature(t *testing.T) {
-	exp := response.TestResponse{
-		POs:     []logic.Vector{vec("01"), vec("1x")},
-		ScanOut: vec("10x"),
-	}
-	// Identical observation: pass.
-	if response.FailSignature(exp, exp) {
-		t.Error("identical responses must pass")
-	}
-	// X expectations match anything.
-	obs := response.TestResponse{POs: []logic.Vector{vec("01"), vec("11")}, ScanOut: vec("101")}
-	if response.FailSignature(exp, obs) {
-		t.Error("X expectation must match any observation")
-	}
-	// Definite mismatch in a PO.
-	obs2 := response.TestResponse{POs: []logic.Vector{vec("00"), vec("1x")}, ScanOut: vec("10x")}
-	if !response.FailSignature(exp, obs2) {
-		t.Error("PO mismatch must fail")
-	}
-	// Definite mismatch at scan-out.
-	obs3 := response.TestResponse{POs: []logic.Vector{vec("01"), vec("1x")}, ScanOut: vec("00x")}
-	if !response.FailSignature(exp, obs3) {
-		t.Error("scan-out mismatch must fail")
-	}
-	// Truncated observation fails.
-	obs4 := response.TestResponse{POs: []logic.Vector{vec("01")}, ScanOut: vec("10x")}
-	if !response.FailSignature(exp, obs4) {
-		t.Error("missing cycles must fail")
 	}
 }

@@ -1,9 +1,6 @@
 package scan
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Chain describes which flip-flops of a circuit are scanned and in what
 // order. A nil *Chain means full scan (every flip-flop, in circuit
@@ -31,15 +28,6 @@ func NewChain(nff int, ffs []int) (*Chain, error) {
 	return &Chain{FFs: append([]int(nil), ffs...)}, nil
 }
 
-// FullChain returns the chain scanning every flip-flop in order.
-func FullChain(nff int) *Chain {
-	ffs := make([]int, nff)
-	for i := range ffs {
-		ffs[i] = i
-	}
-	return &Chain{FFs: ffs}
-}
-
 // Nsv returns the number of scanned state variables — the N_SV of the
 // cost formula. For a nil chain the caller should use the circuit's
 // flip-flop count.
@@ -53,14 +41,6 @@ func (ch *Chain) Has(ff int) bool {
 		}
 	}
 	return false
-}
-
-// Sorted returns the scanned positions in increasing order (useful for
-// deterministic iteration independent of chain order).
-func (ch *Chain) Sorted() []int {
-	out := append([]int(nil), ch.FFs...)
-	sort.Ints(out)
-	return out
 }
 
 // String renders a short description.

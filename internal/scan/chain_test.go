@@ -2,18 +2,6 @@ package scan
 
 import "testing"
 
-func TestFullChain(t *testing.T) {
-	ch := FullChain(4)
-	if ch.Nsv() != 4 {
-		t.Fatalf("Nsv = %d", ch.Nsv())
-	}
-	for i := 0; i < 4; i++ {
-		if !ch.Has(i) || ch.FFs[i] != i {
-			t.Errorf("position %d wrong", i)
-		}
-	}
-}
-
 func TestNewChainValidation(t *testing.T) {
 	if _, err := NewChain(3, []int{0, 2}); err != nil {
 		t.Errorf("valid chain rejected: %v", err)
@@ -41,18 +29,10 @@ func TestNewChainCopiesInput(t *testing.T) {
 	}
 }
 
-func TestChainSortedAndHas(t *testing.T) {
+func TestChainHasAndString(t *testing.T) {
 	ch, _ := NewChain(5, []int{4, 0, 2})
-	got := ch.Sorted()
-	want := []int{0, 2, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sorted = %v", got)
-		}
-	}
-	// Sorted must not reorder the chain itself.
-	if ch.FFs[0] != 4 {
-		t.Error("Sorted mutated chain order")
+	if ch.Nsv() != 3 {
+		t.Errorf("Nsv = %d, want 3", ch.Nsv())
 	}
 	if ch.Has(1) || !ch.Has(4) {
 		t.Error("Has wrong")

@@ -114,24 +114,6 @@ func (s *Set) Cycles(nsv int) int {
 	return (k+1)*nsv + s.TotalVectors()
 }
 
-// CyclesChains generalizes Cycles to a design with m balanced scan
-// chains: each scan operation shifts the chains in parallel, so it
-// costs ⌈nsv/m⌉ cycles instead of nsv. The paper assumes m = 1; modern
-// designs split the flip-flops over many chains, which shrinks the
-// scan component the proposed procedure optimizes — the functional
-// component Σ L(T_i) is unaffected.
-func (s *Set) CyclesChains(nsv, m int) int {
-	k := len(s.Tests)
-	if k == 0 {
-		return 0
-	}
-	if m < 1 {
-		m = 1
-	}
-	shift := (nsv + m - 1) / m
-	return (k+1)*shift + s.TotalVectors()
-}
-
 // AtSpeedStats summarizes the lengths of the at-speed PI sequences in a
 // test set (the paper's Table 4).
 type AtSpeedStats struct {

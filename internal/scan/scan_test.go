@@ -126,40 +126,3 @@ func TestCyclesMonotoneInTestCount(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestCyclesChains(t *testing.T) {
-	s := NewSet(mkTest(3), mkTest(1))
-	// m=1 must equal the paper's formula.
-	if s.CyclesChains(5, 1) != s.Cycles(5) {
-		t.Error("single chain must match Cycles")
-	}
-	// m=2 over nsv=5: shift = 3, (2+1)*3 + 4 = 13.
-	if got := s.CyclesChains(5, 2); got != 13 {
-		t.Errorf("two chains = %d, want 13", got)
-	}
-	// Degenerate m.
-	if s.CyclesChains(5, 0) != s.Cycles(5) {
-		t.Error("m<1 should clamp to 1")
-	}
-	// Many chains: shift cost bottoms out at 1 cycle per op.
-	if got := s.CyclesChains(5, 100); got != 3+4 {
-		t.Errorf("100 chains = %d, want 7", got)
-	}
-	if NewSet().CyclesChains(5, 2) != 0 {
-		t.Error("empty set must cost nothing")
-	}
-}
-
-// Property: more chains never increase test time, and the functional
-// component is invariant.
-func TestCyclesChainsMonotone(t *testing.T) {
-	f := func(l1, l2, nsvRaw, mRaw uint8) bool {
-		s := NewSet(mkTest(int(l1%20)), mkTest(int(l2%20)))
-		nsv := int(nsvRaw%60) + 1
-		m := int(mRaw%8) + 1
-		return s.CyclesChains(nsv, m+1) <= s.CyclesChains(nsv, m)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

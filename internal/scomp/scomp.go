@@ -173,9 +173,10 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 
 	// accept replaces τ_i with the combination and kills τ_j, refreshing
 	// the ledger row: PO detections of the old τ_i carry over verbatim,
-	// the trial's must-detect record covers the simulated risk faults,
-	// and one targeted pass covers the not-at-risk remainder of the
-	// union that the prefix does not already pin down.
+	// the trial's must-detect record (nil for a short circuit) covers the
+	// simulated risk faults, and one targeted pass covers the
+	// not-at-risk remainder of the union that the prefix does not
+	// already pin down.
 	accept := func(i, j int, combined scan.Test, recMust *fsim.Record) {
 		rowi := led.Row(i)
 		rest := rowi.Detected().Clone()
@@ -203,6 +204,11 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		alive[j] = false
 		st.Combined++
 	}
+
+	// buf is the trial record, reused across trials so that a trial
+	// allocates nothing. An accept merges it into the new ledger row
+	// (Merge copies), so the must set is simulated once per trial.
+	var buf *fsim.Record
 
 	// Between rounds, re-rank the installed simulation order from the
 	// live ledger counts: result-neutral pass packing (see adi).
@@ -235,24 +241,15 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 			}
 			st.Attempts++
 			var recMust *fsim.Record
-			hit := false
-			switch {
-			case mustSim.Count() == 0:
+			hit := mustSim.Count() == 0
+			if hit {
 				// The ledger proves the trial accepted.
 				st.ShortCircuits++
-				hit = true
-			case s.DetectsAll(combined.Seq, fsim.Options{Init: combined.SI, ScanOut: true}, mustSim):
-				// The trial check is allocation-free (almost all trials
-				// are rejected); re-simulate the must set once, now that
-				// the combination commits, to rebuild the ledger row.
-				// DetectsAll succeeded on the identical input, so this
-				// cannot fail.
-				st.FaultsSimulated += 2 * mustSim.Count()
-				recMust, _ = s.RecordMust(combined.Seq,
-					fsim.Options{Init: combined.SI, ScanOut: true}, mustSim)
-				hit = true
-			default:
+			} else {
 				st.FaultsSimulated += mustSim.Count()
+				buf, hit = s.RecordMustInto(buf, combined.Seq,
+					fsim.Options{Init: combined.SI, ScanOut: true}, mustSim)
+				recMust = buf
 			}
 			// The successor is taken before an accept changes the live
 			// set. After an accept at the last live pair there is none,

@@ -13,9 +13,12 @@
 // the sequence reaches its length cap, every fault is detected, or no
 // detection has happened for a stall window.
 //
-// Fault machines are tracked incrementally in parallel groups of 63
-// (slot 0 carries the good machine), so one step costs one combinational
-// evaluation per group.
+// Fault machines are tracked incrementally on the compiled kernel
+// (sim.BatchEngine) in groups of up to 255 faults; slot 0 carries the
+// good machine, as in package fsim. A group is loaded onto the kernel
+// once per step and then serves every candidate, so one step costs one
+// combinational evaluation per group and candidate. Every decision
+// counts faults, so the grouping never changes the chosen vectors.
 package seqgen
 
 import (
@@ -28,43 +31,26 @@ import (
 	"repro/internal/sim"
 )
 
-const groupFaults = 63
+// Search parameters.
+const (
+	candidates    = 8   // candidate vectors per greedy step
+	stallLimit    = 100 // consecutive steps without a detection that end generation
+	plateauAfter  = 10  // stalled steps before the segment search takes over
+	segmentLen    = 8   // lookahead depth of the segment search
+	segmentTrials = 6   // random segments evaluated per plateau step
+)
+
+// words is the kernel width: 256 slots, slot 0 the good machine.
+const words = 4
+
+// groupFaults is the number of faulty machines in one group.
+const groupFaults = 64*words - 1
 
 // Options configures sequence generation.
 type Options struct {
 	Seed int64
 	// MaxLen caps the sequence length (0 = default 1000).
 	MaxLen int
-	// Candidates per step (0 = default 8).
-	Candidates int
-	// StallLimit stops generation after this many consecutive steps
-	// without a new detection (0 = default 100).
-	StallLimit int
-	// SegmentLen is the lookahead depth of the plateau-escape segment
-	// search (0 = default 8).
-	SegmentLen int
-	// SegmentTrials is the number of random segments evaluated per
-	// plateau step (0 = default 6).
-	SegmentTrials int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxLen == 0 {
-		o.MaxLen = 1000
-	}
-	if o.Candidates == 0 {
-		o.Candidates = 8
-	}
-	if o.StallLimit == 0 {
-		o.StallLimit = 100
-	}
-	if o.SegmentLen == 0 {
-		o.SegmentLen = 8
-	}
-	if o.SegmentTrials == 0 {
-		o.SegmentTrials = 6
-	}
-	return o
 }
 
 // Result is a generated sequence and the faults it detects (at primary
@@ -74,53 +60,65 @@ type Result struct {
 	Detected *fault.Set
 }
 
-// group tracks 63 faulty machines plus the good machine in slot 0.
+// group tracks up to groupFaults faulty machines plus the good machine
+// in slot 0. Slot s carries fault first+s-1.
 type group struct {
-	injs    []sim.Injection
-	indices []int // fault indices for slots 1..len(indices)
-	state   []logic.Word
-	mask    uint64 // slots with live (undetected) faults
+	injs  []sim.BatchInjection
+	first int
+	state []logic.Word  // flip-flop i at state[i*words : (i+1)*words]
+	live  [words]uint64 // slots with undetected faults
+}
+
+func (g *group) done() bool { return g.live == [words]uint64{} }
+
+// generator is the simulation state of one Generate call.
+type generator struct {
+	c      *circuit.Circuit
+	eng    *sim.BatchEngine
+	groups []*group
+	next   []logic.Word // NextState buffer
 }
 
 // Generate runs the simulation-based search and returns the sequence.
 func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) *Result {
-	opt = opt.withDefaults()
+	maxLen := opt.MaxLen
+	if maxLen == 0 {
+		maxLen = 1000
+	}
 	r := rand.New(rand.NewSource(opt.Seed))
-	eng := sim.New(c)
-	nff := c.NumFFs()
-
-	groups := makeGroups(c, faults, nff)
+	gn := newGenerator(c, faults)
 	detected := fault.NewSet(len(faults))
 
 	var seq logic.Sequence
 	prev := randomVec(r, c.NumPIs())
 	stall := 0
+	// commit steps every live group with v and appends it.
+	commit := func(v logic.Vector) {
+		if gn.commit(v, detected) > 0 {
+			stall = 0
+		} else {
+			stall++
+		}
+		seq = append(seq, v)
+		prev = v
+	}
 
-	const plateauAfter = 10
-	for len(seq) < opt.MaxLen && detected.Count() < len(faults) && stall < opt.StallLimit {
+	for len(seq) < maxLen && detected.Count() < len(faults) && stall < stallLimit {
 		if stall >= plateauAfter {
 			// Plateau: single-step greedy is looping. Search over whole
 			// random segments (multi-time-frame lookahead, the mechanism
 			// by which simulation-based sequential ATPGs reach faults
 			// that need coordinated vector runs) and commit the best.
-			seg := bestSegment(eng, c, groups, r, opt)
-			for _, v := range seg {
-				if len(seq) >= opt.MaxLen || stall >= opt.StallLimit {
+			for _, v := range gn.bestSegment(r) {
+				if len(seq) >= maxLen || stall >= stallLimit {
 					break
 				}
-				newDet := commitStep(eng, c, groups, v, detected)
-				seq = append(seq, v)
-				prev = v
-				if newDet > 0 {
-					stall = 0
-				} else {
-					stall++
-				}
+				commit(v)
 			}
 			continue
 		}
 		// Build candidate vectors for the single-step greedy phase.
-		cands := make([]logic.Vector, 0, opt.Candidates)
+		cands := make([]logic.Vector, 0, candidates)
 		cands = append(cands, prev.Clone())
 		if c.NumPIs() > 0 {
 			m := prev.Clone()
@@ -128,182 +126,197 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) *Result {
 			m[i] = m[i].Not()
 			cands = append(cands, m)
 		}
-		for len(cands) < opt.Candidates {
+		for len(cands) < candidates {
 			cands = append(cands, randomVec(r, c.NumPIs()))
 		}
 
 		// Score each candidate lexicographically.
-		bestIdx := -1
-		bestDet, bestLat, bestAct := -1, -1, -1
-		for ci, cand := range cands {
-			det, lat, act := scoreCandidate(eng, c, groups, cand)
-			if det > bestDet ||
-				(det == bestDet && lat > bestLat) ||
-				(det == bestDet && lat == bestLat && act > bestAct) {
-				bestIdx, bestDet, bestLat, bestAct = ci, det, lat, act
+		det, lat, act := gn.score(cands)
+		best := 0
+		for ci := 1; ci < len(cands); ci++ {
+			if det[ci] > det[best] ||
+				(det[ci] == det[best] && lat[ci] > lat[best]) ||
+				(det[ci] == det[best] && lat[ci] == lat[best] && act[ci] > act[best]) {
+				best = ci
 			}
 		}
-		chosen := cands[bestIdx]
-
-		// Commit: step every group with the chosen vector.
-		newDet := commitStep(eng, c, groups, chosen, detected)
-		seq = append(seq, chosen)
-		prev = chosen
-		if newDet > 0 {
-			stall = 0
-		} else {
-			stall++
-		}
+		commit(cands[best])
 	}
 	return &Result{Seq: seq, Detected: detected}
 }
 
-func makeGroups(c *circuit.Circuit, faults []fault.Fault, nff int) []*group {
-	var groups []*group
+func newGenerator(c *circuit.Circuit, faults []fault.Fault) *generator {
+	nff := c.NumFFs()
+	gn := &generator{
+		c:    c,
+		eng:  sim.NewBatch(sim.Compile(c), words),
+		next: make([]logic.Word, nff*words),
+	}
 	for start := 0; start < len(faults); start += groupFaults {
-		end := start + groupFaults
-		if end > len(faults) {
-			end = len(faults)
+		end := min(start+groupFaults, len(faults))
+		g := &group{first: start, state: make([]logic.Word, nff*words)}
+		masks := make([]uint64, (end-start)*words)
+		for fi := start; fi < end; fi++ {
+			s := fi - start + 1
+			m := masks[(s-1)*words : s*words]
+			m[s>>6] = 1 << (uint(s) & 63)
+			g.live[s>>6] |= m[s>>6]
+			f := faults[fi]
+			g.injs = append(g.injs, sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: m})
 		}
-		g := &group{state: make([]logic.Word, nff)}
-		for i := range g.state {
-			g.state[i] = logic.AllX
-		}
-		for bi := start; bi < end; bi++ {
-			slot := uint(bi - start + 1)
-			g.indices = append(g.indices, bi)
-			g.injs = append(g.injs, faults[bi].Injection(1<<slot))
-			g.mask |= 1 << slot
-		}
-		groups = append(groups, g)
+		gn.groups = append(gn.groups, g)
 	}
-	return groups
+	return gn
 }
 
-// scoreCandidate evaluates one vector against all live groups without
-// committing state. The score is lexicographic: new PO detections first,
-// then undetected faults whose effect gets latched into a flip-flop
-// (propagation progress — the precursor of a future detection), then
-// good-machine state activity (drives state traversal).
-func scoreCandidate(eng *sim.Engine, c *circuit.Circuit, groups []*group, cand logic.Vector) (det, latched, act int) {
-	for _, g := range groups {
-		if g.mask == 0 {
-			continue
-		}
-		eng.Reset()
-		eng.SetInjections(g.injs)
-		eng.LoadStateWords(g.state)
-		eng.SetPIVector(cand)
-		eng.EvalComb()
-		var diff uint64
-		for i := range c.POs {
-			w := eng.PO(i)
-			diff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
-		}
-		diff &= g.mask
-		det += popcount(diff)
-		ns := eng.NextState()
-		var sdiff uint64
-		for i := range ns {
-			w := ns[i]
-			sdiff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
-			gv := g.state[i].Get(0)
-			nv := w.Get(0)
-			if nv.IsBinary() && nv != gv {
-				act++
-			}
-		}
-		latched += popcount(sdiff & g.mask &^ diff)
+// loadState copies a group's flip-flop words into the engine. EvalComb
+// leaves them as loaded, so one load serves any number of evaluations
+// from the same state.
+func (gn *generator) loadState(state []logic.Word) {
+	for i, ff := range gn.c.DFFs {
+		gn.eng.SetNodeVec(ff, state[i*words:(i+1)*words])
 	}
-	return det, latched, act
 }
 
-// commitStep advances every group by one clock with the chosen vector,
-// recording detections. Returns the number of newly detected faults.
-func commitStep(eng *sim.Engine, c *circuit.Circuit, groups []*group, vec logic.Vector, detected *fault.Set) int {
-	newDet := 0
-	for _, g := range groups {
-		if g.mask == 0 {
-			// Still advance the good state so a late group revival is
-			// impossible; with mask 0 nothing remains to detect, so we
-			// can skip entirely.
+// poDiff returns the slots whose primary outputs differ definitely from
+// the good machine's after EvalComb.
+func (gn *generator) poDiff() (diff [words]uint64) {
+	for i := range gn.c.POs {
+		wv := gn.eng.PO(i)
+		g := wv[0].BroadcastSlot(0)
+		for k := range diff {
+			diff[k] |= logic.DiffDefinite(wv[k], g)
+		}
+	}
+	return diff
+}
+
+// score evaluates every candidate against all live groups without
+// committing state. The score is lexicographic: new PO detections
+// first, then undetected faults whose effect gets latched into a
+// flip-flop (propagation progress — the precursor of a future
+// detection), then good-machine state activity (drives state
+// traversal). The activity is summed over the live groups, which
+// scales it by the same group count for every candidate.
+func (gn *generator) score(cands []logic.Vector) (det, lat, act [candidates]int) {
+	eng := gn.eng
+	for _, g := range gn.groups {
+		if g.done() {
 			continue
 		}
-		eng.Reset()
 		eng.SetInjections(g.injs)
-		eng.LoadStateWords(g.state)
-		eng.SetPIVector(vec)
-		eng.EvalComb()
-		var diff uint64
-		for i := range c.POs {
-			w := eng.PO(i)
-			diff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
-		}
-		diff &= g.mask
-		if diff != 0 {
-			for bi, fi := range g.indices {
-				if diff&(1<<uint(bi+1)) != 0 {
-					detected.Add(fi)
-					newDet++
+		gn.loadState(g.state)
+		for ci, cand := range cands {
+			eng.SetPIVector(cand)
+			eng.EvalComb()
+			diff := gn.poDiff()
+			eng.NextState(gn.next)
+			var sdiff [words]uint64
+			for i := range gn.c.DFFs {
+				wv := gn.next[i*words : (i+1)*words]
+				gw := wv[0].BroadcastSlot(0)
+				for k := range sdiff {
+					sdiff[k] |= logic.DiffDefinite(wv[k], gw)
+				}
+				if nv := wv[0].Get(0); nv.IsBinary() && nv != g.state[i*words].Get(0) {
+					act[ci]++
 				}
 			}
-			g.mask &^= diff
+			for k := range diff {
+				d := diff[k] & g.live[k]
+				det[ci] += bits.OnesCount64(d)
+				lat[ci] += bits.OnesCount64(sdiff[k] & g.live[k] &^ d)
+			}
+		}
+	}
+	return det, lat, act
+}
+
+// commit advances every live group by one clock with vec, recording
+// detections. It returns the number of newly detected faults.
+func (gn *generator) commit(vec logic.Vector, detected *fault.Set) int {
+	newDet := 0
+	eng := gn.eng
+	for _, g := range gn.groups {
+		if g.done() {
+			// Nothing left to detect: the group's state is never read
+			// again.
+			continue
+		}
+		eng.SetInjections(g.injs)
+		gn.loadState(g.state)
+		eng.SetPIVector(vec)
+		eng.EvalComb()
+		diff := gn.poDiff()
+		for k := range diff {
+			d := diff[k] & g.live[k]
+			for m := d; m != 0; m &= m - 1 {
+				detected.Add(g.first + k*64 + bits.TrailingZeros64(m) - 1)
+				newDet++
+			}
+			g.live[k] &^= d
 		}
 		eng.ClockFF()
-		eng.StateWords(g.state)
+		for i := range gn.c.DFFs {
+			copy(g.state[i*words:(i+1)*words], eng.State(i))
+		}
 	}
 	return newDet
 }
 
-// bestSegment evaluates SegmentTrials random segments of SegmentLen
+// bestSegment evaluates segmentTrials random segments of segmentLen
 // vectors from the current state of every live group and returns the one
 // with the most detections (ties broken by end-of-segment latched fault
 // effects). Group state is not modified.
-func bestSegment(eng *sim.Engine, c *circuit.Circuit, groups []*group, r *rand.Rand, opt Options) logic.Sequence {
-	var best logic.Sequence
-	bestDet, bestLat := -1, -1
-	nff := c.NumFFs()
-	state := make([]logic.Word, nff)
-	for trial := 0; trial < opt.SegmentTrials; trial++ {
-		seg := make(logic.Sequence, opt.SegmentLen)
-		for i := range seg {
-			seg[i] = randomVec(r, c.NumPIs())
+func (gn *generator) bestSegment(r *rand.Rand) logic.Sequence {
+	var segs [segmentTrials]logic.Sequence
+	for t := range segs {
+		segs[t] = make(logic.Sequence, segmentLen)
+		for i := range segs[t] {
+			segs[t][i] = randomVec(r, gn.c.NumPIs())
 		}
-		det, lat := 0, 0
-		for _, g := range groups {
-			if g.mask == 0 {
-				continue
-			}
-			copy(state, g.state)
-			live := g.mask
-			eng.Reset()
-			eng.SetInjections(g.injs)
-			eng.LoadStateWords(state)
+	}
+	var det, lat [segmentTrials]int
+	eng := gn.eng
+	for _, g := range gn.groups {
+		if g.done() {
+			continue
+		}
+		eng.SetInjections(g.injs)
+		for t, seg := range segs {
+			gn.loadState(g.state)
+			live := g.live
 			for _, v := range seg {
 				eng.SetPIVector(v)
 				eng.EvalComb()
-				var diff uint64
-				for i := range c.POs {
-					w := eng.PO(i)
-					diff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
+				diff := gn.poDiff()
+				for k := range diff {
+					d := diff[k] & live[k]
+					det[t] += bits.OnesCount64(d)
+					live[k] &^= d
 				}
-				diff &= live
-				det += popcount(diff)
-				live &^= diff
 				eng.ClockFF()
 			}
-			var sdiff uint64
-			for i := 0; i < nff; i++ {
-				w := eng.State(i)
-				sdiff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
+			var sdiff [words]uint64
+			for i := range gn.c.DFFs {
+				wv := eng.State(i)
+				gw := wv[0].BroadcastSlot(0)
+				for k := range sdiff {
+					sdiff[k] |= logic.DiffDefinite(wv[k], gw)
+				}
 			}
-			lat += popcount(sdiff & live)
-		}
-		if det > bestDet || (det == bestDet && lat > bestLat) {
-			best, bestDet, bestLat = seg, det, lat
+			for k := range sdiff {
+				lat[t] += bits.OnesCount64(sdiff[k] & live[k])
+			}
 		}
 	}
-	return best
+	best := 0
+	for t := 1; t < segmentTrials; t++ {
+		if det[t] > det[best] || (det[t] == det[best] && lat[t] > lat[best]) {
+			best = t
+		}
+	}
+	return segs[best]
 }
 
 // Random returns a sequence of length n of uniformly random binary input
@@ -324,5 +337,3 @@ func randomVec(r *rand.Rand, n int) logic.Vector {
 	}
 	return v
 }
-
-func popcount(x uint64) int { return bits.OnesCount64(x) }

@@ -1,12 +1,14 @@
 // Package sim implements logic simulation for the netlists of package
-// circuit: 64-slot bit-parallel combinational evaluation, sequential
-// (clocked) runs, full-scan operations, and fault-injection hooks used by
-// the fault simulators in package fsim.
+// circuit, with fault-injection hooks, on two engines.
 //
-// One Engine carries 64 independent simulation slots. In parallel-pattern
-// use each slot is a different input pattern; in parallel-fault use slot
-// 0 is the good machine and slots 1..63 are faulty machines distinguished
-// by injections.
+// The compiled kernel (Compile, BatchEngine; kernel.go) runs every
+// fault-simulation pass in the repository — fsim's passes, seqgen's
+// fault groups and tfault's capture frames — over 64*W parallel slots.
+//
+// The interpreter Engine carries 64 slots and walks the netlist gate by
+// gate. It serves good-machine runs (RunSequence, EvalCombScalar,
+// tfault's and response's good machines), PODEM's good/bad pair, and is
+// the node-exact reference the kernel is tested against.
 package sim
 
 import (

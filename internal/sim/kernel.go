@@ -204,8 +204,8 @@ func (e *BatchEngine) SetStateValue(i int, v logic.Value) {
 }
 
 // SetNodeVec copies wv (up to the active width) into node n's slots —
-// the batch analogue of Engine.SetNode, for driving arbitrary per-slot
-// patterns in tests.
+// the batch analogue of Engine.SetNode. Loading per-slot flip-flop
+// words this way restores a saved set of machine states.
 func (e *BatchEngine) SetNodeVec(n int, wv logic.WordVec) {
 	copy(e.slot(n), wv)
 }
@@ -617,13 +617,15 @@ func (e *BatchEngine) evalForcedWord(n, i int) {
 	e.vals[n*e.w+i] = v
 }
 
-// ClockFF latches the current D values (with DFF pin injections) into
-// the flip-flops, applying output injections on DFF nodes.
-func (e *BatchEngine) ClockFF() {
+// NextState writes the D values the flip-flops would latch on the next
+// functional clock into dst, flip-flop i at dst[i*Width():(i+1)*Width()].
+// DFF pin injections are applied and DFF output injections are not, as
+// in Engine.NextState. EvalComb must have run for the current inputs.
+func (e *BatchEngine) NextState(dst []logic.Word) {
 	w := e.w
 	for i, ff := range e.c.DFFs {
-		dst := e.scratch[i*w : (i+1)*w]
-		copy(dst, e.slot(e.c.Nodes[ff].Fanin[0]))
+		d := dst[i*w : (i+1)*w]
+		copy(d, e.slot(e.c.Nodes[ff].Fanin[0]))
 		if e.flags[ff]&flagPin != 0 {
 			inj := e.pinInj[ff]
 			for j := range inj {
@@ -634,12 +636,19 @@ func (e *BatchEngine) ClockFF() {
 				}
 				for k := in.lo; k < hi; k++ {
 					if mask := in.Mask[k]; mask != 0 {
-						dst[k] = dst[k].Merge(in.fw, mask)
+						d[k] = d[k].Merge(in.fw, mask)
 					}
 				}
 			}
 		}
 	}
+}
+
+// ClockFF latches the NextState values into the flip-flops, applying
+// output injections on DFF nodes.
+func (e *BatchEngine) ClockFF() {
+	w := e.w
+	e.NextState(e.scratch)
 	for i, ff := range e.c.DFFs {
 		copy(e.slot(ff), e.scratch[i*w:(i+1)*w])
 		if e.flags[ff]&flagOut != 0 {

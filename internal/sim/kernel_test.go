@@ -130,8 +130,8 @@ func compareAll(t *testing.T, c *circuit.Circuit, be *BatchEngine, eng *Engine, 
 // TestKernelMatchesEngine is the node-exact differential: for every
 // circuit, width and random (injections, X-bearing sequence), each word
 // of the BatchEngine must equal an interpreter Engine run carrying that
-// word's injections — after every combinational evaluation and after
-// every clock.
+// word's injections — after every combinational evaluation, in the
+// NextState values, and after every clock.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, c := range kernelTestCircuits(t) {
 		p := Compile(c)
@@ -139,6 +139,7 @@ func TestKernelMatchesEngine(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w%d", c.Name, w), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(41*w) + int64(c.NumNodes())))
 				be := NewBatch(p, w)
+				next := make([]logic.Word, c.NumFFs()*w)
 				for trial := 0; trial < 4; trial++ {
 					be.Reset()
 					injs := randInjections(r, c, w, 1+r.Intn(2*w))
@@ -156,10 +157,17 @@ func TestKernelMatchesEngine(t *testing.T) {
 						in := randXVector(r, c.NumPIs())
 						be.SetPIVector(in)
 						be.EvalComb()
+						be.NextState(next)
 						for j, eng := range engines {
 							eng.SetPIVector(in)
 							eng.EvalComb()
 							compareAll(t, c, be, eng, j, fmt.Sprintf("trial %d u %d eval", trial, u))
+							for i, want := range eng.NextState() {
+								if got := next[i*w+j]; got != want {
+									t.Fatalf("trial %d u %d: flip-flop %d next state word %d: kernel %+v, engine %+v",
+										trial, u, i, j, got, want)
+								}
+							}
 						}
 						be.ClockFF()
 						for j, eng := range engines {

@@ -71,8 +71,9 @@ type Config struct {
 	// (0 = the oracle's default, negative = every fault).
 	CheckSample int
 	// ScanFFs enables partial scan: only the first ScanFFs flip-flops
-	// join the scan chain (0 or >= the FF count keeps full scan). The
-	// chain threads through ATPG, the simulator and the oracle audit.
+	// join the scan chain (0 or >= the FF count keeps full scan;
+	// negative is rejected). The chain threads through ATPG, the
+	// simulator and the oracle audit.
 	ScanFFs int
 	// SkipBaselines skips the [4] static-compaction baselines and the
 	// dynamic baseline (the proposed-procedure-only mode the scancompact
@@ -106,15 +107,18 @@ func (c Config) Chain(ckt *circuit.Circuit) (*scan.Chain, error) {
 }
 
 // Validate rejects settings no run can use: a negative directed T_0
-// cap or random T_0 length (0 selects the default). The jobs layer
-// calls it when a request is submitted, so a bad config fails before a
-// job exists.
+// cap or random T_0 length (0 selects the default), or a negative
+// partial-scan flip-flop count. The jobs layer calls it when a request
+// is submitted, so a bad config fails before a job exists.
 func (c Config) Validate() error {
 	if c.T0MaxLen < 0 {
 		return fmt.Errorf("workload: negative T0MaxLen %d", c.T0MaxLen)
 	}
 	if c.RandomT0Len < 0 {
 		return fmt.Errorf("workload: negative RandomT0Len %d", c.RandomT0Len)
+	}
+	if c.ScanFFs < 0 {
+		return fmt.Errorf("workload: negative ScanFFs %d", c.ScanFFs)
 	}
 	return nil
 }

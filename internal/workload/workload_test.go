@@ -103,15 +103,17 @@ func TestRunByNameUnknown(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeLengths: a negative T_0 length is an error from
-// the pipeline, not a panic inside it.
+// TestRunRejectsNegativeLengths: a negative T_0 length or partial-scan
+// flip-flop count is an error from the pipeline, not a panic inside it
+// or a full-scan run under a cache key of its own.
 func TestRunRejectsNegativeLengths(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"t0maxlen": {T0MaxLen: -3},
 		"randlen":  {RandomT0Len: -5},
+		"scanffs":  {ScanFFs: -3},
 	} {
 		if _, err := RunByName("b01", cfg); err == nil {
-			t.Errorf("%s: negative length accepted", name)
+			t.Errorf("%s: negative value accepted", name)
 		}
 	}
 }
