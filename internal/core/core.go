@@ -18,6 +18,9 @@
 //	Phase 3  add length-1 scan tests from C for still-undetected faults,
 //	         chosen by the n(f)/last(f) set-cover heuristic;
 //	Phase 4  run the static test combining of [4] on the resulting set.
+//
+// Every run ends by checking the paper's invariants on the sets it
+// already holds, with no re-simulation; a violation fails the run.
 package core
 
 import (
@@ -35,7 +38,8 @@ import (
 
 // Options tunes the procedure. The zero value reproduces the paper's
 // configuration: the i_0 scan-out rule, all four phases, and plain [4]
-// combining in Phase 4.
+// combining in Phase 4. No option turns off the invariant check that
+// ends every run.
 type Options struct {
 	// MaxIterations caps the Phase 1+2 iterations (0 = default 8; the
 	// natural stop — a repeated scan-in selection — usually hits first).
@@ -53,14 +57,6 @@ type Options struct {
 	// When the limit is smaller than |C| the candidates are taken at a
 	// uniform stride, so the pool stays representative.
 	SICandidateLimit int
-
-	// Audit, when non-nil, is called with the completed Result before Run
-	// returns; a non-nil error fails the run. Package oracle provides an
-	// implementation that re-checks the result's coverage claims against
-	// an independent reference simulator (core cannot import oracle —
-	// oracle builds on fsim, which this package drives — so the hook is
-	// an untyped seam).
-	Audit func(*Result) error
 }
 
 // OmitMaxLen is the longest sequence the pipeline hands to vector
@@ -104,8 +100,8 @@ type IterationTrace struct {
 	LenOut      int // L(T_C) after omission
 	DetectedC   int // |F_C| after omission
 
-	// The fault sets behind the counts above, retained so an auditor can
-	// check the paper's coverage invariants (F_0 ⊆ F_SI ⊆ F_SO ⊆ F_C)
+	// The fault sets behind the counts above, retained so Run can check
+	// the paper's coverage invariants (F_0 ⊆ F_SI ⊆ F_SO ⊆ F_C)
 	// set-for-set rather than count-for-count.
 	F0  *fault.Set // faults detected by T_0 without scan
 	FSI *fault.Set // after scan-in selection (F_0 ∪ scan-test detections)
@@ -318,12 +314,41 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		rest.SubtractWith(got)
 	}
 	res.Timings.Phase4 = time.Since(p4start)
-	if opt.Audit != nil {
-		if err := opt.Audit(res); err != nil {
-			return nil, fmt.Errorf("core: audit failed: %w", err)
-		}
+	if err := res.check(); err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// check verifies the paper's invariants on the sets the run holds. No
+// phase loses coverage: F_0 ⊆ F_SI ⊆ F_SO ⊆ F_C in every iteration, and
+// F_seq ⊆ F_init ⊆ F_final. Phase 4 turns k tests into k − Combined
+// tests with the same Σ L(T_i), so N_cyc falls by exactly N_SV per
+// accepted combination.
+func (r *Result) check() error {
+	for i, it := range r.Trace {
+		switch {
+		case !it.FSI.ContainsAll(it.F0):
+			return fmt.Errorf("core: invariant: iteration %d: F_0 ⊄ F_SI", i)
+		case !it.FSO.ContainsAll(it.FSI):
+			return fmt.Errorf("core: invariant: iteration %d: F_SI ⊄ F_SO", i)
+		case !it.FC.ContainsAll(it.FSO):
+			return fmt.Errorf("core: invariant: iteration %d: F_SO ⊄ F_C", i)
+		}
+	}
+	if !r.InitialDetected.ContainsAll(r.SeqDetected) {
+		return fmt.Errorf("core: invariant: F_seq ⊄ F_init")
+	}
+	if !r.FinalDetected.ContainsAll(r.InitialDetected) {
+		return fmt.Errorf("core: invariant: F_init ⊄ F_final")
+	}
+	if k, c := r.Initial.NumTests(), r.StaticStats.Combined; r.Final.NumTests() != k-c {
+		return fmt.Errorf("core: invariant: Phase 4 made %d tests of %d with %d combinations", r.Final.NumTests(), k, c)
+	}
+	if v := r.Initial.TotalVectors(); r.Final.TotalVectors() != v {
+		return fmt.Errorf("core: invariant: Phase 4 changed Σ L(T_i) from %d to %d", v, r.Final.TotalVectors())
+	}
+	return nil
 }
 
 // phase3 implements the n(f)/last(f) selection: repeatedly take the

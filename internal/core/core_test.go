@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/atpg"
@@ -77,6 +78,46 @@ func TestRunInvariantChain(t *testing.T) {
 	}
 	if !replay.Equal(res.InitialDetected) {
 		t.Errorf("initial replay %d != claimed %d", replay.Count(), res.InitialDetected.Count())
+	}
+}
+
+// TestCheckDetectsCorruption corrupts copies of a clean result in ways
+// the end-of-run invariant check must name.
+func TestCheckDetectsCorruption(t *testing.T) {
+	fx := newFixture(t, 108)
+	res, err := Run(fx.s, fx.C, fx.t0.Seq, Options{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.check(); err != nil {
+		t.Fatalf("clean result fails its check: %v", err)
+	}
+	if res.Trace[0].F0.Count() == 0 || res.Final.NumTests() < 2 {
+		t.Fatal("fixture too small to corrupt")
+	}
+	cases := []struct {
+		name    string
+		corrupt func(r *Result)
+		want    string
+	}{
+		{"F_SI loses F_0", func(r *Result) {
+			r.Trace = append([]IterationTrace(nil), r.Trace...)
+			r.Trace[0].FSI = fault.NewSet(fx.faults)
+		}, "iteration 0: F_0 ⊄ F_SI"},
+		{"Phase 4 loses coverage", func(r *Result) {
+			r.FinalDetected = fault.NewSet(fx.faults)
+		}, "F_init ⊄ F_final"},
+		{"Phase 4 drops a test", func(r *Result) {
+			r.Final = r.Final.Clone()
+			r.Final.Tests = r.Final.Tests[1:]
+		}, "Phase 4 made"},
+	}
+	for _, tc := range cases {
+		broken := *res
+		tc.corrupt(&broken)
+		if err := broken.check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: check() = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 

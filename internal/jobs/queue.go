@@ -40,6 +40,8 @@ type resolved struct {
 // artifact key without running anything. It is also the submission-time
 // validation gate: malformed netlists, unknown roster names and configs
 // workload.Config.Validate rejects fail here, before a job is created.
+// A chain of every flip-flop runs full scan, so its ScanFFs becomes 0
+// before the key is taken and the request shares the full-scan bundle.
 func (q *Queue) resolve(req Request) (*resolved, error) {
 	cfg := req.Config
 	cfg.Progress = nil // never part of identity; reinstalled per run
@@ -70,6 +72,7 @@ func (q *Queue) resolve(req Request) (*resolved, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: %s: %v", req.Roster, err)
 		}
+		cfg = fullScan(ckt, cfg)
 		seed := entry.Params.Seed + cfg.Seed
 		return &resolved{
 			name: entry.Params.Name,
@@ -106,6 +109,7 @@ func (q *Queue) resolveCircuit(ckt *circuit.Circuit, cfg workload.Config) (*reso
 	if ckt.NumFFs() == 0 {
 		return nil, fmt.Errorf("%w: circuit %s has no flip-flops (not a scan circuit)", ErrUnsupported, ckt.Name)
 	}
+	cfg = fullScan(ckt, cfg)
 	return &resolved{
 		name: ckt.Name,
 		key:  Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, cfg.Seed)},
@@ -115,6 +119,15 @@ func (q *Queue) resolveCircuit(ckt *circuit.Circuit, cfg workload.Config) (*reso
 			return workload.RunCircuit(ckt, c)
 		},
 	}, nil
+}
+
+// fullScan writes a chain of every flip-flop of ckt as ScanFFs 0, the
+// full-scan setting workload.Config.Chain maps it to.
+func fullScan(ckt *circuit.Circuit, cfg workload.Config) workload.Config {
+	if cfg.ScanFFs >= ckt.NumFFs() {
+		cfg.ScanFFs = 0
+	}
+	return cfg
 }
 
 // State is a job's lifecycle position.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/workload"
 )
 
@@ -47,6 +48,36 @@ func TestSubmitValidation(t *testing.T) {
 		}
 		if tc.want != nil && !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestResolveFullScanKey: a chain that covers every flip-flop runs full
+// scan, so it must share the full-scan request's key, whatever the
+// circuit source.
+func TestResolveFullScanKey(t *testing.T) {
+	q := newTestQueue(t, nil, Options{Workers: 1})
+	ckt, err := bench.ParseString("upload", benchBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]Request{
+		"roster":  {Roster: "b01"},
+		"bench":   {Bench: benchBase},
+		"circuit": {Circuit: ckt},
+	} {
+		var keys [2]Key
+		for i, scanFFs := range []int{0, 1000} {
+			req.Config = fastCfg()
+			req.Config.ScanFFs = scanFFs
+			r, err := q.resolve(req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			keys[i] = r.key
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%s: ScanFFs 1000 keys %s, full scan %s", name, keys[1], keys[0])
 		}
 	}
 }

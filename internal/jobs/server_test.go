@@ -370,6 +370,7 @@ func TestUploadErrors(t *testing.T) {
 		{"negative random T0 length", "application/json", `{"roster": "b01", "config": {"random_t0_len": -5}}`, http.StatusBadRequest, "bad_request"},
 		{"negative T0 cap", "application/json", `{"roster": "b01", "config": {"t0_max_len": -3}}`, http.StatusBadRequest, "bad_request"},
 		{"negative scan flip-flop count", "application/json", `{"roster": "b01", "config": {"scan_ffs": -3}}`, http.StatusBadRequest, "bad_request"},
+		{"both T0 arms skipped", "application/json", `{"roster": "b01", "config": {"skip_directed": true, "skip_random": true}}`, http.StatusBadRequest, "bad_request"},
 		{"unknown roster", "application/json", `{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
 		{"no source", "application/json", `{}`, http.StatusBadRequest, "bad_request"},
 	}

@@ -1,21 +1,23 @@
 package jobs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
+	"time"
 )
 
 // Store is the content-addressed artifact cache: one directory per
-// artifact key under objects/<key[:2]>/<key>/, plus an index.json that
-// records recency (a monotonic access sequence) and sizes. A byte
-// budget bounds the total payload; when a Put would exceed it, the
-// least-recently-used bundles are evicted until the new one fits.
+// artifact key under objects/<key[:2]>/<key>/. The directories are the
+// store's only record. OpenStore rescans them, taking each bundle's
+// size from its files and its recency from the directory's
+// modification time, which Put sets by creating the directory and every
+// hit refreshes. A byte budget bounds the total payload; when a Put
+// would exceed it, the least-recently-used bundles are evicted until
+// the new one fits.
 //
 // All methods are safe for concurrent use.
 type Store struct {
@@ -23,20 +25,16 @@ type Store struct {
 	budget int64 // <= 0 means unlimited
 
 	mu      sync.Mutex
-	seq     int64
 	entries map[string]*storeEntry
 
 	hits, misses, puts, evictions int64
 }
 
+// storeEntry is one bundle's accounting. used carries no monotonic
+// reading, so it compares consistently with modification times.
 type storeEntry struct {
-	Seq  int64 `json:"seq"`
-	Size int64 `json:"size"`
-}
-
-type storeIndex struct {
-	Seq     int64                  `json:"seq"`
-	Entries map[string]*storeEntry `json:"entries"`
+	size int64
+	used time.Time
 }
 
 // StoreStats is a snapshot of the store's counters.
@@ -50,83 +48,47 @@ type StoreStats struct {
 }
 
 // OpenStore opens (creating if needed) an artifact store rooted at dir
-// with the given byte budget (<= 0 for unlimited). An existing
-// index.json restores recency order across restarts; if it is missing
-// or stale the objects directory is rescanned and recency reset.
+// with the given byte budget (<= 0 for unlimited). It scans objects/,
+// so a bundle a crashed process renamed into place is served like any
+// other, and evicts to the budget. It deletes the index.json that older
+// versions kept, whose recency would go stale as this one serves hits.
 func OpenStore(dir string, budget int64) (*Store, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o755); err != nil {
+	objects := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(objects, 0o755); err != nil {
+		return nil, fmt.Errorf("jobs: open store: %v", err)
+	}
+	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("jobs: open store: %v", err)
 	}
 	s := &Store{dir: dir, budget: budget, entries: map[string]*storeEntry{}}
-	if err := s.loadIndex(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *Store) indexPath() string { return filepath.Join(s.dir, "index.json") }
-
-func (s *Store) objectDir(key Key) string {
-	k := key.String()
-	return filepath.Join(s.dir, "objects", k[:2], k)
-}
-
-func (s *Store) loadIndex() error {
-	data, err := os.ReadFile(s.indexPath())
-	if err == nil {
-		var idx storeIndex
-		if json.Unmarshal(data, &idx) == nil && idx.Entries != nil {
-			// Keep only entries whose object directory still exists.
-			for k, e := range idx.Entries {
-				key, kerr := ParseKey(k)
-				if kerr != nil {
-					continue
-				}
-				if st, serr := os.Stat(s.objectDir(key)); serr == nil && st.IsDir() {
-					s.entries[k] = e
-					if e.Seq > s.seq {
-						s.seq = e.Seq
-					}
-				}
-			}
-			return nil
-		}
-	}
-	// No usable index: rescan objects/ and assign fresh recency in
-	// sorted-key order (deterministic, if arbitrary).
-	shards, err := os.ReadDir(filepath.Join(s.dir, "objects"))
+	shards, err := os.ReadDir(objects)
 	if err != nil {
-		return fmt.Errorf("jobs: scan store: %v", err)
+		return nil, fmt.Errorf("jobs: scan store: %v", err)
 	}
-	var keys []string
 	for _, shard := range shards {
-		if !shard.IsDir() {
-			continue
-		}
-		objs, err := os.ReadDir(filepath.Join(s.dir, "objects", shard.Name()))
+		objs, err := os.ReadDir(filepath.Join(objects, shard.Name()))
 		if err != nil {
 			continue
 		}
 		for _, o := range objs {
-			if o.IsDir() {
-				keys = append(keys, o.Name())
+			k := o.Name()
+			if _, err := ParseKey(k); err != nil || !o.IsDir() || k[:2] != shard.Name() {
+				continue // not a bundle, e.g. the <key>.tmp of a Put in progress
+			}
+			info, ierr := o.Info()
+			size, serr := dirSize(filepath.Join(objects, shard.Name(), k))
+			if ierr == nil && serr == nil {
+				s.entries[k] = &storeEntry{size: size, used: info.ModTime()}
 			}
 		}
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		key, kerr := ParseKey(k)
-		if kerr != nil {
-			continue
-		}
-		size, err := dirSize(s.objectDir(key))
-		if err != nil {
-			continue
-		}
-		s.seq++
-		s.entries[k] = &storeEntry{Seq: s.seq, Size: size}
-	}
-	return s.saveIndexLocked()
+	s.evictLocked()
+	return s, nil
+}
+
+func (s *Store) objectDir(key Key) string {
+	k := key.String()
+	return filepath.Join(s.dir, "objects", k[:2], k)
 }
 
 func dirSize(dir string) (int64, error) {
@@ -145,23 +107,9 @@ func dirSize(dir string) (int64, error) {
 	return n, nil
 }
 
-// saveIndexLocked persists the index; callers hold s.mu (or are still
-// single-threaded in OpenStore).
-func (s *Store) saveIndexLocked() error {
-	idx := storeIndex{Seq: s.seq, Entries: s.entries}
-	data, err := json.MarshalIndent(&idx, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := s.indexPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.indexPath())
-}
-
 // Get returns the bundle for key, or (nil, false) on a miss. A hit
-// refreshes the key's recency.
+// refreshes the key's recency, and mirrors it on the bundle directory's
+// modification time for the next OpenStore.
 //
 // The bundle is read after s.mu is released, so an eviction or a Put
 // replacing the same key can remove the directory in between. A bundle
@@ -175,38 +123,34 @@ func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 		s.mu.Unlock()
 		return nil, false, nil
 	}
-	s.seq++
-	e.Seq = s.seq
-	seq := s.seq
+	used := time.Now().Round(0)
+	e.used = used
 	s.hits++
-	saveErr := s.saveIndexLocked()
 	s.mu.Unlock()
-	if saveErr != nil {
-		return nil, false, fmt.Errorf("jobs: store index: %v", saveErr)
-	}
 
-	a, err := readBundle(s.objectDir(key))
+	dir := s.objectDir(key)
+	a, err := readBundle(dir)
 	if errors.Is(err, fs.ErrNotExist) {
-		s.vanished(k, seq)
+		s.vanished(k, e)
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, fmt.Errorf("jobs: read bundle %s: %v", k, err)
 	}
+	_ = os.Chtimes(dir, used, used) // fails only if dir was removed since the read, leaving no recency to keep
 	return a, true, nil
 }
 
-// vanished turns the hit Get counted for k into a miss. The index entry
-// is dropped only if its recency is still seq, the value that Get set:
-// otherwise a Put has re-stored the key since, and its entry stands.
-func (s *Store) vanished(k string, seq int64) {
+// vanished turns the hit Get counted for k into a miss. The entry is
+// dropped only if it is still e, the one Get found: otherwise a Put has
+// re-stored the key since, and its entry stands.
+func (s *Store) vanished(k string, e *storeEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hits--
 	s.misses++
-	if e, ok := s.entries[k]; ok && e.Seq == seq {
+	if s.entries[k] == e {
 		delete(s.entries, k)
-		_ = s.saveIndexLocked() // best effort: loadIndex skips missing objects
 	}
 }
 
@@ -242,7 +186,9 @@ func (s *Store) Contains(key Key) bool {
 // replaces the bundle (the bytes are identical by construction, so this
 // is a recency refresh in practice). A bundle larger than the whole
 // budget is not stored at all — the store never evicts everything else
-// just to fail anyway.
+// just to fail anyway. The bundle is written to <key>.tmp and renamed
+// into place, so its directory's modification time is the time of the
+// Put.
 func (s *Store) Put(key Key, a *Artifacts) error {
 	size := a.Size()
 	if s.budget > 0 && size > s.budget {
@@ -275,41 +221,35 @@ func (s *Store) Put(key Key, a *Artifacts) error {
 	if err := os.Rename(tmp, dir); err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}
-	s.seq++
-	s.entries[k] = &storeEntry{Seq: s.seq, Size: size}
+	s.entries[k] = &storeEntry{size: size, used: time.Now().Round(0)}
 	s.puts++
-	if s.budget > 0 {
-		s.evictLocked()
-	}
-	if err := s.saveIndexLocked(); err != nil {
-		return fmt.Errorf("jobs: store index: %v", err)
-	}
+	s.evictLocked()
 	return nil
 }
 
-// evictLocked removes lowest-seq entries until total size fits the
-// budget. Callers hold s.mu.
+// evictLocked removes the least recently used entries, ties broken by
+// key, until the total size fits the budget. Callers hold s.mu (or are
+// still single-threaded in OpenStore).
 func (s *Store) evictLocked() {
+	if s.budget <= 0 {
+		return
+	}
 	var total int64
 	for _, e := range s.entries {
-		total += e.Size
+		total += e.size
 	}
 	for total > s.budget {
-		victim := ""
-		var vseq int64
+		var victim string
+		var ve *storeEntry
 		for k, e := range s.entries {
-			if victim == "" || e.Seq < vseq {
-				victim, vseq = k, e.Seq
+			if ve == nil || e.used.Before(ve.used) || e.used.Equal(ve.used) && k < victim {
+				victim, ve = k, e
 			}
 		}
-		if victim == "" {
-			return
+		if key, err := ParseKey(victim); err == nil {
+			_ = os.RemoveAll(s.objectDir(key)) // what it leaves, the next OpenStore finds and evicts
 		}
-		key, err := ParseKey(victim)
-		if err == nil {
-			os.RemoveAll(s.objectDir(key))
-		}
-		total -= s.entries[victim].Size
+		total -= ve.size
 		delete(s.entries, victim)
 		s.evictions++
 	}
@@ -327,7 +267,7 @@ func (s *Store) Stats() StoreStats {
 		Evictions: s.evictions,
 	}
 	for _, e := range s.entries {
-		st.Bytes += e.Size
+		st.Bytes += e.size
 	}
 	return st
 }

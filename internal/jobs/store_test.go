@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -25,7 +26,8 @@ func bundle(n int) *Artifacts {
 }
 
 func TestStorePutGetRoundTrip(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 0)
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +52,22 @@ func TestStorePutGetRoundTrip(t *testing.T) {
 	st := s.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 || st.Objects != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+	// The object directories are the store's only record.
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		name := e.Type().String()[:1] + " " + e.Name()
+		if e.IsDir() {
+			name += "/"
+		}
+		names = append(names, name)
+	}
+	if len(names) != 1 || names[0] != "d objects/" {
+		t.Errorf("store directory holds more than objects/: %v", names)
 	}
 }
 
@@ -79,6 +97,39 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if st := s.Stats(); st.Evictions != 1 || st.Bytes != 80 {
 		t.Errorf("stats after eviction: %+v", st)
+	}
+}
+
+// TestStoreConcurrentHits refreshes recency from several goroutines at
+// once while each also stores a key of its own; run it under -race.
+func TestStoreConcurrentHits(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.Put(testKey(i), bundle(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if err := s.Put(testKey(4+g), bundle(40)); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < 20; i++ {
+				if a, ok, err := s.Get(testKey(i % 4)); err != nil || !ok || len(a.Files["payload.txt"]) != 40 {
+					t.Errorf("goroutine %d: Get key %d: ok=%v err=%v", g, i%4, ok, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if st := s.Stats(); st.Objects != 8 || st.Hits != 80 || st.Misses != 0 {
+		t.Errorf("stats after concurrent hits: %+v", st)
 	}
 }
 
@@ -137,40 +188,67 @@ func TestStorePersistsAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestStoreRebuildsWithoutIndex(t *testing.T) {
+// TestStoreReopensAfterCrash reopens a store that a crashed process
+// left behind: a bundle renamed into place that the process never
+// recorded, the staging directory of an unfinished Put, and an
+// index.json from an older version of the store that lists only the
+// first bundle. The reopened store serves the unrecorded bundle, skips
+// the staging directory, deletes the index and evicts to its budget.
+func TestStoreReopensAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 0)
+	s, err := OpenStore(dir, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(testKey(0), bundle(40)); err != nil {
+	k0, k1, k2, k3 := testKey(0), testKey(1), testKey(2), testKey(3)
+	for _, k := range []Key{k0, k1} {
+		if err := s.Put(k, bundle(40)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeBundle := func(dir string) {
+		t.Helper()
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "payload.txt"), bytes.Repeat([]byte("x"), 40), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeBundle(s.objectDir(k2))          // crash after Put's rename
+	writeBundle(s.objectDir(k3) + ".tmp") // crash before it
+	index := filepath.Join(dir, "index.json")
+	stale := fmt.Sprintf(`{"seq":1,"entries":{%q:{"seq":1,"size":40}}}`, k0.String())
+	if err := os.WriteFile(index, []byte(stale), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a lost index: reopen must rescan objects/.
-	if err := removeIndex(dir); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Contains(testKey(0)) {
-		t.Error("bundle not recovered from objects/ scan")
-	}
-	if got, ok, err := s2.Get(testKey(0)); err != nil || !ok || len(got.Files["payload.txt"]) != 40 {
-		t.Errorf("recovered bundle unreadable: ok=%v err=%v", ok, err)
-	}
-}
 
-func removeIndex(dir string) error {
-	return os.Remove(filepath.Join(dir, "index.json"))
+	s2, err := OpenStore(dir, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(index); err == nil {
+		t.Error("stale index.json survived the reopen")
+	}
+	if got, ok, err := s2.Get(k2); err != nil || !ok || len(got.Files["payload.txt"]) != 40 {
+		t.Errorf("unrecorded bundle not served: ok=%v err=%v", ok, err)
+	}
+	if st := s2.Stats(); st.Bytes > 100 {
+		t.Errorf("reopened store holds %d bytes over its 100-byte budget", st.Bytes)
+	}
+	if s2.Contains(k0) || !s2.Contains(k1) {
+		t.Errorf("oldest bundle kept over budget: k0=%v k1=%v (want false,true)", s2.Contains(k0), s2.Contains(k1))
+	}
+	if _, ok, _ := s2.Get(k3); ok {
+		t.Error("staging directory of an unfinished Put served as a bundle")
+	}
 }
 
 // TestStoreGetVanishedBundle removes a stored bundle's directory behind
 // the store's back, which is what a hit sees when it races an eviction
 // or a Put of the same key. Get must report a plain miss and drop the
-// stale index entry, and the queue must recompute the bundle instead of
-// failing the submission.
+// entry, and the queue must recompute the bundle instead of failing the
+// submission.
 func TestStoreGetVanishedBundle(t *testing.T) {
 	store, err := OpenStore(t.TempDir(), 0)
 	if err != nil {

@@ -1,11 +1,12 @@
-// Invariant checks over pipeline artifacts. An audit re-derives, from
-// first principles and the reference simulator, the properties a
-// pipeline result claims: coverage monotonicity across the paper's
-// phases, test-application cost, detection-set accuracy, and expected
-// tester responses. Full re-simulation of every fault is affordable only
-// on small circuits, so audits sample faults and tests deterministically
-// (uniform stride, like core's scan-in scoring) — a violation anywhere
-// in the sample fails the audit, and the sample is reproducible.
+// Audits of pipeline artifacts. An audit re-derives, from first
+// principles and the reference simulator, the properties a test set
+// claims: structural validity, test-application cost, preserved
+// coverage, detection-set accuracy and expected tester responses. The
+// invariants that need no simulation are core's, checked on every run.
+// Full re-simulation of every fault is affordable only on small
+// circuits, so audits sample faults and tests deterministically (uniform
+// stride, like core's scan-in scoring) — a violation anywhere in the
+// sample fails the audit, and the sample is reproducible.
 package oracle
 
 import (
@@ -13,7 +14,6 @@ import (
 	"strings"
 
 	"repro/internal/circuit"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/response"
@@ -41,18 +41,6 @@ func (r *Report) addf(check, format string, args ...interface{}) {
 // Ok reports whether every check passed.
 func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
-// Err returns nil when the audit passed, or an error naming the first
-// violation (and counting the rest).
-func (r *Report) Err() error {
-	if r.Ok() {
-		return nil
-	}
-	if len(r.Violations) == 1 {
-		return fmt.Errorf("oracle: %s", r.Violations[0])
-	}
-	return fmt.Errorf("oracle: %s (and %d more violations)", r.Violations[0], len(r.Violations)-1)
-}
-
 // Merge folds another report into r.
 func (r *Report) Merge(o *Report) {
 	r.Checks += o.Checks
@@ -73,19 +61,17 @@ func (r *Report) String() string {
 type AuditOptions struct {
 	// SampleFaults bounds how many claimed-detected and claimed-undetected
 	// faults are re-simulated per test set (each side gets the budget).
-	// 0 means a default of 32; negative means every fault.
+	// 0 means a default of 32. Negative means every fault, and a response
+	// cross-check of every test instead of sampleTests of them.
 	SampleFaults int
-	// SampleTests bounds how many tests get a response cross-check.
-	// 0 means a default of 4; negative means every test.
-	SampleTests int
 }
+
+// sampleTests is how many tests of a set get a response cross-check.
+const sampleTests = 4
 
 func (o AuditOptions) withDefaults() AuditOptions {
 	if o.SampleFaults == 0 {
 		o.SampleFaults = 32
-	}
-	if o.SampleTests == 0 {
-		o.SampleTests = 4
 	}
 	return o
 }
@@ -154,8 +140,8 @@ func auditCycles(rep *Report, what string, ts *scan.Set, nsv int) {
 // responses against the oracle good machine for a sample of tests.
 func (s *Sim) auditResponses(rep *Report, what string, ch *scan.Chain, ts *scan.Set, opt AuditOptions) {
 	stride := 1
-	if opt.SampleTests >= 0 && len(ts.Tests) > opt.SampleTests {
-		stride = (len(ts.Tests) + opt.SampleTests - 1) / opt.SampleTests
+	if opt.SampleFaults >= 0 && len(ts.Tests) > sampleTests {
+		stride = (len(ts.Tests) + sampleTests - 1) / sampleTests
 	}
 	for i := 0; i < len(ts.Tests); i += stride {
 		rep.Checks++
@@ -238,60 +224,4 @@ func AuditSequence(c *circuit.Circuit, faults []fault.Fault, seq logic.Sequence,
 		}
 	}
 	return rep
-}
-
-// AuditResult audits a full run of the proposed procedure: the phase
-// invariants of the paper (coverage never decreases along
-// F_0 ⊆ F_SI ⊆ F_SO ⊆ F_C, Phase 3 and 4 never lose coverage), the
-// cost model, and sampled oracle re-simulation of the final set.
-func AuditResult(c *circuit.Circuit, faults []fault.Fault, ch *scan.Chain, res *core.Result, opt AuditOptions) *Report {
-	opt = opt.withDefaults()
-	rep := &Report{}
-	s := NewChain(c, faults, ch)
-
-	// Phase 1+2 invariants, iteration by iteration.
-	for i, it := range res.Trace {
-		if it.F0 == nil {
-			continue // trace sets not recorded by this producer
-		}
-		rep.Checks += 3
-		if !it.FSI.ContainsAll(it.F0) {
-			rep.addf("phase1", "iteration %d: F_0 ⊄ F_SI", i)
-		}
-		if !it.FSO.ContainsAll(it.FSI) {
-			rep.addf("phase1", "iteration %d: F_SI ⊄ F_SO (scan-out time loses coverage)", i)
-		}
-		if !it.FC.ContainsAll(it.FSO) {
-			rep.addf("phase2", "iteration %d: F_SO ⊄ F_C (vector omission lost a fault)", i)
-		}
-	}
-
-	// Phase 3 extends τ_seq's coverage; Phase 4 must preserve Phase 3's.
-	rep.Checks += 2
-	if !res.InitialDetected.ContainsAll(res.SeqDetected) {
-		rep.addf("phase3", "initial set loses τ_seq coverage")
-	}
-	if !res.FinalDetected.ContainsAll(res.InitialDetected) {
-		rep.addf("phase4", "static compaction lost coverage (%d → %d)",
-			res.InitialDetected.Count(), res.FinalDetected.Count())
-	}
-
-	rep.Checks++
-	if err := res.Final.Validate(c.NumPIs(), s.Nsv()); err != nil {
-		rep.addf("validate", "%v", err)
-	}
-	auditCycles(rep, "initial", res.Initial, s.Nsv())
-	auditCycles(rep, "final", res.Final, s.Nsv())
-
-	s.auditDetection(rep, "final", res.Final, res.FinalDetected, opt)
-	s.auditResponses(rep, "final", ch, res.Final, opt)
-	return rep
-}
-
-// Auditor returns a core.Options.Audit hook that runs AuditResult and
-// fails the run on any violation.
-func Auditor(c *circuit.Circuit, faults []fault.Fault, ch *scan.Chain, opt AuditOptions) func(*core.Result) error {
-	return func(res *core.Result) error {
-		return AuditResult(c, faults, ch, res, opt).Err()
-	}
 }

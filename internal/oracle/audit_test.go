@@ -39,41 +39,17 @@ func buildFixture(t *testing.T, name string) (*fsim.Simulator, []fault.Fault, *a
 	return fsim.New(c, faults), faults, comb, t0
 }
 
-// TestAuditHookPasses runs the full procedure with the oracle wired in
-// through core.Options.Audit: a clean run must produce zero violations.
-func TestAuditHookPasses(t *testing.T) {
-	s, faults, comb, t0 := buildFixture(t, "b01")
-	c := s.Circuit()
-	audited := false
-	opt := core.Options{
-		MaxIterations: 3,
-		Audit: func(res *core.Result) error {
-			audited = true
-			rep := AuditResult(c, faults, nil, res, AuditOptions{})
-			if !rep.Ok() {
-				t.Errorf("audit violations:\n%s", rep)
-			}
-			return rep.Err()
-		},
-	}
-	if _, err := core.Run(s, comb.Tests, t0, opt); err != nil {
-		t.Fatalf("core.Run: %v", err)
-	}
-	if !audited {
-		t.Fatal("audit hook never called")
-	}
-}
-
-// TestAuditResultFullSample audits a run with sampling disabled (every
-// fault, every test) on the smallest roster circuit — the exhaustive
-// version of the check the CLIs run sampled.
-func TestAuditResultFullSample(t *testing.T) {
+// TestAuditCoverageFullSample audits the proposed procedure's final set
+// with sampling disabled (every fault, every test) on the smallest
+// roster circuit — the exhaustive version of the check -check runs
+// sampled.
+func TestAuditCoverageFullSample(t *testing.T) {
 	s, faults, comb, t0 := buildFixture(t, "b02")
 	res, err := core.Run(s, comb.Tests, t0, core.Options{MaxIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := AuditResult(s.Circuit(), faults, nil, res, AuditOptions{SampleFaults: -1, SampleTests: -1})
+	rep := AuditCoverage(s.Circuit(), faults, nil, res.Final, res.FinalDetected, res.InitialDetected, AuditOptions{SampleFaults: -1})
 	if !rep.Ok() {
 		t.Fatalf("exhaustive audit failed:\n%s", rep)
 	}
@@ -82,44 +58,20 @@ func TestAuditResultFullSample(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsCorruption corrupts a clean result in ways the audit
-// must catch: a lost fault after Phase 4, and an over-claimed detection.
+// TestAuditDetectsCorruption over-claims the final set's detections:
+// the re-simulation must catch a fault the set does not detect.
 func TestAuditDetectsCorruption(t *testing.T) {
 	s, faults, comb, t0 := buildFixture(t, "b02")
 	res, err := core.Run(s, comb.Tests, t0, core.Options{MaxIterations: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Phase 4 "loses" coverage: empty the final detection claim.
-	broken := *res
-	broken.FinalDetected = fault.NewSet(len(faults))
-	rep := AuditResult(s.Circuit(), faults, nil, &broken, AuditOptions{})
+	if res.FinalDetected.Count() == len(faults) {
+		t.Fatal("final set detects every fault: nothing to over-claim")
+	}
+	rep := AuditCoverage(s.Circuit(), faults, nil, res.Final, fault.NewFullSet(len(faults)), nil, AuditOptions{SampleFaults: -1})
 	if rep.Ok() {
-		t.Fatal("audit missed a coverage loss after Phase 4")
-	}
-
-	// Over-claim: pretend every fault is detected by the final set.
-	broken = *res
-	broken.FinalDetected = fault.NewFullSet(len(faults))
-	if res.FinalDetected.Count() < len(faults) {
-		rep = AuditResult(s.Circuit(), faults, nil, &broken, AuditOptions{SampleFaults: -1})
-		if rep.Ok() {
-			t.Fatal("audit missed an over-claimed detection set")
-		}
-	}
-
-	// A broken phase invariant: F_SI claims less than F_0.
-	if len(res.Trace) > 0 && res.Trace[0].F0.Count() > 0 {
-		broken = *res
-		broken.Trace = append([]core.IterationTrace(nil), res.Trace...)
-		it := broken.Trace[0]
-		it.FSI = fault.NewSet(len(faults))
-		broken.Trace[0] = it
-		rep = AuditResult(s.Circuit(), faults, nil, &broken, AuditOptions{})
-		if rep.Ok() {
-			t.Fatal("audit missed F_0 ⊄ F_SI")
-		}
+		t.Fatal("audit missed an over-claimed detection set")
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package oracle is the correctness reference for the fault-simulation
 // and compaction pipeline: a scalar, one-fault-at-a-time fault simulator
 // built on the independent event-driven engine (package esim), plus
-// invariant checks over the artifacts the pipeline produces (audit.go).
+// audits that re-simulate the artifacts the pipeline produces
+// (audit.go). The invariants that need no simulation are core's own,
+// checked on every run; the oracle does not import what it referees.
 //
 // The reference simulator deliberately shares nothing with package fsim:
 // no 64-slot words, no compiled kernel, no worker pool, no early exits. One

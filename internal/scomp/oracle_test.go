@@ -41,7 +41,7 @@ func TestCompactPreservesCoverageOracle(t *testing.T) {
 		t.Fatalf("compaction raised N_cyc (%d → %d)", initial.Cycles(nsv), compacted.Cycles(nsv))
 	}
 	rep := oracle.AuditCoverage(c, faults, nil, compacted, after, required,
-		oracle.AuditOptions{SampleFaults: -1, SampleTests: -1})
+		oracle.AuditOptions{SampleFaults: -1})
 	if !rep.Ok() {
 		t.Fatalf("audit failed:\n%s", rep)
 	}

@@ -3,23 +3,19 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/oracle"
 	"repro/internal/scan"
 )
 
-// auditOptions maps the Config knobs onto the oracle's.
-func (c Config) auditOptions() oracle.AuditOptions {
-	return oracle.AuditOptions{SampleFaults: c.CheckSample}
-}
-
 // auditRun re-checks every artifact of one pipeline run against the
-// reference simulator: the T_0 grading, both [4] baseline sets and the
-// dynamic baseline. The proposed-procedure results are audited inside
-// core.Run through the Options.Audit hook, so they are not re-audited
-// here.
-func auditRun(s *fsim.Simulator, run *CircuitRun, opt oracle.AuditOptions) error {
+// reference simulator: the T_0 grading, the [4] and dynamic baselines,
+// and the final set of each proposed arm, which must keep the coverage
+// of its initial set.
+func auditRun(s *fsim.Simulator, run *CircuitRun, sample int) error {
+	opt := oracle.AuditOptions{SampleFaults: sample}
 	c := run.Circuit
 	rep := &oracle.Report{}
 	if run.T0 != nil {
@@ -39,6 +35,11 @@ func auditRun(s *fsim.Simulator, run *CircuitRun, opt oracle.AuditOptions) error
 	}
 	if run.BaseDyn != nil {
 		rep.Merge(oracle.AuditCoverage(c, run.Faults, run.Chain, run.BaseDyn, claim(run.BaseDyn), nil, opt))
+	}
+	for _, res := range []*core.Result{run.Proposed, run.ProposedRand} {
+		if res != nil {
+			rep.Merge(oracle.AuditCoverage(c, run.Faults, run.Chain, res.Final, res.FinalDetected, res.InitialDetected, opt))
+		}
 	}
 	if !rep.Ok() {
 		return fmt.Errorf("workload %s: audit: %s", run.Entry.Params.Name, rep)

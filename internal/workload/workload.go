@@ -32,7 +32,6 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
-	"repro/internal/oracle"
 	"repro/internal/scan"
 	"repro/internal/scomp"
 	"repro/internal/seqgen"
@@ -62,10 +61,11 @@ type Config struct {
 	// runtime.NumCPU(). Results are identical for any value.
 	Workers int
 	// Check audits every run against the reference simulator in package
-	// oracle: the proposed procedure through core.Options.Audit, the
-	// baselines and T_0 grading through sampled re-simulation. A
-	// violation fails the run. Sampled, but still several times slower
-	// than an unchecked run.
+	// oracle: the T_0 grading, the baselines and both arms of the
+	// proposed procedure, by sampled re-simulation. A violation fails
+	// the run. Sampled, but still several times slower than an unchecked
+	// run. The paper's invariants that need no simulation are checked on
+	// every run, with or without Check.
 	Check bool
 	// CheckSample bounds the faults re-simulated per audited artifact
 	// (0 = the oracle's default, negative = every fault).
@@ -107,9 +107,10 @@ func (c Config) Chain(ckt *circuit.Circuit) (*scan.Chain, error) {
 }
 
 // Validate rejects settings no run can use: a negative directed T_0
-// cap or random T_0 length (0 selects the default), or a negative
-// partial-scan flip-flop count. The jobs layer calls it when a request
-// is submitted, so a bad config fails before a job exists.
+// cap or random T_0 length (0 selects the default), a negative
+// partial-scan flip-flop count, or skipping both T_0 arms. The jobs
+// layer calls it when a request is submitted, so a bad config fails
+// before a job exists.
 func (c Config) Validate() error {
 	if c.T0MaxLen < 0 {
 		return fmt.Errorf("workload: negative T0MaxLen %d", c.T0MaxLen)
@@ -119,6 +120,9 @@ func (c Config) Validate() error {
 	}
 	if c.ScanFFs < 0 {
 		return fmt.Errorf("workload: negative ScanFFs %d", c.ScanFFs)
+	}
+	if c.SkipDirected && c.SkipRandom {
+		return fmt.Errorf("workload: SkipDirected and SkipRandom leave nothing to run")
 	}
 	return nil
 }
@@ -258,8 +262,6 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 		}
 		run.T0 = t0c
 		run.T0Detected = s.Detect(t0c, fsim.Options{})
-	} else if cfg.SkipRandom {
-		return nil, fmt.Errorf("workload %s: SkipDirected and SkipRandom leave nothing to run", name)
 	}
 
 	// Baselines.
@@ -273,13 +275,9 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	}
 
 	// Proposed procedure, both T_0 sources.
-	coreOpt := cfg.Core
-	if cfg.Check && coreOpt.Audit == nil {
-		coreOpt.Audit = oracle.Auditor(ckt, faults, chain, cfg.auditOptions())
-	}
 	if !cfg.SkipDirected {
 		progress("proposed")
-		run.Proposed, err = core.Run(s, comb.Tests, run.T0, coreOpt)
+		run.Proposed, err = runCore(s, comb, run.T0, cfg.Core)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %v", name, err)
 		}
@@ -287,7 +285,7 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	if !cfg.SkipRandom {
 		progress("random")
 		randT0 := seqgen.Random(ckt, cfg.RandomT0Len, seed+1)
-		run.ProposedRand, err = core.Run(s, comb.Tests, randT0, coreOpt)
+		run.ProposedRand, err = runCore(s, comb, randT0, cfg.Core)
 		if err != nil {
 			return nil, fmt.Errorf("workload %s (random T0): %v", name, err)
 		}
@@ -295,11 +293,36 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	run.SimStats = s.Stats() // before the audit's extra re-simulation
 	if cfg.Check {
 		progress("audit")
-		if err := auditRun(s, run, cfg.auditOptions()); err != nil {
+		if err := auditRun(s, run, cfg.CheckSample); err != nil {
 			return nil, err
 		}
 	}
 	return run, nil
+}
+
+// runCore runs the proposed procedure on t0 and checks the paper's
+// invariant that core cannot see: the final coverage is at least C's.
+func runCore(s *fsim.Simulator, comb *atpg.Result, t0 logic.Sequence, opt core.Options) (*core.Result, error) {
+	res, err := core.Run(s, comb.Tests, t0, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := coversC(res.FinalDetected, comb.Detected); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// coversC reports a final detection set that misses a fault C detects.
+// Phase 3 tops τ_seq up with tests of C and Phase 4 keeps coverage, so
+// a miss is a defect, never a result.
+func coversC(final, c *fault.Set) error {
+	if final.ContainsAll(c) {
+		return nil
+	}
+	missing := c.Clone()
+	missing.SubtractWith(final)
+	return fmt.Errorf("invariant: final set misses %d of the %d faults C detects", missing.Count(), c.Count())
 }
 
 // RunByName runs the pipeline for a roster (or XL-roster) circuit by

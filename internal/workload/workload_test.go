@@ -105,16 +105,39 @@ func TestRunByNameUnknown(t *testing.T) {
 
 // TestRunRejectsNegativeLengths: a negative T_0 length or partial-scan
 // flip-flop count is an error from the pipeline, not a panic inside it
-// or a full-scan run under a cache key of its own.
+// or a full-scan run under a cache key of its own. Validate rejects
+// these, and a config that skips both T_0 arms, before any work starts.
 func TestRunRejectsNegativeLengths(t *testing.T) {
 	for name, cfg := range map[string]Config{
-		"t0maxlen": {T0MaxLen: -3},
-		"randlen":  {RandomT0Len: -5},
-		"scanffs":  {ScanFFs: -3},
+		"t0maxlen":          {T0MaxLen: -3},
+		"randlen":           {RandomT0Len: -5},
+		"scanffs":           {ScanFFs: -3},
+		"both arms skipped": {SkipDirected: true, SkipRandom: true},
 	} {
-		if _, err := RunByName("b01", cfg); err == nil {
-			t.Errorf("%s: negative value accepted", name)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
 		}
+		if _, err := RunByName("b01", cfg); err == nil {
+			t.Errorf("%s: run accepted it", name)
+		}
+	}
+}
+
+// TestCoversC: the pipeline's C-coverage check passes a real run and
+// names a final set that misses one fault C detects.
+func TestCoversC(t *testing.T) {
+	r := smallRuns(t)[0]
+	if err := coversC(r.Proposed.FinalDetected, r.Comb.Detected); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	idx := r.Comb.Detected.Indices()
+	if len(idx) == 0 {
+		t.Fatal("C detects no fault")
+	}
+	final := r.Proposed.FinalDetected.Clone()
+	final.Remove(idx[0])
+	if err := coversC(final, r.Comb.Detected); err == nil || !strings.Contains(err.Error(), "misses 1 of") {
+		t.Errorf("final set missing a C-detected fault: coversC() = %v", err)
 	}
 }
 
