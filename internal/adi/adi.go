@@ -13,23 +13,21 @@
 package adi
 
 import (
+	"math/bits"
 	"math/rand"
 	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
+	"repro/internal/scan"
 )
 
-// patterns is the number of random scan tests sampled. Each test costs
-// one full-universe grading pass set, so the budget is the dominant cost
-// of Compute.
+// patterns is the number of random scan tests sampled. Each is a
+// length-1 test (one capture cycle plus scan-out already separates easy
+// from hard faults well), and all of them are graded in one
+// pattern-parallel pass (fsim.Simulator.DetectMasks), one test per slot.
 const patterns = 32
-
-// seqLen is the functional sequence length of each sampled test: one
-// capture cycle plus scan-out already separates easy from hard faults
-// well.
-const seqLen = 1
 
 // Options configures the random-pattern sampling.
 type Options struct {
@@ -39,26 +37,28 @@ type Options struct {
 
 // Compute returns the accidental-detection index of every fault in s's
 // list: the number of sampled random scan tests that detect it. The
-// sample is drawn from opt.Seed, so scores are reproducible; they do not
-// depend on worker count or pass packing (detection is exact).
+// sample is drawn from opt.Seed, per test the scan-in bits and then the
+// PI bits, so scores are reproducible; they do not depend on worker
+// count (detection is exact).
 func Compute(s *fsim.Simulator, opt Options) []int {
 	r := rand.New(rand.NewSource(opt.Seed))
-	scores := make([]int, s.NumFaults())
 	nsv, npi := s.Nsv(), s.Circuit().NumPIs()
-	for p := 0; p < patterns; p++ {
+	tests := make([]scan.Test, patterns)
+	for p := range tests {
 		si := make(logic.Vector, nsv)
 		for i := range si {
 			si[i] = logic.Value(r.Intn(2))
 		}
-		seq := make(logic.Sequence, seqLen)
-		for u := range seq {
-			seq[u] = make(logic.Vector, npi)
-			for i := range seq[u] {
-				seq[u][i] = logic.Value(r.Intn(2))
-			}
+		vec := make(logic.Vector, npi)
+		for i := range vec {
+			vec[i] = logic.Value(r.Intn(2))
 		}
-		det := s.Detect(seq, fsim.Options{Init: si, ScanOut: true})
-		det.ForEach(func(fi int) { scores[fi]++ })
+		tests[p] = scan.Test{SI: si, Seq: logic.Sequence{vec}}
+	}
+	masks := s.DetectMasks(tests)
+	scores := make([]int, len(masks))
+	for fi, m := range masks {
+		scores[fi] = bits.OnesCount64(m)
 	}
 	return scores
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/scan"
 )
 
 func rosterSim(t *testing.T, name string) *fsim.Simulator {
@@ -17,6 +18,72 @@ func rosterSim(t *testing.T, name string) *fsim.Simulator {
 		t.Fatalf("unknown roster circuit %q", name)
 	}
 	return fsim.New(c, fault.Collapse(c))
+}
+
+// referenceCompute is Compute as 32 fault-parallel grading runs, one
+// per sampled test: the same draws from the same seed, each test graded
+// by Detect over the whole fault list. It is the test reference for the
+// pattern-parallel pass.
+func referenceCompute(s *fsim.Simulator, opt Options) []int {
+	r := rand.New(rand.NewSource(opt.Seed))
+	scores := make([]int, s.NumFaults())
+	nsv, npi := s.Nsv(), s.Circuit().NumPIs()
+	for p := 0; p < patterns; p++ {
+		si := make(logic.Vector, nsv)
+		for i := range si {
+			si[i] = logic.Value(r.Intn(2))
+		}
+		vec := make(logic.Vector, npi)
+		for i := range vec {
+			vec[i] = logic.Value(r.Intn(2))
+		}
+		det := s.Detect(logic.Sequence{vec}, fsim.Options{Init: si, ScanOut: true})
+		det.ForEach(func(fi int) { scores[fi]++ })
+	}
+	return scores
+}
+
+// TestComputeMatchesReference pins Compute's scores, fault for fault, to
+// the reference loop on every roster circuit, at one and two workers,
+// under full scan and under a chain of the first half of the
+// flip-flops. Equal scores mean an equal installed order, so every pass
+// packing and table downstream is unchanged.
+func TestComputeMatchesReference(t *testing.T) {
+	for _, name := range gen.RosterNames() {
+		c, ok := gen.RosterCircuit(name)
+		if !ok {
+			t.Fatalf("unknown roster circuit %q", name)
+		}
+		faults := fault.Collapse(c)
+		half := make([]int, c.NumFFs()/2)
+		for i := range half {
+			half[i] = i
+		}
+		partial, err := scan.NewChain(c.NumFFs(), half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range []*scan.Chain{nil, partial} {
+			arm := "full"
+			if ch != nil {
+				arm = "partial"
+			}
+			t.Run(name+"/"+arm, func(t *testing.T) {
+				t.Parallel()
+				opt := Options{Seed: 3}
+				want := referenceCompute(fsim.NewChain(c, faults, ch), opt)
+				for _, workers := range []int{1, 2} {
+					got := Compute(fsim.NewChain(c, faults, ch).SetWorkers(workers), opt)
+					for fi := range want {
+						if got[fi] != want[fi] {
+							t.Fatalf("workers %d: fault %d (%s): score %d, reference %d",
+								workers, fi, faults[fi].String(c), got[fi], want[fi])
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestComputeDeterministic(t *testing.T) {
@@ -259,5 +326,33 @@ func BenchmarkADIOrderedGrading(b *testing.B) {
 		if detected.Count() == 0 {
 			b.Fatal("smoke grading detected nothing")
 		}
+	}
+}
+
+// BenchmarkADICompute times the accidental-detection index on s35932
+// (s1423 under -short): the pattern-parallel pass Compute runs, and the
+// 32 fault-parallel grading runs of referenceCompute it replaced.
+func BenchmarkADICompute(b *testing.B) {
+	name := "s35932"
+	if testing.Short() {
+		name = "s1423"
+	}
+	c, ok := gen.RosterCircuit(name)
+	if !ok {
+		b.Fatalf("unknown roster circuit %q", name)
+	}
+	faults := fault.Collapse(c)
+	for _, arm := range []struct {
+		name    string
+		compute func(*fsim.Simulator, Options) []int
+	}{{"compute", Compute}, {"reference", referenceCompute}} {
+		b.Run(name+"/"+arm.name, func(b *testing.B) {
+			s := fsim.New(c, faults)
+			arm.compute(s, Options{Seed: 1}) // compile the program outside the timer
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				arm.compute(s, Options{Seed: 1})
+			}
+		})
 	}
 }

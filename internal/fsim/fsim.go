@@ -18,11 +18,14 @@
 // flip-flop state after the final functional clock differs observably
 // (full scan makes every flip-flop observable at scan-out).
 //
-// Every run goes through one pass loop. Detect and DetectTest grade;
-// Record and RecordTest also keep the per-fault detection record behind
-// the compaction ledger; RecordMustInto is the must-detect check of the
-// compaction trials, with a cross-pass early abort; Profile records
-// per-time detections for Phase 1.
+// Every fault-parallel run goes through one pass loop. Detect and
+// DetectTest grade; Record and RecordTest also keep the per-fault
+// detection record behind the compaction ledger; RecordMustInto is the
+// must-detect check of the compaction trials, with a cross-pass early
+// abort; Profile records per-time detections for Phase 1. DetectMasks
+// is the one pattern-parallel pass (masks.go): it grades up to 64
+// length-1 scan tests at once, one per slot of a 1-word batch, and
+// propagates each fault event-driven from its site on the same kernel.
 //
 // Simulation passes are independent, so a Simulator can shard them over
 // a pool of workers (SetWorkers); each worker owns a private batch engine
@@ -86,7 +89,8 @@ type Simulator struct {
 // those passes executed in total, and how many fault slots they packed.
 // PassVectors is the primary "simulated fault-pass work" metric — a pass
 // that early-exits after detecting all its faults executes fewer vectors
-// than the sequence length.
+// than the sequence length. A DetectMasks call counts as one pass of one
+// vector over NumFaults fault slots, whatever the number of tests.
 type PassStats struct {
 	Passes      int64
 	PassVectors int64

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
+	"repro/internal/logic"
 	"repro/internal/scan"
 )
 
@@ -248,5 +249,53 @@ func TestDifferentialCollapsedExpansion(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDifferentialMasks referees fsim's pattern-parallel pass: on small
+// roster circuits under full and partial scan, bit k of each fault's
+// DetectMasks result must equal the fault's membership in the scalar
+// reference's DetectTest on test k. The tests are length 1, carry X in
+// about a sixth of their bits, and fill all 64 slots.
+func TestDifferentialMasks(t *testing.T) {
+	for _, name := range []string{"b01", "b06", "s298"} {
+		c, ok := gen.RosterCircuit(name)
+		if !ok {
+			t.Fatalf("unknown roster circuit %q", name)
+		}
+		faults := fault.Collapse(c)
+		half := make([]int, 0, c.NumFFs()/2)
+		for i := 0; i < c.NumFFs()/2; i++ {
+			half = append(half, i)
+		}
+		partial, err := scan.NewChain(c.NumFFs(), half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ci, chain := range []*scan.Chain{nil, partial} {
+			cname := "full"
+			if chain != nil {
+				cname = "partial"
+			}
+			t.Run(fmt.Sprintf("%s/%s", name, cname), func(t *testing.T) {
+				t.Parallel()
+				r := rand.New(rand.NewSource(int64(51 + ci)))
+				orc := NewChain(c, faults, chain)
+				tests := make([]scan.Test, 64)
+				for k := range tests {
+					tests[k] = scan.Test{SI: randVec(r, orc.Nsv(), true), Seq: logic.Sequence{randVec(r, c.NumPIs(), true)}}
+				}
+				masks := fsim.NewChain(c, faults, chain).SetWorkers(2).DetectMasks(tests)
+				for k, tst := range tests {
+					want := orc.DetectTest(tst.SI, tst.Seq, nil)
+					for fi, m := range masks {
+						if got := m>>uint(k)&1 == 1; got != want.Has(fi) {
+							t.Fatalf("test %d, fault %d (%s): mask bit %v, oracle %v",
+								k, fi, faults[fi].String(c), got, want.Has(fi))
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -55,6 +55,10 @@ type Program struct {
 	nslots int     // NumNodes + compiler temporaries
 	const0 []int32 // Const0 node slots, driven before every evaluation
 	const1 []int32 // Const1 node slots
+	// ranges holds each node's half-open range [lo, hi) of instructions:
+	// a wide gate's fold chain and its final instruction are contiguous,
+	// and a source's range is empty. BatchEngine.EvalNode runs one range.
+	ranges [][2]int32
 }
 
 // Compile lowers c into a straight-line dual-rail program. The
@@ -123,6 +127,16 @@ func Compile(c *circuit.Circuit) *Program {
 			cur = t
 		}
 		p.instrs = append(p.instrs, instr{op: final, dst: dst, a: cur, b: int32(fan[len(fan)-1])})
+	}
+	// A node's final instruction writes its own slot; the instructions
+	// since the previous node's final one are its fold chain.
+	p.ranges = make([][2]int32, c.NumNodes())
+	lo := int32(0)
+	for i, ins := range p.instrs {
+		if int(ins.dst) < c.NumNodes() {
+			p.ranges[ins.dst] = [2]int32{lo, int32(i + 1)}
+			lo = int32(i + 1)
+		}
 	}
 	return p
 }

@@ -45,6 +45,11 @@ const (
 // reads. The three-valued semantics, fold order and injection
 // application order match Engine exactly, so results are bit-identical
 // slot for slot.
+//
+// EvalNode re-evaluates a single node from its fanins' current values,
+// so a caller can propagate a change event-driven, node by node in level
+// order, instead of re-running the whole stream (fsim's pattern-parallel
+// pass does this per fault).
 type BatchEngine struct {
 	p   *Program
 	c   *circuit.Circuit
@@ -234,31 +239,50 @@ func (e *BatchEngine) EvalComb() {
 	for _, n := range e.srcInj {
 		e.applyOut(n)
 	}
-	e.exec()
+	e.exec(e.p.instrs)
 }
 
-// exec runs the compiled instruction stream over the active width. This
-// is the hottest loop in the repository: keep it allocation-free and
-// branch-predictable. The common widths dispatch to specializations
-// whose value accesses go through fixed-size array pointers — no slice
-// headers, no bounds checks, constant loop trip counts — which is worth
-// ~2x per instruction over the variable-width loop below.
-func (e *BatchEngine) exec() {
+// EvalNode re-evaluates node n in place from the current values of its
+// fanins, as EvalComb would at n's position in the stream: a gate runs
+// its range of instructions, patched for its injections as exec patches
+// them; a source (PI, DFF output or constant) re-applies its output
+// injections, as EvalComb does before the stream. Calling it on the
+// nodes whose fanins changed, in level order, propagates an event
+// without sweeping the whole program. It works at the active width.
+func (e *BatchEngine) EvalNode(n int) {
+	r := e.p.ranges[n]
+	if r[0] == r[1] {
+		if e.flags[n]&flagOut != 0 {
+			e.applyOut(n)
+		}
+		return
+	}
+	e.exec(e.p.instrs[r[0]:r[1]])
+}
+
+// exec runs a stretch of the compiled instruction stream (all of it, or
+// one node's range) over the active width. This is the hottest loop in
+// the repository: keep it allocation-free and branch-predictable. The
+// common widths dispatch to specializations whose value accesses go
+// through fixed-size array pointers — no slice headers, no bounds
+// checks, constant loop trip counts — which is worth ~2x per
+// instruction over the variable-width loop below.
+func (e *BatchEngine) exec(instrs []instr) {
 	switch e.w {
 	case 1:
-		e.exec1()
+		e.exec1(instrs)
 		return
 	case 4:
-		e.exec4()
+		e.exec4(instrs)
 		return
 	case 8:
-		e.exec8()
+		e.exec8(instrs)
 		return
 	}
 	w := e.w
 	vals := e.vals
 	flags := e.flags
-	for _, ins := range e.p.instrs {
+	for _, ins := range instrs {
 		di := int(ins.dst) * w
 		ai := int(ins.a) * w
 		d := vals[di : di+w : di+w]
@@ -322,10 +346,10 @@ func (e *BatchEngine) exec() {
 // exec1 is exec specialized for 1-word batches (64 slots), the width of
 // every pass whose targets fit one word: each operand is a single Word
 // read and written by value, with no per-instruction slice setup.
-func (e *BatchEngine) exec1() {
+func (e *BatchEngine) exec1(instrs []instr) {
 	vals := e.vals
 	flags := e.flags
-	for _, ins := range e.p.instrs {
+	for _, ins := range instrs {
 		a := vals[ins.a]
 		var v logic.Word
 		switch ins.op {
@@ -362,10 +386,10 @@ func (e *BatchEngine) exec1() {
 // exec4 is exec specialized for the default 4-word width (256 slots).
 // Array-pointer conversion pins the operand width at compile time: the
 // compiler drops every bounds check and the loop setup per instruction.
-func (e *BatchEngine) exec4() {
+func (e *BatchEngine) exec4(instrs []instr) {
 	vals := e.vals
 	flags := e.flags
-	for _, ins := range e.p.instrs {
+	for _, ins := range instrs {
 		d := (*[4]logic.Word)(vals[int(ins.dst)*4:])
 		a := (*[4]logic.Word)(vals[int(ins.a)*4:])
 		switch ins.op {
@@ -420,10 +444,10 @@ func (e *BatchEngine) exec4() {
 }
 
 // exec8 is exec specialized for 8-word batches (512 slots).
-func (e *BatchEngine) exec8() {
+func (e *BatchEngine) exec8(instrs []instr) {
 	vals := e.vals
 	flags := e.flags
-	for _, ins := range e.p.instrs {
+	for _, ins := range instrs {
 		d := (*[8]logic.Word)(vals[int(ins.dst)*8:])
 		a := (*[8]logic.Word)(vals[int(ins.a)*8:])
 		switch ins.op {
