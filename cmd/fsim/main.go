@@ -72,10 +72,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	chain, err := scanCfg.Chain(c)
-	if err != nil {
-		return err
-	}
+	chain := scanCfg.Chain(c)
 	fmt.Fprintln(stdout, c.Stats())
 	cc := fault.CollapseWithMap(c)
 	faults := cc.Reps

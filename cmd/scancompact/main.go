@@ -146,12 +146,8 @@ func main() {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *respOut != "" {
-		chain, err := cfg.Chain(c)
-		if err != nil {
-			log.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := response.Write(&buf, arm.Final, response.ForSet(c, chain, arm.Final)); err != nil {
+		if err := response.Write(&buf, arm.Final, response.ForSet(c, cfg.Chain(c), arm.Final)); err != nil {
 			log.Fatal(err)
 		}
 		if err := os.WriteFile(*respOut, buf.Bytes(), 0o644); err != nil {

@@ -68,15 +68,10 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 		opt.BacktrackLimit = maxBacktracks
 	}
 	r := rand.New(rand.NewSource(opt.Seed))
-	simr := fsim.NewChain(c, faults, opt.Chain)
+	ch := scan.OrFull(opt.Chain, c.NumFFs())
+	simr := fsim.NewChain(c, faults, ch)
 	n := len(faults)
-	stateWidth := c.NumFFs()
-	var chainFFs []int
-	if opt.Chain != nil {
-		stateWidth = opt.Chain.Nsv()
-		chainFFs = opt.Chain.FFs
-	}
-	tm := scoap.Compute(c, opt.Chain)
+	tm := scoap.Compute(c, ch)
 
 	res := &Result{
 		Detected:   fault.NewSet(n),
@@ -92,7 +87,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 	// Phase 1: random patterns. Keep a pattern iff it detects a new fault.
 	for i := 0; i < randomPatterns && remaining.Count() > 0; i++ {
 		t := CombTest{
-			State: randomVector(r, stateWidth),
+			State: randomVector(r, ch.Nsv()),
 			PI:    randomVector(r, c.NumPIs()),
 		}
 		det := simr.DetectTest(t.State, logic.Sequence{t.PI}, remaining)
@@ -109,7 +104,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 		if !remaining.Has(fi) {
 			return // dropped by an earlier PODEM test in this loop
 		}
-		p := newPodem(c, faults[fi], opt.BacktrackLimit, chainFFs, tm)
+		p := newPodem(c, faults[fi], opt.BacktrackLimit, ch, tm)
 		assign, status := p.run()
 		switch status {
 		case Untestable:
@@ -215,11 +210,8 @@ func RunPodemChain(c *circuit.Circuit, f fault.Fault, backtrackLimit int, ch *sc
 	if backtrackLimit <= 0 {
 		backtrackLimit = maxBacktracks
 	}
-	var chainFFs []int
-	if ch != nil {
-		chainFFs = ch.FFs
-	}
-	p := newPodem(c, f, backtrackLimit, chainFFs, scoap.Compute(c, ch))
+	ch = scan.OrFull(ch, c.NumFFs())
+	p := newPodem(c, f, backtrackLimit, ch, scoap.Compute(c, ch))
 	assign, status := p.run()
 	if status != Detected {
 		return CombTest{}, status

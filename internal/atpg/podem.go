@@ -16,6 +16,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/scan"
 	"repro/internal/scoap"
 	"repro/internal/sim"
 )
@@ -48,14 +49,14 @@ func (s Status) String() string {
 
 // podem carries the state of one PODEM run.
 type podem struct {
-	c       *circuit.Circuit
-	good    *sim.Engine
-	bad     *sim.Engine
-	f       fault.Fault
-	obs     []int // observation nodes: POs and scanned DFF D drivers
-	limit   int
-	scanned map[int]bool    // scanned FF positions (nil = full scan)
-	tm      *scoap.Measures // backtrace guidance (nil = first-X heuristic)
+	c        *circuit.Circuit
+	good     *sim.Engine
+	bad      *sim.Engine
+	f        fault.Fault
+	obs      []int // observation nodes: POs and scanned DFF D drivers
+	limit    int
+	soDriver int             // D driver of a faulty scanned flip-flop, or -1
+	tm       *scoap.Measures // backtrace guidance (nil = first-X heuristic)
 
 	// inputs[i] is the node index of the i-th assignable input
 	// (PIs first, then present-state lines).
@@ -69,40 +70,34 @@ type podem struct {
 // maxBacktracks is the default PODEM backtrack limit.
 const maxBacktracks = 100
 
-// newPodem prepares a PODEM run. chainFFs lists the scanned flip-flop
-// positions (nil = full scan): only scanned present-state lines are
-// assignable and only scanned next-state lines are observable.
-func newPodem(c *circuit.Circuit, f fault.Fault, limit int, chainFFs []int, tm *scoap.Measures) *podem {
+// newPodem prepares a PODEM run under the scan chain ch: only scanned
+// present-state lines are assignable and only scanned next-state lines
+// are observable.
+func newPodem(c *circuit.Circuit, f fault.Fault, limit int, ch *scan.Chain, tm *scoap.Measures) *podem {
 	p := &podem{
-		c:     c,
-		good:  sim.New(c),
-		bad:   sim.New(c),
-		f:     f,
-		limit: limit,
-		tm:    tm,
+		c:        c,
+		good:     sim.New(c),
+		bad:      sim.New(c),
+		f:        f,
+		limit:    limit,
+		soDriver: -1,
+		tm:       tm,
 	}
 	p.bad.SetInjections([]sim.Injection{f.Injection(^uint64(0))})
-	ffPos := chainFFs
-	if ffPos == nil {
-		ffPos = make([]int, c.NumFFs())
-		for i := range ffPos {
-			ffPos[i] = i
-		}
-	} else {
-		p.scanned = make(map[int]bool, len(ffPos))
-		for _, k := range ffPos {
-			p.scanned[k] = true
-		}
-	}
 	for _, pi := range c.PIs {
 		p.inputs = append(p.inputs, pi)
 	}
-	for _, k := range ffPos {
+	for _, k := range ch.FFs {
 		p.inputs = append(p.inputs, c.DFFs[k])
 	}
 	p.inpPos = make(map[int]int, len(p.inputs))
 	for i, n := range p.inputs {
 		p.inpPos[n] = i
+	}
+	// A fault on a flip-flop is caught at scan-out when the flip-flop
+	// is scanned, that is, when its output is an assignable input.
+	if _, scanned := p.inpPos[f.Node]; scanned && c.Nodes[f.Node].Kind == circuit.DFF {
+		p.soDriver = c.Nodes[f.Node].Fanin[0]
 	}
 	p.assign = logic.NewVector(len(p.inputs), logic.X)
 
@@ -113,7 +108,7 @@ func newPodem(c *circuit.Circuit, f fault.Fault, limit int, chainFFs []int, tm *
 			p.obs = append(p.obs, po)
 		}
 	}
-	for _, k := range ffPos {
+	for _, k := range ch.FFs {
 		d := c.Nodes[c.DFFs[k]].Fanin[0]
 		if !seen[d] {
 			seen[d] = true
@@ -121,19 +116,6 @@ func newPodem(c *circuit.Circuit, f fault.Fault, limit int, chainFFs []int, tm *
 		}
 	}
 	return p
-}
-
-// ffScanned reports whether the flip-flop node is on the scan chain.
-func (p *podem) ffScanned(node int) bool {
-	if p.scanned == nil {
-		return true
-	}
-	for k, ff := range p.c.DFFs {
-		if ff == node {
-			return p.scanned[k]
-		}
-	}
-	return false
 }
 
 // imply re-simulates both machines under the current input assignment.
@@ -178,12 +160,7 @@ func (p *podem) detected() bool {
 
 // dffDriver returns the D driver node when the fault sits on a flip-flop
 // (output stem or D input pin) that is observable at scan-out.
-func (p *podem) dffDriver() (int, bool) {
-	if p.c.Nodes[p.f.Node].Kind != circuit.DFF || !p.ffScanned(p.f.Node) {
-		return 0, false
-	}
-	return p.c.Nodes[p.f.Node].Fanin[0], true
-}
+func (p *podem) dffDriver() (int, bool) { return p.soDriver, p.soDriver >= 0 }
 
 // scanoutAlive reports whether the flip-flop scan-out detection route is
 // still open (D driver undetermined).

@@ -77,7 +77,7 @@ type Stats struct {
 // (the scan-out compare moves with the appended vector), which is
 // exactly why they are left in the candidate target sets.
 func Compact(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stats) {
-	opt = opt.withDefaults(s.Circuit().NumFFs())
+	opt = opt.withDefaults(s.Nsv())
 	var st Stats
 	remaining := coverageGoal(s, C)
 

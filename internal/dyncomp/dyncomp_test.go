@@ -69,6 +69,28 @@ func TestCompactRespectsExtensionCap(t *testing.T) {
 			t.Errorf("test length %d exceeds cap 2", tt.Len())
 		}
 	}
+
+	// The default cap is N_SV, the chain's length, not the flip-flop
+	// count: past it, a scan operation is cheaper than more vectors.
+	// Capped at the flip-flop count instead, this set has a test of
+	// length 5.
+	s, _, _ = setup(t, 31)
+	c := s.Circuit()
+	ch, err := scan.NewChain(c.NumFFs(), []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := atpg.Generate(c, s.Faults(), atpg.Options{Seed: 31, Chain: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := fsim.NewChain(c, s.Faults(), ch)
+	out, _ = Compact(ps, res.Tests, Options{})
+	for i, tt := range out.Tests {
+		if tt.Len() > ps.Nsv() {
+			t.Errorf("partial scan: test %d has length %d, past N_SV %d", i, tt.Len(), ps.Nsv())
+		}
+	}
 }
 
 func TestCompactEmptyInput(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 func TestLedgerEquivalence(t *testing.T) {
 	for _, seed := range []int64{31, 36} {
 		s, C, _ := setup(t, seed)
-		ref, refSt := compactLegacy(s, C, Options{}.withDefaults(s.Circuit().NumFFs()))
+		ref, refSt := compactLegacy(s, C, Options{}.withDefaults(s.Nsv()))
 		perm := adi.Install(s, adi.Options{Seed: seed})
 
 		for _, arm := range []struct {

@@ -60,17 +60,15 @@ const maxWords = 4
 // private batch engine out of an internal pool. SetWorkers additionally
 // shards the passes of a single Detect call over that pool.
 //
-// The simulator carries the circuit's scan configuration: under full
-// scan (New) a scan-in vector addresses every flip-flop and a scan-out
-// observes every flip-flop; under partial scan (NewChain) scan-in
-// vectors are indexed by chain position, unscanned flip-flops power up
-// X at the start of every test, and only scanned flip-flops are
-// observable at scan-out.
+// The simulator carries the circuit's scan chain (scan.Full under New):
+// a scan-in loads the state the chain's State rule gives, so scan-in
+// vectors are indexed by chain position and unscanned flip-flops power
+// up X at the start of every test, and a scan-out observes the chain's
+// flip-flops only.
 type Simulator struct {
-	c        *circuit.Circuit
-	faults   []fault.Fault
-	chain    []int // scanned FF positions in scan order; nil = full scan
-	observed []int // FF positions compared at scan-out
+	c      *circuit.Circuit
+	faults []fault.Fault
+	chain  *scan.Chain // loaded at scan-in and compared at scan-out
 
 	mu      sync.Mutex
 	workers int          // max concurrent passes per run
@@ -148,23 +146,13 @@ func (wk *worker) kernel(width int) *sim.BatchEngine {
 // New returns a full-scan Simulator for c over the given fault list
 // (typically fault.Collapse(c)).
 func New(c *circuit.Circuit, faults []fault.Fault) *Simulator {
-	s := &Simulator{c: c, faults: faults, workers: 1}
-	s.observed = make([]int, c.NumFFs())
-	for i := range s.observed {
-		s.observed[i] = i
-	}
-	return s
+	return NewChain(c, faults, nil)
 }
 
 // NewChain returns a Simulator whose scan operations follow ch. A nil
-// chain means full scan.
+// chain means full scan (scan.Full).
 func NewChain(c *circuit.Circuit, faults []fault.Fault, ch *scan.Chain) *Simulator {
-	s := New(c, faults)
-	if ch != nil {
-		s.chain = append([]int(nil), ch.FFs...)
-		s.observed = s.chain
-	}
-	return s
+	return &Simulator{c: c, faults: faults, chain: scan.OrFull(ch, c.NumFFs()), workers: 1}
 }
 
 // SetWorkers sets how many workers a single simulation run may fan its
@@ -264,13 +252,8 @@ func (s *Simulator) release(w *worker) {
 }
 
 // Nsv returns the number of scanned state variables (the cost model's
-// N_SV): the chain length, or every flip-flop under full scan.
-func (s *Simulator) Nsv() int {
-	if s.chain == nil {
-		return s.c.NumFFs()
-	}
-	return len(s.chain)
-}
+// N_SV): the chain length.
+func (s *Simulator) Nsv() int { return s.chain.Nsv() }
 
 // Circuit returns the simulated netlist.
 func (s *Simulator) Circuit() *circuit.Circuit { return s.c }
@@ -298,7 +281,7 @@ type Options struct {
 // simulation run. It is read-only during the fan-out.
 type runSpec struct {
 	seq     logic.Sequence
-	init    logic.Vector
+	state   logic.Vector // the flip-flop state the scan-in loads
 	scanOut bool
 	profile *Profile     // per-time recording target, or nil
 	rec     *Record      // detection-record target, or nil (see record.go)
@@ -374,7 +357,7 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		return
 	}
 	spec := &runSpec{
-		seq: seq, init: opt.Init, scanOut: opt.ScanOut, profile: profile, rec: rec, abort: abort,
+		seq: seq, state: s.chain.State(opt.Init), scanOut: opt.ScanOut, profile: profile, rec: rec, abort: abort,
 		// Recording (rec) deliberately keeps repacking on: a Record's
 		// per-fault data is packing-independent, and survivors of an
 		// aborted pass are re-simulated from scratch, so their entries are
@@ -512,7 +495,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	}
 	eng.SetInjections(wk.binjBuf)
 
-	s.scanInVec(eng, spec.init)
+	eng.SetStateVector(spec.state)
 
 	profile := spec.profile
 	for u, vec := range spec.seq {
@@ -550,7 +533,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		if profile != nil {
 			// Record which faults a scan-out after this clock would catch.
 			clear(diff)
-			for _, ff := range s.observed {
+			for _, ff := range s.chain.FFs {
 				wv := eng.State(ff)
 				g := wv[0].BroadcastSlot(0)
 				for k := 0; k < width; k++ {
@@ -588,7 +571,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	}
 	if spec.scanOut {
 		clear(diff)
-		for _, ff := range s.observed {
+		for _, ff := range s.chain.FFs {
 			wv := eng.State(ff)
 			g := wv[0].BroadcastSlot(0)
 			for k := 0; k < width; k++ {
@@ -607,28 +590,6 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		}
 	}
 	return len(spec.seq), nil
-}
-
-// scanInVec loads the scan-in vector into every slot of eng: under full
-// scan si is indexed by flip-flop position; under partial scan by chain
-// position, with unscanned flip-flops left X.
-func (s *Simulator) scanInVec(eng *sim.BatchEngine, si logic.Vector) {
-	nff := s.c.NumFFs()
-	if s.chain == nil {
-		if si == nil {
-			si = logic.NewVector(nff, logic.X)
-		}
-		eng.SetStateVector(si)
-		return
-	}
-	eng.SetStateVector(logic.NewVector(nff, logic.X))
-	for k, ff := range s.chain {
-		v := logic.X
-		if si != nil && k < len(si) {
-			v = si[k]
-		}
-		eng.SetStateValue(ff, v)
-	}
 }
 
 // masksEqual reports a == b word for word (equal lengths assumed).

@@ -50,7 +50,7 @@ func (s *Simulator) DetectMasks(tests []scan.Test) []uint64 {
 		isPO[n] = true
 	}
 	observed := make([]bool, c.NumNodes())
-	for _, i := range s.observed {
+	for _, i := range s.chain.FFs {
 		observed[c.DFFs[i]] = true
 	}
 
@@ -101,9 +101,8 @@ func (s *Simulator) DetectMasks(tests []scan.Test) []uint64 {
 }
 
 // goodWords evaluates the good machines of tests, test k in slot k, and
-// returns every node's word. Scan-in follows scanInVec; scan-in
-// positions past len(SI), PIs past the vector's length and the unused
-// slots are X.
+// returns every node's word. Scan-in follows the chain's State rule; PIs
+// past the vector's length and the unused slots are X.
 func (s *Simulator) goodWords(tests []scan.Test) []logic.Word {
 	c := s.c
 	wk := s.acquire()
@@ -111,25 +110,23 @@ func (s *Simulator) goodWords(tests []scan.Test) []logic.Word {
 	eng := wk.kernel(1)
 	eng.Reset()
 	good := make([]logic.Word, c.NumNodes())
-	load := func(n int, value func(t scan.Test) logic.Value) {
+	load := func(n int, value func(k int) logic.Value) {
 		var w logic.Word
-		for k, t := range tests {
-			w = w.Set(uint(k), value(t))
+		for k := range tests {
+			w = w.Set(uint(k), value(k))
 		}
 		good[n] = w
 		eng.SetNodeVec(n, good[n:n+1])
 	}
 	for i, pi := range c.PIs {
-		load(pi, func(t scan.Test) logic.Value { return at(t.Seq[0], i) })
+		load(pi, func(k int) logic.Value { return at(tests[k].Seq[0], i) })
 	}
-	if s.chain == nil {
-		for i, ff := range c.DFFs {
-			load(ff, func(t scan.Test) logic.Value { return at(t.SI, i) })
-		}
-	} else {
-		for k, i := range s.chain {
-			load(c.DFFs[i], func(t scan.Test) logic.Value { return at(t.SI, k) })
-		}
+	states := make([]logic.Vector, len(tests))
+	for k, t := range tests {
+		states[k] = s.chain.State(t.SI)
+	}
+	for i, ff := range c.DFFs {
+		load(ff, func(k int) logic.Value { return states[k][i] })
 	}
 	eng.EvalComb()
 	for n := range good {

@@ -75,7 +75,7 @@ func TestPartialScanInIndexing(t *testing.T) {
 	w := s.acquire()
 	defer s.release(w)
 	eng := w.kernel(1)
-	s.scanInVec(eng, vec("10"))
+	eng.SetStateVector(s.chain.State(vec("10"))) // the scan-in of runPass
 	if got := eng.State(2)[0].Get(0); got != logic.One {
 		t.Errorf("q2 = %v, want 1", got)
 	}
@@ -94,7 +94,7 @@ func TestPartialScanShortVectorLeavesX(t *testing.T) {
 	w := s.acquire()
 	defer s.release(w)
 	eng := w.kernel(1)
-	s.scanInVec(eng, vec("1")) // shorter than the chain
+	eng.SetStateVector(s.chain.State(vec("1"))) // shorter than the chain
 	if eng.State(0)[0].Get(0) != logic.One {
 		t.Error("chain position 0 not loaded")
 	}

@@ -126,6 +126,12 @@ func ConfigFingerprint(cfg workload.Config, seed int64) string {
 	co := cfg.Core
 	fmt.Fprintf(&sb, "core=%d,false,false,false,false,false,0,%d,%d",
 		co.MaxIterations, co.SIScoreSample, co.SICandidateLimit)
+	// Partial-scan bundles stored before the [2,3] baseline capped its
+	// extensions at the chain length hold another Table 3 column; the
+	// marker retires their keys and leaves full-scan keys alone.
+	if cfg.ScanFFs > 0 {
+		sb.WriteString(";dyncap=nsv")
+	}
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:16])
 }

@@ -127,6 +127,21 @@ func TestConfigFingerprintPinned(t *testing.T) {
 	}
 }
 
+// TestConfigFingerprintRetiresPartialScan pins a partial-scan key and
+// checks that it moved off the key its bundles had while the [2,3]
+// baseline capped extensions at the flip-flop count: those bundles hold
+// another Table 3 column, so a lookup must miss them.
+func TestConfigFingerprintRetiresPartialScan(t *testing.T) {
+	const stale = "5dd00f10738e9bfc123c89e8f747787b"
+	got := ConfigFingerprint(workload.Config{ScanFFs: 3}, 1)
+	if got == stale {
+		t.Error("partial-scan fingerprint still reaches bundles with the old [2,3] column")
+	}
+	if want := "928e5ec58ea811ef14b9ef98bba529d8"; got != want {
+		t.Errorf("partial-scan fingerprint %s, want %s", got, want)
+	}
+}
+
 func TestConfigFingerprintSensitiveToResults(t *testing.T) {
 	base := ConfigFingerprint(workload.Config{}, 1)
 	seen := map[string]string{"base": base}

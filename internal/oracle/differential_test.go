@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adi"
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
@@ -24,7 +25,10 @@ var sweepCircuits = []string{"b01", "b02", "b06", "s298", "s344"}
 // identical detection sets. Each configuration is
 // graded three times on the same simulator, so later runs reuse the
 // pooled workers' engines and buffers; the sets must not change across
-// repetitions.
+// repetitions. The scan configurations are full scan as a nil chain,
+// a chain of the first half of the flip-flops, and full scan as the
+// explicit chain scan.Full, under which fsim must also equal fsim under
+// a nil chain.
 func TestDifferentialSweep(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -41,13 +45,10 @@ func TestDifferentialSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			for ci, chain := range []*scan.Chain{nil, partial} {
+			for ci, arm := range chainArms(c, partial) {
+				chain := arm.chain
 				for _, workers := range []int{1, 4} {
-					cname := "full"
-					if chain != nil {
-						cname = "partial"
-					}
-					t.Run(fmt.Sprintf("%s/seed%d/%s/w%d", name, seed, cname, workers), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/seed%d/%s/w%d", name, seed, arm.name, workers), func(t *testing.T) {
 						t.Parallel()
 						r := rand.New(rand.NewSource(seed*1000 + int64(ci)))
 						fs := fsim.NewChain(c, faults, chain).SetWorkers(workers)
@@ -70,11 +71,33 @@ func TestDifferentialSweep(t *testing.T) {
 							t.Fatalf("no-scan sets differ: fsim %d, oracle %d",
 								nsGot.Count(), nsWant.Count())
 						}
+
+						if arm.name == "fullchain" {
+							nilFs := fsim.NewChain(c, faults, nil).SetWorkers(workers)
+							if got := nilFs.Detect(seq, fsim.Options{Init: si, ScanOut: true}); !got.Equal(want) {
+								t.Fatalf("fsim under a nil chain detects %d, under scan.Full %d", got.Count(), want.Count())
+							}
+							if got := nilFs.Detect(seq, fsim.Options{}); !got.Equal(nsWant) {
+								t.Fatalf("no-scan: fsim under a nil chain detects %d, under scan.Full %d", got.Count(), nsWant.Count())
+							}
+						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// chainArm is one scan configuration of the differential tests.
+type chainArm struct {
+	name  string
+	chain *scan.Chain
+}
+
+// chainArms returns full scan as a nil chain, the partial chain, and
+// full scan as the explicit chain scan.Full, in that order.
+func chainArms(c *circuit.Circuit, partial *scan.Chain) []chainArm {
+	return []chainArm{{"full", nil}, {"partial", partial}, {"fullchain", scan.Full(c.NumFFs())}}
 }
 
 // TestDifferentialBatchWidths sweeps the compiled kernel's batch width
@@ -253,10 +276,11 @@ func TestDifferentialCollapsedExpansion(t *testing.T) {
 }
 
 // TestDifferentialMasks referees fsim's pattern-parallel pass: on small
-// roster circuits under full and partial scan, bit k of each fault's
-// DetectMasks result must equal the fault's membership in the scalar
-// reference's DetectTest on test k. The tests are length 1, carry X in
-// about a sixth of their bits, and fill all 64 slots.
+// roster circuits under the three scan configurations of chainArms,
+// bit k of each fault's DetectMasks result must equal the fault's
+// membership in the scalar reference's DetectTest on test k. The tests
+// are length 1, carry X in about a sixth of their bits, and fill all 64
+// slots.
 func TestDifferentialMasks(t *testing.T) {
 	for _, name := range []string{"b01", "b06", "s298"} {
 		c, ok := gen.RosterCircuit(name)
@@ -272,12 +296,9 @@ func TestDifferentialMasks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for ci, chain := range []*scan.Chain{nil, partial} {
-			cname := "full"
-			if chain != nil {
-				cname = "partial"
-			}
-			t.Run(fmt.Sprintf("%s/%s", name, cname), func(t *testing.T) {
+		for ci, arm := range chainArms(c, partial) {
+			chain := arm.chain
+			t.Run(fmt.Sprintf("%s/%s", name, arm.name), func(t *testing.T) {
 				t.Parallel()
 				r := rand.New(rand.NewSource(int64(51 + ci)))
 				orc := NewChain(c, faults, chain)

@@ -75,12 +75,9 @@ func wtmOut(v logic.Vector) int {
 // Analyze computes the power report of ts on c under the given chain
 // (nil = full scan).
 func Analyze(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) Report {
+	ch = scan.OrFull(ch, c.NumFFs())
 	var rep Report
-	nsv := c.NumFFs()
-	if ch != nil {
-		nsv = ch.Nsv()
-	}
-	rep.Cycles = ts.Cycles(nsv)
+	rep.Cycles = ts.Cycles(ch.Nsv())
 
 	for _, t := range ts.Tests {
 		rep.ShiftInWTM += WTM(t.SI)
@@ -89,7 +86,7 @@ func Analyze(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) Report {
 
 		// Capture activity via the event-driven simulator.
 		e := esim.New(c)
-		loadScanIn(e, c, ch, t.SI)
+		e.SetStateVector(ch.State(t.SI))
 		e.Settle()
 		e.ResetStats() // scan-in loading is shift power, not capture power
 		for _, v := range t.Seq {
@@ -103,18 +100,4 @@ func Analyze(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) Report {
 		}
 	}
 	return rep
-}
-
-func loadScanIn(e *esim.Engine, c *circuit.Circuit, ch *scan.Chain, si logic.Vector) {
-	if ch == nil {
-		e.SetStateVector(si)
-		return
-	}
-	for k, ff := range ch.FFs {
-		v := logic.X
-		if k < len(si) {
-			v = si[k]
-		}
-		e.SetState(ff, v)
-	}
 }

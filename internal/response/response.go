@@ -31,8 +31,9 @@ type TestResponse struct {
 // Compute returns the fault-free response of one test under the given
 // chain (nil = full scan).
 func Compute(c *circuit.Circuit, ch *scan.Chain, t scan.Test) TestResponse {
+	ch = scan.OrFull(ch, c.NumFFs())
 	eng := sim.New(c)
-	loadScanIn(eng, c, ch, t.SI)
+	eng.SetStateVector(ch.State(t.SI))
 	resp := TestResponse{POs: make([]logic.Vector, 0, t.Len())}
 	for _, v := range t.Seq {
 		eng.SetPIVector(v)
@@ -44,44 +45,21 @@ func Compute(c *circuit.Circuit, ch *scan.Chain, t scan.Test) TestResponse {
 		resp.POs = append(resp.POs, po)
 		eng.ClockFF()
 	}
-	if ch == nil {
-		resp.ScanOut = make(logic.Vector, c.NumFFs())
-		for i := 0; i < c.NumFFs(); i++ {
-			resp.ScanOut[i] = eng.State(i).Get(0)
-		}
-	} else {
-		resp.ScanOut = make(logic.Vector, ch.Nsv())
-		for k, ff := range ch.FFs {
-			resp.ScanOut[k] = eng.State(ff).Get(0)
-		}
+	resp.ScanOut = make(logic.Vector, ch.Nsv())
+	for k, ff := range ch.FFs {
+		resp.ScanOut[k] = eng.State(ff).Get(0)
 	}
 	return resp
 }
 
 // ForSet computes the responses of every test in ts.
 func ForSet(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) []TestResponse {
+	ch = scan.OrFull(ch, c.NumFFs())
 	out := make([]TestResponse, len(ts.Tests))
 	for i, t := range ts.Tests {
 		out[i] = Compute(c, ch, t)
 	}
 	return out
-}
-
-func loadScanIn(eng *sim.Engine, c *circuit.Circuit, ch *scan.Chain, si logic.Vector) {
-	if ch == nil {
-		full := logic.NewVector(c.NumFFs(), logic.X)
-		copy(full, si)
-		eng.SetStateVector(full)
-		return
-	}
-	eng.SetStateVector(logic.NewVector(c.NumFFs(), logic.X))
-	for k, ff := range ch.FFs {
-		v := logic.X
-		if k < len(si) {
-			v = si[k]
-		}
-		eng.SetState(ff, logic.FromValue(v))
-	}
 }
 
 // Write emits test set and responses in a tester-oriented text format:

@@ -48,13 +48,13 @@ func min32(a, b int32) int32 {
 // Compute returns the SCOAP measures of c under the given scan chain
 // (nil = full scan).
 func Compute(c *circuit.Circuit, ch *scan.Chain) *Measures {
+	ch = scan.OrFull(ch, c.NumFFs())
 	n := c.NumNodes()
 	m := &Measures{
 		CC0: make([]int32, n),
 		CC1: make([]int32, n),
 		CO:  make([]int32, n),
 	}
-	scanned := func(pos int) bool { return ch == nil || ch.Has(pos) }
 
 	// Controllability: sources first, then topological order.
 	for i := range m.CC0 {
@@ -63,10 +63,9 @@ func Compute(c *circuit.Circuit, ch *scan.Chain) *Measures {
 	for _, pi := range c.PIs {
 		m.CC0[pi], m.CC1[pi] = 1, 1
 	}
-	for pos, ff := range c.DFFs {
-		if scanned(pos) {
-			m.CC0[ff], m.CC1[ff] = 1, 1
-		}
+	for _, pos := range ch.FFs {
+		ff := c.DFFs[pos]
+		m.CC0[ff], m.CC1[ff] = 1, 1
 	}
 	for i := range c.Nodes {
 		switch c.Nodes[i].Kind {
@@ -138,11 +137,8 @@ func Compute(c *circuit.Circuit, ch *scan.Chain) *Measures {
 	for _, po := range c.POs {
 		m.CO[po] = 0
 	}
-	for pos, ff := range c.DFFs {
-		if scanned(pos) {
-			d := c.Nodes[ff].Fanin[0]
-			m.CO[d] = 0
-		}
+	for _, pos := range ch.FFs {
+		m.CO[c.Nodes[c.DFFs[pos]].Fanin[0]] = 0
 	}
 	order := c.EvalOrder()
 	for oi := len(order) - 1; oi >= 0; oi-- {

@@ -81,7 +81,7 @@ type Simulator struct {
 	faults []Fault
 	good   *sim.Engine
 	eng    *sim.BatchEngine
-	chain  []int // observed FF positions at scan-out (nil = all)
+	chain  *scan.Chain // what a scan-in loads; observed follows its flip-flops
 
 	// observed lists the D-input nodes of the flip-flops a scan-out
 	// compares: what each one captures at the test's final cycle.
@@ -105,12 +105,14 @@ func New(c *circuit.Circuit, faults []Fault) *Simulator {
 	return NewChain(c, faults, nil)
 }
 
-// NewChain returns a simulator whose scan-out observes only the chain's
-// flip-flops (nil = full scan).
+// NewChain returns a simulator whose scan operations follow ch: the
+// scan-in loads chain positions and the scan-out observes only the
+// chain's flip-flops. A nil chain means full scan (scan.Full).
 func NewChain(c *circuit.Circuit, faults []Fault, ch *scan.Chain) *Simulator {
 	s := &Simulator{
 		c:      c,
 		faults: faults,
+		chain:  scan.OrFull(ch, c.NumFFs()),
 		good:   sim.New(c),
 		eng:    sim.NewBatch(sim.Compile(c), frameWords),
 		byNode: make([][]int, c.NumNodes()),
@@ -119,15 +121,8 @@ func NewChain(c *circuit.Circuit, faults []Fault, ch *scan.Chain) *Simulator {
 		masks:  make([]uint64, 64*frameWords*frameWords),
 		diff:   make([]uint64, frameWords),
 	}
-	if ch == nil {
-		for _, ff := range c.DFFs {
-			s.observed = append(s.observed, c.Nodes[ff].Fanin[0])
-		}
-	} else {
-		s.chain = append([]int(nil), ch.FFs...)
-		for _, i := range ch.FFs {
-			s.observed = append(s.observed, c.Nodes[c.DFFs[i]].Fanin[0])
-		}
+	for _, i := range s.chain.FFs {
+		s.observed = append(s.observed, c.Nodes[c.DFFs[i]].Fanin[0])
 	}
 	for i, f := range faults {
 		s.byNode[f.Node] = append(s.byNode[f.Node], i)
@@ -145,7 +140,8 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 	if len(seq) < 2 {
 		return detected // no consecutive at-speed cycle pair
 	}
-	s.loadState(si)
+	s.good.Reset()
+	s.good.SetStateVector(s.chain.State(si))
 	s.good.SetPIVector(seq[0])
 	s.good.EvalComb()
 	s.snapshot(s.prev)
@@ -260,28 +256,6 @@ func (s *Simulator) compare(diff []uint64, n int) {
 	g := logic.FromValue(s.curv[n])
 	for k, v := range s.eng.Val(n) {
 		diff[k] |= logic.DiffDefinite(v, g)
-	}
-}
-
-// loadState performs the scan-in on the good machine.
-func (s *Simulator) loadState(si logic.Vector) {
-	e := s.good
-	e.Reset()
-	nff := s.c.NumFFs()
-	if s.chain == nil {
-		if si == nil {
-			si = logic.NewVector(nff, logic.X)
-		}
-		e.SetStateVector(si)
-		return
-	}
-	e.SetStateVector(logic.NewVector(nff, logic.X))
-	for k, ff := range s.chain {
-		v := logic.X
-		if si != nil && k < len(si) {
-			v = si[k]
-		}
-		e.SetState(ff, logic.FromValue(v))
 	}
 }
 

@@ -274,9 +274,13 @@ func TestTransitionRoster(t *testing.T) {
 
 // oddChain scans the flip-flops at odd positions.
 func oddChain(nff int) *scan.Chain {
-	ch := &scan.Chain{}
+	var ffs []int
 	for i := 1; i < nff; i += 2 {
-		ch.FFs = append(ch.FFs, i)
+		ffs = append(ffs, i)
+	}
+	ch, err := scan.NewChain(nff, ffs)
+	if err != nil {
+		panic(err)
 	}
 	return ch
 }

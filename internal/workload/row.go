@@ -69,6 +69,11 @@ type Row struct {
 	Rand     *ArmRow
 }
 
+// chain rebuilds the row's scan chain, which the pipeline always makes
+// of the first Nsv flip-flops: fresh and decoded rows alike carry all it
+// takes.
+func (r *Row) chain() *scan.Chain { return Config{ScanFFs: r.Nsv}.Chain(r.Circuit) }
+
 // armRow converts one core result into its table row; cc expands the
 // collapsed detection counts to the full universe.
 func armRow(r *core.Result, cc *fault.Collapsed) *ArmRow {

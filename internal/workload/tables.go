@@ -121,14 +121,15 @@ func Table5(rows []*Row) *tabfmt.Table {
 // TableDelay is an extension beyond the paper's tables: it quantifies
 // the at-speed motivation (Section 1, refs [5][6]) by grading the final
 // test sets of [4] and of the proposed procedure against the transition
-// (gate-delay) fault model. Length-1 tests launch no at-speed
-// transition, so the [4]-style sets should trail badly.
+// (gate-delay) fault model, under the row's scan chain. Length-1 tests
+// launch no at-speed transition, so the [4]-style sets should trail
+// badly.
 func TableDelay(rows []*Row) *tabfmt.Table {
 	t := tabfmt.New("Extension table: transition-fault (delay) coverage of final test sets",
 		"circuit", "tflts", "[4] init", "[4] comp", "prop det", "rand det")
 	for _, r := range rows {
 		tf := tfault.Universe(r.Circuit)
-		s := tfault.New(r.Circuit, tf)
+		s := tfault.NewChain(r.Circuit, tf, r.chain())
 		cells := []interface{}{r.Name, len(tf),
 			s.DetectSet(r.Base4Init).Count(), // all length-1 tests: no at-speed pair
 			s.DetectSet(r.Base4Comp).Count(),
@@ -169,14 +170,16 @@ func TableUniverse(rows []*Row) *tabfmt.Table {
 
 // TablePower is a second extension table: test power of the final test
 // sets (shift-in/out weighted transitions + capture switching activity,
-// package power). Compaction's other axis: the proposed sets trade many
-// scan shifts for longer functional runs, cutting shift power.
+// package power, under the row's scan chain). Compaction's other axis:
+// the proposed sets trade many scan shifts for longer functional runs,
+// cutting shift power.
 func TablePower(rows []*Row) *tabfmt.Table {
 	t := tabfmt.New("Extension table: test power of final test sets (toggles)",
 		"circuit", "[4] shift", "[4] capt", "prop shift", "prop capt")
 	for _, r := range rows {
-		b := power.Analyze(r.Circuit, nil, r.Base4Comp)
-		p := power.Analyze(r.Circuit, nil, r.Proposed.Final)
+		ch := r.chain()
+		b := power.Analyze(r.Circuit, ch, r.Base4Comp)
+		p := power.Analyze(r.Circuit, ch, r.Proposed.Final)
 		t.AddRow(r.Name,
 			b.ShiftInWTM+b.ShiftOutWTM, b.CaptureToggles,
 			p.ShiftInWTM+p.ShiftOutWTM, p.CaptureToggles)

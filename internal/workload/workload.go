@@ -73,7 +73,7 @@ type Config struct {
 	// ScanFFs enables partial scan: only the first ScanFFs flip-flops
 	// join the scan chain (0 or >= the FF count keeps full scan;
 	// negative is rejected). The chain threads through ATPG, the
-	// simulator and the oracle audit.
+	// simulator, the oracle audit and the delay and power tables.
 	ScanFFs int
 	// SkipBaselines skips the [4] static-compaction baselines and the
 	// dynamic baseline (the proposed-procedure-only mode the scancompact
@@ -91,19 +91,26 @@ type Config struct {
 	Core core.Options `json:"-"`
 }
 
-// Chain builds the partial-scan chain the config implies for ckt: the
-// first ScanFFs flip-flops, or nil under full scan. Shared by the
-// pipeline and by clients that need the chain to post-process a cached
-// result (e.g. expected-response generation).
-func (c Config) Chain(ckt *circuit.Circuit) (*scan.Chain, error) {
-	if c.ScanFFs <= 0 || c.ScanFFs >= ckt.NumFFs() {
-		return nil, nil
+// Chain builds the scan chain the config implies for ckt: the first
+// ScanFFs flip-flops, or scan.Full when ScanFFs is 0 or covers every
+// flip-flop. Shared by the pipeline, by the extension tables and by
+// clients that need the chain to post-process a cached result (e.g.
+// expected-response generation): a run's chain is always the first
+// N_SV flip-flops, so Config{ScanFFs: row.Nsv} rebuilds it.
+func (c Config) Chain(ckt *circuit.Circuit) *scan.Chain {
+	nff := ckt.NumFFs()
+	if c.ScanFFs <= 0 || c.ScanFFs >= nff {
+		return scan.Full(nff)
 	}
 	ffs := make([]int, c.ScanFFs)
 	for i := range ffs {
 		ffs[i] = i
 	}
-	return scan.NewChain(ckt.NumFFs(), ffs)
+	ch, err := scan.NewChain(nff, ffs)
+	if err != nil {
+		panic(err) // a prefix of the flip-flops is always a valid chain
+	}
+	return ch
 }
 
 // Validate rejects settings no run can use: a negative directed T_0
@@ -153,7 +160,8 @@ func (c Config) withDefaults() Config {
 type CircuitRun struct {
 	Entry   gen.RosterEntry
 	Circuit *circuit.Circuit
-	// Chain is the partial-scan chain (nil under full scan).
+	// Chain is the scan chain: scan.Full under full scan, which a run
+	// assembled outside the pipeline may also leave nil.
 	Chain  *scan.Chain
 	Faults []fault.Fault
 	// Collapsed maps the simulated representatives (Faults) back to the
@@ -175,12 +183,7 @@ type CircuitRun struct {
 }
 
 // Nsv returns the scanned state variable count.
-func (r *CircuitRun) Nsv() int {
-	if r.Chain != nil {
-		return r.Chain.Nsv()
-	}
-	return r.Circuit.NumFFs()
-}
+func (r *CircuitRun) Nsv() int { return scan.OrFull(r.Chain, r.Circuit.NumFFs()).Nsv() }
 
 // Run executes the pipeline for one roster entry. The effective seed is
 // entry.Params.Seed + cfg.Seed, so the roster defaults reproduce the
@@ -223,11 +226,7 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	}
 	name := entry.Params.Name
 
-	chain, err := cfg.Chain(ckt)
-	if err != nil {
-		return nil, fmt.Errorf("workload %s: %v", name, err)
-	}
-
+	chain := cfg.Chain(ckt)
 	collapsed := fault.CollapseWithMap(ckt)
 	faults := collapsed.Reps
 

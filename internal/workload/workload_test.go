@@ -1,13 +1,17 @@
 package workload
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/power"
 	"repro/internal/scan"
+	"repro/internal/tabfmt"
+	"repro/internal/tfault"
 )
 
 // fastCfg keeps the pipeline quick for unit tests.
@@ -237,6 +241,46 @@ func TestTablePowerRender(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(out), "\n")
 	if len(lines) != 3+len(runs) {
 		t.Errorf("row count = %d, want %d", len(lines)-3, len(runs))
+	}
+}
+
+// TestExtensionTablesFollowChain checks that the delay and power tables
+// grade a partial-scan row under the run's chain: a scan-out observes
+// the scanned flip-flops only, and the shift metrics see scan vectors of
+// the chain's length. Graded as full scan, b01's row reads 60 for
+// "prop det" and 10 and 15 for the shift columns.
+func TestExtensionTablesFollowChain(t *testing.T) {
+	cfg := fastCfg()
+	cfg.ScanFFs = 3
+	run, err := RunByName("b01", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ch := run.Circuit, run.Chain
+	if ch.Nsv() != 3 || c.NumFFs() <= 3 {
+		t.Fatalf("b01 runs %d of %d flip-flops scanned, want 3 of more", ch.Nsv(), c.NumFFs())
+	}
+	rows := Rows([]*CircuitRun{run})
+	cells := func(tab *tabfmt.Table) string {
+		lines := strings.Split(strings.TrimSpace(tab.Render()), "\n")
+		return strings.Join(strings.Fields(lines[3]), " ")
+	}
+
+	tf := tfault.Universe(c)
+	s := tfault.NewChain(c, tf, ch)
+	want := fmt.Sprint("b01 ", len(tf), " ", s.DetectSet(run.Base4Init).Count(), " ",
+		s.DetectSet(run.Base4Comp).Count(), " ", s.DetectSet(run.Proposed.Final).Count(), " ",
+		s.DetectSet(run.ProposedRand.Final).Count())
+	if got := cells(TableDelay(rows)); got != want {
+		t.Errorf("delay row %q, want %q", got, want)
+	}
+
+	b := power.Analyze(c, ch, run.Base4Comp)
+	p := power.Analyze(c, ch, run.Proposed.Final)
+	want = fmt.Sprint("b01 ", b.ShiftInWTM+b.ShiftOutWTM, " ", b.CaptureToggles, " ",
+		p.ShiftInWTM+p.ShiftOutWTM, " ", p.CaptureToggles)
+	if got := cells(TablePower(rows)); got != want {
+		t.Errorf("power row %q, want %q", got, want)
 	}
 }
 
