@@ -53,7 +53,8 @@ type podem struct {
 	good     *sim.Engine
 	bad      *sim.Engine
 	f        fault.Fault
-	obs      []int // observation nodes: POs and scanned DFF D drivers
+	obs      []int  // observation nodes: POs and scanned DFF D drivers
+	observed []bool // per node: in obs
 	limit    int
 	soDriver int             // D driver of a faulty scanned flip-flop, or -1
 	tm       *scoap.Measures // backtrace guidance (nil = first-X heuristic)
@@ -65,6 +66,12 @@ type podem struct {
 	assign logic.Vector
 
 	backtracks int
+
+	// xPathExists's search state, kept across calls: a node is seen in
+	// the current search when seen[n] == visit.
+	seen  []uint32
+	visit uint32
+	stack []int
 }
 
 // maxBacktracks is the default PODEM backtrack limit.
@@ -101,20 +108,21 @@ func newPodem(c *circuit.Circuit, f fault.Fault, limit int, ch *scan.Chain, tm *
 	}
 	p.assign = logic.NewVector(len(p.inputs), logic.X)
 
-	seen := make(map[int]bool)
+	p.observed = make([]bool, c.NumNodes())
 	for _, po := range c.POs {
-		if !seen[po] {
-			seen[po] = true
+		if !p.observed[po] {
+			p.observed[po] = true
 			p.obs = append(p.obs, po)
 		}
 	}
 	for _, k := range ch.FFs {
 		d := c.Nodes[c.DFFs[k]].Fanin[0]
-		if !seen[d] {
-			seen[d] = true
+		if !p.observed[d] {
+			p.observed[d] = true
 			p.obs = append(p.obs, d)
 		}
 	}
+	p.seen = make([]uint32, c.NumNodes())
 	return p
 }
 
@@ -224,36 +232,40 @@ func (p *podem) xPathExists(frontier []int) bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	obsSet := make(map[int]bool, len(p.obs))
-	for _, n := range p.obs {
-		obsSet[n] = true
+	p.visit++
+	if p.visit == 0 { // wrapped: stamps of old searches could match
+		clear(p.seen)
+		p.visit = 1
 	}
-	seen := make([]bool, p.c.NumNodes())
-	stack := append([]int(nil), frontier...)
+	seen, visit := p.seen, p.visit
+	stack := append(p.stack[:0], frontier...)
 	for _, n := range stack {
-		seen[n] = true
+		seen[n] = visit
 	}
+	found := false
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if obsSet[n] {
-			return true
+		if p.observed[n] {
+			found = true
+			break
 		}
 		for _, s := range p.c.Fanout(n) {
-			if seen[s] || p.c.Nodes[s].Kind == circuit.DFF {
+			if seen[s] == visit || p.c.Nodes[s].Kind == circuit.DFF {
 				// The D pin itself is an observation node (the driver),
-				// handled by obsSet membership of the driver n above.
+				// handled by the observed mark of the driver n above.
 				continue
 			}
 			g, b := p.goodVal(s), p.badVal(s)
 			if g.IsBinary() && b.IsBinary() && g == b {
 				continue // blocked
 			}
-			seen[s] = true
+			seen[s] = visit
 			stack = append(stack, s)
 		}
 	}
-	return false
+	p.stack = stack[:0]
+	return found
 }
 
 // objective returns the next (node, value) goal: excite the fault, or

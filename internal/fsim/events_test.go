@@ -1,0 +1,330 @@
+package fsim_test
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/circuit"
+	"repro/internal/fault"
+	"repro/internal/fsim"
+	"repro/internal/gen"
+	"repro/internal/logic"
+	"repro/internal/oracle"
+	"repro/internal/samples"
+	"repro/internal/scan"
+)
+
+// frameArm is one way of choosing the frames of every pass: the sweep,
+// event frames throughout, or event frames falling back to the sweep
+// after frame k.
+type frameArm struct {
+	name  string
+	force func(*fsim.Simulator)
+}
+
+func frameArms(seqLen int) []frameArm {
+	arms := []frameArm{
+		{"sweep", fsim.ForceSweep},
+		{"events", func(s *fsim.Simulator) { fsim.ForceEvents(s, -1) }},
+	}
+	for _, k := range []int{0, seqLen / 2} {
+		arms = append(arms, frameArm{fmt.Sprintf("fallback@%d", k), func(s *fsim.Simulator) { fsim.ForceEvents(s, k) }})
+	}
+	return arms
+}
+
+// eventFixture is a circuit, its scan chain, an X-bearing sequence and
+// a scan-in vector.
+type eventFixture struct {
+	c   *circuit.Circuit
+	ch  *scan.Chain // nil: full scan
+	seq logic.Sequence
+	si  logic.Vector
+}
+
+func newEventFixture(t testing.TB, c *circuit.Circuit, partial bool, seed int64) eventFixture {
+	t.Helper()
+	fx := eventFixture{c: c}
+	nsv := c.NumFFs()
+	if partial {
+		var ffs []int
+		for i := 0; i < c.NumFFs(); i += 2 {
+			ffs = append(ffs, i)
+		}
+		ch, err := scan.NewChain(c.NumFFs(), ffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.ch, nsv = ch, len(ffs)
+	}
+	r := rand.New(rand.NewSource(seed))
+	val := func() logic.Value {
+		if r.Intn(10) == 0 {
+			return logic.X
+		}
+		return logic.Value(r.Intn(2))
+	}
+	fx.seq = make(logic.Sequence, 10)
+	for u := range fx.seq {
+		fx.seq[u] = make(logic.Vector, c.NumPIs())
+		for i := range fx.seq[u] {
+			fx.seq[u][i] = val()
+		}
+	}
+	fx.si = make(logic.Vector, nsv)
+	for i := range fx.si {
+		fx.si[i] = val()
+	}
+	return fx
+}
+
+// transcript is the outcome of a run of simulations, one line per
+// result or counter delta, in a fixed order.
+type transcript []string
+
+func (tr *transcript) add(format string, args ...any) {
+	*tr = append(*tr, fmt.Sprintf(format, args...))
+}
+
+// diff names the first line where got differs from want.
+func (tr transcript) diff(want transcript) string {
+	for i := range min(len(tr), len(want)) {
+		if tr[i] != want[i] {
+			return fmt.Sprintf("line %d: got %.200s, want %.200s", i, tr[i], want[i])
+		}
+	}
+	if len(tr) != len(want) {
+		return fmt.Sprintf("%d lines, want %d", len(tr), len(want))
+	}
+	return ""
+}
+
+// eventRuns drives every fault-parallel entry point of s over fx and
+// returns their results and the pass counters each one moved, plus the
+// detected sets of Detect without scan and of DetectTest on nil and on
+// each subset. The target subsets of 40, 100, 150 and 250 faults run at
+// widths 1 to 4. A rejected must-detect check aborts passes that other
+// workers have in flight, so its counters are left out when s runs
+// parallel.
+func eventRuns(s *fsim.Simulator, fx eventFixture, subsets []*fault.Set) (tr transcript, noScan *fault.Set, tests []*fault.Set) {
+	step := func(name string, f func() string) {
+		before := s.Stats()
+		out := f()
+		tr.add("%s: %s", name, out)
+		if s.Workers() == 1 || !strings.HasSuffix(name, "reject") {
+			tr.add("%s stats: %+v", name, s.Stats().Sub(before))
+		}
+	}
+	n := s.NumFaults()
+	step("Detect", func() string {
+		noScan = s.Detect(fx.seq, fsim.Options{})
+		return fmt.Sprint(noScan.Indices())
+	})
+	for k, tg := range append([]*fault.Set{nil}, subsets...) {
+		step(fmt.Sprintf("DetectTest %d", k), func() string {
+			tests = append(tests, s.DetectTest(fx.si, fx.seq, tg))
+			return fmt.Sprint(tests[k].Indices())
+		})
+		step(fmt.Sprintf("RecordTest %d", k), func() string { return recordString(s.RecordTest(fx.si, fx.seq, tg)) })
+		step(fmt.Sprintf("Profile %d", k), func() string { return profileString(s.Profile(fx.si, fx.seq, tg), n) })
+	}
+	opt := fsim.Options{Init: fx.si, ScanOut: true}
+	det := tests[0]
+	step("RecordMustInto accept", func() string {
+		rec, ok := s.RecordMustInto(nil, fx.seq, opt, det)
+		return fmt.Sprintf("%v %s", ok, recordString(rec))
+	})
+	if undet := fault.NewFullSet(n); undet.Count() > det.Count() {
+		undet.SubtractWith(det)
+		must := det.Clone()
+		must.Add(undet.Indices()[0])
+		step("RecordMustInto reject", func() string {
+			_, ok := s.RecordMustInto(nil, fx.seq, opt, must)
+			return fmt.Sprint(ok)
+		})
+	}
+	return tr, noScan, tests
+}
+
+func recordString(r *fsim.Record) string {
+	var b strings.Builder
+	r.Detected().ForEach(func(f int) { fmt.Fprintf(&b, "%d:%d:%v ", f, r.FirstPO(f), r.ScanOutOnly(f)) })
+	return b.String()
+}
+
+func profileString(p *fsim.Profile, n int) string {
+	var b strings.Builder
+	for f := 0; f < n; f++ {
+		if !p.Simulated(f) {
+			continue
+		}
+		fmt.Fprintf(&b, "%d:%d:", f, p.PODetectTime(f))
+		for u := 0; u < p.SeqLen(); u++ {
+			if p.ScanOutDetects(f, u) {
+				fmt.Fprintf(&b, "%d,", u)
+			}
+		}
+		b.WriteByte(' ')
+	}
+	return b.String()
+}
+
+// TestEventFrames is the differential test of the event frames: on
+// roster circuits and a shift register (whose D drivers are flip-flops),
+// under full scan and a chain of every other flip-flop, every
+// fault-parallel entry point returns the same results and moves the
+// pass counters the same way whether its passes sweep, run event frames
+// throughout, or fall back to the sweep after frame 0 or mid-sequence,
+// at 1 and 2 workers. Every arm's detected sets also equal the
+// oracle's over up to 250 of the faults.
+func TestEventFrames(t *testing.T) {
+	circuits := []*circuit.Circuit{samples.ShiftReg(6)}
+	for _, name := range []string{"s298", "b04", "s1423", "s5378"} {
+		c, ok := gen.RosterCircuit(name)
+		if !ok {
+			t.Fatalf("unknown roster circuit %q", name)
+		}
+		circuits = append(circuits, c)
+	}
+	for ci, c := range circuits {
+		for _, partial := range []bool{false, true} {
+			name := c.Name + "/full"
+			if partial {
+				name = c.Name + "/partial"
+			}
+			t.Run(name, func(t *testing.T) {
+				fx := newEventFixture(t, c, partial, int64(ci))
+				faults := fault.Collapse(c)
+				n := len(faults)
+				r := rand.New(rand.NewSource(int64(n)))
+				order := r.Perm(n)
+				// Nested subsets: the oracle grades the largest one (or the
+				// whole list), and each smaller one is a restriction of it.
+				perm := r.Perm(n)
+				graded := fault.NewFullSet(n)
+				var subsets []*fault.Set
+				for _, size := range []int{40, 100, 150, 250} {
+					if size < n {
+						graded = fault.NewSet(n)
+						for _, f := range perm[:size] {
+							graded.Add(f)
+						}
+						subsets = append(subsets, graded)
+					}
+				}
+				orc := oracle.NewChain(c, faults, fx.ch)
+				wantNoScan := orc.Detect(fx.seq, oracle.Options{Targets: graded})
+				wantTest := orc.DetectTest(fx.si, fx.seq, graded)
+
+				for _, workers := range []int{1, 2} {
+					var sweep transcript
+					for _, arm := range frameArms(len(fx.seq)) {
+						s := fsim.NewChain(c, faults, fx.ch).SetWorkers(workers).SetOrder(order)
+						arm.force(s)
+						tr, noScan, tests := eventRuns(s, fx, subsets)
+						if got := restrict(noScan, graded); !got.Equal(wantNoScan) {
+							t.Fatalf("workers %d, %s: Detect without scan: %d detected, oracle %d", workers, arm.name, got.Count(), wantNoScan.Count())
+						}
+						for k, tg := range append([]*fault.Set{nil}, subsets...) {
+							got := restrict(tests[k], graded)
+							if want := restrict(wantTest, tg); !got.Equal(want) {
+								t.Fatalf("workers %d, %s: DetectTest: %d detected, oracle %d", workers, arm.name, got.Count(), want.Count())
+							}
+						}
+						if sweep == nil {
+							sweep = tr
+						} else if d := tr.diff(sweep); d != "" {
+							t.Fatalf("workers %d, %s differs from the sweep: %s", workers, arm.name, d)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEventFramesGate: unforced, runs over a large fault list (past the
+// pass-count gate) and over a small one detect what the sweep detects
+// and move the counters as it does; under forced event frames an empty
+// sequence detects nothing.
+func TestEventFramesGate(t *testing.T) {
+	c, _ := gen.RosterCircuit("s5378")
+	faults := fault.Collapse(c)
+	fx := newEventFixture(t, c, false, 3)
+	sweep := fsim.New(c, faults)
+	fsim.ForceSweep(sweep)
+	gated := fsim.New(c, faults)
+	for _, tg := range []*fault.Set{nil, randomTargets(rand.New(rand.NewSource(4)), len(faults), 300)} {
+		want := sweep.DetectTest(fx.si, fx.seq, tg)
+		before := gated.Stats()
+		if got := gated.DetectTest(fx.si, fx.seq, tg); !got.Equal(want) {
+			t.Fatalf("gated run detects %d, the sweep %d", got.Count(), want.Count())
+		}
+		if d, w := gated.Stats().Sub(before), sweep.Stats(); d != w {
+			t.Fatalf("gated run counters %+v, the sweep's %+v", d, w)
+		}
+		sweep.ResetStats()
+	}
+	fsim.ForceEvents(gated, -1)
+	if got := gated.DetectTest(fx.si, nil, nil); got.Count() != 0 {
+		t.Fatalf("empty sequence detects %d faults", got.Count())
+	}
+}
+
+// FuzzEventFrames grades decoded fuzz circuits (oracle.DecodeFuzz) with
+// every frame arm, under full scan and a chain of every other
+// flip-flop: DetectTest and Detect without scan must equal the
+// oracle's, and Profile must equal the sweep's.
+func FuzzEventFrames(f *testing.F) {
+	for i, c := range []*circuit.Circuit{samples.S27(), samples.Toggle(), samples.ShiftReg(3), samples.Comb4()} {
+		fx := newEventFixture(f, c, false, int64(i))
+		data, err := oracle.EncodeFuzz(c, scan.Test{SI: fx.si, Seq: fx.seq})
+		if err != nil {
+			f.Fatalf("%s: corpus encode: %v", c.Name, err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, tst, err := oracle.DecodeFuzz(data)
+		if err != nil {
+			t.Skip()
+		}
+		faults := fault.Collapse(c)
+		for _, partial := range []bool{false, true} {
+			var ch *scan.Chain
+			si := tst.SI
+			if partial {
+				var ffs []int
+				for i := 0; i < c.NumFFs(); i += 2 {
+					ffs = append(ffs, i)
+				}
+				if ch, err = scan.NewChain(c.NumFFs(), ffs); err != nil {
+					t.Fatal(err)
+				}
+				si = si[:len(ffs)]
+			}
+			orc := oracle.NewChain(c, faults, ch)
+			want := orc.DetectTest(si, tst.Seq, nil)
+			wantNoScan := orc.Detect(tst.Seq, oracle.Options{})
+			var sweep string
+			for _, arm := range frameArms(len(tst.Seq)) {
+				s := fsim.NewChain(c, faults, ch)
+				arm.force(s)
+				if got := s.DetectTest(si, tst.Seq, nil); !got.Equal(want) {
+					t.Fatalf("partial %v, %s: DetectTest detects %v, oracle %v", partial, arm.name, got.Indices(), want.Indices())
+				}
+				if got := s.Detect(tst.Seq, fsim.Options{}); !got.Equal(wantNoScan) {
+					t.Fatalf("partial %v, %s: Detect without scan detects %v, oracle %v", partial, arm.name, got.Indices(), wantNoScan.Indices())
+				}
+				prof := profileString(s.Profile(si, tst.Seq, nil), len(faults))
+				if sweep == "" {
+					sweep = prof
+				} else if prof != sweep {
+					t.Fatalf("partial %v, %s: Profile %s, the sweep's %s", partial, arm.name, prof, sweep)
+				}
+			}
+		}
+	})
+}

@@ -27,6 +27,14 @@
 // length-1 scan tests at once, one per slot of a 1-word batch, and
 // propagates each fault event-driven from its site on the same kernel.
 //
+// The pass loop evaluates a frame (one input vector) in one of two ways
+// (events.go). A swept frame runs the whole compiled program over the
+// batch. An event frame reads the good machine from a trace simulated
+// once per run and evaluates only where a faulty machine diverges from
+// it. A gate picks event frames for runs that span many passes and
+// sweeps the rest of a pass once a frame diverges widely. Both kinds give
+// the same detections, records, profiles and pass counters.
+//
 // Simulation passes are independent, so a Simulator can shard them over
 // a pool of workers (SetWorkers); each worker owns a private batch engine
 // and detection results are merged after the fan-out.
@@ -75,6 +83,8 @@ type Simulator struct {
 	idle    []*worker    // checked-in workers
 	order   []int        // pass-packing permutation over fault indices; nil = ascending
 	prog    *sim.Program // lazily compiled batch program
+	force   *frameForce  // tests only: overrides the frame gate (nil: the gate decides)
+	scanned []bool       // per flip-flop index: compared at scan-out
 
 	// Cumulative pass-work counters (see Stats).
 	passes      atomic.Int64
@@ -152,7 +162,12 @@ func New(c *circuit.Circuit, faults []fault.Fault) *Simulator {
 // NewChain returns a Simulator whose scan operations follow ch. A nil
 // chain means full scan (scan.Full).
 func NewChain(c *circuit.Circuit, faults []fault.Fault, ch *scan.Chain) *Simulator {
-	return &Simulator{c: c, faults: faults, chain: scan.OrFull(ch, c.NumFFs()), workers: 1}
+	s := &Simulator{c: c, faults: faults, chain: scan.OrFull(ch, c.NumFFs()), workers: 1}
+	s.scanned = make([]bool, c.NumFFs())
+	for _, i := range s.chain.FFs {
+		s.scanned[i] = true
+	}
+	return s
 }
 
 // SetWorkers sets how many workers a single simulation run may fan its
@@ -287,6 +302,12 @@ type runSpec struct {
 	rec     *Record      // detection-record target, or nil (see record.go)
 	abort   *atomic.Bool // cross-pass abort for must-detect checks, or nil
 	repack  bool         // survivor repacking enabled (see run)
+
+	// Event frames (see events.go): with a trace, every pass starts on
+	// event frames and sweeps the frames after one that falls back.
+	trace      *trace
+	frameLimit int // executed instructions past which a frame falls back
+	fallbackAt int // tests: every pass falls back after this frame; -1: never
 }
 
 // Detect fault-simulates seq under opt and returns the set of detected
@@ -363,6 +384,10 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 		// aborted pass are re-simulated from scratch, so their entries are
 		// written (exactly once) by the generation that detects them.
 		repack: abort == nil && profile == nil && len(seq) > 1,
+	}
+	s.gateFrames(spec, len(targets))
+	if spec.trace != nil {
+		defer s.release(spec.trace.wk)
 	}
 
 	for queue := targets; len(queue) > 0; {
@@ -466,7 +491,10 @@ func repackable(u, seqLen int) bool {
 func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
-	eng.Reset()
+	events := spec.trace != nil
+	if !events {
+		eng.Reset()
+	}
 
 	if need := len(batch) * width; cap(wk.maskBuf) < need {
 		wk.maskBuf = make([]uint64, need)
@@ -495,21 +523,35 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	}
 	eng.SetInjections(wk.binjBuf)
 
-	eng.SetStateVector(spec.state)
+	if events {
+		eng.StartEvents()
+	} else {
+		eng.SetStateVector(spec.state)
+	}
 
 	profile := spec.profile
+	var row []logic.Value // the trace row of an event frame
 	for u, vec := range spec.seq {
 		if spec.abort != nil && spec.abort.Load() {
 			return u, nil // another pass already failed the must-detect check
 		}
-		eng.SetPIVector(vec)
-		eng.EvalComb()
 		clear(diff)
-		for i := range s.c.POs {
-			wv := eng.PO(i)
-			g := wv[0].BroadcastSlot(0)
-			for k := 0; k < width; k++ {
-				diff[k] |= logic.DiffDefinite(wv[k], g)
+		executed := 0
+		if events {
+			// Only a diverged PO can differ from the good machine.
+			row = spec.trace.row(u)
+			executed = eng.EventFrame(row)
+			for _, po := range s.c.POs {
+				if eng.Diverged(po) {
+					observe(diff, eng.Val(po), logic.FromValue(row[po]))
+				}
+			}
+		} else {
+			eng.SetPIVector(vec)
+			eng.EvalComb()
+			for i := range s.c.POs {
+				wv := eng.PO(i)
+				observe(diff, wv, wv[0].BroadcastSlot(0))
 			}
 		}
 		for k := 0; k < width; k++ {
@@ -529,17 +571,19 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 				detMask[k] |= d
 			}
 		}
-		eng.ClockFF()
+		if events {
+			eng.EventClock()
+			if spec.fallback(u, executed) {
+				eng.EndEvents()
+				events = false
+			}
+		} else {
+			eng.ClockFF()
+		}
 		if profile != nil {
 			// Record which faults a scan-out after this clock would catch.
 			clear(diff)
-			for _, ff := range s.chain.FFs {
-				wv := eng.State(ff)
-				g := wv[0].BroadcastSlot(0)
-				for k := 0; k < width; k++ {
-					diff[k] |= logic.DiffDefinite(wv[k], g)
-				}
-			}
+			s.scanDiff(eng, events, row, diff)
 			for k := 0; k < width; k++ {
 				for m := diff[k] & batchMask[k]; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
@@ -571,13 +615,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	}
 	if spec.scanOut {
 		clear(diff)
-		for _, ff := range s.chain.FFs {
-			wv := eng.State(ff)
-			g := wv[0].BroadcastSlot(0)
-			for k := 0; k < width; k++ {
-				diff[k] |= logic.DiffDefinite(wv[k], g)
-			}
-		}
+		s.scanDiff(eng, events, row, diff)
 		for k := 0; k < width; k++ {
 			for m := diff[k] & batchMask[k] &^ detMask[k]; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
@@ -590,6 +628,33 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		}
 	}
 	return len(spec.seq), nil
+}
+
+// observe ORs into diff the slots where wv and the good word g carry
+// definite, differing values.
+func observe(diff []uint64, wv logic.WordVec, g logic.Word) {
+	for k := range diff {
+		diff[k] |= logic.DiffDefinite(wv[k], g)
+	}
+}
+
+// scanDiff ORs into diff the slots whose state a scan-out after the last
+// clock would tell from the good machine's. After an event clock only
+// the diverged flip-flops can differ, and the good state is the row's
+// value of each one's D driver; after a swept clock slot 0 holds it.
+func (s *Simulator) scanDiff(eng *sim.BatchEngine, events bool, row []logic.Value, diff []uint64) {
+	if !events {
+		for _, ff := range s.chain.FFs {
+			wv := eng.State(ff)
+			observe(diff, wv, wv[0].BroadcastSlot(0))
+		}
+		return
+	}
+	for _, i := range eng.DivergedFFs() {
+		if s.scanned[i] {
+			observe(diff, eng.State(int(i)), logic.FromValue(row[s.c.Nodes[s.c.DFFs[i]].Fanin[0]]))
+		}
+	}
 }
 
 // masksEqual reports a == b word for word (equal lengths assumed).

@@ -13,12 +13,14 @@ import (
 // BatchEngines (one per fault-simulation worker).
 //
 // Wide gates (fanin > 2) are decomposed at compile time into a
-// left-fold chain through one scratch slot, exactly mirroring the fold
-// order of Engine.evalGateFast, so the three-valued result of every
-// node is bit-identical to the interpreter's. Inverting kinds
-// (NAND/NOR/XNOR) fold with the non-inverting opcode and invert on the
-// final instruction. One-input gates degenerate to BUF/NOT, again
-// matching the interpreter.
+// left-fold chain, exactly mirroring the fold order of
+// Engine.evalGateFast, so the three-valued result of every node is
+// bit-identical to the interpreter's. Each fold step writes a temporary
+// slot of its own, so every instruction's result has one arena slot
+// and the event frames of events.go can schedule instructions, not
+// nodes. Inverting kinds (NAND/NOR/XNOR) fold with the non-inverting
+// opcode and invert on the final instruction. One-input gates
+// degenerate to BUF/NOT, again matching the interpreter.
 
 // opcode identifies one dual-rail word operation of the compiled
 // program. All binary opcodes take exactly two operands; wide gates are
@@ -59,6 +61,13 @@ type Program struct {
 	// a wide gate's fold chain and its final instruction are contiguous,
 	// and a source's range is empty. BatchEngine.EvalNode runs one range.
 	ranges [][2]int32
+	// Consumers of each slot s, in compressed rows: the instructions
+	// reading s are readers[readerAt[s]:readerAt[s+1]], in stream order,
+	// and the flip-flops (by index) whose D pin s drives are
+	// latchers[latchAt[s]:latchAt[s+1]]. Event frames follow them.
+	readerAt, readers []int32
+	latchAt, latchers []int32
+	ffIdx             []int32 // per node: its flip-flop index, or -1
 }
 
 // Compile lowers c into a straight-line dual-rail program. The
@@ -67,13 +76,9 @@ type Program struct {
 // by the BatchEngine before execution.
 func Compile(c *circuit.Circuit) *Program {
 	p := &Program{c: c, nslots: c.NumNodes()}
-	scratch := int32(-1)
 	temp := func() int32 {
-		if scratch < 0 {
-			scratch = int32(p.nslots)
-			p.nslots++
-		}
-		return scratch
+		p.nslots++
+		return int32(p.nslots - 1)
 	}
 	for i := range c.Nodes {
 		switch c.Nodes[i].Kind {
@@ -138,7 +143,44 @@ func Compile(c *circuit.Circuit) *Program {
 			lo = int32(i + 1)
 		}
 	}
+	p.readerAt, p.readers = csr(p.nslots, func(emit func(slot, v int32)) {
+		for i, ins := range p.instrs {
+			emit(ins.a, int32(i))
+			if ins.op > opNot && ins.b != ins.a {
+				emit(ins.b, int32(i))
+			}
+		}
+	})
+	p.latchAt, p.latchers = csr(p.nslots, func(emit func(slot, v int32)) {
+		for i, ff := range c.DFFs {
+			emit(int32(c.Nodes[ff].Fanin[0]), int32(i))
+		}
+	})
+	p.ffIdx = make([]int32, c.NumNodes())
+	for n := range p.ffIdx {
+		p.ffIdx[n] = -1
+	}
+	for i, ff := range c.DFFs {
+		p.ffIdx[ff] = int32(i)
+	}
 	return p
+}
+
+// csr builds compressed rows over n slots from the (slot, value) pairs
+// walk emits: row s lists its values in emission order.
+func csr(n int, walk func(emit func(slot, v int32))) (at, vals []int32) {
+	at = make([]int32, n+1)
+	walk(func(s, _ int32) { at[s+1]++ })
+	for s := 0; s < n; s++ {
+		at[s+1] += at[s]
+	}
+	vals = make([]int32, at[n])
+	fill := append([]int32(nil), at[:n]...)
+	walk(func(s, v int32) {
+		vals[fill[s]] = v
+		fill[s]++
+	})
+	return at, vals
 }
 
 // Circuit returns the netlist the program was compiled from.

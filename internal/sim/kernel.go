@@ -66,6 +66,8 @@ type BatchEngine struct {
 	injected bool
 
 	scratch []logic.Word // per-DFF next-state buffer (nff * cap)
+
+	ev *events // event-frame state (events.go), nil until StartEvents
 }
 
 // NewBatch returns a BatchEngine executing p over w-word batches, with
@@ -544,16 +546,15 @@ func (e *BatchEngine) fix(n int) {
 
 // applyOut merges node n's output injections into its value slots.
 func (e *BatchEngine) applyOut(n int) {
-	w := e.w
-	d := e.vals[n*w : (n+1)*w : (n+1)*w]
-	inj := e.outInj[n]
+	e.merge(e.slot(n), e.outInj[n])
+}
+
+// merge forces the stuck values of inj into the masked slots of d, a
+// value at the active width.
+func (e *BatchEngine) merge(d logic.WordVec, inj []BatchInjection) {
 	for j := range inj {
 		in := &inj[j]
-		hi := in.hi
-		if hi > w {
-			hi = w
-		}
-		for i := in.lo; i < hi; i++ {
+		for i, hi := in.lo, min(in.hi, e.w); i < hi; i++ {
 			if mask := in.Mask[i]; mask != 0 {
 				d[i] = d[i].Merge(in.fw, mask)
 			}
@@ -651,19 +652,7 @@ func (e *BatchEngine) NextState(dst []logic.Word) {
 		d := dst[i*w : (i+1)*w]
 		copy(d, e.slot(e.c.Nodes[ff].Fanin[0]))
 		if e.flags[ff]&flagPin != 0 {
-			inj := e.pinInj[ff]
-			for j := range inj {
-				in := &inj[j]
-				hi := in.hi
-				if hi > w {
-					hi = w
-				}
-				for k := in.lo; k < hi; k++ {
-					if mask := in.Mask[k]; mask != 0 {
-						d[k] = d[k].Merge(in.fw, mask)
-					}
-				}
-			}
+			e.merge(d, e.pinInj[ff])
 		}
 	}
 }

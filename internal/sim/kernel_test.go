@@ -330,8 +330,8 @@ func TestKernelSetWidth(t *testing.T) {
 }
 
 // TestCompileShape pins the decomposition contract: every instruction
-// is two-input, wide gates chain through the scratch slot, and the
-// instruction count is gate count plus fold steps.
+// is two-input, each fold step of a wide gate writes a temporary slot
+// of its own, and the instruction count is gate count plus fold steps.
 func TestCompileShape(t *testing.T) {
 	c := wideConstCircuit(t)
 	p := Compile(c)
@@ -347,10 +347,10 @@ func TestCompileShape(t *testing.T) {
 	if got := p.NumInstrs(); got != len(c.EvalOrder())+wantExtra {
 		t.Errorf("instrs = %d, want %d gates + %d fold steps", got, len(c.EvalOrder()), wantExtra)
 	}
-	if p.NumSlots() != c.NumNodes()+1 {
-		t.Errorf("slots = %d, want %d (one scratch)", p.NumSlots(), c.NumNodes()+1)
+	if p.NumSlots() != c.NumNodes()+wantExtra {
+		t.Errorf("slots = %d, want %d (one temporary per fold step)", p.NumSlots(), c.NumNodes()+wantExtra)
 	}
-	// A purely narrow circuit needs no scratch slot.
+	// A purely narrow circuit needs no temporary slot.
 	narrow := Compile(samples.ShiftReg(4))
 	if narrow.NumSlots() != samples.ShiftReg(4).NumNodes() {
 		t.Errorf("narrow slots = %d, want node count", narrow.NumSlots())

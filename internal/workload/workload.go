@@ -261,6 +261,9 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 		}
 		run.T0 = t0c
 		run.T0Detected = s.Detect(t0c, fsim.Options{})
+		if err := noUntestable(s, "T_0 detected set", run.T0Detected, comb.Untestable); err != nil {
+			return nil, fmt.Errorf("workload %s: %v", name, err)
+		}
 	}
 
 	// Baselines.
@@ -299,14 +302,21 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	return run, nil
 }
 
-// runCore runs the proposed procedure on t0 and checks the paper's
-// invariant that core cannot see: the final coverage is at least C's.
+// runCore runs the proposed procedure on t0 and checks the invariants
+// core cannot see: the final coverage is at least C's, and neither the
+// initial nor the final set detects a fault PODEM proved untestable.
 func runCore(s *fsim.Simulator, comb *atpg.Result, t0 logic.Sequence, opt core.Options) (*core.Result, error) {
 	res, err := core.Run(s, comb.Tests, t0, opt)
 	if err != nil {
 		return nil, err
 	}
 	if err := coversC(res.FinalDetected, comb.Detected); err != nil {
+		return nil, err
+	}
+	if err := noUntestable(s, "initial detected set", res.InitialDetected, comb.Untestable); err != nil {
+		return nil, err
+	}
+	if err := noUntestable(s, "final detected set", res.FinalDetected, comb.Untestable); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -322,6 +332,23 @@ func coversC(final, c *fault.Set) error {
 	missing := c.Clone()
 	missing.SubtractWith(final)
 	return fmt.Errorf("invariant: final set misses %d of the %d faults C detects", missing.Count(), c.Count())
+}
+
+// noUntestable reports a detected set of s's runs that holds faults
+// PODEM proved untestable. Under full scan such a fault is
+// combinationally redundant, so no scan test detects it and a detection
+// is a simulator defect. Under partial scan PODEM's verdict is no
+// sequential proof, and the check passes.
+func noUntestable(s *fsim.Simulator, name string, det, untestable *fault.Set) error {
+	if s.Nsv() < s.Circuit().NumFFs() {
+		return nil
+	}
+	bad := det.Clone()
+	bad.IntersectWith(untestable)
+	if n := bad.Count(); n > 0 {
+		return fmt.Errorf("invariant: the %s holds %d of the %d faults PODEM proved untestable", name, n, untestable.Count())
+	}
+	return nil
 }
 
 // RunByName runs the pipeline for a roster (or XL-roster) circuit by

@@ -145,6 +145,35 @@ func TestCoversC(t *testing.T) {
 	}
 }
 
+// TestNoUntestable: the pipeline's untestable-fault check passes a real
+// run and names a detected set that holds a fault PODEM proved
+// untestable under full scan; under partial scan it does not apply.
+func TestNoUntestable(t *testing.T) {
+	r := smallRuns(t)[0]
+	s := fsim.New(r.Circuit, r.Faults)
+	for name, det := range map[string]*fault.Set{
+		"T_0": r.T0Detected, "initial": r.Proposed.InitialDetected, "final": r.Proposed.FinalDetected,
+	} {
+		if err := noUntestable(s, name, det, r.Comb.Untestable); err != nil {
+			t.Fatalf("clean run: %v", err)
+		}
+	}
+	untestable := r.Comb.Untestable.Clone()
+	untestable.Add(r.Proposed.FinalDetected.Indices()[0])
+	err := noUntestable(s, "final detected set", r.Proposed.FinalDetected, untestable)
+	if err == nil || !strings.Contains(err.Error(), "final detected set holds 1 of") {
+		t.Errorf("final set holding an untestable fault: noUntestable() = %v", err)
+	}
+	ch, err := scan.NewChain(r.Circuit.NumFFs(), []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial := fsim.NewChain(r.Circuit, r.Faults, ch)
+	if err := noUntestable(partial, "final detected set", r.Proposed.FinalDetected, untestable); err != nil {
+		t.Errorf("partial scan: %v", err)
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	runs := smallRuns(t)
 	out := AllTables(Rows(runs))
