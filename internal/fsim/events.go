@@ -16,21 +16,18 @@ import (
 // same detections, so the choice moves only time (DESIGN.md §8).
 //
 // The gate decides from what the run observes: its pass count and the
-// share of the program a frame executes. Event frames lose where
+// share of the program a frame executes, against the program's one
+// event limit (sim.Program.EventLimit). Event frames lose where
 // divergence is wide: on small circuits much of the program diverges
 // anyway, and the per-instruction bookkeeping costs more than the
-// sweep it saves.
+// sweep it saves. A pass whose injected gates alone exceed the limit
+// starts on the sweep, and a pass sweeps the frames after one that
+// executes more than the limit.
 
-const (
-	// eventMinPasses: a run takes event frames only when its targets
-	// fill at least this many full-width passes, so the width-1 trace
-	// costs at most about 5% of the run.
-	eventMinPasses = 8
-	// eventMaxShare: a frame that executes more than 1/eventMaxShare of
-	// the program ends the event frames of its pass; its later frames
-	// sweep.
-	eventMaxShare = 8
-)
+// eventMinPasses: a run takes event frames only when its targets fill
+// at least this many full-width passes, so the width-1 trace costs at
+// most about 5% of the run.
+const eventMinPasses = 8
 
 // frameForce overrides the gate on a Simulator (tests only, see
 // export_test.go).
@@ -77,6 +74,7 @@ func (t *trace) row(u int) []logic.Value {
 		eng.Row(t.rows[k])
 		eng.ClockFF()
 		t.n.Store(int32(k + 1))
+		t.wk.s.traceRows.Add(1)
 	}
 	return t.rows[u]
 }
@@ -101,13 +99,14 @@ func (s *Simulator) gateFrames(spec *runSpec, ntargets int) {
 	case ntargets < eventMinPasses*(64*maxWords-1):
 		return
 	default:
-		spec.frameLimit = s.program().NumInstrs() / eventMaxShare
+		spec.frameLimit = s.program().EventLimit()
 	}
 	spec.trace = s.newTrace(spec.seq, spec.state)
 }
 
 // fallback reports whether a pass that executed executed instructions in
-// event frame u sweeps its later frames.
+// event frame u sweeps its later frames. A pass whose seeds alone
+// exceed the limit sweeps from the start (runPass).
 func (spec *runSpec) fallback(u, executed int) bool {
 	return executed > spec.frameLimit || u == spec.fallbackAt
 }

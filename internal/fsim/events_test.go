@@ -179,6 +179,12 @@ func profileString(p *fsim.Profile, n int) string {
 // throughout, or fall back to the sweep after frame 0 or mid-sequence,
 // at 1 and 2 workers. Every arm's detected sets also equal the
 // oracle's over up to 250 of the faults.
+//
+// Event frames drop a fault once it is detected, except in Profile. So
+// every fixture must detect some fault at a PO while its effect is
+// still latched in a scanned flip-flop before the last vector: a drop
+// that merged the wrong words, or kept them diverged, would then change
+// a later detection or a profile.
 func TestEventFrames(t *testing.T) {
 	circuits := []*circuit.Circuit{samples.ShiftReg(6)}
 	for _, name := range []string{"s298", "b04", "s1423", "s5378"} {
@@ -214,6 +220,9 @@ func TestEventFrames(t *testing.T) {
 						subsets = append(subsets, graded)
 					}
 				}
+				if n := latchedDetections(fsim.NewChain(c, faults, fx.ch), fx); n == 0 {
+					t.Fatal("no fault is detected at a PO while its effect is latched")
+				}
 				orc := oracle.NewChain(c, faults, fx.ch)
 				wantNoScan := orc.Detect(fx.seq, oracle.Options{Targets: graded})
 				wantTest := orc.DetectTest(fx.si, fx.seq, graded)
@@ -245,31 +254,79 @@ func TestEventFrames(t *testing.T) {
 	}
 }
 
+// latchedDetections counts the faults that fx's scan test detects at a
+// PO at some vector u before the last while a scan-out after u would
+// also detect them.
+func latchedDetections(s *fsim.Simulator, fx eventFixture) int {
+	fsim.ForceSweep(s)
+	p := s.Profile(fx.si, fx.seq, nil)
+	n := 0
+	for f := range s.NumFaults() {
+		if u := p.PODetectTime(f); u >= 0 && u+1 < len(fx.seq) && p.ScanOutDetects(f, u) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestEventFramesGate: unforced, runs over a large fault list (past the
 // pass-count gate) and over a small one detect what the sweep detects
-// and move the counters as it does; under forced event frames an empty
-// sequence detects nothing.
+// and move the counters as it does. On b04, with the faults packed in a
+// random order as ADI order spreads them, a full-width pass injects more
+// gates than the event limit, so a one-vector run of eight such passes
+// (no repacking) starts each on the sweep and simulates no trace row;
+// on s35932xl the passes start on event frames. Under forced event
+// frames an empty sequence detects nothing.
 func TestEventFramesGate(t *testing.T) {
-	c, _ := gen.RosterCircuit("s5378")
-	faults := fault.Collapse(c)
-	fx := newEventFixture(t, c, false, 3)
-	sweep := fsim.New(c, faults)
-	fsim.ForceSweep(sweep)
-	gated := fsim.New(c, faults)
-	for _, tg := range []*fault.Set{nil, randomTargets(rand.New(rand.NewSource(4)), len(faults), 300)} {
-		want := sweep.DetectTest(fx.si, fx.seq, tg)
-		before := gated.Stats()
-		if got := gated.DetectTest(fx.si, fx.seq, tg); !got.Equal(want) {
-			t.Fatalf("gated run detects %d, the sweep %d", got.Count(), want.Count())
-		}
-		if d, w := gated.Stats().Sub(before), sweep.Stats(); d != w {
-			t.Fatalf("gated run counters %+v, the sweep's %+v", d, w)
-		}
-		sweep.ResetStats()
-	}
-	fsim.ForceEvents(gated, -1)
-	if got := gated.DetectTest(fx.si, nil, nil); got.Count() != 0 {
-		t.Fatalf("empty sequence detects %d faults", got.Count())
+	for _, tc := range []struct {
+		name    string
+		targets int  // random targets; 0: the whole list and 300 of it
+		vectors int  // the fixture's first vectors; 0: all of them
+		shuffle bool // pack the faults in a random order, not ascending
+		rows    int  // trace rows: 0 none, 1 some, -1 unchecked
+	}{
+		{"s5378", 0, 0, false, -1},
+		{"b04", 8 * 255, 1, true, 0},
+		{"s35932xl", 2100, 0, false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := gen.RosterCircuit(tc.name)
+			faults := fault.Collapse(c)
+			fx := newEventFixture(t, c, false, 3)
+			if tc.vectors > 0 {
+				fx.seq = fx.seq[:tc.vectors]
+			}
+			r := rand.New(rand.NewSource(4))
+			runs := []*fault.Set{nil, randomTargets(r, len(faults), 300)}
+			if tc.targets > 0 {
+				runs = []*fault.Set{randomTargets(r, len(faults), tc.targets)}
+			}
+			var order []int
+			if tc.shuffle {
+				order = r.Perm(len(faults))
+			}
+			sweep := fsim.New(c, faults).SetOrder(order)
+			fsim.ForceSweep(sweep)
+			gated := fsim.New(c, faults).SetOrder(order)
+			for _, tg := range runs {
+				want := sweep.DetectTest(fx.si, fx.seq, tg)
+				before := gated.Stats()
+				if got := gated.DetectTest(fx.si, fx.seq, tg); !got.Equal(want) {
+					t.Fatalf("gated run detects %d, the sweep %d", got.Count(), want.Count())
+				}
+				if d, w := gated.Stats().Sub(before), sweep.Stats(); d != w {
+					t.Fatalf("gated run counters %+v, the sweep's %+v", d, w)
+				}
+				sweep.ResetStats()
+			}
+			if rows := fsim.TraceRows(gated); tc.rows >= 0 && (rows > 0) != (tc.rows > 0) {
+				t.Fatalf("the gated runs simulated %d trace rows", rows)
+			}
+			fsim.ForceEvents(gated, -1)
+			if got := gated.DetectTest(fx.si, nil, nil); got.Count() != 0 {
+				t.Fatalf("empty sequence detects %d faults", got.Count())
+			}
+		})
 	}
 }
 

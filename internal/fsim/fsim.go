@@ -31,9 +31,14 @@
 // (events.go). A swept frame runs the whole compiled program over the
 // batch. An event frame reads the good machine from a trace simulated
 // once per run and evaluates only where a faulty machine diverges from
-// it. A gate picks event frames for runs that span many passes and
-// sweeps the rest of a pass once a frame diverges widely. Both kinds give
-// the same detections, records, profiles and pass counters.
+// it. A gate picks event frames for runs that span many passes, against
+// the program's one event limit (sim.Program.EventLimit): a pass whose
+// injected gates alone exceed it starts on the sweep, and a pass sweeps
+// the rest of its frames once a frame executes more. On event frames a
+// detected fault leaves the pass after that frame's clock: its slot
+// becomes the good machine and diverges nowhere (Profile, which records
+// faults past their detection, keeps them). Both kinds give the same
+// detections, records, profiles and pass counters.
 //
 // Simulation passes are independent, so a Simulator can shard them over
 // a pool of workers (SetWorkers); each worker owns a private batch engine
@@ -90,6 +95,7 @@ type Simulator struct {
 	passes      atomic.Int64
 	passVectors atomic.Int64
 	faultSlots  atomic.Int64
+	traceRows   atomic.Int64 // good-trace rows simulated (events.go)
 }
 
 // PassStats is a snapshot of a Simulator's cumulative pass-work
@@ -523,9 +529,12 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	}
 	eng.SetInjections(wk.binjBuf)
 
-	if events {
-		eng.StartEvents()
-	} else {
+	if events && eng.StartEvents() > spec.frameLimit {
+		// Every frame would execute more than the limit, so the first
+		// one would fall back: sweep from the start.
+		events = false
+	}
+	if !events {
 		eng.SetStateVector(spec.state)
 	}
 
@@ -554,9 +563,11 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 				observe(diff, wv, wv[0].BroadcastSlot(0))
 			}
 		}
+		newly := false
 		for k := 0; k < width; k++ {
 			d := diff[k] & batchMask[k] &^ detMask[k]
 			if d != 0 {
+				newly = true
 				for m := d; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
 					fi := batch[k*64+b-1]
@@ -573,6 +584,13 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		}
 		if events {
 			eng.EventClock()
+			if newly && profile == nil {
+				// A detected fault is decided: its slot becomes the good
+				// machine and stops diverging. Every later compare masks
+				// it out with detMask. The profile records faults past
+				// their detection, so it keeps them.
+				eng.DropSlots(detMask)
+			}
 			if spec.fallback(u, executed) {
 				eng.EndEvents()
 				events = false

@@ -26,10 +26,23 @@ import (
 //     diverged at the last clock, the injected sources (forced on the
 //     row's value) and the final instruction of every injected gate;
 //   - the clock latches only the flip-flops whose D driver diverged or
-//     that carry an injection; the others keep the good next state.
+//     that carry an injection; the others keep the good next state;
+//   - DropSlots ends the faulty machines whose result is decided: their
+//     injections stop applying and their flip-flops take the good next
+//     state, so from then on those slots are the good machine and
+//     diverge nowhere.
 //
 // Results are bit-identical to Step's, slot for slot, wherever a slot
 // diverges; everywhere else the arena is stale and the row is the value.
+
+// eventShare: an event frame that executes more than 1/eventShare of
+// the program costs more than a sweep would (DESIGN.md §8).
+const eventShare = 8
+
+// EventLimit returns the most instructions an event frame should
+// execute: past it, sweeping the whole program is the cheaper frame.
+// Callers that choose between the two kinds of frame decide with it.
+func (p *Program) EventLimit() int { return len(p.instrs) / eventShare }
 
 // broadcast maps a scalar value to the word carrying it in every slot
 // (Z reads as X, as FromValue has it).
@@ -58,8 +71,11 @@ type events struct {
 // StartEvents begins a pass of event frames over the installed
 // injections (call it after SetInjections, instead of loading a state):
 // the flip-flops start at the good machine's state, which the first
-// frame's row holds, and nothing has diverged yet.
-func (e *BatchEngine) StartEvents() {
+// frame's row holds, and nothing has diverged yet. It returns the
+// number of injected gates, whose final instructions every frame
+// executes: a pass whose seeds alone exceed the EventLimit is better
+// swept from the start.
+func (e *BatchEngine) StartEvents() int {
 	p := e.p
 	if e.ev == nil {
 		e.ev = &events{
@@ -88,6 +104,7 @@ func (e *BatchEngine) StartEvents() {
 			ev.ffs = append(ev.ffs, i)
 		}
 	}
+	return len(ev.gates)
 }
 
 // EventFrame evaluates one frame of the pass event-driven. good is the
@@ -174,6 +191,48 @@ func (e *BatchEngine) EventClock() {
 // are current; every other flip-flop holds the good next state. The
 // slice is owned by the engine and valid until the next EventClock.
 func (e *BatchEngine) DivergedFFs() []int32 { return e.ev.diverged }
+
+// DropSlots ends the faulty machines in the slots mask selects (one
+// word per batch word), after an EventClock: their installed
+// injections stop applying, and every diverged flip-flop takes the good
+// next state in those slots. From then on they are the good machine. A
+// flip-flop whose words all equal the good next state leaves
+// DivergedFFs, and the next frame reads it from the row. The other
+// slots keep their words bit for bit. A caller drops a fault once its
+// result is decided, for example detected: it must not read the
+// dropped slots again.
+func (e *BatchEngine) DropSlots(mask []uint64) {
+	for _, n := range e.touched {
+		for _, inj := range [2][]BatchInjection{e.outInj[n], e.pinInj[n]} {
+			for j := range inj {
+				m := inj[j].Mask
+				for i := range min(len(m), len(mask)) {
+					m[i] &^= mask[i]
+				}
+			}
+		}
+	}
+	ev, c := e.ev, e.c
+	kept := ev.diverged[:0]
+	for _, i := range ev.diverged {
+		ff := c.DFFs[i]
+		g := broadcast[ev.good[c.Nodes[ff].Fanin[0]]]
+		wv, good := e.slot(ff), true
+		for k := range wv {
+			if k < len(mask) {
+				wv[k] = wv[k].Merge(g, mask[k])
+			}
+			good = good && wv[k] == g
+		}
+		if good {
+			// No live epoch is 0: the next frame fills it from the row.
+			ev.stamp[ff], ev.div[ff] = 0, 0
+		} else {
+			kept = append(kept, i)
+		}
+	}
+	ev.diverged = kept
+}
 
 // EndEvents ends the event frames of a pass after an EventClock: it
 // writes the good next state into every flip-flop that did not

@@ -60,6 +60,7 @@ type BatchEngine struct {
 
 	outInj   [][]BatchInjection // by node whose output is forced
 	pinInj   [][]BatchInjection // by consumer node
+	masks    []uint64           // the installed injections' masks, copied by SetInjections
 	flags    []uint8            // per slot; temporaries stay 0
 	touched  []int
 	srcInj   []int // injected source nodes, forced at EvalComb start
@@ -140,15 +141,27 @@ func (e *BatchEngine) clearInjections() {
 }
 
 // SetInjections installs the active fault injections, replacing any
-// previous set. Callers must keep each Mask alive and unchanged until
-// the next SetInjections or Reset.
+// previous set. The engine copies every Mask, so the caller may reuse
+// them at once; DropSlots changes only the copies.
 func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 	e.clearInjections()
 	if len(injs) == 0 {
 		return
 	}
 	e.injected = true
+	need := 0
 	for _, in := range injs {
+		need += len(in.Mask)
+	}
+	if cap(e.masks) < need {
+		e.masks = make([]uint64, need)
+	}
+	masks := e.masks[:need]
+	for _, in := range injs {
+		m := masks[:len(in.Mask):len(in.Mask)]
+		masks = masks[len(in.Mask):]
+		copy(m, in.Mask)
+		in.Mask = m
 		in.lo = 0
 		in.hi = len(in.Mask)
 		for in.lo < in.hi && in.Mask[in.lo] == 0 {

@@ -20,13 +20,23 @@
 // dominated sets of the prior static compaction flow.
 //
 // Grading runs on the compiled batch kernel (sim.Compile and
-// sim.BatchEngine). The good machine stays on the interpreter, one
-// evaluation per cycle, and decides which faults each cycle launches.
-// Cycle u is then re-evaluated as capture frames: each frame starts
-// from the good machine's pre-cycle state and holds up to 512 launched
-// faults at their old values, one fault per slot. No slot carries the
-// good machine; every observed word is compared against the scalar
-// good value of cycle u.
+// sim.BatchEngine). The good machine runs on it at width 1, one
+// evaluation per cycle, and keeps the trace rows of the previous and
+// the current cycle: one value per arena slot. The rows decide which
+// faults each cycle launches. Cycle u is then re-evaluated as capture
+// frames: each frame starts from the good machine's pre-cycle state and
+// holds up to 512 launched faults at their old values, one fault per
+// slot. No slot carries the good machine; every observed word is
+// compared against the row's value in cycle u.
+//
+// A capture frame runs in one of two ways. An event frame
+// (sim.BatchEngine.EventFrame on row u) executes only the instructions
+// a launched fault's effect reaches and compares only the POs and D
+// drivers that diverged from the row. A swept frame loads the
+// pre-cycle state from the row and runs the whole program. A frame
+// with more launched faults than the program's event limit
+// (sim.Program.EventLimit) sweeps, since its seeds alone would exceed
+// the limit. Both kinds detect the same faults.
 package tfault
 
 import (
@@ -73,14 +83,26 @@ func Universe(c *circuit.Circuit) []Fault {
 // carries up to 64*frameWords launched faults.
 const frameWords = 8
 
+// frameForce overrides the capture-frame rule (tests only, see
+// export_test.go).
+type frameForce uint8
+
+const (
+	byLimit     frameForce = iota // the event limit decides
+	sweepFrames                   // every capture frame sweeps
+	eventFrames                   // every capture frame is an event frame
+)
+
 // Simulator grades scan tests against a transition fault list. The good
-// machine runs on the interpreter, one evaluation per cycle; capture
-// frames run on the compiled batch kernel. Not safe for concurrent use.
+// machine and the capture frames both run on the compiled batch kernel.
+// Not safe for concurrent use.
 type Simulator struct {
 	c      *circuit.Circuit
 	faults []Fault
-	good   *sim.Engine
-	eng    *sim.BatchEngine
+	good   *sim.BatchEngine // width 1: the good machine
+	eng    *sim.BatchEngine // capture frames, up to frameWords wide
+	limit  int              // launched faults past which a capture frame sweeps
+	force  frameForce
 	chain  *scan.Chain // what a scan-in loads; observed follows its flip-flops
 
 	// observed lists the D-input nodes of the flip-flops a scan-out
@@ -90,8 +112,9 @@ type Simulator struct {
 	// byNode[n] lists fault indices on node n (at most 2).
 	byNode [][]int
 
-	prev []logic.Value // good node values in the previous cycle
-	curv []logic.Value // good node values in the current cycle
+	// The good machine's trace rows of the previous and the current
+	// cycle: the value of every arena slot, node n at slot n.
+	prev, curv []logic.Value
 
 	// Per-frame buffers, reused across frames and tests.
 	launched []int
@@ -109,15 +132,17 @@ func New(c *circuit.Circuit, faults []Fault) *Simulator {
 // scan-in loads chain positions and the scan-out observes only the
 // chain's flip-flops. A nil chain means full scan (scan.Full).
 func NewChain(c *circuit.Circuit, faults []Fault, ch *scan.Chain) *Simulator {
+	p := sim.Compile(c)
 	s := &Simulator{
 		c:      c,
 		faults: faults,
 		chain:  scan.OrFull(ch, c.NumFFs()),
-		good:   sim.New(c),
-		eng:    sim.NewBatch(sim.Compile(c), frameWords),
+		good:   sim.NewBatch(p, 1),
+		eng:    sim.NewBatch(p, frameWords),
+		limit:  p.EventLimit(),
 		byNode: make([][]int, c.NumNodes()),
-		prev:   make([]logic.Value, c.NumNodes()),
-		curv:   make([]logic.Value, c.NumNodes()),
+		prev:   make([]logic.Value, p.NumSlots()),
+		curv:   make([]logic.Value, p.NumSlots()),
 		masks:  make([]uint64, 64*frameWords*frameWords),
 		diff:   make([]uint64, frameWords),
 	}
@@ -142,15 +167,11 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 	}
 	s.good.Reset()
 	s.good.SetStateVector(s.chain.State(si))
-	s.good.SetPIVector(seq[0])
-	s.good.EvalComb()
-	s.snapshot(s.prev)
+	s.cycle(seq[0], s.prev)
 
 	for u := 1; u < len(seq); u++ {
 		s.good.ClockFF()
-		s.good.SetPIVector(seq[u])
-		s.good.EvalComb()
-		s.snapshot(s.curv)
+		s.cycle(seq[u], s.curv)
 
 		// Collect the faults the good machine launches in this cycle.
 		launched := s.launched[:0]
@@ -206,11 +227,20 @@ func (s *Simulator) DetectSet(ts *scan.Set) *fault.Set {
 	return detected
 }
 
+// cycle evaluates the good machine's current cycle on the PI vector pi
+// and writes its trace row into row.
+func (s *Simulator) cycle(pi logic.Vector, row []logic.Value) {
+	s.good.SetPIVector(pi)
+	s.good.EvalComb()
+	s.good.Row(row)
+}
+
 // captureFrame evaluates one capture cycle for up to 64*frameWords
 // launched faults, one per kernel slot: each behaves as a stuck-at-(old
 // value) fault for this one frame, starting from the good machine's
 // pre-cycle state. No slot carries the good machine; every output is
-// compared against the scalar good values of the cycle in s.curv.
+// compared against the cycle's row, s.curv. An event frame compares
+// only the outputs that diverged from the row.
 func (s *Simulator) captureFrame(batch []int, pi logic.Vector, last bool, detected *fault.Set) {
 	w := (len(batch) + 63) / 64
 	if s.eng.Width() != w {
@@ -227,20 +257,28 @@ func (s *Simulator) captureFrame(batch []int, pi logic.Vector, last bool, detect
 		s.injs = append(s.injs, sim.BatchInjection{Node: n, Pin: -1, Stuck: s.prev[n], Mask: m})
 	}
 	s.eng.SetInjections(s.injs)
-	for i, ff := range s.c.DFFs {
-		s.eng.SetStateValue(i, s.curv[ff]) // the good pre-cycle state
+	events := s.force == eventFrames || s.force == byLimit && len(batch) <= s.limit
+	if events {
+		// The flip-flops start at the good pre-cycle state, which the
+		// row holds.
+		s.eng.StartEvents()
+		s.eng.EventFrame(s.curv)
+	} else {
+		for i, ff := range s.c.DFFs {
+			s.eng.SetStateValue(i, s.curv[ff]) // the good pre-cycle state
+		}
+		s.eng.SetPIVector(pi)
+		s.eng.EvalComb()
 	}
-	s.eng.SetPIVector(pi)
-	s.eng.EvalComb()
 
 	diff := s.diff[:w]
 	clear(diff)
 	for _, n := range s.c.POs {
-		s.compare(diff, n)
+		s.compare(diff, n, events)
 	}
 	if last {
 		for _, n := range s.observed {
-			s.compare(diff, n)
+			s.compare(diff, n, events)
 		}
 	}
 	for k, d := range diff {
@@ -251,17 +289,15 @@ func (s *Simulator) captureFrame(batch []int, pi logic.Vector, last bool, detect
 }
 
 // compare ORs into diff the slots whose value of node n definitely
-// differs from the good machine's.
-func (s *Simulator) compare(diff []uint64, n int) {
+// differs from the good machine's. After an event frame a node that did
+// not diverge carries the row's value in every slot.
+func (s *Simulator) compare(diff []uint64, n int, events bool) {
+	if events && !s.eng.Diverged(n) {
+		return
+	}
 	g := logic.FromValue(s.curv[n])
 	for k, v := range s.eng.Val(n) {
 		diff[k] |= logic.DiffDefinite(v, g)
-	}
-}
-
-func (s *Simulator) snapshot(dst []logic.Value) {
-	for n := range dst {
-		dst[n] = s.good.Val(n).Get(0)
 	}
 }
 

@@ -207,10 +207,24 @@ func naiveDetect(c *circuit.Circuit, ch *scan.Chain, faults []Fault, si logic.Ve
 	return detected
 }
 
+// captureArm is one way of choosing the kind of every capture frame:
+// the event limit's choice, the sweep, or event frames throughout.
+type captureArm struct {
+	name  string
+	force func(*Simulator)
+}
+
+var captureArms = []captureArm{
+	{"limit", func(*Simulator) {}},
+	{"sweep", ForceSweep},
+	{"events", ForceEvents},
+}
+
 // TestTransitionRoster checks the kernel capture frames against the
 // reference over the roster, full and partial scan, with X in scan-in
-// states and PI vectors: DetectTest per test (all faults and a random
-// target subset) and DetectSet against the union of the per-test sets.
+// states and PI vectors, whichever kind each capture frame runs as:
+// DetectTest per test (all faults and a random target subset) and
+// DetectSet against the union of the per-test sets.
 func TestTransitionRoster(t *testing.T) {
 	overflow := false // some first capture cycle launched more than one frame
 	for _, e := range gen.Roster() {
@@ -220,9 +234,9 @@ func TestTransitionRoster(t *testing.T) {
 		}
 		faults := Universe(c)
 		for _, ch := range []*scan.Chain{nil, oddChain(c.NumFFs())} {
-			nsv, arm := c.NumFFs(), "full"
+			nsv, chain := c.NumFFs(), "full"
 			if ch != nil {
-				nsv, arm = len(ch.FFs), "partial"
+				nsv, chain = len(ch.FFs), "partial"
 			}
 			r := rand.New(rand.NewSource(e.Params.Seed))
 			ts := scan.NewSet(
@@ -230,25 +244,17 @@ func TestTransitionRoster(t *testing.T) {
 				scan.Test{SI: randVector(r, nsv, 8), Seq: randSequence(r, c.NumPIs(), 1, 8)},
 				scan.Test{SI: randVector(r, nsv, 8), Seq: randSequence(r, c.NumPIs(), 7, 8)},
 			)
-			s := NewChain(c, faults, ch)
 			union := fault.NewSet(len(faults))
+			wants := make([]*fault.Set, len(ts.Tests))
+			targets := make([]*fault.Set, len(ts.Tests))
 			for ti, tst := range ts.Tests {
-				want := naiveDetect(c, ch, faults, tst.SI, tst.Seq)
-				union.UnionWith(want)
-				if got := s.DetectTest(tst.SI, tst.Seq, nil); !got.Equal(want) {
-					t.Fatalf("%s/%s test %d: kernel detects %d, reference %d",
-						e.Params.Name, arm, ti, got.Count(), want.Count())
-				}
-				targets := fault.NewSet(len(faults))
+				wants[ti] = naiveDetect(c, ch, faults, tst.SI, tst.Seq)
+				union.UnionWith(wants[ti])
+				targets[ti] = fault.NewSet(len(faults))
 				for fi := range faults {
 					if r.Intn(2) == 0 {
-						targets.Add(fi)
+						targets[ti].Add(fi)
 					}
-				}
-				want.IntersectWith(targets)
-				if got := s.DetectTest(tst.SI, tst.Seq, targets); !got.Equal(want) {
-					t.Fatalf("%s/%s test %d: targeted kernel detects %d, reference %d",
-						e.Params.Name, arm, ti, got.Count(), want.Count())
 				}
 				if len(tst.Seq) > 1 {
 					vals, _ := goodRun(c, ch, tst.SI, tst.Seq)
@@ -261,9 +267,26 @@ func TestTransitionRoster(t *testing.T) {
 					overflow = overflow || n > 64*frameWords
 				}
 			}
-			if got := s.DetectSet(ts); !got.Equal(union) {
-				t.Fatalf("%s/%s: DetectSet %d, union of tests %d",
-					e.Params.Name, arm, got.Count(), union.Count())
+			for _, arm := range captureArms {
+				s := NewChain(c, faults, ch)
+				arm.force(s)
+				for ti, tst := range ts.Tests {
+					want := wants[ti]
+					if got := s.DetectTest(tst.SI, tst.Seq, nil); !got.Equal(want) {
+						t.Fatalf("%s/%s/%s test %d: kernel detects %d, reference %d",
+							e.Params.Name, chain, arm.name, ti, got.Count(), want.Count())
+					}
+					want = want.Clone()
+					want.IntersectWith(targets[ti])
+					if got := s.DetectTest(tst.SI, tst.Seq, targets[ti]); !got.Equal(want) {
+						t.Fatalf("%s/%s/%s test %d: targeted kernel detects %d, reference %d",
+							e.Params.Name, chain, arm.name, ti, got.Count(), want.Count())
+					}
+				}
+				if got := s.DetectSet(ts); !got.Equal(union) {
+					t.Fatalf("%s/%s/%s: DetectSet %d, union of tests %d",
+						e.Params.Name, chain, arm.name, got.Count(), union.Count())
+				}
 			}
 		}
 	}
@@ -287,7 +310,8 @@ func oddChain(nff int) *scan.Chain {
 
 // FuzzTransitionDifferential compares the kernel capture frames with the
 // reference on fuzzer-shaped circuits and tests, under full scan and
-// under a chain of the odd flip-flop positions.
+// under a chain of the odd flip-flop positions, with every kind of
+// capture frame.
 func FuzzTransitionDifferential(f *testing.F) {
 	r := rand.New(rand.NewSource(3))
 	for _, c := range []*circuit.Circuit{samples.S27(), samples.ShiftReg(3)} {
@@ -314,9 +338,12 @@ func FuzzTransitionDifferential(f *testing.F) {
 			si logic.Vector
 		}{{nil, tst.SI}, {partial, oddSI}} {
 			want := naiveDetect(c, arm.ch, faults, arm.si, tst.Seq)
-			got := NewChain(c, faults, arm.ch).DetectTest(arm.si, tst.Seq, nil)
-			if !got.Equal(want) {
-				t.Fatalf("chain %v: kernel %v, reference %v", arm.ch, got.Indices(), want.Indices())
+			for _, kind := range captureArms {
+				s := NewChain(c, faults, arm.ch)
+				kind.force(s)
+				if got := s.DetectTest(arm.si, tst.Seq, nil); !got.Equal(want) {
+					t.Fatalf("chain %v, %s: kernel %v, reference %v", arm.ch, kind.name, got.Indices(), want.Indices())
+				}
 			}
 		}
 	})
