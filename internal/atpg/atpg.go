@@ -10,6 +10,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/scan"
 	"repro/internal/scoap"
+	"repro/internal/sim"
 )
 
 // CombTest is one combinational test c_j: a present-state part and a
@@ -31,9 +32,6 @@ type Options struct {
 	Seed int64
 	// BacktrackLimit bounds PODEM backtracks per fault (0 = default 100).
 	BacktrackLimit int
-	// NoCompaction disables the reverse-order greedy compaction pass
-	// (on by default; disable for debugging).
-	NoCompaction bool
 	// Chain restricts the controllable present-state lines and the
 	// observable next-state lines to a partial scan chain (nil = full
 	// scan). Test State vectors are indexed by chain position.
@@ -72,6 +70,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 	simr := fsim.NewChain(c, faults, ch)
 	n := len(faults)
 	tm := scoap.Compute(c, ch)
+	eng := sim.NewBatch(sim.Compile(c), 1)
 
 	res := &Result{
 		Detected:   fault.NewSet(n),
@@ -104,7 +103,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 		if !remaining.Has(fi) {
 			return // dropped by an earlier PODEM test in this loop
 		}
-		p := newPodem(c, faults[fi], opt.BacktrackLimit, ch, tm)
+		p := newPodem(c, eng, faults[fi], opt.BacktrackLimit, ch, tm)
 		assign, status := p.run()
 		switch status {
 		case Untestable:
@@ -137,10 +136,7 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 		return nil, fmt.Errorf("atpg %s: %d faults unaccounted for", c.Name, remaining.Count())
 	}
 
-	if !opt.NoCompaction {
-		tests = compactReverse(simr, tests, res.Detected)
-	}
-	res.Tests = tests
+	res.Tests = compactReverse(simr, tests, res.Detected)
 	return res, nil
 }
 
@@ -211,7 +207,7 @@ func RunPodemChain(c *circuit.Circuit, f fault.Fault, backtrackLimit int, ch *sc
 		backtrackLimit = maxBacktracks
 	}
 	ch = scan.OrFull(ch, c.NumFFs())
-	p := newPodem(c, f, backtrackLimit, ch, scoap.Compute(c, ch))
+	p := newPodem(c, sim.NewBatch(sim.Compile(c), 1), f, backtrackLimit, ch, scoap.Compute(c, ch))
 	assign, status := p.run()
 	if status != Detected {
 		return CombTest{}, status

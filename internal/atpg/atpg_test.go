@@ -1,69 +1,111 @@
 package atpg
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/samples"
+	"repro/internal/scan"
+	"repro/internal/scoap"
+	"repro/internal/sim"
 )
 
-// exhaustiveDetectable enumerates every binary (state, PI) assignment and
-// reports whether any of them detects f as a length-1 scan test. This is
-// the ground truth PODEM must agree with on small circuits.
-func exhaustiveDetectable(c *circuit.Circuit, faults []fault.Fault, fi int) (bool, CombTest) {
-	s := fsim.New(c, faults)
-	target := fault.FromIndices(len(faults), []int{fi})
-	nIn := c.NumPIs() + c.NumFFs()
+// exhaustiveDetectable grades every binary assignment of the
+// assignable inputs — the PIs and the chain's flip-flops — as a length-1
+// scan test, 64 at a time, and reports per fault whether any of them
+// detects it. This is the ground truth PODEM must agree with on small
+// circuits.
+func exhaustiveDetectable(s *fsim.Simulator, nsv int) []bool {
+	c := s.Circuit()
+	detectable := make([]bool, len(s.Faults()))
+	nIn := c.NumPIs() + nsv
+	var batch []scan.Test
 	for m := 0; m < 1<<nIn; m++ {
 		pi := make(logic.Vector, c.NumPIs())
-		st := make(logic.Vector, c.NumFFs())
-		for i := 0; i < c.NumPIs(); i++ {
+		st := make(logic.Vector, nsv)
+		for i := range pi {
 			pi[i] = logic.Value((m >> i) & 1)
 		}
-		for i := 0; i < c.NumFFs(); i++ {
-			st[i] = logic.Value((m >> (c.NumPIs() + i)) & 1)
+		for i := range st {
+			st[i] = logic.Value((m >> (len(pi) + i)) & 1)
 		}
-		if s.DetectTest(st, logic.Sequence{pi}, target).Has(fi) {
-			return true, CombTest{State: st, PI: pi}
+		batch = append(batch, scan.Test{SI: st, Seq: logic.Sequence{pi}})
+		if len(batch) == logic.SlotCount || m == 1<<nIn-1 {
+			for fi, mask := range s.DetectMasks(batch) {
+				detectable[fi] = detectable[fi] || mask != 0
+			}
+			batch = batch[:0]
 		}
 	}
-	return false, CombTest{}
+	return detectable
 }
 
 // checkPodemAgainstExhaustive runs PODEM on every collapsed fault of c
-// and compares with brute force.
-func checkPodemAgainstExhaustive(t *testing.T, c *circuit.Circuit) {
+// under the chain ch (nil = full scan) and compares with brute force. It
+// returns the number of untestable verdicts. The backtrack limit
+// exceeds 2^n for n assignable inputs up to 13, so no fault aborts.
+//
+// Under partial scan two known defects of PODEM are tolerated, and only
+// there:
+//   - an Untestable verdict is not a proof: when a backtrace runs into
+//     an unscanned flip-flop, which no decision can set, the search
+//     backtracks as if the objective were impossible;
+//   - for an output fault on a scanned flip-flop, PODEM observes the
+//     flip-flop's own D driver, but the stuck output masks what the
+//     flip-flop captures, so the returned test may not detect the fault.
+//
+// Under full scan every verdict must hold.
+func checkPodemAgainstExhaustive(t *testing.T, c *circuit.Circuit, ch *scan.Chain) int {
 	t.Helper()
 	faults := fault.Collapse(c)
-	s := fsim.New(c, faults)
+	s := fsim.NewChain(c, faults, ch)
+	ch = scan.OrFull(ch, c.NumFFs())
+	want := exhaustiveDetectable(s, ch.Nsv())
+	full := ch.Nsv() == c.NumFFs()
+	// One engine serves every fault, as in Generate.
+	eng, tm := sim.NewBatch(sim.Compile(c), 1), scoap.Compute(c, ch)
+	untestable, refuted, masked := 0, 0, 0
 	for fi, f := range faults {
-		test, status := RunPodem(c, f, 10000)
-		want, _ := exhaustiveDetectable(c, faults, fi)
+		assign, status := newPodem(c, eng, f, 10000, ch, tm).run()
 		switch status {
 		case Detected:
-			if !want {
-				t.Errorf("%s: PODEM claims detected but brute force says undetectable", f.String(c))
-				continue
-			}
 			// The returned test must actually detect the fault (after
 			// filling X with zeros — the assigned bits must suffice).
+			test := splitAssignment(c, assign)
 			fillValue(test.State, logic.Zero)
 			fillValue(test.PI, logic.Zero)
 			got := s.DetectTest(test.State, logic.Sequence{test.PI}, fault.FromIndices(len(faults), []int{fi}))
-			if !got.Has(fi) {
-				t.Errorf("%s: PODEM test does not detect the fault", f.String(c))
+			switch {
+			case got.Has(fi):
+			case !full && f.Pin < 0 && c.Nodes[f.Node].Kind == circuit.DFF:
+				masked++
+			case !want[fi]:
+				t.Errorf("%s chain %v: %s: PODEM claims detected but brute force says undetectable", c.Name, ch, f.String(c))
+			default:
+				t.Errorf("%s chain %v: %s: PODEM test does not detect the fault", c.Name, ch, f.String(c))
 			}
 		case Untestable:
-			if want {
-				t.Errorf("%s: PODEM claims untestable but a test exists", f.String(c))
+			untestable++
+			if want[fi] {
+				if full {
+					t.Errorf("%s chain %v: %s: PODEM claims untestable but a test exists", c.Name, ch, f.String(c))
+				}
+				refuted++
 			}
 		case Aborted:
-			t.Errorf("%s: aborted with a huge backtrack limit", f.String(c))
+			t.Errorf("%s chain %v: %s: aborted with a huge backtrack limit", c.Name, ch, f.String(c))
 		}
 	}
+	if refuted+masked > 0 {
+		t.Logf("%s chain %v: %d of %d untestable verdicts refuted, %d flip-flop output tests masked",
+			c.Name, ch, refuted, untestable, masked)
+	}
+	return untestable
 }
 
 func fillValue(v logic.Vector, val logic.Value) {
@@ -75,15 +117,48 @@ func fillValue(v logic.Vector, val logic.Value) {
 }
 
 func TestPodemMatchesExhaustiveComb4(t *testing.T) {
-	checkPodemAgainstExhaustive(t, samples.Comb4())
+	checkPodemAgainstExhaustive(t, samples.Comb4(), nil)
 }
 
 func TestPodemMatchesExhaustiveS27(t *testing.T) {
-	checkPodemAgainstExhaustive(t, samples.S27())
+	c := samples.S27()
+	checkPodemAgainstExhaustive(t, c, nil)
+	ch, err := scan.NewChain(c.NumFFs(), []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPodemAgainstExhaustive(t, c, ch)
 }
 
 func TestPodemMatchesExhaustiveToggle(t *testing.T) {
-	checkPodemAgainstExhaustive(t, samples.Toggle())
+	checkPodemAgainstExhaustive(t, samples.Toggle(), nil)
+}
+
+// TestPodemMatchesExhaustiveGenerated checks PODEM's verdicts on
+// generated circuits with at most 12 assignable inputs, under full scan
+// and with the first half of the flip-flops scanned.
+func TestPodemMatchesExhaustiveGenerated(t *testing.T) {
+	untestable := 0
+	for _, p := range []gen.Params{
+		{Name: "px1", Seed: 11, PIs: 4, POs: 3, FFs: 8, Gates: 60},
+		{Name: "px2", Seed: 12, PIs: 5, POs: 2, FFs: 6, Gates: 80, XorWeight: 0.3},
+		{Name: "px3", Seed: 13, PIs: 3, POs: 4, FFs: 9, Gates: 100, MaxFanin: 4},
+	} {
+		c := gen.MustGenerate(p)
+		half := make([]int, c.NumFFs()/2)
+		for i := range half {
+			half[i] = i
+		}
+		ch, err := scan.NewChain(c.NumFFs(), half)
+		if err != nil {
+			t.Fatal(err)
+		}
+		untestable += checkPodemAgainstExhaustive(t, c, nil)
+		checkPodemAgainstExhaustive(t, c, ch)
+	}
+	if untestable == 0 {
+		t.Error("no untestable verdict was checked under full scan")
+	}
 }
 
 func TestPodemScanOutOnlyFault(t *testing.T) {
@@ -186,21 +261,39 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateCompactionKeepsCoverage hands compactReverse a list with
+// redundant tests — random patterns, then Generate's set twice over —
+// and checks that the list never grows, that it sheds the redundant
+// tests, and that its coverage is unchanged.
 func TestGenerateCompactionKeepsCoverage(t *testing.T) {
 	c := samples.S27()
 	faults := fault.Collapse(c)
-	full, err := Generate(c, faults, Options{Seed: 2, NoCompaction: true})
+	res, err := Generate(c, faults, Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compact, err := Generate(c, faults, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
+	var tests []CombTest
+	r := rand.New(rand.NewSource(2))
+	for i := 0; i < 16; i++ {
+		tests = append(tests, CombTest{State: randomVector(r, c.NumFFs()), PI: randomVector(r, c.NumPIs())})
 	}
-	if len(compact.Tests) > len(full.Tests) {
-		t.Errorf("compaction grew the set: %d > %d", len(compact.Tests), len(full.Tests))
+	tests = append(append(tests, res.Tests...), res.Tests...)
+	s := fsim.New(c, faults)
+	coverage := func(tests []CombTest) *fault.Set {
+		got := fault.NewSet(len(faults))
+		for _, tst := range tests {
+			got.UnionWith(s.DetectTest(tst.State, logic.Sequence{tst.PI}, nil))
+		}
+		return got
 	}
-	if !compact.Detected.Equal(full.Detected) {
+	covered := coverage(tests)
+	kept := compactReverse(s, tests, covered)
+	// The reverse pass meets one copy of Generate's set first, and it
+	// covers everything.
+	if len(kept) > len(res.Tests) {
+		t.Errorf("compaction kept %d of %d tests, more than the %d of Generate's set", len(kept), len(tests), len(res.Tests))
+	}
+	if !coverage(kept).Equal(covered) {
 		t.Error("compaction changed the detected set")
 	}
 }

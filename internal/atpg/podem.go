@@ -50,8 +50,7 @@ func (s Status) String() string {
 // podem carries the state of one PODEM run.
 type podem struct {
 	c        *circuit.Circuit
-	good     *sim.Engine
-	bad      *sim.Engine
+	eng      *sim.BatchEngine // width 1: the good machine in slot 0, the faulty one in slot 1
 	f        fault.Fault
 	obs      []int  // observation nodes: POs and scanned DFF D drivers
 	observed []bool // per node: in obs
@@ -77,20 +76,22 @@ type podem struct {
 // maxBacktracks is the default PODEM backtrack limit.
 const maxBacktracks = 100
 
-// newPodem prepares a PODEM run under the scan chain ch: only scanned
-// present-state lines are assignable and only scanned next-state lines
-// are observable.
-func newPodem(c *circuit.Circuit, f fault.Fault, limit int, ch *scan.Chain, tm *scoap.Measures) *podem {
+// newPodem prepares a PODEM run on eng, a width-1 engine for c, under
+// the scan chain ch: only scanned present-state lines are assignable and
+// only scanned next-state lines are observable.
+func newPodem(c *circuit.Circuit, eng *sim.BatchEngine, f fault.Fault, limit int, ch *scan.Chain, tm *scoap.Measures) *podem {
 	p := &podem{
 		c:        c,
-		good:     sim.New(c),
-		bad:      sim.New(c),
+		eng:      eng,
 		f:        f,
 		limit:    limit,
 		soDriver: -1,
 		tm:       tm,
 	}
-	p.bad.SetInjections([]sim.Injection{f.Injection(^uint64(0))})
+	// Reset clears the last run's values: an output injection on an
+	// unscanned flip-flop wrote slot 1 there, and no input write undoes it.
+	eng.Reset()
+	eng.SetInjections([]sim.BatchInjection{f.Injection([]uint64{1 << 1})}) // the faulty machine: slot 1
 	for _, pi := range c.PIs {
 		p.inputs = append(p.inputs, pi)
 	}
@@ -126,19 +127,17 @@ func newPodem(c *circuit.Circuit, f fault.Fault, limit int, ch *scan.Chain, tm *
 	return p
 }
 
-// imply re-simulates both machines under the current input assignment.
+// imply re-simulates both machines under the current input assignment:
+// one sweep evaluates the good and the faulty slot together.
 func (p *podem) imply() {
 	for i, n := range p.inputs {
-		w := logic.FromValue(p.assign[i])
-		p.good.SetNode(n, w)
-		p.bad.SetNode(n, w)
+		p.eng.SetNodeVec(n, logic.WordVec{logic.FromValue(p.assign[i])})
 	}
-	p.good.EvalComb()
-	p.bad.EvalComb()
+	p.eng.EvalComb()
 }
 
-func (p *podem) goodVal(n int) logic.Value { return p.good.Val(n).Get(0) }
-func (p *podem) badVal(n int) logic.Value  { return p.bad.Val(n).Get(0) }
+func (p *podem) goodVal(n int) logic.Value { return p.eng.Val(n)[0].Get(0) }
+func (p *podem) badVal(n int) logic.Value  { return p.eng.Val(n)[0].Get(1) }
 
 // effect reports whether node n carries a definite fault effect.
 func (p *podem) effect(n int) bool {

@@ -41,15 +41,16 @@ func BenchmarkEventDrivenSequence(b *testing.B) {
 }
 
 // BenchmarkLevelizedSequence runs the same workload through the compiled
-// 64-slot engine (every gate, every cycle — but one instruction per 64
-// patterns when batched; here a single scalar-equivalent run for an
+// kernel at width 1 (every gate, every cycle — 64 slots per instruction
+// when batched; here a single scalar-equivalent run for an
 // apples-to-apples latency comparison).
 func BenchmarkLevelizedSequence(b *testing.B) {
 	seq, p := benchCircuitAndSeq()
 	c := gen.MustGenerate(p)
+	prog := sim.Compile(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := sim.New(c)
+		e := sim.NewBatch(prog, 1)
 		e.SetStateVector(logic.NewVector(c.NumFFs(), logic.Zero))
 		for _, v := range seq {
 			e.SetPIVector(v)

@@ -51,13 +51,17 @@ func New(c *circuit.Circuit) *Engine {
 	for i := range e.vals {
 		e.vals[i] = logic.X
 	}
-	// Constants settle once.
+	// Constants are set once, and their readers evaluate at the first
+	// Settle: no later event reaches a gate whose other inputs never
+	// change.
 	for i := range c.Nodes {
 		switch c.Nodes[i].Kind {
 		case circuit.Const0:
 			e.vals[i] = logic.Zero
+			e.scheduleFanout(i)
 		case circuit.Const1:
 			e.vals[i] = logic.One
+			e.scheduleFanout(i)
 		}
 	}
 	return e

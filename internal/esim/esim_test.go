@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/logic"
@@ -19,8 +20,31 @@ func randVec(r *rand.Rand, n int) logic.Vector {
 	return v
 }
 
+// kernelRun simulates seq from init (nil = all X) on the compiled
+// kernel at width 1 and returns slot 0's PO vector in each cycle and
+// its flip-flop state after each clock.
+func kernelRun(c *circuit.Circuit, init logic.Vector, seq logic.Sequence) (pos, states []logic.Vector) {
+	k := sim.NewBatch(sim.Compile(c), 1)
+	k.SetStateVector(init)
+	for _, v := range seq {
+		k.SetPIVector(v)
+		k.EvalComb()
+		po := make(logic.Vector, c.NumPOs())
+		for i := range po {
+			po[i] = k.PO(i)[0].Get(0)
+		}
+		k.ClockFF()
+		st := make(logic.Vector, c.NumFFs())
+		for i := range st {
+			st[i] = k.State(i)[0].Get(0)
+		}
+		pos, states = append(pos, po), append(states, st)
+	}
+	return pos, states
+}
+
 // TestMatchesLevelizedEngine is the package's core guarantee: the
-// event-driven engine and the compiled 64-slot engine implement the same
+// event-driven engine and the compiled kernel implement the same
 // semantics. Random sequential runs on random circuits must agree on
 // every PO at every cycle and on every flip-flop state.
 func TestMatchesLevelizedEngine(t *testing.T) {
@@ -36,18 +60,18 @@ func TestMatchesLevelizedEngine(t *testing.T) {
 		}
 		init := randVec(r, c.NumFFs())
 
-		ref := sim.RunSequence(c, init, seq)
+		pos, states := kernelRun(c, init, seq)
 		e := New(c)
 		e.SetStateVector(init)
 		for u, v := range seq {
 			got := e.Step(v)
-			if !got.Equal(ref.POs[u]) {
-				t.Fatalf("trial %d cycle %d: POs %s vs %s", trial, u, got, ref.POs[u])
+			if !got.Equal(pos[u]) {
+				t.Fatalf("trial %d cycle %d: POs %s vs %s", trial, u, got, pos[u])
 			}
 			for i := 0; i < c.NumFFs(); i++ {
-				if e.Val(c.DFFs[i]) != ref.States[u][i] {
+				if e.Val(c.DFFs[i]) != states[u][i] {
 					t.Fatalf("trial %d cycle %d: FF %d state %v vs %v",
-						trial, u, i, e.Val(c.DFFs[i]), ref.States[u][i])
+						trial, u, i, e.Val(c.DFFs[i]), states[u][i])
 				}
 			}
 		}
@@ -64,12 +88,12 @@ func TestMatchesLevelizedWithXInputs(t *testing.T) {
 		v[r.Intn(len(v))] = logic.X
 		seq[i] = v
 	}
-	ref := sim.RunSequence(c, nil, seq)
+	pos, _ := kernelRun(c, nil, seq)
 	e := New(c)
 	for u, v := range seq {
 		got := e.Step(v)
-		if !got.Equal(ref.POs[u]) {
-			t.Fatalf("cycle %d: POs %s vs %s", u, got, ref.POs[u])
+		if !got.Equal(pos[u]) {
+			t.Fatalf("cycle %d: POs %s vs %s", u, got, pos[u])
 		}
 	}
 }
@@ -123,13 +147,28 @@ func TestSingleBitFlipTouchesCone(t *testing.T) {
 }
 
 func TestConstantsSettled(t *testing.T) {
-	// Constants are driven at construction without events.
 	cb := samples.Comb4()
 	e := New(cb)
 	e.SetPIVector(logic.Vector{logic.One, logic.Zero, logic.Zero, logic.Zero})
 	e.Settle()
 	if e.PO(0) != logic.One {
 		t.Errorf("mux PO = %v, want 1", e.PO(0))
+	}
+
+	// A gate read only from constants, and one whose other input never
+	// changes, settle without any input event.
+	b := circuit.NewBuilder("k")
+	b.Input("a")
+	b.Const("zero", false)
+	b.Const("one", true)
+	b.Gate("n", circuit.Not, "zero")
+	b.Gate("y", circuit.Or, "a", "one")
+	b.Output("n")
+	b.Output("y")
+	e = New(b.MustBuild())
+	e.Settle()
+	if got := e.POVector(); got.String() != "11" {
+		t.Errorf("constant-driven POs = %s, want 11", got)
 	}
 }
 
@@ -150,10 +189,10 @@ func TestStatsAccessors(t *testing.T) {
 }
 
 // TestInjectedFaultMatchesWordEngine checks fault-injection semantics
-// against the word engine: for every collapsed fault of several random
-// circuits, an event-driven engine carrying that single fault must agree
-// with the corresponding injected slot of the 64-slot engine on every PO
-// and every flip-flop, cycle by cycle. This is the guarantee the
+// against the compiled kernel: for every collapsed fault of several
+// random circuits, an event-driven engine carrying that single fault
+// must agree with the injected slot of a width-1 kernel engine on every
+// PO and every flip-flop, cycle by cycle. This is the guarantee the
 // reference fault simulator in internal/oracle builds on.
 func TestInjectedFaultMatchesWordEngine(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -172,11 +211,11 @@ func TestInjectedFaultMatchesWordEngine(t *testing.T) {
 		}
 		init := randVec(r, c.NumFFs())
 
-		ref := sim.New(c)
+		ref := sim.NewBatch(sim.Compile(c), 1)
 		for fi, fl := range faults {
-			// Word engine: fault in slot 1, good machine in slot 0.
+			// Kernel: fault in slot 1, good machine in slot 0.
 			ref.Reset()
-			ref.SetInjections([]sim.Injection{fl.Injection(1 << 1)})
+			ref.SetInjections([]sim.BatchInjection{fl.Injection([]uint64{1 << 1})})
 			ref.SetStateVector(init)
 
 			e := New(c)
@@ -189,7 +228,7 @@ func TestInjectedFaultMatchesWordEngine(t *testing.T) {
 				e.SetPIVector(v)
 				e.Settle()
 				for i := range c.POs {
-					want := ref.PO(i).Get(1)
+					want := ref.PO(i)[0].Get(1)
 					if got := e.PO(i); got != want {
 						t.Fatalf("trial %d fault %d (%s) cycle %d PO %d: esim %v, sim %v",
 							trial, fi, fl.String(c), u, i, got, want)
@@ -198,7 +237,7 @@ func TestInjectedFaultMatchesWordEngine(t *testing.T) {
 				ref.ClockFF()
 				e.ClockFF()
 				for i := 0; i < c.NumFFs(); i++ {
-					want := ref.State(i).Get(1)
+					want := ref.State(i)[0].Get(1)
 					if got := e.Val(c.DFFs[i]); got != want {
 						t.Fatalf("trial %d fault %d (%s) cycle %d FF %d: esim %v, sim %v",
 							trial, fi, fl.String(c), u, i, got, want)

@@ -37,10 +37,10 @@ func (f Fault) String(c *circuit.Circuit) string {
 		c.Nodes[f.Node].Name, f.Pin, c.Nodes[c.Nodes[f.Node].Fanin[f.Pin]].Name, f.Stuck)
 }
 
-// Injection converts the fault into a simulator injection affecting the
-// slots in mask.
-func (f Fault) Injection(mask uint64) sim.Injection {
-	return sim.Injection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: mask}
+// Injection converts the fault into a kernel injection affecting the
+// slots in mask (one word per batch word).
+func (f Fault) Injection(mask []uint64) sim.BatchInjection {
+	return sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: mask}
 }
 
 // Universe enumerates the full (uncollapsed) single stuck-at fault list

@@ -160,8 +160,8 @@ func TestFaultString(t *testing.T) {
 
 func TestInjectionConversion(t *testing.T) {
 	f := Fault{Node: 3, Pin: 1, Stuck: logic.One}
-	inj := f.Injection(0xFF)
-	if inj.Node != 3 || inj.Pin != 1 || inj.Stuck != logic.One || inj.Mask != 0xFF {
+	inj := f.Injection([]uint64{0xFF, 1})
+	if inj.Node != 3 || inj.Pin != 1 || inj.Stuck != logic.One || len(inj.Mask) != 2 || inj.Mask[0] != 0xFF || inj.Mask[1] != 1 {
 		t.Errorf("injection = %+v", inj)
 	}
 }

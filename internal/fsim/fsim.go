@@ -524,8 +524,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		m := wk.maskBuf[bi*width : (bi+1)*width]
 		m[gs>>6] = 1 << (uint(gs) & 63)
 		batchMask[gs>>6] |= m[gs>>6]
-		f := s.faults[fi]
-		wk.binjBuf = append(wk.binjBuf, sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: m})
+		wk.binjBuf = append(wk.binjBuf, s.faults[fi].Injection(m))
 	}
 	eng.SetInjections(wk.binjBuf)
 

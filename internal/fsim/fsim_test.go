@@ -5,10 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/samples"
-	"repro/internal/sim"
 )
 
 func vec(s string) logic.Vector {
@@ -20,38 +20,28 @@ func vec(s string) logic.Vector {
 }
 
 // naiveDetect is an independent single-fault reference simulator: it runs
-// the good machine and one faulty machine separately through the scalar
-// path and applies the same detection criteria as the parallel engine.
+// the good machine and one faulty machine separately on the event-driven
+// engine and applies the same detection criteria as the parallel engine.
 func naiveDetect(c *circuit.Circuit, f fault.Fault, init logic.Vector, seq logic.Sequence, scanOut bool) bool {
-	good := sim.RunSequence(c, init, seq)
-
-	e := sim.New(c)
-	e.SetInjections([]sim.Injection{f.Injection(^uint64(0))})
+	good, bad := esim.New(c), esim.New(c)
+	bad.InjectFault(f.Node, f.Pin, f.Stuck)
 	if init == nil {
 		init = logic.NewVector(c.NumFFs(), logic.X)
 	}
-	e.SetStateVector(init)
-	var lastState logic.Vector
-	for u, v := range seq {
-		e.SetPIVector(v)
-		e.EvalComb()
-		for i := range c.POs {
-			fv := e.PO(i).Get(0)
-			gv := good.POs[u][i]
-			if gv.IsBinary() && fv.IsBinary() && gv != fv {
+	good.SetStateVector(init)
+	bad.SetStateVector(init)
+	for _, v := range seq {
+		gpo, fpo := good.Step(v), bad.Step(v)
+		for i := range gpo {
+			if gpo[i].IsBinary() && fpo[i].IsBinary() && gpo[i] != fpo[i] {
 				return true
 			}
 		}
-		e.ClockFF()
-		lastState = make(logic.Vector, c.NumFFs())
-		for i := 0; i < c.NumFFs(); i++ {
-			lastState[i] = e.State(i).Get(0)
-		}
 	}
 	if scanOut && len(seq) > 0 {
-		gs := good.Final()
-		for i := range lastState {
-			if gs[i].IsBinary() && lastState[i].IsBinary() && gs[i] != lastState[i] {
+		for _, ff := range c.DFFs {
+			gv, fv := good.Val(ff), bad.Val(ff)
+			if gv.IsBinary() && fv.IsBinary() && gv != fv {
 				return true
 			}
 		}

@@ -167,7 +167,7 @@ type maskPass struct {
 func (p *maskPass) grade(f fault.Fault) uint64 {
 	c, eng := p.c, p.eng
 	p.f = f
-	p.inj[0] = sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: p.mask}
+	p.inj[0] = f.Injection(p.mask)
 	eng.SetInjections(p.inj[:])
 	p.det = 0
 	site := f.Node

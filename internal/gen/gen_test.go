@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 func small() Params {
@@ -134,10 +134,12 @@ func TestGeneratedStateIsControllable(t *testing.T) {
 		seq[i] = randVec(r, c.NumPIs())
 	}
 	changed := make([]bool, c.NumFFs())
-	tr := sim.RunSequence(c, logic.NewVector(c.NumFFs(), logic.Zero), seq)
-	for _, st := range tr.States {
-		for i, v := range st {
-			if v == logic.One {
+	e := esim.New(c)
+	e.SetStateVector(logic.NewVector(c.NumFFs(), logic.Zero))
+	for _, v := range seq {
+		e.Step(v)
+		for i, ff := range c.DFFs {
+			if e.Val(ff) == logic.One {
 				changed[i] = true
 			}
 		}

@@ -3,9 +3,8 @@ package logic
 // WordVec is a batch of W consecutive dual-rail words carrying 64*W
 // parallel simulation slots for one signal. Slot k lives in word k/64 at
 // bit k%64. It is the value unit of the compiled batch kernel in package
-// sim: where the interpreter engine evaluates one Word per gate, the
-// kernel evaluates one WordVec, so a single pass over an input sequence
-// grades up to 64*W-1 faulty machines.
+// sim: the kernel evaluates one WordVec per gate, so a single pass over
+// an input sequence grades up to 64*W-1 faulty machines.
 //
 // A WordVec is an ordinary slice; subslicing an arena of words is the
 // intended way to build one.

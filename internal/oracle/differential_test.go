@@ -3,9 +3,11 @@ package oracle
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/adi"
+	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -152,16 +154,28 @@ func TestDifferentialBatchWidths(t *testing.T) {
 
 // TestDifferentialGenerated drives the comparison on freshly generated
 // circuits outside the roster, so the sweep is not tied to the roster's
-// generator parameters.
+// generator parameters, and on workload's constants fixture, whose
+// gates read CONST0 and CONST1 nodes the generator never emits.
 func TestDifferentialGenerated(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("gen%d", trial), func(t *testing.T) {
+	for trial := 0; trial < 5; trial++ {
+		name := fmt.Sprintf("gen%d", trial)
+		if trial == 4 {
+			name = "const"
+		}
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			c := gen.MustGenerate(gen.Params{
-				Name: fmt.Sprintf("diff%d", trial), Seed: int64(900 + trial),
-				PIs: 2 + trial, POs: 2 + trial%2, FFs: 3 + 2*trial, Gates: 30 + 25*trial,
-			})
+			var c *circuit.Circuit
+			if trial < 4 {
+				c = gen.MustGenerate(gen.Params{
+					Name: fmt.Sprintf("diff%d", trial), Seed: int64(900 + trial),
+					PIs: 2 + trial, POs: 2 + trial%2, FFs: 3 + 2*trial, Gates: 30 + 25*trial,
+				})
+			} else {
+				var err error
+				if c, err = bench.ParseFile(filepath.Join("..", "workload", "testdata", "const.bench")); err != nil {
+					t.Fatal(err)
+				}
+			}
 			faults := fault.Collapse(c)
 			fs := fsim.New(c, faults).SetWorkers(1 + trial%2*3)
 			orc := New(c, faults)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/logic"
@@ -94,11 +95,12 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // FuzzKernelDifferential cross-checks the compiled batch kernel against
-// the interpreter engine node for node on fuzzer-shaped circuits. The
-// faults go straight into BatchEngine injections spread over every word
-// of a 1-word and a 2-word batch — the width-1 specialization and the
-// generic loop — so the kernel's compile/decompose/patch machinery itself
-// is what the fuzzer stresses, independent of how fsim packs its passes.
+// the event-driven engine node for node on fuzzer-shaped circuits. The
+// faults go straight into BatchEngine injections, one per slot, in
+// batches of 1 and 2 words — the width-1 specialization and the generic
+// loop — and each slot is compared with an esim engine carrying its
+// fault, so the kernel's compile/decompose/patch machinery itself is
+// what the fuzzer stresses, independent of how fsim packs its passes.
 // A second arm grades the test's SI with each of its vectors as length-1
 // tests through fsim's event-driven pattern-parallel pass, which must
 // agree bit for bit with the reference's DetectTest on every test: the
@@ -138,45 +140,57 @@ func FuzzKernelDifferential(f *testing.F) {
 		prog := sim.Compile(c)
 		for _, words := range []int{1, 2} {
 			be := sim.NewBatch(prog, words)
-			injs := make([]sim.BatchInjection, 0, len(faults))
-			perWord := make([][]sim.Injection, words)
-			for i, fl := range faults {
-				slot := 1 + i%(64*words-1)
-				mask := make([]uint64, words)
-				mask[slot>>6] = 1 << (uint(slot) & 63)
-				injs = append(injs, sim.BatchInjection{Node: fl.Node, Pin: fl.Pin, Stuck: fl.Stuck, Mask: mask})
-				perWord[slot>>6] = append(perWord[slot>>6], fl.Injection(mask[slot>>6]))
-			}
-			be.SetInjections(injs)
-			be.SetStateVector(tst.SI)
-			engines := make([]*sim.Engine, words)
-			for j := range engines {
-				engines[j] = sim.New(c)
-				engines[j].SetInjections(perWord[j])
-				engines[j].SetStateVector(tst.SI)
-			}
-			for u, vec := range tst.Seq {
-				be.SetPIVector(vec)
-				be.EvalComb()
-				for j, eng := range engines {
-					eng.SetPIVector(vec)
-					eng.EvalComb()
+			// Slot 0 carries the good machine and each other slot one
+			// fault, so a batch holds 64*words-1 of them.
+			chunk := 64*words - 1
+			for start := 0; start < len(faults); start += chunk {
+				refs := []*esim.Engine{esim.New(c)}
+				var injs []sim.BatchInjection
+				for i, fl := range faults[start:min(start+chunk, len(faults))] {
+					slot := i + 1
+					mask := make([]uint64, words)
+					mask[slot>>6] = 1 << (uint(slot) & 63)
+					injs = append(injs, fl.Injection(mask))
+					e := esim.New(c)
+					e.InjectFault(fl.Node, fl.Pin, fl.Stuck)
+					refs = append(refs, e)
+				}
+				be.Reset()
+				be.SetInjections(injs)
+				be.SetStateVector(tst.SI)
+				for _, e := range refs {
+					e.SetStateVector(tst.SI)
+				}
+				// compare checks every slot of every node against the
+				// engine standing for it: its fault's, or the good one.
+				compare := func(u int, phase string) {
 					for n := 0; n < c.NumNodes(); n++ {
-						if be.Val(n)[j] != eng.Val(n) {
-							t.Fatalf("words=%d u=%d eval node %d (%s) word %d: kernel %+v, engine %+v",
-								words, u, n, c.Nodes[n].Name, j, be.Val(n)[j], eng.Val(n))
+						wv := be.Val(n)
+						for slot := 0; slot < wv.Slots(); slot++ {
+							ref := refs[0]
+							if slot < len(refs) {
+								ref = refs[slot]
+							}
+							if got, want := wv.Get(slot), ref.Val(n); got != want {
+								t.Fatalf("words=%d faults %d+ u=%d %s node %d (%s) slot %d: kernel %v, esim %v",
+									words, start, u, phase, n, c.Nodes[n].Name, slot, got, want)
+							}
 						}
 					}
 				}
-				be.ClockFF()
-				for j, eng := range engines {
-					eng.ClockFF()
-					for n := 0; n < c.NumNodes(); n++ {
-						if be.Val(n)[j] != eng.Val(n) {
-							t.Fatalf("words=%d u=%d clock node %d word %d: kernel %+v, engine %+v",
-								words, u, n, j, be.Val(n)[j], eng.Val(n))
-						}
+				for u, vec := range tst.Seq {
+					be.SetPIVector(vec)
+					be.EvalComb()
+					for _, e := range refs {
+						e.SetPIVector(vec)
+						e.Settle()
 					}
+					compare(u, "eval")
+					be.ClockFF()
+					for _, e := range refs {
+						e.ClockFF()
+					}
+					compare(u, "clock")
 				}
 			}
 		}

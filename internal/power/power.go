@@ -18,7 +18,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/esim"
 	"repro/internal/logic"
-	"repro/internal/response"
 	"repro/internal/scan"
 )
 
@@ -79,10 +78,9 @@ func Analyze(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) Report {
 	var rep Report
 	rep.Cycles = ts.Cycles(ch.Nsv())
 
+	scanOut := make(logic.Vector, ch.Nsv())
 	for _, t := range ts.Tests {
 		rep.ShiftInWTM += WTM(t.SI)
-		resp := response.Compute(c, ch, t)
-		rep.ShiftOutWTM += wtmOut(resp.ScanOut)
 
 		// Capture activity via the event-driven simulator.
 		e := esim.New(c)
@@ -98,6 +96,11 @@ func Analyze(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) Report {
 				rep.PeakCaptureToggles = cyc
 			}
 		}
+		// The response shifted out is the state after the last cycle.
+		for k, ff := range ch.FFs {
+			scanOut[k] = e.Val(c.DFFs[ff])
+		}
+		rep.ShiftOutWTM += wtmOut(scanOut)
 	}
 	return rep
 }

@@ -4,10 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
+	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
+	"repro/internal/response"
 	"repro/internal/samples"
 	"repro/internal/scan"
 	"repro/internal/scomp"
@@ -64,6 +66,7 @@ func TestAnalyzeS27(t *testing.T) {
 	if rep.ShiftInWTM != 3 {
 		t.Errorf("ShiftInWTM = %d, want 3", rep.ShiftInWTM)
 	}
+	checkShiftOut(t, c, nil, ts, rep)
 	if rep.CaptureToggles <= 0 {
 		t.Error("functional cycles must toggle something")
 	}
@@ -75,6 +78,19 @@ func TestAnalyzeS27(t *testing.T) {
 	}
 	if rep.Total() != rep.ShiftInWTM+rep.ShiftOutWTM+rep.CaptureToggles {
 		t.Error("Total inconsistent")
+	}
+}
+
+// checkShiftOut checks the shift-out metric, which Analyze reads off its
+// event-driven capture run, against the responses the kernel computes.
+func checkShiftOut(t *testing.T, c *circuit.Circuit, ch *scan.Chain, ts *scan.Set, rep Report) {
+	t.Helper()
+	want := 0
+	for _, r := range response.ForSet(c, ch, ts) {
+		want += wtmOut(r.ScanOut)
+	}
+	if rep.ShiftOutWTM != want {
+		t.Errorf("ShiftOutWTM = %d, want %d from the expected responses", rep.ShiftOutWTM, want)
 	}
 }
 
@@ -93,6 +109,8 @@ func TestAnalyzeTracksCompactionTradeoff(t *testing.T) {
 	compacted, _ := scomp.Compact(s, initial, scomp.Options{})
 	ri := Analyze(c, nil, initial)
 	rc := Analyze(c, nil, compacted)
+	checkShiftOut(t, c, nil, initial, ri)
+	checkShiftOut(t, c, nil, compacted, rc)
 	if rc.Cycles > ri.Cycles {
 		t.Error("compacted set must not cost more cycles")
 	}
@@ -113,6 +131,7 @@ func TestAnalyzePartialChain(t *testing.T) {
 	if rep.ShiftInWTM != 1 {
 		t.Errorf("partial ShiftInWTM = %d, want 1", rep.ShiftInWTM)
 	}
+	checkShiftOut(t, c, ch, ts, rep)
 	if rep.Cycles != ts.Cycles(2) {
 		t.Error("partial-scan cycles must use the chain length")
 	}

@@ -31,33 +31,36 @@ type TestResponse struct {
 // Compute returns the fault-free response of one test under the given
 // chain (nil = full scan).
 func Compute(c *circuit.Circuit, ch *scan.Chain, t scan.Test) TestResponse {
-	ch = scan.OrFull(ch, c.NumFFs())
-	eng := sim.New(c)
-	eng.SetStateVector(ch.State(t.SI))
-	resp := TestResponse{POs: make([]logic.Vector, 0, t.Len())}
-	for _, v := range t.Seq {
-		eng.SetPIVector(v)
-		eng.EvalComb()
-		po := make(logic.Vector, c.NumPOs())
-		for i := range c.POs {
-			po[i] = eng.PO(i).Get(0)
-		}
-		resp.POs = append(resp.POs, po)
-		eng.ClockFF()
-	}
-	resp.ScanOut = make(logic.Vector, ch.Nsv())
-	for k, ff := range ch.FFs {
-		resp.ScanOut[k] = eng.State(ff).Get(0)
-	}
-	return resp
+	return ForSet(c, ch, &scan.Set{Tests: []scan.Test{t}})[0]
 }
 
-// ForSet computes the responses of every test in ts.
+// ForSet computes the responses of every test in ts under the given
+// chain (nil = full scan). The circuit is compiled once, and every test
+// runs on one width-1 kernel engine: the scan-in loads every flip-flop
+// and each cycle evaluates every gate, so nothing of a previous test
+// is read.
 func ForSet(c *circuit.Circuit, ch *scan.Chain, ts *scan.Set) []TestResponse {
 	ch = scan.OrFull(ch, c.NumFFs())
+	eng := sim.NewBatch(sim.Compile(c), 1)
 	out := make([]TestResponse, len(ts.Tests))
 	for i, t := range ts.Tests {
-		out[i] = Compute(c, ch, t)
+		eng.SetStateVector(ch.State(t.SI))
+		resp := TestResponse{POs: make([]logic.Vector, 0, t.Len())}
+		for _, v := range t.Seq {
+			eng.SetPIVector(v)
+			eng.EvalComb()
+			po := make(logic.Vector, c.NumPOs())
+			for k := range c.POs {
+				po[k] = eng.PO(k)[0].Get(0)
+			}
+			resp.POs = append(resp.POs, po)
+			eng.ClockFF()
+		}
+		resp.ScanOut = make(logic.Vector, ch.Nsv())
+		for k, ff := range ch.FFs {
+			resp.ScanOut[k] = eng.State(ff)[0].Get(0)
+		}
+		out[i] = resp
 	}
 	return out
 }

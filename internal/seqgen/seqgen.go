@@ -161,8 +161,7 @@ func newGenerator(c *circuit.Circuit, faults []fault.Fault) *generator {
 			m := masks[(s-1)*words : s*words]
 			m[s>>6] = 1 << (uint(s) & 63)
 			g.live[s>>6] |= m[s>>6]
-			f := faults[fi]
-			g.injs = append(g.injs, sim.BatchInjection{Node: f.Node, Pin: f.Pin, Stuck: f.Stuck, Mask: m})
+			g.injs = append(g.injs, faults[fi].Injection(m))
 		}
 		gn.groups = append(gn.groups, g)
 	}

@@ -1,17 +1,17 @@
 package seqgen
 
 import (
-	"math/bits"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/samples"
-	"repro/internal/sim"
 )
 
 func TestGenerateDetectsClaimedFaults(t *testing.T) {
@@ -156,9 +156,11 @@ func TestGenerateZeroFaults(t *testing.T) {
 }
 
 // TestGenerateMatchesReference pins Generate to referenceGenerate, the
-// interpreter loop it replaced: the sequence and the detected set must
-// be identical on s27 and on two roster circuits whose runs reach the
-// segment search, at two length caps and three seeds each.
+// same search restated on the event-driven engine: the sequence and the
+// detected set must be identical on s27 and on two roster circuits whose
+// runs reach the segment search, at two length caps and three seeds
+// each. The reference simulates every faulty machine on its own, so the
+// (circuit, cap) pairs run in parallel.
 func TestGenerateMatchesReference(t *testing.T) {
 	type fixture struct {
 		c    *circuit.Circuit
@@ -175,155 +177,193 @@ func TestGenerateMatchesReference(t *testing.T) {
 	for _, fx := range fixtures {
 		faults := fault.Collapse(fx.c)
 		for _, maxLen := range []int{60, 300} {
-			segments := 0
-			for off := int64(0); off < 3; off++ {
-				seed := fx.seed + off
-				want, n := referenceGenerate(fx.c, faults, seed, maxLen)
-				segments += n
-				got := Generate(fx.c, faults, Options{Seed: seed, MaxLen: maxLen})
-				if len(got.Seq) != len(want.Seq) {
-					t.Fatalf("%s seed %d MaxLen %d: length %d, reference %d",
-						fx.c.Name, seed, maxLen, len(got.Seq), len(want.Seq))
-				}
-				for u := range want.Seq {
-					if !got.Seq[u].Equal(want.Seq[u]) {
-						t.Fatalf("%s seed %d MaxLen %d: vector %d is %s, reference %s",
-							fx.c.Name, seed, maxLen, u, got.Seq[u], want.Seq[u])
+			t.Run(fmt.Sprintf("%s/len%d", fx.c.Name, maxLen), func(t *testing.T) {
+				t.Parallel()
+				segments := 0
+				for off := int64(0); off < 3; off++ {
+					seed := fx.seed + off
+					want, n := referenceGenerate(fx.c, faults, seed, maxLen)
+					segments += n
+					got := Generate(fx.c, faults, Options{Seed: seed, MaxLen: maxLen})
+					if len(got.Seq) != len(want.Seq) {
+						t.Fatalf("seed %d: length %d, reference %d", seed, len(got.Seq), len(want.Seq))
+					}
+					for u := range want.Seq {
+						if !got.Seq[u].Equal(want.Seq[u]) {
+							t.Fatalf("seed %d: vector %d is %s, reference %s", seed, u, got.Seq[u], want.Seq[u])
+						}
+					}
+					if !got.Detected.Equal(want.Detected) {
+						t.Fatalf("seed %d: detected %d, reference %d", seed, got.Detected.Count(), want.Detected.Count())
 					}
 				}
-				if !got.Detected.Equal(want.Detected) {
-					t.Fatalf("%s seed %d MaxLen %d: detected %d, reference %d",
-						fx.c.Name, seed, maxLen, got.Detected.Count(), want.Detected.Count())
+				if fx.c.Name != "s27" && segments == 0 {
+					t.Fatal("no seed reached the segment search")
 				}
-			}
-			if fx.c.Name != "s27" && segments == 0 {
-				t.Fatalf("%s MaxLen %d: no seed reached the segment search", fx.c.Name, maxLen)
-			}
+			})
 		}
 	}
 }
 
-// referenceGenerate is the generator on the interpreter sim.Engine, in
-// groups of 63 faults: every candidate re-installs its group's
-// injections and state, and the activity tie-break counts the good
-// machine's state changes once per live group. It also returns how many
-// segment searches ran.
+// referenceGenerate is the generator restated on the event-driven
+// engine: one esim engine per faulty machine and one for the good
+// machine, every candidate applied to every live machine. It counts the
+// good machine's state activity once, where Generate sums it over the
+// live groups; the group count is the same for every candidate in a
+// step, so the choice is the same. It also returns how many segment
+// searches ran.
 func referenceGenerate(c *circuit.Circuit, faults []fault.Fault, seed int64, maxLen int) (*Result, int) {
-	const refGroup = 63
-	type refGroupState struct {
-		injs    []sim.Injection
-		indices []int
-		state   []logic.Word
-		mask    uint64
-	}
 	r := rand.New(rand.NewSource(seed))
-	eng := sim.New(c)
-	nff := c.NumFFs()
-	var groups []*refGroupState
-	for start := 0; start < len(faults); start += refGroup {
-		end := min(start+refGroup, len(faults))
-		g := &refGroupState{state: make([]logic.Word, nff)}
-		for bi := start; bi < end; bi++ {
-			slot := uint(bi - start + 1)
-			g.indices = append(g.indices, bi)
-			g.injs = append(g.injs, faults[bi].Injection(1<<slot))
-			g.mask |= 1 << slot
-		}
-		groups = append(groups, g)
+	good := esim.New(c)
+	bad := make([]*esim.Engine, len(faults))
+	for fi, f := range faults {
+		bad[fi] = esim.New(c)
+		bad[fi].InjectFault(f.Node, f.Pin, f.Stuck)
 	}
-	poDiff := func(mask uint64) uint64 {
-		var diff uint64
+	detected := fault.NewSet(len(faults))
+	differs := func(g, b logic.Value) bool { return g.IsBinary() && b.IsBinary() && g != b }
+	// settle applies v to the good machine and to the faulty machines
+	// live selects.
+	settle := func(v logic.Vector, live func(fi int) bool) {
+		good.SetPIVector(v)
+		good.Settle()
+		for fi, e := range bad {
+			if live(fi) {
+				e.SetPIVector(v)
+				e.Settle()
+			}
+		}
+	}
+	undetected := func(fi int) bool { return !detected.Has(fi) }
+	poDetects := func(e *esim.Engine) bool {
 		for i := range c.POs {
-			w := eng.PO(i)
-			diff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
+			if differs(good.PO(i), e.PO(i)) {
+				return true
+			}
 		}
-		return diff & mask
+		return false
 	}
-	load := func(g *refGroupState, state []logic.Word) {
-		eng.Reset()
-		eng.SetInjections(g.injs)
-		eng.LoadStateWords(state)
+	// next returns what flip-flop i of e latches at the next clock
+	// before an output fault forces it: its D driver, or the stuck value
+	// of a D-pin fault.
+	next := func(e *esim.Engine, f *fault.Fault, i int) logic.Value {
+		ff := c.DFFs[i]
+		if f != nil && f.Node == ff && f.Pin == 0 {
+			return f.Stuck
+		}
+		return e.Val(c.Nodes[ff].Fanin[0])
 	}
 	score := func(cand logic.Vector) (det, latched, act int) {
-		for _, g := range groups {
-			if g.mask == 0 {
+		settle(cand, undetected)
+		for i, ff := range c.DFFs {
+			if nv := next(good, nil, i); nv.IsBinary() && nv != good.Val(ff) {
+				act++
+			}
+		}
+		for fi, e := range bad {
+			if detected.Has(fi) {
 				continue
 			}
-			load(g, g.state)
-			eng.SetPIVector(cand)
-			eng.EvalComb()
-			diff := poDiff(g.mask)
-			det += bits.OnesCount64(diff)
-			var sdiff uint64
-			for i, w := range eng.NextState() {
-				sdiff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
-				if nv := w.Get(0); nv.IsBinary() && nv != g.state[i].Get(0) {
-					act++
+			if poDetects(e) {
+				det++
+				continue
+			}
+			for i := range c.DFFs {
+				if differs(next(good, nil, i), next(e, &faults[fi], i)) {
+					latched++
+					break
 				}
 			}
-			latched += bits.OnesCount64(sdiff & g.mask &^ diff)
 		}
 		return det, latched, act
 	}
-	detected := fault.NewSet(len(faults))
 	commit := func(vec logic.Vector) int {
+		settle(vec, undetected)
 		newDet := 0
-		for _, g := range groups {
-			if g.mask == 0 {
-				continue
+		for fi, e := range bad {
+			if !detected.Has(fi) && poDetects(e) {
+				detected.Add(fi)
+				newDet++
 			}
-			load(g, g.state)
-			eng.SetPIVector(vec)
-			eng.EvalComb()
-			diff := poDiff(g.mask)
-			for bi, fi := range g.indices {
-				if diff&(1<<uint(bi+1)) != 0 {
-					detected.Add(fi)
-					newDet++
-				}
+		}
+		// A detected machine is never read again.
+		good.ClockFF()
+		for fi, e := range bad {
+			if !detected.Has(fi) {
+				e.ClockFF()
 			}
-			g.mask &^= diff
-			eng.ClockFF()
-			eng.StateWords(g.state)
 		}
 		return newDet
 	}
+	state := func(e *esim.Engine) logic.Vector {
+		st := make(logic.Vector, c.NumFFs())
+		for i, ff := range c.DFFs {
+			st[i] = e.Val(ff)
+		}
+		return st
+	}
 	bestSegment := func() logic.Sequence {
+		// Every trial starts from the current states, and the search
+		// leaves them as it found them.
+		goodState := state(good)
+		saved := make([]logic.Vector, len(bad))
+		for fi, e := range bad {
+			if !detected.Has(fi) {
+				saved[fi] = state(e)
+			}
+		}
+		restore := func() {
+			good.SetStateVector(goodState)
+			for fi, st := range saved {
+				if st != nil {
+					bad[fi].SetStateVector(st)
+				}
+			}
+		}
 		var best logic.Sequence
 		bestDet, bestLat := -1, -1
-		state := make([]logic.Word, nff)
 		for trial := 0; trial < segmentTrials; trial++ {
 			seg := make(logic.Sequence, segmentLen)
 			for i := range seg {
 				seg[i] = randomVec(r, c.NumPIs())
 			}
+			restore()
+			live := make([]bool, len(bad))
+			for fi := range live {
+				live[fi] = !detected.Has(fi)
+			}
 			det, lat := 0, 0
-			for _, g := range groups {
-				if g.mask == 0 {
+			for _, v := range seg {
+				settle(v, func(fi int) bool { return live[fi] })
+				for fi, e := range bad {
+					if live[fi] && poDetects(e) {
+						det++
+						live[fi] = false
+					}
+				}
+				good.ClockFF()
+				for fi, e := range bad {
+					if live[fi] {
+						e.ClockFF()
+					}
+				}
+			}
+			for fi, e := range bad {
+				if !live[fi] {
 					continue
 				}
-				copy(state, g.state)
-				live := g.mask
-				load(g, state)
-				for _, v := range seg {
-					eng.SetPIVector(v)
-					eng.EvalComb()
-					diff := poDiff(live)
-					det += bits.OnesCount64(diff)
-					live &^= diff
-					eng.ClockFF()
+				for _, ff := range c.DFFs {
+					if differs(good.Val(ff), e.Val(ff)) {
+						lat++
+						break
+					}
 				}
-				var sdiff uint64
-				for i := 0; i < nff; i++ {
-					w := eng.State(i)
-					sdiff |= logic.DiffDefinite(w, w.BroadcastSlot(0))
-				}
-				lat += bits.OnesCount64(sdiff & live)
 			}
 			if det > bestDet || (det == bestDet && lat > bestLat) {
 				best, bestDet, bestLat = seg, det, lat
 			}
 		}
+		restore()
 		return best
 	}
 

@@ -13,14 +13,13 @@ import (
 // BatchEngines (one per fault-simulation worker).
 //
 // Wide gates (fanin > 2) are decomposed at compile time into a
-// left-fold chain, exactly mirroring the fold order of
-// Engine.evalGateFast, so the three-valued result of every node is
-// bit-identical to the interpreter's. Each fold step writes a temporary
-// slot of its own, so every instruction's result has one arena slot
-// and the event frames of events.go can schedule instructions, not
-// nodes. Inverting kinds (NAND/NOR/XNOR) fold with the non-inverting
-// opcode and invert on the final instruction. One-input gates
-// degenerate to BUF/NOT, again matching the interpreter.
+// left-fold chain over the fanins in order; three-valued AND, OR and XOR
+// are associative, so the fold computes the gate's value. Each fold step
+// writes a temporary slot of its own, so every instruction's result has
+// one arena slot and the event frames of events.go can schedule
+// instructions, not nodes. Inverting kinds (NAND/NOR/XNOR) fold with the
+// non-inverting opcode and invert on the final instruction. One-input
+// gates degenerate to BUF/NOT.
 
 // opcode identifies one dual-rail word operation of the compiled
 // program. All binary opcodes take exactly two operands; wide gates are
@@ -116,8 +115,8 @@ func Compile(c *circuit.Circuit) *Program {
 			panic(fmt.Sprintf("sim: compile of non-gate node %d (%v)", n, nd.Kind))
 		}
 		if len(fan) == 1 {
-			// Degenerate gate: the interpreter returns the fanin value,
-			// inverted for the inverting kinds.
+			// Degenerate gate: the fanin value, inverted for the
+			// inverting kinds.
 			op := opBuf
 			if final != fold {
 				op = opNot

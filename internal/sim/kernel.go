@@ -1,3 +1,12 @@
+// Package sim implements logic simulation for the netlists of package
+// circuit, with fault-injection hooks, on one engine: the compiled
+// kernel. Compile lowers a circuit into a straight-line program of
+// dual-rail word operations (compile.go), and a BatchEngine runs it over
+// 64*W parallel slots. fsim's passes, seqgen's fault groups, tfault's
+// capture frames and good machine, PODEM's good/faulty pair and
+// response's good machine all run on it. The event-driven engine of
+// package esim counts switching activity for package power and is the
+// independent reference the kernel is tested against.
 package sim
 
 import (
@@ -32,19 +41,18 @@ const (
 )
 
 // BatchEngine executes a compiled Program over W-word batches: 64*W
-// parallel slots per signal instead of the interpreter Engine's 64. The
-// value arena is allocated once (at the capacity width) and reused
-// across passes; the hot loop is a single sweep over the instruction
-// stream with no per-gate kind dispatch or fanin-slice walking.
+// parallel slots per signal. The value arena is allocated once (at the
+// capacity width) and reused across passes; the hot loop is a single
+// sweep over the instruction stream with no per-gate kind dispatch or
+// fanin-slice walking.
 //
 // Injections are handled as a patch pass: every node evaluates through
 // the fast instruction first, and the few nodes carrying injections are
 // fixed immediately after their final instruction (re-evaluated with
 // forced fanins for pin injections, masked-merged for output
 // injections), preserving topological consistency for downstream
-// reads. The three-valued semantics, fold order and injection
-// application order match Engine exactly, so results are bit-identical
-// slot for slot.
+// reads. Each slot carrying one fault equals, node for node, an esim
+// engine carrying that fault (TestKernelMatchesEngine).
 //
 // EvalNode re-evaluates a single node from its fanins' current values,
 // so a caller can propagate a change event-driven, node by node in level
@@ -223,9 +231,11 @@ func (e *BatchEngine) SetStateValue(i int, v logic.Value) {
 	e.slot(e.c.DFFs[i]).Fill(logic.FromValue(v))
 }
 
-// SetNodeVec copies wv (up to the active width) into node n's slots —
-// the batch analogue of Engine.SetNode. Loading per-slot flip-flop
-// words this way restores a saved set of machine states.
+// SetNodeVec copies wv (up to the active width) into node n's slots.
+// Values written to a gate are overwritten by the next EvalComb; on a
+// source they stay: loading per-slot flip-flop words this way restores
+// a saved set of machine states, and writing input words drives the
+// inputs directly.
 func (e *BatchEngine) SetNodeVec(n int, wv logic.WordVec) {
 	copy(e.slot(n), wv)
 }
@@ -546,8 +556,8 @@ func (e *BatchEngine) exec8(instrs []instr) {
 
 // fix patches an injected node right after its final instruction: a pin
 // injection re-evaluates the whole gate with forced fanins (the slow
-// path), an output injection merges the stuck value into the masked
-// slots. Both orders match Engine.EvalComb.
+// path), then an output injection merges the stuck value into the
+// masked slots.
 func (e *BatchEngine) fix(n int) {
 	if e.flags[n]&flagPin != 0 {
 		e.evalForced(n)
@@ -615,8 +625,7 @@ func (e *BatchEngine) faninForcedWord(n, p, i int) logic.Word {
 }
 
 // evalForcedWord re-evaluates word i of gate n reading every fanin
-// through faninForcedWord, folding from the identity element exactly
-// like Engine.evalGate.
+// through faninForcedWord, folding from the identity element.
 func (e *BatchEngine) evalForcedWord(n, i int) {
 	nd := &e.c.Nodes[n]
 	var v logic.Word
@@ -657,8 +666,8 @@ func (e *BatchEngine) evalForcedWord(n, i int) {
 
 // NextState writes the D values the flip-flops would latch on the next
 // functional clock into dst, flip-flop i at dst[i*Width():(i+1)*Width()].
-// DFF pin injections are applied and DFF output injections are not, as
-// in Engine.NextState. EvalComb must have run for the current inputs.
+// DFF pin injections are applied and DFF output injections are not.
+// EvalComb must have run for the current inputs.
 func (e *BatchEngine) NextState(dst []logic.Word) {
 	w := e.w
 	for i, ff := range e.c.DFFs {

@@ -8,24 +8,15 @@ import (
 )
 
 // BenchmarkKernelEval isolates the raw combinational-evaluation cost:
-// one Engine.EvalComb against one BatchEngine.EvalComb per width, with
-// no injections, scan traffic or detection checks. The equivalent-work
-// comparison is Mslot-gate-evals/s — a width-W kernel pass evaluates
-// every gate in 64*W slots, so matching the interpreter's number means
-// break-even and the acceptance target is ~3x at W >= 4.
+// one BatchEngine.EvalComb per width, with no injections, scan traffic
+// or detection checks. Mslot-gate-evals/s compares the widths on equal
+// work: a width-W pass evaluates every gate in 64*W slots.
 func BenchmarkKernelEval(b *testing.B) {
 	c, ok := gen.RosterCircuit("s1423")
 	if !ok {
 		b.Fatal("unknown roster circuit s1423")
 	}
 	p := Compile(c)
-	b.Run("interp", func(b *testing.B) {
-		e := New(c)
-		for i := 0; i < b.N; i++ {
-			e.EvalComb()
-		}
-		b.ReportMetric(float64(b.N)*float64(c.NumNodes()*64)/b.Elapsed().Seconds()/1e6, "Mslot-gate-evals/s")
-	})
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("kernel-w%d", w), func(b *testing.B) {
 			e := NewBatch(p, w)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/samples"
@@ -100,39 +101,130 @@ func randXVector(r *rand.Rand, n int) logic.Vector {
 	return v
 }
 
-// engineForWord builds an interpreter Engine carrying word j of the
-// batch: the same injections restricted to that word's mask.
-func engineForWord(c *circuit.Circuit, injs []BatchInjection, j int) *Engine {
-	e := New(c)
-	var word []Injection
-	for _, in := range injs {
-		if j < len(in.Mask) && in.Mask[j] != 0 {
-			word = append(word, Injection{Node: in.Node, Pin: in.Pin, Stuck: in.Stuck, Mask: in.Mask[j]})
-		}
-	}
-	e.SetInjections(word)
-	return e
+// slotFault is one faulty machine of a batch: slot carries a stuck-at
+// on node's output (pin -1) or on its pin-th input.
+type slotFault struct {
+	slot      int
+	node, pin int
+	stuck     logic.Value
 }
 
-// compareAll checks every node's batch word j against the reference
-// engine's word.
-func compareAll(t *testing.T, c *circuit.Circuit, be *BatchEngine, eng *Engine, j int, tag string) {
+// randSlotFaults places n random faults on distinct slots of a w-word
+// batch, one per slot as every caller packs them: stems, gate input
+// pins, DFF D pins and stuck FF outputs. About one in three shares the
+// previous fault's node and word, so several injections patch one word
+// of a node (evalForced's shared-word path).
+func randSlotFaults(r *rand.Rand, c *circuit.Circuit, w, n int) []slotFault {
+	used := map[int]bool{}
+	var fs []slotFault
+	for len(fs) < n {
+		node, slot := r.Intn(c.NumNodes()), r.Intn(64*w)
+		if k := len(fs); k > 0 && r.Intn(3) == 0 {
+			node, slot = fs[k-1].node, fs[k-1].slot&^63|r.Intn(64)
+		}
+		kind := c.Nodes[node].Kind
+		if kind == circuit.Const0 || kind == circuit.Const1 || used[slot] {
+			continue
+		}
+		pin := -1
+		if len(c.Nodes[node].Fanin) > 0 && r.Intn(2) == 0 {
+			pin = r.Intn(len(c.Nodes[node].Fanin))
+		}
+		used[slot] = true
+		fs = append(fs, slotFault{slot: slot, node: node, pin: pin, stuck: logic.Value(r.Intn(2))})
+	}
+	return fs
+}
+
+// slotInjections turns the faults into one-slot injections of a w-word
+// batch.
+func slotInjections(fs []slotFault, w int) []BatchInjection {
+	injs := make([]BatchInjection, len(fs))
+	for i, f := range fs {
+		mask := make([]uint64, w)
+		mask[f.slot>>6] = 1 << (f.slot & 63)
+		injs[i] = BatchInjection{Node: f.node, Pin: f.pin, Stuck: f.stuck, Mask: mask}
+	}
+	return injs
+}
+
+// reference is the event-driven side of a kernel comparison: one esim
+// engine per faulty slot, each carrying its slot's fault, and a good
+// engine for every other slot.
+type reference struct {
+	c      *circuit.Circuit
+	faults []slotFault
+	good   *esim.Engine
+	bad    []*esim.Engine
+}
+
+func newReference(c *circuit.Circuit, fs []slotFault) *reference {
+	ref := &reference{c: c, faults: fs, good: esim.New(c)}
+	for _, f := range fs {
+		e := esim.New(c)
+		e.InjectFault(f.node, f.pin, f.stuck)
+		ref.bad = append(ref.bad, e)
+	}
+	return ref
+}
+
+// each applies fn to the good engine and to every faulty one.
+func (ref *reference) each(fn func(*esim.Engine)) {
+	fn(ref.good)
+	for _, e := range ref.bad {
+		fn(e)
+	}
+}
+
+// words returns the value a w-word batch must carry when slot s holds
+// val of the engine that stands for s.
+func (ref *reference) words(w int, val func(e *esim.Engine, f *slotFault) logic.Value) logic.WordVec {
+	wv := make(logic.WordVec, w)
+	wv.Fill(logic.FromValue(val(ref.good, nil)))
+	for k := range ref.faults {
+		f := &ref.faults[k]
+		wv.Set(f.slot, val(ref.bad[k], f))
+	}
+	return wv
+}
+
+// compareNodes checks every node of the kernel arena against the
+// reference, slot for slot.
+func (ref *reference) compareNodes(t *testing.T, be *BatchEngine, tag string) {
 	t.Helper()
-	for n := 0; n < c.NumNodes(); n++ {
-		got := be.Val(n)[j]
-		want := eng.Val(n)
-		if got != want {
-			t.Fatalf("%s: node %d (%s) word %d: kernel %+v, engine %+v",
-				tag, n, c.Nodes[n].Name, j, got, want)
+	for n := 0; n < ref.c.NumNodes(); n++ {
+		want := ref.words(be.Width(), func(e *esim.Engine, _ *slotFault) logic.Value { return e.Val(n) })
+		if got := be.Val(n); !got.Equal(want) {
+			t.Fatalf("%s: node %d (%s): kernel %+v, esim %+v", tag, n, ref.c.Nodes[n].Name, got, want)
 		}
 	}
 }
 
-// TestKernelMatchesEngine is the node-exact differential: for every
-// circuit, width and random (injections, X-bearing sequence), each word
-// of the BatchEngine must equal an interpreter Engine run carrying that
-// word's injections — after every combinational evaluation, in the
-// NextState values, and after every clock.
+// compareNext checks the kernel's NextState words against the values
+// the reference engines latch at the next clock before an output fault
+// forces them: the D driver's value, or the stuck value of a D-pin
+// fault.
+func (ref *reference) compareNext(t *testing.T, next []logic.Word, w int, tag string) {
+	t.Helper()
+	c := ref.c
+	for i, ff := range c.DFFs {
+		want := ref.words(w, func(e *esim.Engine, f *slotFault) logic.Value {
+			if f != nil && f.node == ff && f.pin == 0 {
+				return f.stuck
+			}
+			return e.Val(c.Nodes[ff].Fanin[0])
+		})
+		if got := logic.WordVec(next[i*w : (i+1)*w]); !got.Equal(want) {
+			t.Fatalf("%s: flip-flop %d next state: kernel %+v, esim %+v", tag, i, got, want)
+		}
+	}
+}
+
+// TestKernelMatchesEngine is the node-exact differential against the
+// event-driven engine: for every circuit, width and random (faults,
+// X-bearing sequence), each slot of the BatchEngine must equal an esim
+// run carrying that slot's fault, or none — after every combinational
+// evaluation, in the NextState values, and after every clock.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, c := range kernelTestCircuits(t) {
 		p := Compile(c)
@@ -143,38 +235,27 @@ func TestKernelMatchesEngine(t *testing.T) {
 				next := make([]logic.Word, c.NumFFs()*w)
 				for trial := 0; trial < 4; trial++ {
 					be.Reset()
-					injs := randInjections(r, c, w, 1+r.Intn(2*w))
-					be.SetInjections(injs)
-					engines := make([]*Engine, w)
-					for j := range engines {
-						engines[j] = engineForWord(c, injs, j)
-					}
+					fs := randSlotFaults(r, c, w, 1+r.Intn(8*w))
+					be.SetInjections(slotInjections(fs, w))
+					ref := newReference(c, fs)
 					st := randXVector(r, c.NumFFs())
 					be.SetStateVector(st)
-					for _, eng := range engines {
-						eng.SetStateVector(st)
-					}
+					ref.each(func(e *esim.Engine) { e.SetStateVector(st) })
 					for u := 0; u < 6; u++ {
 						in := randXVector(r, c.NumPIs())
 						be.SetPIVector(in)
 						be.EvalComb()
 						be.NextState(next)
-						for j, eng := range engines {
-							eng.SetPIVector(in)
-							eng.EvalComb()
-							compareAll(t, c, be, eng, j, fmt.Sprintf("trial %d u %d eval", trial, u))
-							for i, want := range eng.NextState() {
-								if got := next[i*w+j]; got != want {
-									t.Fatalf("trial %d u %d: flip-flop %d next state word %d: kernel %+v, engine %+v",
-										trial, u, i, j, got, want)
-								}
-							}
-						}
+						ref.each(func(e *esim.Engine) {
+							e.SetPIVector(in)
+							e.Settle()
+						})
+						tag := fmt.Sprintf("trial %d u %d", trial, u)
+						ref.compareNodes(t, be, tag+" eval")
+						ref.compareNext(t, next, w, tag)
 						be.ClockFF()
-						for j, eng := range engines {
-							eng.ClockFF()
-							compareAll(t, c, be, eng, j, fmt.Sprintf("trial %d u %d clock", trial, u))
-						}
+						ref.each((*esim.Engine).ClockFF)
+						ref.compareNodes(t, be, tag+" clock")
 					}
 				}
 			})
@@ -302,24 +383,17 @@ func TestKernelSetWidth(t *testing.T) {
 			t.Fatalf("width = %d, want %d", be.Width(), w)
 		}
 		r := rand.New(rand.NewSource(int64(w)))
-		injs := randInjections(r, c, w, 3)
-		be.SetInjections(injs)
-		be.SetStateVector(randXVector(r, c.NumFFs()))
-		engines := make([]*Engine, w)
+		fs := randSlotFaults(r, c, w, 3)
+		be.SetInjections(slotInjections(fs, w))
+		ref := newReference(c, fs)
 		st := randXVector(r, c.NumFFs())
 		be.SetStateVector(st)
-		for j := range engines {
-			engines[j] = engineForWord(c, injs, j)
-			engines[j].SetStateVector(st)
-		}
+		ref.each(func(e *esim.Engine) { e.SetStateVector(st) })
 		in := randXVector(r, c.NumPIs())
 		be.SetPIVector(in)
 		be.Step()
-		for j, eng := range engines {
-			eng.SetPIVector(in)
-			eng.Step()
-			compareAll(t, c, be, eng, j, fmt.Sprintf("w=%d", w))
-		}
+		ref.each(func(e *esim.Engine) { e.Step(in) })
+		ref.compareNodes(t, be, fmt.Sprintf("w=%d", w))
 	}
 	defer func() {
 		if recover() == nil {

@@ -5,13 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/oracle"
 	"repro/internal/samples"
 	"repro/internal/scan"
-	"repro/internal/sim"
 )
 
 func vec(s string) logic.Vector {
@@ -122,32 +122,26 @@ func randSequence(r *rand.Rand, npi, n, xEvery int) logic.Sequence {
 	return seq
 }
 
-// goodRun simulates the scan test (si, seq) on the scalar good machine
-// and returns every node's value per cycle plus the flip-flop state
-// each cycle starts from. ch selects the scanned flip-flops (nil = full
-// scan): si is indexed by chain position and unscanned flip-flops start
-// at X.
-func goodRun(c *circuit.Circuit, ch *scan.Chain, si logic.Vector, seq logic.Sequence) ([][]logic.Value, [][]logic.Word) {
-	init := si
-	if ch != nil {
-		init = logic.NewVector(c.NumFFs(), logic.X)
-		for k, ff := range ch.FFs {
-			if k < len(si) {
-				init[ff] = si[k]
-			}
-		}
-	}
-	good := sim.New(c)
-	good.SetStateVector(init)
-	vals := make([][]logic.Value, len(seq))
-	states := make([][]logic.Word, len(seq))
+// goodRun simulates the scan test (si, seq) on the event-driven good
+// machine and returns every node's value per cycle plus the flip-flop
+// state each cycle starts from. ch selects the scanned flip-flops (nil =
+// full scan): si is indexed by chain position and unscanned flip-flops
+// start at X.
+func goodRun(c *circuit.Circuit, ch *scan.Chain, si logic.Vector, seq logic.Sequence) (vals, states [][]logic.Value) {
+	good := esim.New(c)
+	good.SetStateVector(scan.OrFull(ch, c.NumFFs()).State(si))
+	vals = make([][]logic.Value, len(seq))
+	states = make([][]logic.Value, len(seq))
 	for u, v := range seq {
-		states[u] = good.StateWords(nil)
+		states[u] = make([]logic.Value, c.NumFFs())
+		for i, ff := range c.DFFs {
+			states[u][i] = good.Val(ff)
+		}
 		good.SetPIVector(v)
-		good.EvalComb()
+		good.Settle()
 		vals[u] = make([]logic.Value, c.NumNodes())
 		for n := range vals[u] {
-			vals[u][n] = good.Val(n).Get(0)
+			vals[u][n] = good.Val(n)
 		}
 		good.ClockFF()
 	}
@@ -161,43 +155,35 @@ func launches(vals [][]logic.Value, f Fault, u int) bool {
 	return pv.IsBinary() && cv.IsBinary() && pv != cv && (cv == logic.One) == f.Rise
 }
 
-// naiveDetect is the independent reference: launch from a scalar good
-// simulation, then capture one fault at a time on the interpreter,
-// re-evaluating the launch cycle from the good pre-cycle state with the
-// node held at its old value in every slot. A scan-out after the final
-// cycle observes the chain's flip-flops (nil = all).
+// naiveDetect is the independent reference: launch from an event-driven
+// good simulation, then capture one fault at a time on a fresh
+// event-driven engine, re-evaluating the launch cycle from the good
+// pre-cycle state with the node stuck at its old value. A scan-out
+// after the final cycle observes the chain's flip-flops (nil = all).
 func naiveDetect(c *circuit.Circuit, ch *scan.Chain, faults []Fault, si logic.Vector, seq logic.Sequence) *fault.Set {
 	vals, states := goodRun(c, ch, si, seq)
-	var observed []int
-	if ch != nil {
-		observed = ch.FFs
-	} else {
-		for i := range c.DFFs {
-			observed = append(observed, i)
-		}
-	}
+	observed := scan.OrFull(ch, c.NumFFs()).FFs
 	differs := func(g, b logic.Value) bool { return g.IsBinary() && b.IsBinary() && g != b }
 	detected := fault.NewSet(len(faults))
-	bad := sim.New(c)
 	for fi, f := range faults {
 		for u := 1; u < len(seq) && !detected.Has(fi); u++ {
 			if !launches(vals, f, u) {
 				continue
 			}
-			bad.Reset()
-			bad.SetInjections([]sim.Injection{{Node: f.Node, Pin: -1, Stuck: vals[u-1][f.Node], Mask: ^uint64(0)}})
-			bad.LoadStateWords(states[u])
+			bad := esim.New(c)
+			bad.InjectFault(f.Node, -1, vals[u-1][f.Node])
+			bad.SetStateVector(states[u])
 			bad.SetPIVector(seq[u])
-			bad.EvalComb()
+			bad.Settle()
 			for i, po := range c.POs {
-				if differs(vals[u][po], bad.PO(i).Get(0)) {
+				if differs(vals[u][po], bad.PO(i)) {
 					detected.Add(fi)
 				}
 			}
 			if u == len(seq)-1 {
-				ns := bad.NextState()
 				for _, i := range observed {
-					if differs(vals[u][c.Nodes[c.DFFs[i]].Fanin[0]], ns[i].Get(0)) {
+					d := c.Nodes[c.DFFs[i]].Fanin[0]
+					if differs(vals[u][d], bad.Val(d)) {
 						detected.Add(fi)
 					}
 				}

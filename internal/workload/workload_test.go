@@ -2,10 +2,12 @@ package workload
 
 import (
 	"fmt"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/power"
@@ -171,6 +173,24 @@ func TestNoUntestable(t *testing.T) {
 	partial := fsim.NewChain(r.Circuit, r.Faults, ch)
 	if err := noUntestable(partial, "final detected set", r.Proposed.FinalDetected, untestable); err != nil {
 		t.Errorf("partial scan: %v", err)
+	}
+}
+
+// TestCheckedRunWithConstants audits a whole run, every fault, on a
+// netlist whose gates read CONST0 and CONST1 nodes: the oracle must
+// agree with fsim on every graded set and with the expected responses,
+// under full and partial scan.
+func TestCheckedRunWithConstants(t *testing.T) {
+	ckt, err := bench.ParseFile(filepath.Join("testdata", "const.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scanFFs := range []int{0, 1} {
+		cfg := fastCfg()
+		cfg.Check, cfg.CheckSample, cfg.ScanFFs = true, -1, scanFFs
+		if _, err := RunCircuit(ckt, cfg); err != nil {
+			t.Errorf("ScanFFs %d: %v", scanFFs, err)
+		}
 	}
 }
 
