@@ -90,19 +90,20 @@ func benchKernelSetup(b *testing.B, name string) (*Simulator, logic.Sequence, lo
 	return s, seq, si
 }
 
-// BenchmarkKernelWidths grades a scan test over target sets that fill
-// one pass at 1, 2 and 4 words (63, 127 and 255 faults, spread evenly
-// over the fault list): the pass width follows the target count.
-// Throughput is reported as fault-vector evaluations per second.
+// BenchmarkKernelWidths grades a scan test over target sets of 63, 127
+// and 255 faults, spread evenly over the fault list: the pass width
+// follows the target count, so 63 targets fill one pass at one word and
+// the others one pass at the wide width. Throughput is reported as
+// fault-vector evaluations per second.
 func BenchmarkKernelWidths(b *testing.B) {
 	for _, name := range []string{"s1423", "s35932xl"} {
 		if name == "s35932xl" && testing.Short() {
 			continue
 		}
-		for _, words := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("%s/words=%d", name, words), func(b *testing.B) {
+		for _, size := range []int{63, 127, 255} {
+			b.Run(fmt.Sprintf("%s/targets=%d", name, size), func(b *testing.B) {
 				s, seq, si := benchKernelSetup(b, name)
-				n, size := s.NumFaults(), 64*words-1
+				n := s.NumFaults()
 				targets := fault.NewSet(n)
 				for k := 0; k < size; k++ {
 					targets.Add(k * n / size)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/logic"
+	"repro/internal/sim"
 )
 
 // A pass evaluates each frame in one of two ways. A swept frame runs
@@ -96,7 +97,7 @@ func (s *Simulator) gateFrames(spec *runSpec, ntargets int) {
 		}
 		spec.frameLimit = math.MaxInt
 		spec.fallbackAt = force.fallbackAt
-	case ntargets < eventMinPasses*(64*maxWords-1):
+	case ntargets < eventMinPasses*(64*sim.WideWidth-1):
 		return
 	default:
 		spec.frameLimit = s.program().EventLimit()

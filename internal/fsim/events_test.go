@@ -104,10 +104,10 @@ func (tr transcript) diff(want transcript) string {
 // eventRuns drives every fault-parallel entry point of s over fx and
 // returns their results and the pass counters each one moved, plus the
 // detected sets of Detect without scan and of DetectTest on nil and on
-// each subset. The target subsets of 40, 100, 150 and 250 faults run at
-// widths 1 to 4. A rejected must-detect check aborts passes that other
-// workers have in flight, so its counters are left out when s runs
-// parallel.
+// each subset. The target subset of 40 faults runs at one word, those
+// of 100, 150 and 250 faults at the wide width. A rejected must-detect
+// check aborts passes that other workers have in flight, so its
+// counters are left out when s runs parallel.
 func eventRuns(s *fsim.Simulator, fx eventFixture, subsets []*fault.Set) (tr transcript, noScan *fault.Set, tests []*fault.Set) {
 	step := func(name string, f func() string) {
 		before := s.Stats()

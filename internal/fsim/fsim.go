@@ -6,11 +6,11 @@
 // Every pass runs on the compiled batch kernel (sim.BatchEngine): the
 // circuit is lowered once into a straight-line program of dual-rail word
 // ops and executed over W-word batches, so one pass carries 64*W-1
-// faulty machines. The width follows the number of faults still queued:
-// one word for up to 63, growing a word per 64 more up to maxWords (4
-// words = 255 faults per pass). Detection results are bit-identical at
-// every width — the differential tests against package oracle assert
-// this.
+// faulty machines. The width follows the number of faults still queued,
+// by the kernel's rule (sim.WidthFor): one word for up to 63,
+// sim.WideWidth words (255 faults per pass) beyond. Detection results
+// are bit-identical at both widths — the differential tests against
+// package oracle assert this.
 //
 // Detection criteria follow standard practice: a fault is detected when a
 // primary output carries definite, differing values in the good and
@@ -61,10 +61,6 @@ import (
 // batchSize is the number of faulty machines in a one-word pass: slot 0
 // carries the good machine.
 const batchSize = 63
-
-// maxWords caps the pass width: 4 words = 256 slots = 255 faulty
-// machines per pass.
-const maxWords = 4
 
 // Simulator fault-simulates one circuit against a fixed fault list.
 // The fault list order defines fault indices used in all result sets.
@@ -148,10 +144,10 @@ type worker struct {
 }
 
 // kernel returns the worker's batch engine switched to the given width.
-// The engine's arena is allocated once, at maxWords, on first use.
+// The engine's arena is allocated once, at sim.WideWidth, on first use.
 func (wk *worker) kernel(width int) *sim.BatchEngine {
 	if wk.beng == nil {
-		wk.beng = sim.NewBatch(wk.s.program(), maxWords)
+		wk.beng = sim.NewBatch(wk.s.program(), sim.WideWidth)
 	}
 	if wk.beng.Width() != width {
 		wk.beng.SetWidth(width)
@@ -236,13 +232,6 @@ func (s *Simulator) program() *sim.Program {
 		s.prog = sim.Compile(s.c)
 	}
 	return s.prog
-}
-
-// effWidth picks the pass width in words for a queue of ntargets
-// faults: wide enough for the targets plus the good-machine slot, capped
-// at maxWords.
-func effWidth(ntargets int) int {
-	return min((ntargets+64)/64, maxWords)
 }
 
 // Workers returns the configured worker bound.
@@ -364,11 +353,12 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 
 // run executes one simulation run: it resolves the targets (in the
 // installed simulation order), decides the batch geometry (64*width - 1
-// faults per pass, with width adapted to the queued target count), and
-// fans the passes out over the worker pool. Detections are accumulated
-// into detected and — in profile mode — per-time data into profile. A
-// non-nil abort turns the run into a must-detect check: a completed pass
-// with an undetected fault aborts the remaining ones.
+// faults per pass, the width picked by sim.WidthFor for the queued
+// targets plus the good machine), and fans the passes out over the
+// worker pool. Detections are accumulated into detected and — in
+// profile mode — per-time data into profile. A non-nil abort turns the
+// run into a must-detect check: a completed pass with an undetected
+// fault aborts the remaining ones.
 //
 // In plain detection mode (no abort or profile) passes additionally
 // repack: a pass most of whose faults are already detected aborts early
@@ -397,7 +387,7 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 	}
 
 	for queue := targets; len(queue) > 0; {
-		width := effWidth(len(queue))
+		width := sim.WidthFor(len(queue) + 1)
 		bs := 64*width - 1
 		nb := (len(queue) + bs - 1) / bs
 		survByPass := make([][]int, nb)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/oracle"
 	"repro/internal/scan"
+	"repro/internal/sim"
 )
 
 // These tests live in package fsim_test so they can use the scalar
@@ -23,8 +24,8 @@ func kernelDiffFixture(t testing.TB, partial bool) (*fsim.Simulator, *oracle.Sim
 	t.Helper()
 	c := gen.MustGenerate(gen.Params{Name: "kd", Seed: 17, PIs: 6, POs: 5, FFs: 16, Gates: 100, MaxFanin: 5})
 	faults := fault.Collapse(c)
-	if len(faults) < 4*64 {
-		t.Fatalf("fixture too small for 4-word passes: %d faults", len(faults))
+	if len(faults) < 64*sim.WideWidth {
+		t.Fatalf("fixture too small for more than one wide pass: %d faults", len(faults))
 	}
 	r := rand.New(rand.NewSource(9))
 	seq := make(logic.Sequence, 12)
@@ -82,10 +83,11 @@ func restrict(set, targets *fault.Set) *fault.Set {
 }
 
 // TestKernelWidthEquivalence is the fsim-level differential against the
-// scalar reference. The pass width follows the target count, so target
-// sets of 40, 100 and 150 faults run at 1, 2 and 3 words and the full
-// list at 4. At every width, for full and partial scan and for serial
-// and parallel workers, fsim must reproduce oracle.Sim's detected set,
+// scalar reference. The pass width follows the target count, so a target
+// set of 40 faults runs at one word, and sets of 100 and 150 faults and
+// the full list at the wide width, the full list in several passes. For
+// every target set, for full and partial scan and for serial and
+// parallel workers, fsim must reproduce oracle.Sim's detected set,
 // Profile must match the reference on every prefix test (SI, T[0..u]),
 // and the must-detect check must accept exactly the detected faults.
 func TestKernelWidthEquivalence(t *testing.T) {
@@ -104,14 +106,17 @@ func TestKernelWidthEquivalence(t *testing.T) {
 			}
 
 			r := rand.New(rand.NewSource(12))
-			for _, arm := range []struct{ words, size int }{{1, 40}, {2, 100}, {3, 150}, {4, n}} {
-				words, size := arm.words, arm.size
+			for _, arm := range []struct {
+				name string
+				size int
+			}{{"40", 40}, {"100", 100}, {"150", 150}, {"all", n}} {
+				size := arm.size
 				var targets *fault.Set // nil: the whole fault list
 				if size < n {
 					targets = randomTargets(r, n, size)
 				}
 				for _, workers := range []int{1, 4} {
-					t.Run(fmt.Sprintf("w%d/workers%d", words, workers), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/workers%d", arm.name, workers), func(t *testing.T) {
 						s.SetWorkers(workers)
 						wantDet := restrict(want, targets)
 						if det := s.DetectTest(si, seq, targets); !det.Equal(wantDet) {
@@ -121,6 +126,7 @@ func TestKernelWidthEquivalence(t *testing.T) {
 						prof := s.Profile(si, seq, targets)
 						// Profile never repacks, so one generation of passes
 						// at the derived width covers the targets.
+						words := sim.WidthFor(size + 1)
 						slots := 64*words - 1
 						if got, wantPasses := s.Stats().Sub(before).Passes, int64((size+slots-1)/slots); got != wantPasses {
 							t.Fatalf("%d targets ran in %d passes, want %d at %d words", size, got, wantPasses, words)
@@ -155,15 +161,16 @@ func TestKernelWidthEquivalence(t *testing.T) {
 }
 
 // TestKernelTargetSubsets drives runs whose target sets sit on either
-// side of the width boundaries (63/64 targets switch from 1 to 2 words,
-// 127/128 from 2 to 3) — the fault-dropping path of the compaction
-// loops — against the scalar reference.
+// side of the packing boundaries (63/64 targets switch from one word to
+// the wide width, 255/256 from one wide pass to two) — the
+// fault-dropping path of the compaction loops — against the scalar
+// reference.
 func TestKernelTargetSubsets(t *testing.T) {
 	s, orc, seq, si := kernelDiffFixture(t, false)
 	n := s.NumFaults()
 	want := orc.DetectTest(si, seq, nil)
 	r := rand.New(rand.NewSource(12))
-	for _, size := range []int{1, 2, 63, 64, 65, 127, 128, 130} {
+	for _, size := range []int{1, 2, 63, 64, 65, 127, 128, 130, 255, 256} {
 		targets := randomTargets(r, n, size)
 		if got := s.DetectTest(si, seq, targets); !got.Equal(restrict(want, targets)) {
 			t.Errorf("targets=%d: detected set differs from oracle", size)

@@ -158,17 +158,6 @@ func (vec Vector) Equal(other Vector) bool {
 	return true
 }
 
-// CountBinary returns the number of definite (0/1) positions in the vector.
-func (vec Vector) CountBinary() int {
-	n := 0
-	for _, v := range vec {
-		if v.IsBinary() {
-			n++
-		}
-	}
-	return n
-}
-
 // Sequence is an ordered list of input vectors applied on consecutive
 // functional clock cycles.
 type Sequence []Vector

@@ -138,13 +138,6 @@ func TestVectorEqual(t *testing.T) {
 	}
 }
 
-func TestVectorCountBinary(t *testing.T) {
-	v := Vector{Zero, X, One, Z, One}
-	if got := v.CountBinary(); got != 3 {
-		t.Errorf("CountBinary = %d, want 3", got)
-	}
-}
-
 func TestSequenceClone(t *testing.T) {
 	s := Sequence{{Zero, One}, {X, X}}
 	c := s.Clone()

@@ -1,7 +1,5 @@
 package logic
 
-import "math/bits"
-
 // SlotCount is the number of independent simulation slots carried by one
 // Word: one bit position per slot.
 const SlotCount = 64
@@ -110,34 +108,6 @@ func (w Word) BroadcastSlot(k uint) Word { return FromValue(w.Get(k)) }
 
 // Equal reports slot-for-slot equality (X == X).
 func (a Word) Equal(b Word) bool { return a == b }
-
-// PopDefined returns the number of slots with a definite value.
-func (w Word) PopDefined() int { return bits.OnesCount64(w.Defined()) }
-
-// PackVector packs up to 64 scalar values (one per slot, slot i taken
-// from vals[i]) into a Word. Missing slots are X.
-func PackVector(vals []Value) Word {
-	var w Word
-	for i, v := range vals {
-		if i >= SlotCount {
-			break
-		}
-		w = w.Set(uint(i), v)
-	}
-	return w
-}
-
-// UnpackVector extracts the first n slots of w as scalar values.
-func (w Word) UnpackVector(n int) []Value {
-	if n > SlotCount {
-		n = SlotCount
-	}
-	out := make([]Value, n)
-	for i := 0; i < n; i++ {
-		out[i] = w.Get(uint(i))
-	}
-	return out
-}
 
 // Mask keeps only the slots selected by m, forcing all others to X.
 func (w Word) Mask(m uint64) Word {

@@ -109,31 +109,6 @@ func TestDiffDefinite(t *testing.T) {
 	}
 }
 
-func TestPackUnpackVector(t *testing.T) {
-	vec := []Value{Zero, One, X, One, Zero}
-	w := PackVector(vec)
-	out := w.UnpackVector(5)
-	for i := range vec {
-		if out[i] != vec[i] {
-			t.Errorf("slot %d: got %v, want %v", i, out[i], vec[i])
-		}
-	}
-	if w.Get(5) != X {
-		t.Error("slots beyond the vector should be X")
-	}
-	// Oversized inputs are truncated rather than panicking.
-	big := make([]Value, 100)
-	for i := range big {
-		big[i] = One
-	}
-	if got := PackVector(big); got != AllOne {
-		t.Error("PackVector should truncate at 64 slots")
-	}
-	if n := len(AllOne.UnpackVector(100)); n != SlotCount {
-		t.Errorf("UnpackVector truncation: len %d, want %d", n, SlotCount)
-	}
-}
-
 func TestMaskAndMerge(t *testing.T) {
 	w := AllOne
 	m := uint64(0xF)
@@ -153,16 +128,6 @@ func TestMaskAndMerge(t *testing.T) {
 	}
 	if !merged.Valid() {
 		t.Error("Merge broke the dual-rail invariant")
-	}
-}
-
-func TestPopDefined(t *testing.T) {
-	w := AllX.Set(0, Zero).Set(10, One)
-	if got := w.PopDefined(); got != 2 {
-		t.Errorf("PopDefined = %d, want 2", got)
-	}
-	if AllOne.PopDefined() != 64 {
-		t.Error("AllOne should have 64 defined slots")
 	}
 }
 

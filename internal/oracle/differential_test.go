@@ -104,9 +104,10 @@ func chainArms(c *circuit.Circuit, partial *scan.Chain) []chainArm {
 
 // TestDifferentialBatchWidths sweeps the compiled kernel's batch width
 // against the scalar reference on roster circuits with several hundred
-// collapsed faults. The width follows the target count, so target sets
-// of 40, 100 and 150 faults run at 1, 2 and 3 words and the full list at
-// 4; every width must grade identically, under full and partial scan.
+// collapsed faults. The width follows the target count, so a target set
+// of 40 faults runs at one word, sets of 100 and 150 faults and the full
+// list at the wide width; every set must grade identically, under full
+// and partial scan.
 func TestDifferentialBatchWidths(t *testing.T) {
 	for _, name := range []string{"s298", "s344", "b04"} {
 		c, ok := gen.RosterCircuit(name)

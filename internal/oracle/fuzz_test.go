@@ -97,10 +97,10 @@ func FuzzDifferential(f *testing.F) {
 // FuzzKernelDifferential cross-checks the compiled batch kernel against
 // the event-driven engine node for node on fuzzer-shaped circuits. The
 // faults go straight into BatchEngine injections, one per slot, in
-// batches of 1 and 2 words — the width-1 specialization and the generic
-// loop — and each slot is compared with an esim engine carrying its
-// fault, so the kernel's compile/decompose/patch machinery itself is
-// what the fuzzer stresses, independent of how fsim packs its passes.
+// batches at both kernel widths (1 word and sim.WideWidth), and each
+// slot is compared with an esim engine carrying its fault, so the
+// kernel's compile/decompose/patch machinery itself is what the fuzzer
+// stresses, independent of how fsim packs its passes.
 // A second arm grades the test's SI with each of its vectors as length-1
 // tests through fsim's event-driven pattern-parallel pass, which must
 // agree bit for bit with the reference's DetectTest on every test: the
@@ -138,7 +138,7 @@ func FuzzKernelDifferential(f *testing.F) {
 			}
 		}
 		prog := sim.Compile(c)
-		for _, words := range []int{1, 2} {
+		for _, words := range []int{1, sim.WideWidth} {
 			be := sim.NewBatch(prog, words)
 			// Slot 0 carries the good machine and each other slot one
 			// fault, so a batch holds 64*words-1 of them.

@@ -14,8 +14,9 @@
 // detection has happened for a stall window.
 //
 // Fault machines are tracked incrementally on the compiled kernel
-// (sim.BatchEngine) in groups of up to 255 faults; slot 0 carries the
-// good machine, as in package fsim. A group is loaded onto the kernel
+// (sim.BatchEngine) in groups of up to 255 faults, one group per batch
+// of the kernel's wide width (sim.WideWidth); slot 0 carries the good
+// machine, as in package fsim. A group is loaded onto the kernel
 // once per step and then serves every candidate, so one step costs one
 // combinational evaluation per group and candidate. Every decision
 // counts faults, so the grouping never changes the chosen vectors.
@@ -40,11 +41,9 @@ const (
 	segmentTrials = 6   // random segments evaluated per plateau step
 )
 
-// words is the kernel width: 256 slots, slot 0 the good machine.
-const words = 4
-
-// groupFaults is the number of faulty machines in one group.
-const groupFaults = 64*words - 1
+// groupFaults is the number of faulty machines in one group: a group
+// runs at the kernel's wide width, slot 0 the good machine.
+const groupFaults = 64*sim.WideWidth - 1
 
 // Options configures sequence generation.
 type Options struct {
@@ -65,11 +64,11 @@ type Result struct {
 type group struct {
 	injs  []sim.BatchInjection
 	first int
-	state []logic.Word  // flip-flop i at state[i*words : (i+1)*words]
-	live  [words]uint64 // slots with undetected faults
+	state []logic.Word          // flip-flop i at state[i*sim.WideWidth : (i+1)*sim.WideWidth]
+	live  [sim.WideWidth]uint64 // slots with undetected faults
 }
 
-func (g *group) done() bool { return g.live == [words]uint64{} }
+func (g *group) done() bool { return g.live == [sim.WideWidth]uint64{} }
 
 // generator is the simulation state of one Generate call.
 type generator struct {
@@ -149,16 +148,16 @@ func newGenerator(c *circuit.Circuit, faults []fault.Fault) *generator {
 	nff := c.NumFFs()
 	gn := &generator{
 		c:    c,
-		eng:  sim.NewBatch(sim.Compile(c), words),
-		next: make([]logic.Word, nff*words),
+		eng:  sim.NewBatch(sim.Compile(c), sim.WideWidth),
+		next: make([]logic.Word, nff*sim.WideWidth),
 	}
 	for start := 0; start < len(faults); start += groupFaults {
 		end := min(start+groupFaults, len(faults))
-		g := &group{first: start, state: make([]logic.Word, nff*words)}
-		masks := make([]uint64, (end-start)*words)
+		g := &group{first: start, state: make([]logic.Word, nff*sim.WideWidth)}
+		masks := make([]uint64, (end-start)*sim.WideWidth)
 		for fi := start; fi < end; fi++ {
 			s := fi - start + 1
-			m := masks[(s-1)*words : s*words]
+			m := masks[(s-1)*sim.WideWidth : s*sim.WideWidth]
 			m[s>>6] = 1 << (uint(s) & 63)
 			g.live[s>>6] |= m[s>>6]
 			g.injs = append(g.injs, faults[fi].Injection(m))
@@ -173,13 +172,13 @@ func newGenerator(c *circuit.Circuit, faults []fault.Fault) *generator {
 // from the same state.
 func (gn *generator) loadState(state []logic.Word) {
 	for i, ff := range gn.c.DFFs {
-		gn.eng.SetNodeVec(ff, state[i*words:(i+1)*words])
+		gn.eng.SetNodeVec(ff, state[i*sim.WideWidth:(i+1)*sim.WideWidth])
 	}
 }
 
 // poDiff returns the slots whose primary outputs differ definitely from
 // the good machine's after EvalComb.
-func (gn *generator) poDiff() (diff [words]uint64) {
+func (gn *generator) poDiff() (diff [sim.WideWidth]uint64) {
 	for i := range gn.c.POs {
 		wv := gn.eng.PO(i)
 		g := wv[0].BroadcastSlot(0)
@@ -210,14 +209,14 @@ func (gn *generator) score(cands []logic.Vector) (det, lat, act [candidates]int)
 			eng.EvalComb()
 			diff := gn.poDiff()
 			eng.NextState(gn.next)
-			var sdiff [words]uint64
+			var sdiff [sim.WideWidth]uint64
 			for i := range gn.c.DFFs {
-				wv := gn.next[i*words : (i+1)*words]
+				wv := gn.next[i*sim.WideWidth : (i+1)*sim.WideWidth]
 				gw := wv[0].BroadcastSlot(0)
 				for k := range sdiff {
 					sdiff[k] |= logic.DiffDefinite(wv[k], gw)
 				}
-				if nv := wv[0].Get(0); nv.IsBinary() && nv != g.state[i*words].Get(0) {
+				if nv := wv[0].Get(0); nv.IsBinary() && nv != g.state[i*sim.WideWidth].Get(0) {
 					act[ci]++
 				}
 			}
@@ -257,7 +256,7 @@ func (gn *generator) commit(vec logic.Vector, detected *fault.Set) int {
 		}
 		eng.ClockFF()
 		for i := range gn.c.DFFs {
-			copy(g.state[i*words:(i+1)*words], eng.State(i))
+			copy(g.state[i*sim.WideWidth:(i+1)*sim.WideWidth], eng.State(i))
 		}
 	}
 	return newDet
@@ -296,7 +295,7 @@ func (gn *generator) bestSegment(r *rand.Rand) logic.Sequence {
 				}
 				eng.ClockFF()
 			}
-			var sdiff [words]uint64
+			var sdiff [sim.WideWidth]uint64
 			for i := range gn.c.DFFs {
 				wv := eng.State(i)
 				gw := wv[0].BroadcastSlot(0)

@@ -322,9 +322,8 @@ func (e *BatchEngine) runPending() {
 	ev, p := e.ev, e.p
 	pend, instrs, flags := ev.pending, p.instrs, e.flags
 	stamp, div, epoch := ev.stamp, ev.div, ev.epoch
-	// The default width skips exec's width switch.
-	exec := e.exec
-	if e.w == 4 {
+	exec := e.exec1
+	if e.w == WideWidth {
 		exec = e.exec4
 	}
 	for wi := ev.lo; wi < len(pend); wi++ {

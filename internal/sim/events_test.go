@@ -31,9 +31,9 @@ func filled(w int, v logic.Value) logic.WordVec {
 	return wv
 }
 
-// frameWords returns node n's words after an event frame on row: a
+// eventWords returns node n's words after an event frame on row: a
 // diverged slot's words, any other slot the row's value.
-func frameWords(e *BatchEngine, n int, row []logic.Value) logic.WordVec {
+func eventWords(e *BatchEngine, n int, row []logic.Value) logic.WordVec {
 	if e.Diverged(n) {
 		return e.Val(n).Clone()
 	}
@@ -71,7 +71,11 @@ func sameIn(a, b logic.WordVec, m []uint64) bool {
 // bit-identical to the engine that did not drop, frame after frame,
 // while the dropped slots carry the good machine.
 func TestDropSlots(t *testing.T) {
-	const w, dropAt = 2, 2
+	const w, dropAt = WideWidth, 2
+	everySlot := make([]uint64, w)
+	for k := range everySlot {
+		everySlot[k] = ^uint64(0)
+	}
 	// Drops that met diverged flip-flops: all slots, and some slots of a
 	// flip-flop diverged in them.
 	full, merged := 0, 0
@@ -104,7 +108,7 @@ func TestDropSlots(t *testing.T) {
 		}
 		before := slices.Clone(all.DivergedFFs())
 		full += len(before)
-		all.DropSlots([]uint64{^uint64(0), ^uint64(0)})
+		all.DropSlots(everySlot)
 		if d := all.DivergedFFs(); len(d) != 0 {
 			t.Fatalf("%s: %d flip-flops still diverge after dropping every slot", c.Name, len(d))
 		}
@@ -117,18 +121,25 @@ func TestDropSlots(t *testing.T) {
 			t.Fatalf("%s: the frame after dropping every slot executed %d instructions, its seeds %d", c.Name, got, seeds)
 		}
 
-		firstWord := []uint64{^uint64(0), 0}
-		everyWord := []uint64{r.Uint64(), r.Uint64()}
+		firstWord := make([]uint64, w)
+		firstWord[0] = ^uint64(0)
+		everyWord := make([]uint64, w)
+		for k := range everyWord {
+			everyWord[k] = r.Uint64()
+		}
 		for _, mask := range [][]uint64{firstWord, everyWord} {
-			live := []uint64{^mask[0], ^mask[1]}
+			live := make([]uint64, w)
+			for k := range live {
+				live[k] = ^mask[k]
+			}
 			ref, _ := start()
 			drop, _ := start()
 			for u, row := range rows {
 				ref.EventFrame(row)
 				drop.EventFrame(row)
 				for n := range c.Nodes {
-					got := frameWords(drop, n, row)
-					if want := frameWords(ref, n, row); !sameIn(got, want, live) {
+					got := eventWords(drop, n, row)
+					if want := eventWords(ref, n, row); !sameIn(got, want, live) {
 						t.Fatalf("%s mask %x frame %d: node %d live slots %+v, without the drop %+v", c.Name, mask, u, n, got, want)
 					}
 					if u > dropAt && !sameIn(got, filled(w, row[n]), mask) {

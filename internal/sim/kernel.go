@@ -2,11 +2,13 @@
 // circuit, with fault-injection hooks, on one engine: the compiled
 // kernel. Compile lowers a circuit into a straight-line program of
 // dual-rail word operations (compile.go), and a BatchEngine runs it over
-// 64*W parallel slots. fsim's passes, seqgen's fault groups, tfault's
-// capture frames and good machine, PODEM's good/faulty pair and
-// response's good machine all run on it. The event-driven engine of
-// package esim counts switching activity for package power and is the
-// independent reference the kernel is tested against.
+// 64*W parallel slots. The kernel has two widths: one word, and
+// WideWidth words; WidthFor picks between them. fsim's passes, seqgen's
+// fault groups, tfault's capture frames and good machine, PODEM's
+// good/faulty pair and response's good machine all run on it. The
+// event-driven engine of package esim counts switching activity for
+// package power and is the independent reference the kernel is tested
+// against.
 package sim
 
 import (
@@ -34,6 +36,27 @@ type BatchInjection struct {
 	fw     logic.Word
 }
 
+// WideWidth is the kernel's wide batch width: 4 words, 256 slots. A
+// batch runs at one word or at WideWidth words, no other width.
+const WideWidth = 4
+
+// WidthFor returns the width in words of a batch that holds n parallel
+// machines: one word for at most 64, WideWidth otherwise. A caller with
+// more than 64*WideWidth machines splits them into batches.
+func WidthFor(n int) int {
+	if n <= logic.SlotCount {
+		return 1
+	}
+	return WideWidth
+}
+
+// checkWidth panics unless w is one of the kernel's two widths.
+func checkWidth(w int) {
+	if w != 1 && w != WideWidth {
+		panic(fmt.Sprintf("sim: width %d, want 1 or %d", w, WideWidth))
+	}
+}
+
 // Injection flag bits, per arena slot.
 const (
 	flagOut uint8 = 1 << iota
@@ -41,10 +64,10 @@ const (
 )
 
 // BatchEngine executes a compiled Program over W-word batches: 64*W
-// parallel slots per signal. The value arena is allocated once (at the
-// capacity width) and reused across passes; the hot loop is a single
-// sweep over the instruction stream with no per-gate kind dispatch or
-// fanin-slice walking.
+// parallel slots per signal, W being 1 or WideWidth. The value arena is
+// allocated once (at the capacity width) and reused across passes; the
+// hot loop is a single sweep over the instruction stream with no
+// per-gate kind dispatch or fanin-slice walking.
 //
 // Injections are handled as a patch pass: every node evaluates through
 // the fast instruction first, and the few nodes carrying injections are
@@ -80,12 +103,11 @@ type BatchEngine struct {
 }
 
 // NewBatch returns a BatchEngine executing p over w-word batches, with
-// all signals X. The width is also the engine's capacity: SetWidth can
-// later shrink (and re-grow) the active width without reallocating.
+// all signals X. w must be 1 or WideWidth; NewBatch panics otherwise.
+// The width is also the engine's capacity: SetWidth can later shrink
+// (and re-grow) the active width without reallocating.
 func NewBatch(p *Program, w int) *BatchEngine {
-	if w < 1 {
-		w = 1
-	}
+	checkWidth(w)
 	c := p.c
 	e := &BatchEngine{
 		p:       p,
@@ -110,14 +132,14 @@ func (e *BatchEngine) Program() *Program { return e.p }
 // Width returns the active batch width in words.
 func (e *BatchEngine) Width() int { return e.w }
 
-// Cap returns the allocated capacity width in words.
-func (e *BatchEngine) Cap() int { return e.cap }
-
-// SetWidth switches the active batch width to w (1 <= w <= Cap) and
-// resets the engine. Passes of different widths can so share one arena.
+// SetWidth switches the active batch width to w and resets the engine.
+// Passes of different widths can so share one arena. w must be 1 or
+// WideWidth, and at most the width the engine was created with;
+// SetWidth panics otherwise.
 func (e *BatchEngine) SetWidth(w int) {
-	if w < 1 || w > e.cap {
-		panic(fmt.Sprintf("sim: SetWidth(%d) outside [1, %d]", w, e.cap))
+	checkWidth(w)
+	if w > e.cap {
+		panic(fmt.Sprintf("sim: SetWidth(%d) past the capacity of %d words", w, e.cap))
 	}
 	e.w = w
 	e.Reset()
@@ -287,90 +309,20 @@ func (e *BatchEngine) EvalNode(n int) {
 
 // exec runs a stretch of the compiled instruction stream (all of it, or
 // one node's range) over the active width. This is the hottest loop in
-// the repository: keep it allocation-free and branch-predictable. The
-// common widths dispatch to specializations whose value accesses go
-// through fixed-size array pointers — no slice headers, no bounds
-// checks, constant loop trip counts — which is worth ~2x per
-// instruction over the variable-width loop below.
+// the repository: keep it allocation-free and branch-predictable. Each
+// of the two widths has a loop of its own whose value accesses need no
+// slice headers, no bounds checks and no per-instruction loop setup.
 func (e *BatchEngine) exec(instrs []instr) {
-	switch e.w {
-	case 1:
+	if e.w == 1 {
 		e.exec1(instrs)
-		return
-	case 4:
+	} else {
 		e.exec4(instrs)
-		return
-	case 8:
-		e.exec8(instrs)
-		return
-	}
-	w := e.w
-	vals := e.vals
-	flags := e.flags
-	for _, ins := range instrs {
-		di := int(ins.dst) * w
-		ai := int(ins.a) * w
-		d := vals[di : di+w : di+w]
-		a := vals[ai : ai+w : ai+w]
-		switch ins.op {
-		case opBuf:
-			copy(d, a)
-		case opNot:
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One, One: a[i].Zero}
-			}
-		case opAnd2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].Zero | bb[i].Zero, One: a[i].One & bb[i].One}
-			}
-		case opNand2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One & bb[i].One, One: a[i].Zero | bb[i].Zero}
-			}
-		case opOr2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].Zero & bb[i].Zero, One: a[i].One | bb[i].One}
-			}
-		case opNor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{Zero: a[i].One | bb[i].One, One: a[i].Zero & bb[i].Zero}
-			}
-		case opXor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{
-					Zero: a[i].Zero&bb[i].Zero | a[i].One&bb[i].One,
-					One:  a[i].Zero&bb[i].One | a[i].One&bb[i].Zero,
-				}
-			}
-		case opXnor2:
-			bi := int(ins.b) * w
-			bb := vals[bi : bi+w : bi+w]
-			for i := 0; i < w; i++ {
-				d[i] = logic.Word{
-					Zero: a[i].Zero&bb[i].One | a[i].One&bb[i].Zero,
-					One:  a[i].Zero&bb[i].Zero | a[i].One&bb[i].One,
-				}
-			}
-		}
-		if flags[ins.dst] != 0 {
-			e.fix(int(ins.dst))
-		}
 	}
 }
 
-// exec1 is exec specialized for 1-word batches (64 slots), the width of
-// every pass whose targets fit one word: each operand is a single Word
-// read and written by value, with no per-instruction slice setup.
+// exec1 is exec for 1-word batches (64 slots), the width of every pass
+// whose machines fit one word: each operand is a single Word read and
+// written by value, with no per-instruction slice setup.
 func (e *BatchEngine) exec1(instrs []instr) {
 	vals := e.vals
 	flags := e.flags
@@ -408,9 +360,9 @@ func (e *BatchEngine) exec1(instrs []instr) {
 	}
 }
 
-// exec4 is exec specialized for the default 4-word width (256 slots).
-// Array-pointer conversion pins the operand width at compile time: the
-// compiler drops every bounds check and the loop setup per instruction.
+// exec4 is exec for WideWidth (4-word, 256-slot) batches. Array-pointer
+// conversion pins the operand width at compile time: the compiler drops
+// every bounds check and the loop setup per instruction.
 func (e *BatchEngine) exec4(instrs []instr) {
 	vals := e.vals
 	flags := e.flags
@@ -461,92 +413,6 @@ func (e *BatchEngine) exec4(instrs []instr) {
 			d[1] = logic.Word{Zero: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero, One: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One}
 			d[2] = logic.Word{Zero: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero, One: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One}
 			d[3] = logic.Word{Zero: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero, One: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One}
-		}
-		if flags[ins.dst] != 0 {
-			e.fix(int(ins.dst))
-		}
-	}
-}
-
-// exec8 is exec specialized for 8-word batches (512 slots).
-func (e *BatchEngine) exec8(instrs []instr) {
-	vals := e.vals
-	flags := e.flags
-	for _, ins := range instrs {
-		d := (*[8]logic.Word)(vals[int(ins.dst)*8:])
-		a := (*[8]logic.Word)(vals[int(ins.a)*8:])
-		switch ins.op {
-		case opBuf:
-			*d = *a
-		case opNot:
-			d[0] = logic.Word{Zero: a[0].One, One: a[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One, One: a[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One, One: a[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One, One: a[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One, One: a[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One, One: a[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One, One: a[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One, One: a[7].Zero}
-		case opAnd2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero | bb[0].Zero, One: a[0].One & bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero | bb[1].Zero, One: a[1].One & bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero | bb[2].Zero, One: a[2].One & bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero | bb[3].Zero, One: a[3].One & bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero | bb[4].Zero, One: a[4].One & bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero | bb[5].Zero, One: a[5].One & bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero | bb[6].Zero, One: a[6].One & bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero | bb[7].Zero, One: a[7].One & bb[7].One}
-		case opNand2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].One & bb[0].One, One: a[0].Zero | bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One & bb[1].One, One: a[1].Zero | bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One & bb[2].One, One: a[2].Zero | bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One & bb[3].One, One: a[3].Zero | bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One & bb[4].One, One: a[4].Zero | bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One & bb[5].One, One: a[5].Zero | bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One & bb[6].One, One: a[6].Zero | bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One & bb[7].One, One: a[7].Zero | bb[7].Zero}
-		case opOr2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero & bb[0].Zero, One: a[0].One | bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero & bb[1].Zero, One: a[1].One | bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero & bb[2].Zero, One: a[2].One | bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero & bb[3].Zero, One: a[3].One | bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero & bb[4].Zero, One: a[4].One | bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero & bb[5].Zero, One: a[5].One | bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero & bb[6].Zero, One: a[6].One | bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero & bb[7].Zero, One: a[7].One | bb[7].One}
-		case opNor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].One | bb[0].One, One: a[0].Zero & bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].One | bb[1].One, One: a[1].Zero & bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].One | bb[2].One, One: a[2].Zero & bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].One | bb[3].One, One: a[3].Zero & bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].One | bb[4].One, One: a[4].Zero & bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].One | bb[5].One, One: a[5].Zero & bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].One | bb[6].One, One: a[6].Zero & bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].One | bb[7].One, One: a[7].Zero & bb[7].Zero}
-		case opXor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One, One: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One, One: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One, One: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One, One: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero}
-			d[4] = logic.Word{Zero: a[4].Zero&bb[4].Zero | a[4].One&bb[4].One, One: a[4].Zero&bb[4].One | a[4].One&bb[4].Zero}
-			d[5] = logic.Word{Zero: a[5].Zero&bb[5].Zero | a[5].One&bb[5].One, One: a[5].Zero&bb[5].One | a[5].One&bb[5].Zero}
-			d[6] = logic.Word{Zero: a[6].Zero&bb[6].Zero | a[6].One&bb[6].One, One: a[6].Zero&bb[6].One | a[6].One&bb[6].Zero}
-			d[7] = logic.Word{Zero: a[7].Zero&bb[7].Zero | a[7].One&bb[7].One, One: a[7].Zero&bb[7].One | a[7].One&bb[7].Zero}
-		case opXnor2:
-			bb := (*[8]logic.Word)(vals[int(ins.b)*8:])
-			d[0] = logic.Word{Zero: a[0].Zero&bb[0].One | a[0].One&bb[0].Zero, One: a[0].Zero&bb[0].Zero | a[0].One&bb[0].One}
-			d[1] = logic.Word{Zero: a[1].Zero&bb[1].One | a[1].One&bb[1].Zero, One: a[1].Zero&bb[1].Zero | a[1].One&bb[1].One}
-			d[2] = logic.Word{Zero: a[2].Zero&bb[2].One | a[2].One&bb[2].Zero, One: a[2].Zero&bb[2].Zero | a[2].One&bb[2].One}
-			d[3] = logic.Word{Zero: a[3].Zero&bb[3].One | a[3].One&bb[3].Zero, One: a[3].Zero&bb[3].Zero | a[3].One&bb[3].One}
-			d[4] = logic.Word{Zero: a[4].Zero&bb[4].One | a[4].One&bb[4].Zero, One: a[4].Zero&bb[4].Zero | a[4].One&bb[4].One}
-			d[5] = logic.Word{Zero: a[5].Zero&bb[5].One | a[5].One&bb[5].Zero, One: a[5].Zero&bb[5].Zero | a[5].One&bb[5].One}
-			d[6] = logic.Word{Zero: a[6].Zero&bb[6].One | a[6].One&bb[6].Zero, One: a[6].Zero&bb[6].Zero | a[6].One&bb[6].One}
-			d[7] = logic.Word{Zero: a[7].Zero&bb[7].One | a[7].One&bb[7].Zero, One: a[7].Zero&bb[7].Zero | a[7].One&bb[7].One}
 		}
 		if flags[ins.dst] != 0 {
 			e.fix(int(ins.dst))

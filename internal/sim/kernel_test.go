@@ -221,14 +221,14 @@ func (ref *reference) compareNext(t *testing.T, next []logic.Word, w int, tag st
 }
 
 // TestKernelMatchesEngine is the node-exact differential against the
-// event-driven engine: for every circuit, width and random (faults,
+// event-driven engine: for every circuit, both widths and random (faults,
 // X-bearing sequence), each slot of the BatchEngine must equal an esim
 // run carrying that slot's fault, or none — after every combinational
 // evaluation, in the NextState values, and after every clock.
 func TestKernelMatchesEngine(t *testing.T) {
 	for _, c := range kernelTestCircuits(t) {
 		p := Compile(c)
-		for _, w := range []int{1, 2, 4, 8} {
+		for _, w := range []int{1, WideWidth} {
 			t.Run(fmt.Sprintf("%s/w%d", c.Name, w), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(41*w) + int64(c.NumNodes())))
 				be := NewBatch(p, w)
@@ -294,7 +294,7 @@ func TestKernelEvalNode(t *testing.T) {
 	for _, c := range kernelTestCircuits(t) {
 		p := Compile(c)
 		sources := append(append([]int(nil), c.PIs...), c.DFFs...)
-		for _, w := range []int{1, 2} {
+		for _, w := range []int{1, WideWidth} {
 			t.Run(fmt.Sprintf("%s/w%d", c.Name, w), func(t *testing.T) {
 				r := rand.New(rand.NewSource(int64(97*w) + int64(c.NumNodes())))
 				be, ref := NewBatch(p, w), NewBatch(p, w)
@@ -368,16 +368,32 @@ func TestKernelNoInjectionsUniform(t *testing.T) {
 	}
 }
 
-// TestKernelSetWidth checks width switching reuses the arena and stays
-// exact at the new width.
+// TestKernelSetWidth checks the kernel's two widths: NewBatch and
+// SetWidth reject every other width, and SetWidth a width past the
+// engine's capacity; switching from the wide width to one word and back
+// reuses the arena and stays exact at each width.
 func TestKernelSetWidth(t *testing.T) {
 	c := samples.S27()
 	p := Compile(c)
-	be := NewBatch(p, 8)
-	if be.Cap() != 8 || be.Width() != 8 {
-		t.Fatalf("cap/width = %d/%d", be.Cap(), be.Width())
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
 	}
-	for _, w := range []int{1, 3, 8, 2} {
+	be := NewBatch(p, WideWidth)
+	for _, w := range []int{0, 2, 3, 8} {
+		mustPanic(fmt.Sprintf("NewBatch(%d)", w), func() { NewBatch(p, w) })
+		mustPanic(fmt.Sprintf("SetWidth(%d)", w), func() { be.SetWidth(w) })
+	}
+	mustPanic("SetWidth past the capacity", func() { NewBatch(p, 1).SetWidth(WideWidth) })
+	if be.Width() != WideWidth {
+		t.Fatalf("width = %d after rejected switches, want %d", be.Width(), WideWidth)
+	}
+	for _, w := range []int{1, WideWidth} {
 		be.SetWidth(w)
 		if be.Width() != w {
 			t.Fatalf("width = %d, want %d", be.Width(), w)
@@ -395,12 +411,6 @@ func TestKernelSetWidth(t *testing.T) {
 		ref.each(func(e *esim.Engine) { e.Step(in) })
 		ref.compareNodes(t, be, fmt.Sprintf("w=%d", w))
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetWidth beyond cap must panic")
-		}
-	}()
-	be.SetWidth(9)
 }
 
 // TestCompileShape pins the decomposition contract: every instruction

@@ -336,21 +336,27 @@ func TestResetClearsStateAndInjections(t *testing.T) {
 func TestStateWordsRoundTrip(t *testing.T) {
 	c := samples.ShiftReg(3)
 	p := Compile(c)
-	e := NewBatch(p, 2)
-	e.SetStateVector(vec("101"))
-	// Per-slot words survive too.
-	e.SetNodeVec(c.DFFs[1], logic.WordVec{logic.AllZero, {Zero: 0xf0, One: 0x0f}})
-	saved := make([]logic.WordVec, c.NumFFs())
-	for i := range saved {
-		saved[i] = e.State(i).Clone()
-	}
-	e2 := NewBatch(p, 2)
-	for i, ff := range c.DFFs {
-		e2.SetNodeVec(ff, saved[i])
-	}
-	for i := 0; i < c.NumFFs(); i++ {
-		if !e2.State(i).Equal(e.State(i)) {
-			t.Errorf("FF %d state mismatch after word round trip", i)
+	for _, w := range []int{1, WideWidth} {
+		e := NewBatch(p, w)
+		e.SetStateVector(vec("101"))
+		// Per-slot words survive too.
+		words := make(logic.WordVec, w)
+		for j := range words {
+			words[j] = logic.Word{Zero: 0xf0 << (8 * j), One: 0x0f << (8 * j)}
+		}
+		e.SetNodeVec(c.DFFs[1], words)
+		saved := make([]logic.WordVec, c.NumFFs())
+		for i := range saved {
+			saved[i] = e.State(i).Clone()
+		}
+		e2 := NewBatch(p, w)
+		for i, ff := range c.DFFs {
+			e2.SetNodeVec(ff, saved[i])
+		}
+		for i := 0; i < c.NumFFs(); i++ {
+			if !e2.State(i).Equal(e.State(i)) {
+				t.Errorf("width %d: FF %d state mismatch after word round trip", w, i)
+			}
 		}
 	}
 }

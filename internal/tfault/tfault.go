@@ -25,9 +25,10 @@
 // the current cycle: one value per arena slot. The rows decide which
 // faults each cycle launches. Cycle u is then re-evaluated as capture
 // frames: each frame starts from the good machine's pre-cycle state and
-// holds up to 512 launched faults at their old values, one fault per
-// slot. No slot carries the good machine; every observed word is
-// compared against the row's value in cycle u.
+// holds up to 256 launched faults at their old values, one fault per
+// slot, at the width the kernel's rule picks for them (sim.WidthFor).
+// No slot carries the good machine; every observed word is compared
+// against the row's value in cycle u.
 //
 // A capture frame runs in one of two ways. An event frame
 // (sim.BatchEngine.EventFrame on row u) executes only the instructions
@@ -79,10 +80,6 @@ func Universe(c *circuit.Circuit) []Fault {
 	return out
 }
 
-// frameWords is the kernel width of a full capture frame: one frame
-// carries up to 64*frameWords launched faults.
-const frameWords = 8
-
 // frameForce overrides the capture-frame rule (tests only, see
 // export_test.go).
 type frameForce uint8
@@ -100,7 +97,7 @@ type Simulator struct {
 	c      *circuit.Circuit
 	faults []Fault
 	good   *sim.BatchEngine // width 1: the good machine
-	eng    *sim.BatchEngine // capture frames, up to frameWords wide
+	eng    *sim.BatchEngine // capture frames, up to sim.WideWidth wide
 	limit  int              // launched faults past which a capture frame sweeps
 	force  frameForce
 	chain  *scan.Chain // what a scan-in loads; observed follows its flip-flops
@@ -138,13 +135,13 @@ func NewChain(c *circuit.Circuit, faults []Fault, ch *scan.Chain) *Simulator {
 		faults: faults,
 		chain:  scan.OrFull(ch, c.NumFFs()),
 		good:   sim.NewBatch(p, 1),
-		eng:    sim.NewBatch(p, frameWords),
+		eng:    sim.NewBatch(p, sim.WideWidth),
 		limit:  p.EventLimit(),
 		byNode: make([][]int, c.NumNodes()),
 		prev:   make([]logic.Value, p.NumSlots()),
 		curv:   make([]logic.Value, p.NumSlots()),
-		masks:  make([]uint64, 64*frameWords*frameWords),
-		diff:   make([]uint64, frameWords),
+		masks:  make([]uint64, 64*sim.WideWidth*sim.WideWidth),
+		diff:   make([]uint64, sim.WideWidth),
 	}
 	for _, i := range s.chain.FFs {
 		s.observed = append(s.observed, c.Nodes[c.DFFs[i]].Fanin[0])
@@ -199,8 +196,8 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 			}
 		}
 		s.launched = launched
-		for start := 0; start < len(launched); start += 64 * frameWords {
-			end := min(start+64*frameWords, len(launched))
+		for start := 0; start < len(launched); start += 64 * sim.WideWidth {
+			end := min(start+64*sim.WideWidth, len(launched))
 			s.captureFrame(launched[start:end], seq[u], u == len(seq)-1, detected)
 		}
 		s.prev, s.curv = s.curv, s.prev
@@ -235,14 +232,14 @@ func (s *Simulator) cycle(pi logic.Vector, row []logic.Value) {
 	s.good.Row(row)
 }
 
-// captureFrame evaluates one capture cycle for up to 64*frameWords
+// captureFrame evaluates one capture cycle for up to 64*sim.WideWidth
 // launched faults, one per kernel slot: each behaves as a stuck-at-(old
 // value) fault for this one frame, starting from the good machine's
 // pre-cycle state. No slot carries the good machine; every output is
 // compared against the cycle's row, s.curv. An event frame compares
 // only the outputs that diverged from the row.
 func (s *Simulator) captureFrame(batch []int, pi logic.Vector, last bool, detected *fault.Set) {
-	w := (len(batch) + 63) / 64
+	w := sim.WidthFor(len(batch))
 	if s.eng.Width() != w {
 		s.eng.SetWidth(w)
 	}
@@ -299,12 +296,4 @@ func (s *Simulator) compare(diff []uint64, n int, events bool) {
 	for k, v := range s.eng.Val(n) {
 		diff[k] |= logic.DiffDefinite(v, g)
 	}
-}
-
-// Coverage returns |detected| / universe as a fraction.
-func Coverage(detected *fault.Set, total int) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(detected.Count()) / float64(total)
 }

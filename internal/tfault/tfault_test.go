@@ -12,6 +12,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/samples"
 	"repro/internal/scan"
+	"repro/internal/sim"
 )
 
 func vec(s string) logic.Vector {
@@ -210,9 +211,14 @@ var captureArms = []captureArm{
 // reference over the roster, full and partial scan, with X in scan-in
 // states and PI vectors, whichever kind each capture frame runs as:
 // DetectTest per test (all faults and a random target subset) and
-// DetectSet against the union of the per-test sets.
+// DetectSet against the union of the per-test sets. Both frame widths
+// must run: some first capture cycle launches more faults than one
+// wide frame holds, and some test's last capture frame runs at one
+// word.
 func TestTransitionRoster(t *testing.T) {
-	overflow := false // some first capture cycle launched more than one frame
+	const frame = 64 * sim.WideWidth // launched faults per full frame
+	multi := false                   // some first capture cycle filled more than one frame
+	narrow := false                  // some capture frame ran at one word
 	for _, e := range gen.Roster() {
 		c := gen.MustGenerate(e.Params)
 		if c.NumGates() > 3000 {
@@ -250,7 +256,7 @@ func TestTransitionRoster(t *testing.T) {
 							n++
 						}
 					}
-					overflow = overflow || n > 64*frameWords
+					multi = multi || n > frame
 				}
 			}
 			for _, arm := range captureArms {
@@ -262,6 +268,7 @@ func TestTransitionRoster(t *testing.T) {
 						t.Fatalf("%s/%s/%s test %d: kernel detects %d, reference %d",
 							e.Params.Name, chain, arm.name, ti, got.Count(), want.Count())
 					}
+					narrow = narrow || FrameWidth(s) == 1
 					want = want.Clone()
 					want.IntersectWith(targets[ti])
 					if got := s.DetectTest(tst.SI, tst.Seq, targets[ti]); !got.Equal(want) {
@@ -276,8 +283,11 @@ func TestTransitionRoster(t *testing.T) {
 			}
 		}
 	}
-	if !overflow {
-		t.Errorf("no roster test launched more than %d faults in one cycle: multi-frame capture untested", 64*frameWords)
+	if !multi {
+		t.Errorf("no roster test launched more than %d faults in one cycle: multi-frame capture untested", frame)
+	}
+	if !narrow {
+		t.Error("no roster test ran a capture frame at one word: one-word frames untested")
 	}
 }
 
@@ -393,15 +403,5 @@ func TestPartialChainObservation(t *testing.T) {
 	gotPart := part.DetectTest(vec("0"), seq, nil)
 	if gotPart.Count() > gotFull.Count() {
 		t.Errorf("partial chain detected more (%d) than full (%d)", gotPart.Count(), gotFull.Count())
-	}
-}
-
-func TestCoverage(t *testing.T) {
-	s := fault.FromIndices(4, []int{0, 1})
-	if Coverage(s, 4) != 0.5 {
-		t.Error("Coverage wrong")
-	}
-	if Coverage(s, 0) != 0 {
-		t.Error("empty universe should be 0")
 	}
 }
