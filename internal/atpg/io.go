@@ -1,9 +1,7 @@
 package atpg
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strings"
 
 	"repro/internal/logic"
@@ -19,69 +17,14 @@ import (
 // empty part (a circuit with no flip-flops or no primary inputs) is
 // written as "-".
 
-// WriteTests emits a combinational test set in the text format.
-func WriteTests(w io.Writer, tests []CombTest) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "combset v1")
-	for _, t := range tests {
-		fmt.Fprintf(bw, "t %s %s\n", vecOrDash(t.State), vecOrDash(t.PI))
-	}
-	return bw.Flush()
-}
-
-// WriteTestsString renders a combinational test set to a string.
+// WriteTestsString renders a combinational test set in the text format.
 func WriteTestsString(tests []CombTest) string {
 	var sb strings.Builder
-	if err := WriteTests(&sb, tests); err != nil {
-		panic(err) // strings.Builder cannot fail
+	sb.WriteString("combset v1\n")
+	for _, t := range tests {
+		fmt.Fprintf(&sb, "t %s %s\n", vecOrDash(t.State), vecOrDash(t.PI))
 	}
 	return sb.String()
-}
-
-// ReadTests parses a combinational test set from the text format.
-func ReadTests(r io.Reader) ([]CombTest, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineno := 0
-	next := func() (string, bool) {
-		for sc.Scan() {
-			lineno++
-			line := strings.TrimSpace(sc.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			return line, true
-		}
-		return "", false
-	}
-	line, ok := next()
-	if !ok || line != "combset v1" {
-		return nil, fmt.Errorf("atpg: missing 'combset v1' header (line %d)", lineno)
-	}
-	var tests []CombTest
-	for {
-		line, ok = next()
-		if !ok {
-			break
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "t" {
-			return nil, fmt.Errorf("atpg: line %d: expected 't <state> <pi>', got %q", lineno, line)
-		}
-		state, err := parseVecOrDash(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("atpg: line %d: state: %v", lineno, err)
-		}
-		pi, err := parseVecOrDash(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("atpg: line %d: pi: %v", lineno, err)
-		}
-		tests = append(tests, CombTest{State: state, PI: pi})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("atpg: %v", err)
-	}
-	return tests, nil
 }
 
 func vecOrDash(v logic.Vector) string {
@@ -89,11 +32,4 @@ func vecOrDash(v logic.Vector) string {
 		return "-"
 	}
 	return v.String()
-}
-
-func parseVecOrDash(s string) (logic.Vector, error) {
-	if s == "-" {
-		return nil, nil
-	}
-	return logic.ParseVector(s)
 }

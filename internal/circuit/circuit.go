@@ -296,23 +296,3 @@ func (c *Circuit) finalize() error {
 	}
 	return nil
 }
-
-// Clone returns a deep copy of the circuit.
-func (c *Circuit) Clone() *Circuit {
-	cp := &Circuit{
-		Name:  c.Name,
-		Nodes: make([]Node, len(c.Nodes)),
-		PIs:   append([]int(nil), c.PIs...),
-		POs:   append([]int(nil), c.POs...),
-		DFFs:  append([]int(nil), c.DFFs...),
-	}
-	for i, nd := range c.Nodes {
-		cp.Nodes[i] = Node{Kind: nd.Kind, Name: nd.Name, Fanin: append([]int(nil), nd.Fanin...)}
-	}
-	if err := cp.finalize(); err != nil {
-		// The source circuit was already validated; a failure here is a
-		// programming error.
-		panic(fmt.Sprintf("circuit: clone of validated circuit failed: %v", err))
-	}
-	return cp
-}

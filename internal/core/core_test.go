@@ -226,31 +226,3 @@ func TestRunOnS27(t *testing.T) {
 			res.FinalDetected.Count(), comb.Detected.Count())
 	}
 }
-
-func TestRunOnDatapathCircuit(t *testing.T) {
-	// External validity: the procedure runs on the register-transfer
-	// style circuits too, with the same invariants.
-	c := gen.MustGenerate(gen.Params{Name: "dp", Seed: 77, Style: gen.Datapath,
-		PIs: 6, POs: 4, FFs: 16, Gates: 120})
-	faults := fault.Collapse(c)
-	comb, err := atpg.Generate(c, faults, atpg.Options{Seed: 77})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t0 := seqgen.Generate(c, faults, seqgen.Options{Seed: 77, MaxLen: 120})
-	s := fsim.New(c, faults)
-	res, err := Run(s, comb.Tests, t0.Seq, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FinalDetected.ContainsAll(comb.Detected) {
-		t.Error("datapath run lost C coverage")
-	}
-	if res.Final.Cycles(c.NumFFs()) > res.Initial.Cycles(c.NumFFs()) {
-		t.Error("phase 4 grew cycles on datapath circuit")
-	}
-	frac := float64(res.SeqDetected.Count()) / float64(res.FinalDetected.Count())
-	t.Logf("datapath: tau_seq %d/%d (%.2f), cycles %d -> %d",
-		res.SeqDetected.Count(), res.FinalDetected.Count(), frac,
-		res.Initial.Cycles(c.NumFFs()), res.Final.Cycles(c.NumFFs()))
-}

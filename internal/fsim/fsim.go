@@ -58,10 +58,6 @@ import (
 	"repro/internal/sim"
 )
 
-// batchSize is the number of faulty machines in a one-word pass: slot 0
-// carries the good machine.
-const batchSize = 63
-
 // Simulator fault-simulates one circuit against a fixed fault list.
 // The fault list order defines fault indices used in all result sets.
 //
@@ -322,8 +318,8 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 
 // targetIndices resolves the target set to a freshly allocated slice of
 // fault indices, in the installed simulation order. Target sets that fit
-// a single one-word pass skip the order filter: packing within one pass
-// cannot change pass count or results.
+// one pass at the wide width skip the order filter: packing within one
+// pass cannot change pass count or results.
 func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	order := s.Order()
 	if targets == nil {
@@ -339,7 +335,7 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	}
 	n := targets.Count()
 	idx := make([]int, 0, n)
-	if order == nil || n <= batchSize {
+	if order == nil || n <= 64*sim.WideWidth-1 {
 		targets.ForEach(func(i int) { idx = append(idx, i) })
 		return idx
 	}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/samples"
+	"repro/internal/sim"
 )
 
 func vec(s string) logic.Vector {
@@ -148,11 +149,11 @@ func TestDetectTargetsSubset(t *testing.T) {
 }
 
 func TestDetectManyFaultsMultipleBatches(t *testing.T) {
-	// ShiftReg(20) has >63 collapsed faults, forcing multiple passes.
-	c := samples.ShiftReg(20)
+	// ShiftReg(40) has 318 collapsed faults, more than one wide pass holds.
+	c := samples.ShiftReg(40)
 	faults := fault.Collapse(c)
-	if len(faults) <= batchSize {
-		t.Skipf("need >%d faults, have %d", batchSize, len(faults))
+	if len(faults) <= 64*sim.WideWidth-1 {
+		t.Fatalf("need more than one wide pass of faults, have %d", len(faults))
 	}
 	s := New(c, faults)
 	r := rand.New(rand.NewSource(9))

@@ -84,12 +84,13 @@ func restrict(set, targets *fault.Set) *fault.Set {
 
 // TestKernelWidthEquivalence is the fsim-level differential against the
 // scalar reference. The pass width follows the target count, so a target
-// set of 40 faults runs at one word, and sets of 100 and 150 faults and
-// the full list at the wide width, the full list in several passes. For
-// every target set, for full and partial scan and for serial and
-// parallel workers, fsim must reproduce oracle.Sim's detected set,
-// Profile must match the reference on every prefix test (SI, T[0..u]),
-// and the must-detect check must accept exactly the detected faults.
+// set of 40 faults runs in one one-word pass, a set of 100 faults in one
+// wide pass, a set of 256 faults (one more than a wide pass holds) in two
+// and the full list in several. For every target set, for full and
+// partial scan and for serial and parallel workers, fsim must reproduce
+// oracle.Sim's detected set, Profile must match the reference on every
+// prefix test (SI, T[0..u]), and the must-detect check must accept
+// exactly the detected faults.
 func TestKernelWidthEquivalence(t *testing.T) {
 	for _, partial := range []bool{false, true} {
 		name := "full"
@@ -109,7 +110,7 @@ func TestKernelWidthEquivalence(t *testing.T) {
 			for _, arm := range []struct {
 				name string
 				size int
-			}{{"40", 40}, {"100", 100}, {"150", 150}, {"all", n}} {
+			}{{"40", 40}, {"100", 100}, {"256", 256}, {"all", n}} {
 				size := arm.size
 				var targets *fault.Set // nil: the whole fault list
 				if size < n {

@@ -9,15 +9,16 @@ import (
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/scan"
+	"repro/internal/sim"
 )
 
 // parallelFixture builds a circuit big enough to force several passes
-// per run (a few hundred collapsed faults).
+// per run (1,104 collapsed faults, more than two wide passes).
 func parallelFixture(t testing.TB) (*Simulator, []fault.Fault, logic.Sequence, logic.Vector) {
 	t.Helper()
 	c := gen.MustGenerate(gen.Params{Name: "par", Seed: 7, PIs: 6, POs: 5, FFs: 16, Gates: 220})
 	faults := fault.Collapse(c)
-	if len(faults) <= 3*batchSize {
+	if len(faults) <= 2*(64*sim.WideWidth-1) {
 		t.Fatalf("fixture too small: %d faults", len(faults))
 	}
 	r := rand.New(rand.NewSource(3))

@@ -21,20 +21,6 @@ import (
 	"repro/internal/circuit"
 )
 
-// Style selects the structural family of a generated circuit.
-type Style int
-
-const (
-	// Control is random control-dominated logic with reset-style
-	// flip-flop cones and status outputs (the default; resembles the
-	// ISCAS-89 controller benchmarks).
-	Control Style = iota
-	// Datapath builds register words updated through muxed operations
-	// (shift, xor, masked and/or) selected by control inputs — the
-	// register-transfer structure of datapath benchmarks.
-	Datapath
-)
-
 // Params configures one synthetic circuit.
 type Params struct {
 	Name  string
@@ -43,9 +29,6 @@ type Params struct {
 	POs   int // primary outputs (>= 1)
 	FFs   int // flip-flops (>= 0)
 	Gates int // combinational gates before observer logic (>= POs)
-
-	// Style selects the structural family (default Control).
-	Style Style
 
 	// MaxFanin bounds gate fanin; 0 means the default of 4.
 	MaxFanin int
@@ -96,9 +79,6 @@ func Generate(p Params) (*circuit.Circuit, error) {
 	p = p.withDefaults()
 	if err := p.validate(); err != nil {
 		return nil, err
-	}
-	if p.Style == Datapath {
-		return generateDatapath(p)
 	}
 	r := rand.New(rand.NewSource(p.Seed))
 	b := circuit.NewBuilder(p.Name)

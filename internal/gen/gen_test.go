@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/circuit"
 	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -257,72 +256,4 @@ func randVec(r *rand.Rand, n int) logic.Vector {
 		v[i] = logic.Value(r.Intn(2))
 	}
 	return v
-}
-
-func TestGenerateDatapathShape(t *testing.T) {
-	p := Params{Name: "dp", Seed: 11, Style: Datapath, PIs: 6, POs: 4, FFs: 16, Gates: 120}
-	c, err := Generate(p)
-	if err != nil {
-		t.Fatalf("datapath generate: %v", err)
-	}
-	s := c.Stats()
-	if s.PIs != 6 || s.FFs != 16 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.POs < 4 {
-		t.Errorf("POs = %d, want >= 4", s.POs)
-	}
-	// No dangling gates.
-	poSet := map[int]bool{}
-	for _, po := range c.POs {
-		poSet[po] = true
-	}
-	for n := range c.Nodes {
-		if c.Nodes[n].Kind.IsGate() && len(c.Fanout(n)) == 0 && !poSet[n] {
-			t.Errorf("dangling gate %s", c.Nodes[n].Name)
-		}
-	}
-}
-
-func TestGenerateDatapathDeterministicAndDistinct(t *testing.T) {
-	p := Params{Name: "dp", Seed: 11, Style: Datapath, PIs: 6, POs: 4, FFs: 16, Gates: 120}
-	a := MustGenerate(p)
-	b := MustGenerate(p)
-	if bench.WriteString(a) != bench.WriteString(b) {
-		t.Error("datapath generation not deterministic")
-	}
-	ctl := p
-	ctl.Style = Control
-	if bench.WriteString(a) == bench.WriteString(MustGenerate(ctl)) {
-		t.Error("styles should differ structurally")
-	}
-}
-
-func TestGenerateDatapathTestable(t *testing.T) {
-	c := MustGenerate(Params{Name: "dp", Seed: 12, Style: Datapath, PIs: 6, POs: 4, FFs: 16, Gates: 120})
-	faults := fault.Collapse(c)
-	s := fsim.New(c, faults)
-	r := rand.New(rand.NewSource(1))
-	detected := fault.NewSet(len(faults))
-	for trial := 0; trial < 40; trial++ {
-		si := randVec(r, c.NumFFs())
-		seq := logic.Sequence{randVec(r, c.NumPIs()), randVec(r, c.NumPIs())}
-		detected.UnionWith(s.DetectTest(si, seq, nil))
-	}
-	if cov := fsim.Coverage(detected, len(faults)); cov < 0.5 {
-		t.Errorf("datapath random coverage %.2f too low", cov)
-	}
-	// No-scan initialization must work too (the reset path).
-	noscan := s.Detect(seqgenRandom(c, r, 200), fsim.Options{})
-	if noscan.Count() == 0 {
-		t.Error("datapath circuit detects nothing without scan")
-	}
-}
-
-func seqgenRandom(c *circuit.Circuit, r *rand.Rand, n int) logic.Sequence {
-	seq := make(logic.Sequence, n)
-	for i := range seq {
-		seq[i] = randVec(r, c.NumPIs())
-	}
-	return seq
 }

@@ -29,11 +29,12 @@ type Request struct {
 }
 
 // resolved is a Request after source resolution: the circuit to run,
-// the effective seed, the content-address key, and the run closure.
+// its config with the effective seed in Seed, and the content-address
+// key.
 type resolved struct {
-	name string
-	key  Key
-	run  func(progress func(string)) (*workload.CircuitRun, error)
+	ckt *circuit.Circuit
+	cfg workload.Config
+	key Key
 }
 
 // Resolve parses/generates the request's circuit and computes its
@@ -72,17 +73,9 @@ func (q *Queue) resolve(req Request) (*resolved, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: %s: %v", req.Roster, err)
 		}
-		cfg = fullScan(ckt, cfg)
-		seed := entry.Params.Seed + cfg.Seed
-		return &resolved{
-			name: entry.Params.Name,
-			key:  Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, seed)},
-			run: func(progress func(string)) (*workload.CircuitRun, error) {
-				c := cfg
-				c.Progress = progress
-				return workload.Run(entry, c)
-			},
-		}, nil
+		// The roster's per-circuit seed offset, as in workload.Run.
+		cfg.Seed += entry.Params.Seed
+		return q.resolveCircuit(ckt, cfg)
 
 	case req.Bench != "":
 		name := req.Name
@@ -111,13 +104,9 @@ func (q *Queue) resolveCircuit(ckt *circuit.Circuit, cfg workload.Config) (*reso
 	}
 	cfg = fullScan(ckt, cfg)
 	return &resolved{
-		name: ckt.Name,
-		key:  Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, cfg.Seed)},
-		run: func(progress func(string)) (*workload.CircuitRun, error) {
-			c := cfg
-			c.Progress = progress
-			return workload.RunCircuit(ckt, c)
-		},
+		ckt: ckt,
+		cfg: cfg,
+		key: Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, cfg.Seed)},
 	}, nil
 }
 
@@ -363,7 +352,7 @@ func (q *Queue) Submit(req Request) (*Job, error) {
 		if a, ok, err := q.store.Get(res.key); err != nil {
 			return nil, err
 		} else if ok {
-			j := &Job{ID: id, Name: res.name, Key: res.key, state: StateCached, done: make(chan struct{})}
+			j := &Job{ID: id, Name: res.ckt.Name, Key: res.key, state: StateCached, done: make(chan struct{})}
 			j.finish(StateCached, a, nil)
 			q.mu.Lock()
 			q.cacheHits++
@@ -373,7 +362,7 @@ func (q *Queue) Submit(req Request) (*Job, error) {
 		}
 	}
 
-	j := &Job{ID: id, Name: res.name, Key: res.key, state: StateQueued, done: make(chan struct{})}
+	j := &Job{ID: id, Name: res.ckt.Name, Key: res.key, state: StateQueued, done: make(chan struct{})}
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -454,7 +443,9 @@ func (q *Queue) runJob(j *Job) {
 				err = fmt.Errorf("jobs: pipeline panic: %v", r)
 			}
 		}()
-		run, err := res.run(progress)
+		cfg := res.cfg
+		cfg.Progress = progress
+		run, err := workload.RunCircuit(res.ckt, cfg)
 		if err != nil {
 			return nil, err
 		}

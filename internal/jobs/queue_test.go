@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/gen"
 	"repro/internal/workload"
 )
 
@@ -78,6 +79,45 @@ func TestResolveFullScanKey(t *testing.T) {
 		}
 		if keys[0] != keys[1] {
 			t.Errorf("%s: ScanFFs 1000 keys %s, full scan %s", name, keys[1], keys[0])
+		}
+	}
+}
+
+// TestRosterMatchesUpload: a roster request runs the circuit resolve
+// generated at the entry's seed plus the request's offset, so it must
+// share its key and its results with an upload of the same netlist at
+// that effective seed. Without a store both requests compute.
+func TestRosterMatchesUpload(t *testing.T) {
+	q := newTestQueue(t, nil, Options{Workers: 1})
+	entry, ok := gen.FindEntry("b01")
+	if !ok {
+		t.Fatal("roster circuit b01 missing")
+	}
+	roster := Request{Roster: "b01", Config: fastCfg()}
+	roster.Config.Seed = 3
+	upload := Request{Bench: bench.WriteString(gen.MustGenerate(entry.Params)), Name: "b01", Config: fastCfg()}
+	upload.Config.Seed = entry.Params.Seed + 3
+	var jobs [2]*Job
+	for i, req := range []Request{roster, upload} {
+		j, err := q.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		jobs[i] = j
+	}
+	if jobs[0].Key != jobs[1].Key {
+		t.Errorf("roster key %s, upload key %s", jobs[0].Key, jobs[1].Key)
+	}
+	if m := q.Metrics(); m.Computations != 2 {
+		t.Fatalf("%d computations, want 2", m.Computations)
+	}
+	for _, name := range []string{FileSummary, FilePropFinal} {
+		r, u := jobs[0].Artifacts().Files[name], jobs[1].Artifacts().Files[name]
+		if len(r) == 0 || string(r) != string(u) {
+			t.Errorf("%s differs between roster request and upload (%d vs %d bytes)", name, len(r), len(u))
 		}
 	}
 }

@@ -84,18 +84,6 @@ func (a Word) Xor(b Word) Word {
 	}
 }
 
-// Nand returns the slot-wise three-valued NAND.
-func (a Word) Nand(b Word) Word { return a.And(b).Not() }
-
-// Nor returns the slot-wise three-valued NOR.
-func (a Word) Nor(b Word) Word { return a.Or(b).Not() }
-
-// Xnor returns the slot-wise three-valued XNOR.
-func (a Word) Xnor(b Word) Word { return a.Xor(b).Not() }
-
-// Defined returns a mask of slots carrying a definite (0/1) value.
-func (w Word) Defined() uint64 { return w.Zero | w.One }
-
 // DiffDefinite returns a mask of slots where a and b both carry definite
 // values and those values differ. This is the fault-detection criterion:
 // a difference involving X does not count as a detection.
@@ -108,11 +96,6 @@ func (w Word) BroadcastSlot(k uint) Word { return FromValue(w.Get(k)) }
 
 // Equal reports slot-for-slot equality (X == X).
 func (a Word) Equal(b Word) bool { return a == b }
-
-// Mask keeps only the slots selected by m, forcing all others to X.
-func (w Word) Mask(m uint64) Word {
-	return Word{Zero: w.Zero & m, One: w.One & m}
-}
 
 // Merge overwrites the slots selected by m in w with the corresponding
 // slots of src, leaving other slots unchanged.

@@ -105,9 +105,9 @@ func chainArms(c *circuit.Circuit, partial *scan.Chain) []chainArm {
 // TestDifferentialBatchWidths sweeps the compiled kernel's batch width
 // against the scalar reference on roster circuits with several hundred
 // collapsed faults. The width follows the target count, so a target set
-// of 40 faults runs at one word, sets of 100 and 150 faults and the full
-// list at the wide width; every set must grade identically, under full
-// and partial scan.
+// of 40 faults runs in one one-word pass, a set of 100 faults in one wide
+// pass, and a set of 256 faults and the full list in two or more wide
+// passes; every set must grade identically, under full and partial scan.
 func TestDifferentialBatchWidths(t *testing.T) {
 	for _, name := range []string{"s298", "s344", "b04"} {
 		c, ok := gen.RosterCircuit(name)
@@ -136,7 +136,7 @@ func TestDifferentialBatchWidths(t *testing.T) {
 				seq := randSeq(r, 10, c.NumPIs(), true)
 				all := orc.Detect(seq, Options{Init: si, ScanOut: true})
 				fs := fsim.NewChain(c, faults, chain)
-				for _, size := range []int{40, 100, 150, len(faults)} {
+				for _, size := range []int{40, 100, 256, len(faults)} {
 					// Detection is per fault, so the reference for a target
 					// set is the full-list result restricted to it.
 					targets := randTargets(r, len(faults), size)

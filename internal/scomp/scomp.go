@@ -106,11 +106,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	}
 	count := led.Counts()
 
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-
 	// Fault dropping: a fault can be at risk for some pair only while
 	// its detection count is 1 or 2 (count - [τ_i detects] - [τ_j
 	// detects] must reach 0). Bucketing those faults once per accepted
@@ -151,10 +146,11 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	}
 
 	// nextPair returns the first live ordered pair at or after scan
-	// position (i0, j0) in row-major order.
+	// position (i0, j0) in row-major order. A test is live while its
+	// ledger row is; accept drops τ_j's.
 	nextPair := func(i0, j0 int) (int, int, bool) {
 		for i := i0; i < n; i++ {
-			if !alive[i] {
+			if led.Row(i) == nil {
 				continue
 			}
 			j := 0
@@ -162,7 +158,7 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 				j = j0
 			}
 			for ; j < n; j++ {
-				if i == j || !alive[j] {
+				if i == j || led.Row(j) == nil {
 					continue
 				}
 				return i, j, true
@@ -201,7 +197,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		led.Drop(j)
 		rebuckets()
 		tests[i] = combined
-		alive[j] = false
 		st.Combined++
 	}
 
@@ -272,9 +267,9 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	out := scan.NewSet()
 	outLed := fsim.NewLedger(nf)
 	for i, t := range tests {
-		if alive[i] {
+		if row := led.Row(i); row != nil {
 			out.Tests = append(out.Tests, t)
-			outLed.Append(led.Row(i))
+			outLed.Append(row)
 		}
 	}
 	return out, outLed, st

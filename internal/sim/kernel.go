@@ -89,13 +89,12 @@ type BatchEngine struct {
 
 	vals []logic.Word // value arena: slot s occupies vals[s*w : (s+1)*w]
 
-	outInj   [][]BatchInjection // by node whose output is forced
-	pinInj   [][]BatchInjection // by consumer node
-	masks    []uint64           // the installed injections' masks, copied by SetInjections
-	flags    []uint8            // per slot; temporaries stay 0
-	touched  []int
-	srcInj   []int // injected source nodes, forced at EvalComb start
-	injected bool
+	outInj  [][]BatchInjection // by node whose output is forced
+	pinInj  [][]BatchInjection // by consumer node
+	masks   []uint64           // the installed injections' masks, copied by SetInjections
+	flags   []uint8            // per slot; temporaries stay 0
+	touched []int
+	srcInj  []int // injected source nodes, forced at EvalComb start
 
 	scratch []logic.Word // per-DFF next-state buffer (nff * cap)
 
@@ -167,7 +166,6 @@ func (e *BatchEngine) clearInjections() {
 	}
 	e.touched = e.touched[:0]
 	e.srcInj = e.srcInj[:0]
-	e.injected = false
 }
 
 // SetInjections installs the active fault injections, replacing any
@@ -178,7 +176,6 @@ func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 	if len(injs) == 0 {
 		return
 	}
-	e.injected = true
 	need := 0
 	for _, in := range injs {
 		need += len(in.Mask)
