@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
@@ -36,7 +35,6 @@ func TestRecordOverheadXL(t *testing.T) {
 	}
 	faults := fault.Collapse(c)
 	s := fsim.New(c, faults)
-	adi.Install(s, adi.Options{Seed: 7})
 	r := rand.New(rand.NewSource(7))
 	si := make(logic.Vector, c.NumFFs())
 	for i := range si {
@@ -95,7 +93,6 @@ func omissionSetup(b *testing.B) *ledgerOmissionFixture {
 		}
 		faults := fault.Collapse(c)
 		s := fsim.New(c, faults)
-		adi.Install(s, adi.Options{Seed: 3})
 		r := rand.New(rand.NewSource(3))
 		si := make(logic.Vector, c.NumFFs())
 		for i := range si {

@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 
-	"repro/internal/adi"
 	"repro/internal/cliutil"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -79,7 +78,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	fmt.Fprintf(stdout, "faults: %d collapsed of %d total (ratio %.2f)\n",
 		len(cc.Reps), len(cc.Universe), cc.Ratio())
 	s := fsim.NewChain(c, faults, chain).SetWorkers(*workers)
-	adi.Install(s, adi.Options{Seed: 1})
 
 	detected := fault.NewSet(len(faults))
 	var audit func() *oracle.Report

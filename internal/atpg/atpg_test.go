@@ -17,15 +17,14 @@ import (
 
 // exhaustiveDetectable grades every binary assignment of the
 // assignable inputs — the PIs and the chain's flip-flops — as a length-1
-// scan test, 64 at a time, and reports per fault whether any of them
-// detects it. This is the ground truth PODEM must agree with on small
-// circuits.
+// scan test, and reports per fault whether any of them detects it. Each
+// assignment targets only the faults no earlier one detected. This is
+// the ground truth PODEM must agree with on small circuits.
 func exhaustiveDetectable(s *fsim.Simulator, nsv int) []bool {
 	c := s.Circuit()
-	detectable := make([]bool, len(s.Faults()))
+	undetected := fault.NewFullSet(s.NumFaults())
 	nIn := c.NumPIs() + nsv
-	var batch []scan.Test
-	for m := 0; m < 1<<nIn; m++ {
+	for m := 0; m < 1<<nIn && undetected.Count() > 0; m++ {
 		pi := make(logic.Vector, c.NumPIs())
 		st := make(logic.Vector, nsv)
 		for i := range pi {
@@ -34,13 +33,11 @@ func exhaustiveDetectable(s *fsim.Simulator, nsv int) []bool {
 		for i := range st {
 			st[i] = logic.Value((m >> (len(pi) + i)) & 1)
 		}
-		batch = append(batch, scan.Test{SI: st, Seq: logic.Sequence{pi}})
-		if len(batch) == logic.SlotCount || m == 1<<nIn-1 {
-			for fi, mask := range s.DetectMasks(batch) {
-				detectable[fi] = detectable[fi] || mask != 0
-			}
-			batch = batch[:0]
-		}
+		undetected.SubtractWith(s.DetectTest(st, logic.Sequence{pi}, undetected))
+	}
+	detectable := make([]bool, s.NumFaults())
+	for fi := range detectable {
+		detectable[fi] = !undetected.Has(fi)
 	}
 	return detectable
 }

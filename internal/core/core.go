@@ -46,7 +46,7 @@ type Options struct {
 	MaxIterations int
 
 	// SIScoreSample bounds the number of faults used to *score* scan-in
-	// candidates in Step 2 (0 = default 1008, i.e. 16 simulation passes;
+	// candidates in Step 2 (0 = default 1008, i.e. 4 simulation passes;
 	// negative = no sampling). The winning candidate is always
 	// re-simulated over the full F−F_0 set, so only the ranking is
 	// sampled, never the reported coverage.

@@ -4,35 +4,24 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/adi"
 	"repro/internal/atpg"
 	"repro/internal/fsim"
 	"repro/internal/logic"
 	"repro/internal/scan"
 )
 
-// TestLedgerEquivalence checks the ledger engine against compactLegacy,
-// run unordered, at several worker counts in ascending and in ADI
-// simulation order: every extension candidate scores the same, so the
-// built test set, the extension count and the candidate count are
-// identical, while strictly fewer fault slots are simulated.
+// TestLedgerEquivalence checks the ledger engine against compactLegacy
+// at several worker counts: every extension candidate scores the same,
+// so the built test set, the extension count and the candidate count
+// are identical, while strictly fewer fault slots are simulated.
 func TestLedgerEquivalence(t *testing.T) {
 	for _, seed := range []int64{31, 36} {
 		s, C, _ := setup(t, seed)
 		ref, refSt := compactLegacy(s, C, Options{}.withDefaults(s.Nsv()))
-		perm := adi.Install(s, adi.Options{Seed: seed})
 
-		for _, arm := range []struct {
-			workers int
-			ordered bool
-		}{{1, false}, {4, false}, {1, true}, {4, true}} {
-			name := fmt.Sprintf("seed=%d workers=%d ordered=%v", seed, arm.workers, arm.ordered)
-			s.SetWorkers(arm.workers)
-			if arm.ordered {
-				s.SetOrder(perm)
-			} else {
-				s.SetOrder(nil)
-			}
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			s.SetWorkers(workers)
 			out, st := Compact(s, C, Options{})
 			if out.NumTests() != ref.NumTests() {
 				t.Fatalf("%s: %d tests, want %d", name, out.NumTests(), ref.NumTests())

@@ -1,6 +1,6 @@
 // Package fault defines the single stuck-at fault model: fault universe
-// enumeration, structural equivalence collapsing, dominance analysis,
-// and fault-set bookkeeping.
+// enumeration, structural equivalence collapsing and fault-set
+// bookkeeping.
 //
 // A fault is a line stuck at 0 or 1. Lines are node outputs (stems) and
 // gate input pins (branches). The collapsed universe returned by Collapse

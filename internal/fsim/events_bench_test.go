@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
@@ -17,8 +16,8 @@ import (
 // pass-count gate, no fall back). The ratio of the two arms per circuit
 // is the crossover table of DESIGN.md §8: event frames win where a
 // faulty machine diverges from the good one in a small part of the
-// program. s35932xl runs in ADI order, as the pipelines run it; the
-// others in ascending order. Under -short only s1423 runs.
+// program. Every circuit's faults are packed in ascending order, as the
+// pipelines pack them. Under -short only s1423 runs.
 func BenchmarkKernelSequentialPass(b *testing.B) {
 	for _, name := range []string{"s298", "s1423", "b04", "s5378", "s5378xl", "s35932", "s35932xl"} {
 		if testing.Short() && name != "s1423" {
@@ -30,9 +29,6 @@ func BenchmarkKernelSequentialPass(b *testing.B) {
 		}
 		faults := fault.Collapse(c)
 		s := fsim.New(c, faults)
-		if name == "s35932xl" {
-			adi.Install(s, adi.Options{Seed: 1})
-		}
 		r := rand.New(rand.NewSource(1))
 		seq := make(logic.Sequence, 48)
 		for u := range seq {

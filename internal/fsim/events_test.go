@@ -177,8 +177,9 @@ func profileString(p *fsim.Profile, n int) string {
 // fault-parallel entry point returns the same results and moves the
 // pass counters the same way whether its passes sweep, run event frames
 // throughout, or fall back to the sweep after frame 0 or mid-sequence,
-// at 1 and 2 workers. Every arm's detected sets also equal the
-// oracle's over up to 250 of the faults.
+// at 1 and 2 workers. The simulators run over the fault list in a
+// random order, and every arm's detected sets, mapped back through the
+// permutation, equal the oracle's over up to 250 of the faults.
 //
 // Event frames drop a fault once it is detected, except in Profile. So
 // every fixture must detect some fault at a PO while its effect is
@@ -206,6 +207,7 @@ func TestEventFrames(t *testing.T) {
 				n := len(faults)
 				r := rand.New(rand.NewSource(int64(n)))
 				order := r.Perm(n)
+				pfaults := fsim.Permuted(faults, order)
 				// Nested subsets: the oracle grades the largest one (or the
 				// whole list), and each smaller one is a restriction of it.
 				perm := r.Perm(n)
@@ -226,18 +228,22 @@ func TestEventFrames(t *testing.T) {
 				orc := oracle.NewChain(c, faults, fx.ch)
 				wantNoScan := orc.Detect(fx.seq, oracle.Options{Targets: graded})
 				wantTest := orc.DetectTest(fx.si, fx.seq, graded)
+				psubsets := make([]*fault.Set, len(subsets))
+				for k, sub := range subsets {
+					psubsets[k] = fsim.PermuteSet(sub, order)
+				}
 
 				for _, workers := range []int{1, 2} {
 					var sweep transcript
 					for _, arm := range frameArms(len(fx.seq)) {
-						s := fsim.NewChain(c, faults, fx.ch).SetWorkers(workers).SetOrder(order)
+						s := fsim.NewChain(c, pfaults, fx.ch).SetWorkers(workers)
 						arm.force(s)
-						tr, noScan, tests := eventRuns(s, fx, subsets)
-						if got := restrict(noScan, graded); !got.Equal(wantNoScan) {
+						tr, noScan, tests := eventRuns(s, fx, psubsets)
+						if got := restrict(fsim.Unpermute(noScan, order), graded); !got.Equal(wantNoScan) {
 							t.Fatalf("workers %d, %s: Detect without scan: %d detected, oracle %d", workers, arm.name, got.Count(), wantNoScan.Count())
 						}
 						for k, tg := range append([]*fault.Set{nil}, subsets...) {
-							got := restrict(tests[k], graded)
+							got := restrict(fsim.Unpermute(tests[k], order), graded)
 							if want := restrict(wantTest, tg); !got.Equal(want) {
 								t.Fatalf("workers %d, %s: DetectTest: %d detected, oracle %d", workers, arm.name, got.Count(), want.Count())
 							}
@@ -272,17 +278,18 @@ func latchedDetections(s *fsim.Simulator, fx eventFixture) int {
 // TestEventFramesGate: unforced, runs over a large fault list (past the
 // pass-count gate) and over a small one detect what the sweep detects
 // and move the counters as it does. On b04, with the faults packed in a
-// random order as ADI order spreads them, a full-width pass injects more
-// gates than the event limit, so a one-vector run of eight such passes
-// (no repacking) starts each on the sweep and simulates no trace row;
-// on s35932xl the passes start on event frames. Under forced event
+// random order (the simulators run over a permuted fault list, each
+// target set mapped onto it), a full-width pass injects more gates than
+// the event limit, so a one-vector run of eight such passes (no
+// repacking) starts each on the sweep and simulates no trace row; on
+// s35932xl the passes start on event frames. Under forced event
 // frames an empty sequence detects nothing.
 func TestEventFramesGate(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		targets int  // random targets; 0: the whole list and 300 of it
 		vectors int  // the fixture's first vectors; 0: all of them
-		shuffle bool // pack the faults in a random order, not ascending
+		shuffle bool // simulate a permuted fault list, not the ascending one
 		rows    int  // trace rows: 0 none, 1 some, -1 unchecked
 	}{
 		{"s5378", 0, 0, false, -1},
@@ -301,13 +308,17 @@ func TestEventFramesGate(t *testing.T) {
 			if tc.targets > 0 {
 				runs = []*fault.Set{randomTargets(r, len(faults), tc.targets)}
 			}
-			var order []int
+			list := faults
 			if tc.shuffle {
-				order = r.Perm(len(faults))
+				perm := r.Perm(len(faults))
+				list = fsim.Permuted(faults, perm)
+				for k, tg := range runs {
+					runs[k] = fsim.PermuteSet(tg, perm)
+				}
 			}
-			sweep := fsim.New(c, faults).SetOrder(order)
+			sweep := fsim.New(c, list)
 			fsim.ForceSweep(sweep)
-			gated := fsim.New(c, faults).SetOrder(order)
+			gated := fsim.New(c, list)
 			for _, tg := range runs {
 				want := sweep.DetectTest(fx.si, fx.seq, tg)
 				before := gated.Stats()

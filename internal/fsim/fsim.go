@@ -22,10 +22,8 @@
 // DetectTest grade; Record and RecordTest also keep the per-fault
 // detection record behind the compaction ledger; RecordMustInto is the
 // must-detect check of the compaction trials, with a cross-pass early
-// abort; Profile records per-time detections for Phase 1. DetectMasks
-// is the one pattern-parallel pass (masks.go): it grades up to 64
-// length-1 scan tests at once, one per slot of a 1-word batch, and
-// propagates each fault event-driven from its site on the same kernel.
+// abort; Profile records per-time detections for Phase 1. A run packs
+// its target faults into passes in ascending fault index.
 //
 // The pass loop evaluates a frame (one input vector) in one of two ways
 // (events.go). A swept frame runs the whole compiled program over the
@@ -78,7 +76,6 @@ type Simulator struct {
 	mu      sync.Mutex
 	workers int          // max concurrent passes per run
 	idle    []*worker    // checked-in workers
-	order   []int        // pass-packing permutation over fault indices; nil = ascending
 	prog    *sim.Program // lazily compiled batch program
 	force   *frameForce  // tests only: overrides the frame gate (nil: the gate decides)
 	scanned []bool       // per flip-flop index: compared at scan-out
@@ -95,8 +92,7 @@ type Simulator struct {
 // those passes executed in total, and how many fault slots they packed.
 // PassVectors is the primary "simulated fault-pass work" metric — a pass
 // that early-exits after detecting all its faults executes fewer vectors
-// than the sequence length. A DetectMasks call counts as one pass of one
-// vector over NumFaults fault slots, whatever the number of tests.
+// than the sequence length.
 type PassStats struct {
 	Passes      int64
 	PassVectors int64
@@ -179,45 +175,6 @@ func (s *Simulator) SetWorkers(n int) *Simulator {
 	s.workers = n
 	s.mu.Unlock()
 	return s
-}
-
-// SetOrder installs a simulation-order permutation over fault indices
-// (e.g. adi.Compute's descending accidental-detection order): runs that
-// span multiple passes pack faults into passes following perm instead of
-// ascending index order. Fault indices themselves are untouched — every
-// result set stays indexed by the canonical fault list, and detection
-// results are bit-identical under any order (ordering only changes which
-// faults share a pass, hence how often the per-pass early exit fires).
-// nil restores ascending order. perm must be a permutation of
-// [0, NumFaults); SetOrder panics otherwise, since a silently dropped
-// fault would corrupt every later detection result. It returns s so the
-// call chains onto New.
-func (s *Simulator) SetOrder(perm []int) *Simulator {
-	if perm != nil {
-		if len(perm) != len(s.faults) {
-			panic("fsim: SetOrder permutation length mismatch")
-		}
-		seen := make([]bool, len(perm))
-		for _, i := range perm {
-			if i < 0 || i >= len(perm) || seen[i] {
-				panic("fsim: SetOrder argument is not a permutation")
-			}
-			seen[i] = true
-		}
-		perm = append([]int(nil), perm...)
-	}
-	s.mu.Lock()
-	s.order = perm
-	s.mu.Unlock()
-	return s
-}
-
-// Order returns the installed simulation-order permutation (nil =
-// ascending). Do not modify the returned slice.
-func (s *Simulator) Order() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.order
 }
 
 // program returns the compiled batch program, compiling on first use.
@@ -316,42 +273,19 @@ func (s *Simulator) DetectTest(si logic.Vector, seq logic.Sequence, targets *fau
 	return s.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets})
 }
 
-// targetIndices resolves the target set to a freshly allocated slice of
-// fault indices, in the installed simulation order. Target sets that fit
-// one pass at the wide width skip the order filter: packing within one
-// pass cannot change pass count or results.
+// targetIndices returns the target faults' indices in ascending order,
+// the order a run packs them into passes; nil targets the whole list.
 func (s *Simulator) targetIndices(targets *fault.Set) []int {
-	order := s.Order()
 	if targets == nil {
-		idx := make([]int, len(s.faults))
-		if order != nil {
-			copy(idx, order)
-		} else {
-			for i := range idx {
-				idx[i] = i
-			}
-		}
-		return idx
+		return fault.NewFullSet(len(s.faults)).Indices()
 	}
-	n := targets.Count()
-	idx := make([]int, 0, n)
-	if order == nil || n <= 64*sim.WideWidth-1 {
-		targets.ForEach(func(i int) { idx = append(idx, i) })
-		return idx
-	}
-	for _, i := range order {
-		if targets.Has(i) {
-			idx = append(idx, i)
-		}
-	}
-	return idx
+	return targets.Indices()
 }
 
-// run executes one simulation run: it resolves the targets (in the
-// installed simulation order), decides the batch geometry (64*width - 1
-// faults per pass, the width picked by sim.WidthFor for the queued
-// targets plus the good machine), and fans the passes out over the
-// worker pool. Detections are accumulated into detected and — in
+// run executes one simulation run: it resolves the targets, decides
+// the batch geometry (64*width - 1 faults per pass, the width picked by
+// sim.WidthFor for the queued targets plus the good machine), and fans
+// the passes out over the worker pool. Detections are accumulated into detected and — in
 // profile mode — per-time data into profile. A non-nil abort turns the
 // run into a must-detect check: a completed pass with an undetected
 // fault aborts the remaining ones.

@@ -22,8 +22,8 @@ import (
 // The data is packing-independent — a fault's first PO detection and its
 // final scan-out status do not depend on which faults share its pass —
 // so Records are bit-identical at every worker count, pass width and
-// simulation order (asserted by the differential tests in record_test.go
-// and package oracle).
+// packing of faults into passes (asserted by the differential tests in
+// record_test.go and package oracle).
 type Record struct {
 	seqLen int
 	first  []int32 // earliest PO-detect time per fault, or -1
@@ -181,18 +181,16 @@ func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options,
 // test set: row i is the Record of test i (nil for a dropped or
 // not-yet-graded test), and counts[f] tracks how many live rows detect
 // fault f. The compaction engines keep it consistent as tests are
-// combined and dropped, and the ADI reorder policy re-ranks the
-// simulation order from the counts instead of fresh sampling
-// (adi.ReorderByCounts).
+// combined and dropped.
 //
 // Invariants (see DESIGN.md §11): rows are complete over their credit
 // universe — a row's detected set is exactly what the test detects among
 // the faults the engine credited it with — and packing-independent, so
-// dropping faults from future target sets, structural collapsing (rows
-// are indexed by the collapsed representatives) and ADI reordering never
-// invalidate a row. Only editing the test itself (vector removal,
-// combination) does, and then only for faults whose recorded detections
-// the edit can disturb.
+// dropping faults from future target sets and structural collapsing
+// (rows are indexed by the collapsed representatives) never invalidate
+// a row. Only editing the test itself (vector removal, combination)
+// does, and then only for faults whose recorded detections the edit can
+// disturb.
 type Ledger struct {
 	rows   []*Record
 	counts []int

@@ -30,7 +30,7 @@ type Params struct {
 	FFs   int // flip-flops (>= 0)
 	Gates int // combinational gates before observer logic (>= POs)
 
-	// MaxFanin bounds gate fanin; 0 means the default of 4.
+	// MaxFanin bounds gate fanin; 0 means the default of 3.
 	MaxFanin int
 	// XorWeight is the relative weight of XOR/XNOR gates; 0 means the
 	// default (mildly XOR-poor, since XOR blocks X-initialization).

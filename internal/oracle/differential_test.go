@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/adi"
 	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/fault"
@@ -195,14 +194,14 @@ func TestDifferentialGenerated(t *testing.T) {
 	}
 }
 
-// TestDifferentialOrdered reruns the sweep with an ADI-installed
-// traversal order on the optimized simulator: ordering is a scheduling
-// permutation inside fsim, so the detected set must stay bit-identical to the scalar reference across circuits, seeds and
-// worker counts — including the survivor-repacking path that ordered
-// dropping enables. The bw arm bounds the pass width the only way it is
-// set, through the target count: bw0 grades the whole fault list, bw4 a
-// random subset that fits one 4-word pass (at most 255 faults), which
-// also runs the order filter over an explicit target set.
+// TestDifferentialOrdered reruns the sweep with the optimized simulator
+// over a seeded permutation of the fault list: which faults share a pass
+// is a scheduling detail, so the detected sets, mapped back through the
+// permutation, must stay bit-identical to the scalar reference across
+// circuits, seeds and worker counts, the survivor-repacking path
+// included. The bw arm bounds the pass width the only way it is set,
+// through the target count: bw0 grades the whole fault list, bw4 a
+// random subset that fits one 4-word pass (at most 255 faults).
 func TestDifferentialOrdered(t *testing.T) {
 	for _, name := range sweepCircuits {
 		c, ok := gen.RosterCircuit(name)
@@ -211,39 +210,75 @@ func TestDifferentialOrdered(t *testing.T) {
 		}
 		faults := fault.Collapse(c)
 		for seed := int64(1); seed <= 2; seed++ {
+			perm := rand.New(rand.NewSource(seed)).Perm(len(faults))
 			for _, workers := range []int{1, 4} {
 				for _, words := range []int{0, 4} {
 					t.Run(fmt.Sprintf("%s/seed%d/w%d/bw%d", name, seed, workers, words), func(t *testing.T) {
 						t.Parallel()
 						r := rand.New(rand.NewSource(seed * 313))
-						fs := fsim.New(c, faults).SetWorkers(workers)
-						adi.Install(fs, adi.Options{Seed: seed})
+						fs := fsim.New(c, permuted(faults, perm)).SetWorkers(workers)
 						orc := New(c, faults)
 						var targets *fault.Set // bw0: the whole fault list
 						if words > 0 {
 							targets = randTargets(r, len(faults), min(64*words-1, len(faults)))
 						}
+						detect := func(seq logic.Sequence, opt fsim.Options) *fault.Set {
+							if targets != nil {
+								opt.Targets = permuteSet(targets, perm)
+							}
+							return unpermute(fs.Detect(seq, opt), perm)
+						}
 
 						si := randVec(r, orc.Nsv(), true)
 						seq := randSeq(r, 8+r.Intn(5), c.NumPIs(), true)
 
-						got := fs.Detect(seq, fsim.Options{Init: si, ScanOut: true, Targets: targets})
+						got := detect(seq, fsim.Options{Init: si, ScanOut: true})
 						want := orc.Detect(seq, Options{Init: si, ScanOut: true, Targets: targets})
 						if !got.Equal(want) {
-							t.Fatalf("ordered sets differ from oracle: fsim %d, oracle %d",
+							t.Fatalf("permuted sets differ from oracle: fsim %d, oracle %d",
 								got.Count(), want.Count())
 						}
 						// Long no-scan sequence: the repacking fast path fires
 						// here; results must not change.
 						long := randSeq(r, 40, c.NumPIs(), true)
-						if g, w := fs.Detect(long, fsim.Options{Targets: targets}), orc.Detect(long, Options{Targets: targets}); !g.Equal(w) {
-							t.Fatalf("ordered no-scan sets differ: fsim %d, oracle %d", g.Count(), w.Count())
+						if g, w := detect(long, fsim.Options{}), orc.Detect(long, Options{Targets: targets}); !g.Equal(w) {
+							t.Fatalf("permuted no-scan sets differ: fsim %d, oracle %d", g.Count(), w.Count())
 						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// permuted returns faults in the order perm gives: entry i is
+// faults[perm[i]].
+func permuted(faults []fault.Fault, perm []int) []fault.Fault {
+	out := make([]fault.Fault, len(perm))
+	for i, f := range perm {
+		out[i] = faults[f]
+	}
+	return out
+}
+
+// permuteSet maps a set over the original fault list onto
+// permuted(faults, perm).
+func permuteSet(set *fault.Set, perm []int) *fault.Set {
+	out := fault.NewSet(len(perm))
+	for i, f := range perm {
+		if set.Has(f) {
+			out.Add(i)
+		}
+	}
+	return out
+}
+
+// unpermute maps a set over permuted(faults, perm) back onto the
+// original fault list.
+func unpermute(set *fault.Set, perm []int) *fault.Set {
+	out := fault.NewSet(len(perm))
+	set.ForEach(func(i int) { out.Add(perm[i]) })
+	return out
 }
 
 // TestDifferentialCollapsedExpansion validates the other half of the
@@ -262,7 +297,6 @@ func TestDifferentialCollapsedExpansion(t *testing.T) {
 			}
 			cc := fault.CollapseWithMap(c)
 			reps := fsim.New(c, cc.Reps).SetWorkers(2)
-			adi.Install(reps, adi.Options{Seed: 5})
 			full := fsim.New(c, cc.Universe)
 			orc := New(c, cc.Universe)
 
@@ -290,12 +324,12 @@ func TestDifferentialCollapsedExpansion(t *testing.T) {
 	}
 }
 
-// TestDifferentialMasks referees fsim's pattern-parallel pass: on small
-// roster circuits under the three scan configurations of chainArms,
-// bit k of each fault's DetectMasks result must equal the fault's
-// membership in the scalar reference's DetectTest on test k. The tests
-// are length 1, carry X in about a sixth of their bits, and fill all 64
-// slots.
+// TestDifferentialMasks referees fsim on length-1 tests: on small roster
+// circuits under the three scan configurations of chainArms, 64 tests are
+// graded one by one with DetectTest on one two-worker simulator, and bit
+// k of each fault's detection mask must equal the fault's membership in
+// the scalar reference's DetectTest on test k. The tests carry X in about
+// a sixth of their bits.
 func TestDifferentialMasks(t *testing.T) {
 	for _, name := range []string{"b01", "b06", "s298"} {
 		c, ok := gen.RosterCircuit(name)
@@ -321,7 +355,11 @@ func TestDifferentialMasks(t *testing.T) {
 				for k := range tests {
 					tests[k] = scan.Test{SI: randVec(r, orc.Nsv(), true), Seq: logic.Sequence{randVec(r, c.NumPIs(), true)}}
 				}
-				masks := fsim.NewChain(c, faults, chain).SetWorkers(2).DetectMasks(tests)
+				fs := fsim.NewChain(c, faults, chain).SetWorkers(2)
+				masks := make([]uint64, len(faults))
+				for k, tst := range tests {
+					fs.DetectTest(tst.SI, tst.Seq, nil).ForEach(func(fi int) { masks[fi] |= 1 << uint(k) })
+				}
 				for k, tst := range tests {
 					want := orc.DetectTest(tst.SI, tst.Seq, nil)
 					for fi, m := range masks {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adi"
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -128,9 +127,8 @@ func referenceCompact(s *fsim.Simulator, ts *scan.Set) (*scan.Set, Stats) {
 }
 
 // TestLedgerEquivalence checks the ledger engine against
-// referenceCompact at several worker counts and with the simulation
-// order re-ranked between rounds: it must combine exactly the same
-// pairs in the same order, producing an identical test set.
+// referenceCompact at several worker counts: it must combine exactly
+// the same pairs in the same order, producing an identical test set.
 func TestLedgerEquivalence(t *testing.T) {
 	totalShort := 0
 	// Seed 66 accepts at the last live pair of a scan, which ends the
@@ -143,28 +141,19 @@ func TestLedgerEquivalence(t *testing.T) {
 		ref, refSt := referenceCompact(fsim.New(c, faults), ts)
 
 		for _, workers := range []int{1, 4} {
-			for _, ordered := range []bool{false, true} {
-				name := fmt.Sprintf("seed=%d workers=%d adi=%v", seed, workers, ordered)
-				s := fsim.New(c, faults).SetWorkers(workers)
-				if ordered {
-					adi.Install(s, adi.Options{Seed: 7})
-				}
-				entry := s.Order()
-				out, led, st := CompactWithLedger(s, ts, Options{})
-				if !setsIdentical(out, ref) {
-					t.Fatalf("%s: ledger set differs from the reference (%d vs %d tests)",
-						name, out.NumTests(), ref.NumTests())
-				}
-				if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts ||
-					st.Rounds != refSt.Rounds {
-					t.Fatalf("%s: trial stats differ: %+v vs %+v", name, st, refSt)
-				}
-				if got := s.Order(); (got == nil) != (entry == nil) {
-					t.Fatalf("%s: entry simulation order not restored", name)
-				}
-				verifyLedger(t, name, c, faults, out, led)
-				totalShort += st.ShortCircuits
+			name := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			s := fsim.New(c, faults).SetWorkers(workers)
+			out, led, st := CompactWithLedger(s, ts, Options{})
+			if !setsIdentical(out, ref) {
+				t.Fatalf("%s: ledger set differs from the reference (%d vs %d tests)",
+					name, out.NumTests(), ref.NumTests())
 			}
+			if st.Combined != refSt.Combined || st.Attempts != refSt.Attempts ||
+				st.Rounds != refSt.Rounds {
+				t.Fatalf("%s: trial stats differ: %+v vs %+v", name, st, refSt)
+			}
+			verifyLedger(t, name, c, faults, out, led)
+			totalShort += st.ShortCircuits
 		}
 	}
 	if totalShort == 0 {

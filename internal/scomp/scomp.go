@@ -23,14 +23,12 @@
 // without such a detection (scan-out-only, or detected solely by τ_j)
 // need simulation, and a trial whose risk set is fully carried commits
 // with no simulation at all. Accepted combinations refresh the ledger
-// row from the trial's own records, and between rounds the simulation
-// order is re-ranked from the live ledger counts (adi.ReorderByCounts).
+// row from the trial's own records.
 // The tests check the engine against the rule reduced to its definition
 // (ledger_test.go) and against the reference simulator (oracle_test.go).
 package scomp
 
 import (
-	"repro/internal/adi"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/scan"
@@ -205,16 +203,8 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	// (Merge copies), so the must set is simulated once per trial.
 	var buf *fsim.Record
 
-	// Between rounds, re-rank the installed simulation order from the
-	// live ledger counts: result-neutral pass packing (see adi).
-	entryOrder := s.Order()
-	defer s.SetOrder(entryOrder)
-
 	for {
 		st.Rounds++
-		if entryOrder != nil && st.Rounds > 1 {
-			s.SetOrder(adi.ReorderByCounts(s.Order(), count))
-		}
 		changed := false
 		i, j, ok := nextPair(0, 0)
 		for ok {

@@ -56,10 +56,9 @@ type Program struct {
 	nslots int     // NumNodes + compiler temporaries
 	const0 []int32 // Const0 node slots, driven before every evaluation
 	const1 []int32 // Const1 node slots
-	// ranges holds each node's half-open range [lo, hi) of instructions:
-	// a wide gate's fold chain and its final instruction are contiguous,
-	// and a source's range is empty. BatchEngine.EvalNode runs one range.
-	ranges [][2]int32
+	// final holds each gate's final instruction, the one that writes the
+	// gate's own slot; a source's entry is -1.
+	final []int32
 	// Consumers of each slot s, in compressed rows: the instructions
 	// reading s are readers[readerAt[s]:readerAt[s+1]], in stream order,
 	// and the flip-flops (by index) whose D pin s drives are
@@ -132,14 +131,13 @@ func Compile(c *circuit.Circuit) *Program {
 		}
 		p.instrs = append(p.instrs, instr{op: final, dst: dst, a: cur, b: int32(fan[len(fan)-1])})
 	}
-	// A node's final instruction writes its own slot; the instructions
-	// since the previous node's final one are its fold chain.
-	p.ranges = make([][2]int32, c.NumNodes())
-	lo := int32(0)
+	p.final = make([]int32, c.NumNodes())
+	for n := range p.final {
+		p.final[n] = -1
+	}
 	for i, ins := range p.instrs {
 		if int(ins.dst) < c.NumNodes() {
-			p.ranges[ins.dst] = [2]int32{lo, int32(i + 1)}
-			lo = int32(i + 1)
+			p.final[ins.dst] = int32(i)
 		}
 	}
 	p.readerAt, p.readers = csr(p.nslots, func(emit func(slot, v int32)) {

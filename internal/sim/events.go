@@ -98,8 +98,8 @@ func (e *BatchEngine) StartEvents() int {
 	ev.gates = ev.gates[:0]
 	ev.ffs = ev.ffs[:0]
 	for _, n := range e.touched {
-		if r := p.ranges[n]; r[0] < r[1] {
-			ev.gates = append(ev.gates, r[1]-1)
+		if f := p.final[n]; f >= 0 {
+			ev.gates = append(ev.gates, f)
 		} else if i := p.ffIdx[n]; i >= 0 {
 			ev.ffs = append(ev.ffs, i)
 		}

@@ -76,11 +76,6 @@ const (
 // injections), preserving topological consistency for downstream
 // reads. Each slot carrying one fault equals, node for node, an esim
 // engine carrying that fault (TestKernelMatchesEngine).
-//
-// EvalNode re-evaluates a single node from its fanins' current values,
-// so a caller can propagate a change event-driven, node by node in level
-// order, instead of re-running the whole stream (fsim's pattern-parallel
-// pass does this per fault).
 type BatchEngine struct {
 	p   *Program
 	c   *circuit.Circuit
@@ -286,29 +281,12 @@ func (e *BatchEngine) EvalComb() {
 	e.exec(e.p.instrs)
 }
 
-// EvalNode re-evaluates node n in place from the current values of its
-// fanins, as EvalComb would at n's position in the stream: a gate runs
-// its range of instructions, patched for its injections as exec patches
-// them; a source (PI, DFF output or constant) re-applies its output
-// injections, as EvalComb does before the stream. Calling it on the
-// nodes whose fanins changed, in level order, propagates an event
-// without sweeping the whole program. It works at the active width.
-func (e *BatchEngine) EvalNode(n int) {
-	r := e.p.ranges[n]
-	if r[0] == r[1] {
-		if e.flags[n]&flagOut != 0 {
-			e.applyOut(n)
-		}
-		return
-	}
-	e.exec(e.p.instrs[r[0]:r[1]])
-}
-
 // exec runs a stretch of the compiled instruction stream (all of it, or
-// one node's range) over the active width. This is the hottest loop in
-// the repository: keep it allocation-free and branch-predictable. Each
-// of the two widths has a loop of its own whose value accesses need no
-// slice headers, no bounds checks and no per-instruction loop setup.
+// one instruction of an event frame) over the active width. This is the
+// hottest loop in the repository: keep it allocation-free and
+// branch-predictable. Each of the two widths has a loop of its own whose
+// value accesses need no slice headers, no bounds checks and no
+// per-instruction loop setup.
 func (e *BatchEngine) exec(instrs []instr) {
 	if e.w == 1 {
 		e.exec1(instrs)

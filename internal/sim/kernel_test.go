@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/circuit"
@@ -256,85 +255,6 @@ func TestKernelMatchesEngine(t *testing.T) {
 						be.ClockFF()
 						ref.each((*esim.Engine).ClockFF)
 						ref.compareNodes(t, be, tag+" clock")
-					}
-				}
-			})
-		}
-	}
-}
-
-// fanoutCone returns the gates in the transitive fanout of node n, in
-// level order. Flip-flop D inputs end a path: they are sequential edges.
-func fanoutCone(c *circuit.Circuit, n int) []int {
-	seen := map[int]bool{}
-	var cone []int
-	var walk func(int)
-	walk = func(n int) {
-		for _, m := range c.Fanout(n) {
-			if !c.IsSource(m) && !seen[m] {
-				seen[m] = true
-				cone = append(cone, m)
-				walk(m)
-			}
-		}
-	}
-	walk(n)
-	sort.Slice(cone, func(i, j int) bool { return c.Level(cone[i]) < c.Level(cone[j]) })
-	return cone
-}
-
-// TestKernelEvalNode checks event-driven re-evaluation against a full
-// sweep: after EvalComb, one source's words change, and EvalNode on the
-// source and then on its fanout cone in level order must leave the
-// arena equal, node for node and word for word, to a fresh EvalComb
-// from the changed source. Every other trial also forces the changed
-// source's output, so EvalNode on an injected source must apply the
-// injection as EvalComb does before the stream.
-func TestKernelEvalNode(t *testing.T) {
-	for _, c := range kernelTestCircuits(t) {
-		p := Compile(c)
-		sources := append(append([]int(nil), c.PIs...), c.DFFs...)
-		for _, w := range []int{1, WideWidth} {
-			t.Run(fmt.Sprintf("%s/w%d", c.Name, w), func(t *testing.T) {
-				r := rand.New(rand.NewSource(int64(97*w) + int64(c.NumNodes())))
-				be, ref := NewBatch(p, w), NewBatch(p, w)
-				for trial := 0; trial < 16; trial++ {
-					src := sources[r.Intn(len(sources))]
-					injs := randInjections(r, c, w, 1+r.Intn(2*w))
-					if trial%2 == 1 {
-						mask := make([]uint64, w)
-						for j := range mask {
-							mask[j] = r.Uint64()
-						}
-						injs = append(injs, BatchInjection{Node: src, Pin: -1, Stuck: logic.Value(r.Intn(2)), Mask: mask})
-					}
-					words := make(logic.WordVec, w)
-					for j := range words {
-						zero := r.Uint64()
-						words[j] = logic.Word{Zero: zero, One: r.Uint64() &^ zero}
-					}
-					st, in := randXVector(r, c.NumFFs()), randXVector(r, c.NumPIs())
-					for _, e := range []*BatchEngine{be, ref} {
-						e.Reset()
-						e.SetInjections(injs)
-						e.SetStateVector(st)
-						e.SetPIVector(in)
-					}
-					be.EvalComb()
-					be.SetNodeVec(src, words)
-					be.EvalNode(src)
-					for _, n := range fanoutCone(c, src) {
-						be.EvalNode(n)
-					}
-					ref.SetNodeVec(src, words)
-					ref.EvalComb()
-					for n := 0; n < c.NumNodes(); n++ {
-						for j := 0; j < w; j++ {
-							if got, want := be.Val(n)[j], ref.Val(n)[j]; got != want {
-								t.Fatalf("trial %d, source %s: node %d (%s) word %d: EvalNode %+v, EvalComb %+v",
-									trial, c.Nodes[src].Name, n, c.Nodes[n].Name, j, got, want)
-							}
-						}
 					}
 				}
 			})

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/adi"
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -75,10 +74,10 @@ func naiveOmit(orc *oracle.Sim, si logic.Vector, seq logic.Sequence, keep *fault
 }
 
 // TestLedgerEquivalence checks the ledger engine against naiveOmit at
-// several worker counts, in ascending and in ADI simulation order, under
-// full and partial scan: the compacted sequences must be identical. The
-// free-removal short-circuit must fire somewhere in the sweep, otherwise
-// the ledger would be measuring nothing.
+// several worker counts, under full and partial scan: the compacted
+// sequences must be identical. The free-removal short-circuit must fire
+// somewhere in the sweep, otherwise the ledger would be measuring
+// nothing.
 func TestLedgerEquivalence(t *testing.T) {
 	c := gen.MustGenerate(gen.Params{Name: "vl", Seed: 41, PIs: 4, POs: 3, FFs: 10, Gates: 110})
 	faults := fault.Collapse(c)
@@ -106,22 +105,17 @@ func TestLedgerEquivalence(t *testing.T) {
 			ref := naiveOmit(orc, tst.SI, tst.Seq, keep, true, 2)
 
 			for _, workers := range []int{1, 4} {
-				for _, ordered := range []bool{false, true} {
-					name := fmt.Sprintf("chain=%v seed=%d workers=%d ordered=%v", chain != nil, seed, workers, ordered)
-					s := fsim.NewChain(c, faults, chain).SetWorkers(workers)
-					if ordered {
-						adi.Install(s, adi.Options{Seed: seed})
-					}
-					got, st := vecomit.CompactTest(s, tst, keep, vecomit.Options{})
-					if !seqsEqual(got.Seq, ref) {
-						t.Fatalf("%s: engine sequence differs from the naive loop (%d vs %d vectors)",
-							name, len(got.Seq), len(ref))
-					}
-					if st.Removed != len(tst.Seq)-len(ref) {
-						t.Fatalf("%s: Removed = %d, want %d", name, st.Removed, len(tst.Seq)-len(ref))
-					}
-					totalFree += st.FreeRemovals
+				name := fmt.Sprintf("chain=%v seed=%d workers=%d", chain != nil, seed, workers)
+				s := fsim.NewChain(c, faults, chain).SetWorkers(workers)
+				got, st := vecomit.CompactTest(s, tst, keep, vecomit.Options{})
+				if !seqsEqual(got.Seq, ref) {
+					t.Fatalf("%s: engine sequence differs from the naive loop (%d vs %d vectors)",
+						name, len(got.Seq), len(ref))
 				}
+				if st.Removed != len(tst.Seq)-len(ref) {
+					t.Fatalf("%s: Removed = %d, want %d", name, st.Removed, len(tst.Seq)-len(ref))
+				}
+				totalFree += st.FreeRemovals
 			}
 		}
 	}

@@ -4,14 +4,13 @@ import (
 	"testing"
 )
 
-// TestOrderInvariance is the pipeline-level guarantee behind the ADI
-// simulation order the pipeline installs: order and worker count only
-// repack simulation passes, so every rendered table — and with it every
-// detected count and N_cyc — must be byte-identical between a serial run
-// and a 4-worker run, whose pass packing and survivor repacking differ.
-// That the ADI order itself leaves each engine's result unchanged is
-// checked against unordered runs by TestLedgerEquivalence in core,
-// vecomit and dyncomp.
+// TestOrderInvariance is the pipeline-level guarantee that the worker
+// count only schedules simulation passes, so every rendered table — and
+// with it every detected count and N_cyc — must be byte-identical between
+// a serial run and a 4-worker run. That packing faults into passes in
+// another order leaves every detection unchanged is checked over
+// permuted fault lists by fsim's TestOrderInvariantResults and
+// TestRecordInvariance and by oracle's TestDifferentialOrdered.
 func TestOrderInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline runs")

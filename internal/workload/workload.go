@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/adi"
 	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/core"
@@ -39,12 +38,11 @@ import (
 )
 
 // Config tunes the pipeline. The zero value reproduces the paper's
-// setup (random T_0 length 1000; everything else defaulted). Three
+// setup (random T_0 length 1000; everything else defaulted). Two
 // choices are fixed, not configurable: every run targets the
-// structurally collapsed fault list (fault.CollapseWithMap), simulates
-// it in accidental-detection-index order (adi.Install; the order only
-// repacks passes, so no result depends on it), and conditions the
-// directed T_0 with vector omission, the role of [11] in the paper.
+// structurally collapsed fault list (fault.CollapseWithMap), and
+// conditions the directed T_0 with vector omission, the role of [11] in
+// the paper.
 type Config struct {
 	// Seed offsets every per-circuit seed; 0 keeps the roster defaults.
 	Seed int64
@@ -142,8 +140,9 @@ func (c Config) withDefaults() Config {
 		c.RandomT0Len = 1000
 	}
 	// Bound the scan-in selection cost on the larger circuits: score
-	// candidates on a fault sample and a stride over C; the winner is
-	// still evaluated exactly (see core.Options).
+	// candidates on a fault sample (504 faults, 2 simulation passes) and
+	// a stride over C; the winner is still evaluated exactly (see
+	// core.Options).
 	if c.Core.SIScoreSample == 0 {
 		c.Core.SIScoreSample = 504
 	}
@@ -243,7 +242,6 @@ func runPipeline(ckt *circuit.Circuit, entry gen.RosterEntry, seed int64, cfg Co
 	if cfg.Workers != 0 {
 		s.SetWorkers(cfg.Workers)
 	}
-	adi.Install(s, adi.Options{Seed: seed})
 	run := &CircuitRun{Entry: entry, Circuit: ckt, Chain: chain, Faults: faults, Collapsed: collapsed, Comb: comb}
 
 	// Directed T_0, compacted the way [11] conditions the sequences the
