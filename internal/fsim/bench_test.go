@@ -93,8 +93,12 @@ func benchKernelSetup(b *testing.B, name string) (*Simulator, logic.Sequence, lo
 // BenchmarkKernelWidths grades a scan test over target sets of 63, 127
 // and 255 faults, spread evenly over the fault list: the pass width
 // follows the target count, so 63 targets fill one pass at one word and
-// the others one pass at the wide width. Throughput is reported as
-// fault-vector evaluations per second.
+// the others one pass at the wide width. Spread targets put no two
+// faults of one gate in one word. The first= arms grade the first 63
+// and 255 faults in index order instead, as a pass over a whole fault
+// list packs them: a gate's faults sit in adjacent slots, so several
+// force one word. Throughput is reported as fault-vector evaluations
+// per second.
 func BenchmarkKernelWidths(b *testing.B) {
 	for _, name := range []string{"s1423", "s35932xl"} {
 		if name == "s35932xl" && testing.Short() {
@@ -102,21 +106,34 @@ func BenchmarkKernelWidths(b *testing.B) {
 		}
 		for _, size := range []int{63, 127, 255} {
 			b.Run(fmt.Sprintf("%s/targets=%d", name, size), func(b *testing.B) {
-				s, seq, si := benchKernelSetup(b, name)
-				n := s.NumFaults()
-				targets := fault.NewSet(n)
-				for k := 0; k < size; k++ {
-					targets.Add(k * n / size)
-				}
-				b.ResetTimer()
-				var det int
-				for i := 0; i < b.N; i++ {
-					det = s.DetectTest(si, seq, targets).Count()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(size)*float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "fault-vecs/s")
-				b.ReportMetric(float64(det), "detected")
+				benchGrade(b, name, size, func(k, n int) int { return k * n / size })
 			})
 		}
 	}
+	for _, name := range []string{"s298", "s1423"} {
+		for _, size := range []int{63, 255} {
+			b.Run(fmt.Sprintf("%s/first=%d", name, size), func(b *testing.B) {
+				benchGrade(b, name, size, func(k, _ int) int { return k })
+			})
+		}
+	}
+}
+
+// benchGrade times DetectTest on circuit name over size targets, the
+// k-th being fault pick(k, n) of the n collapsed faults.
+func benchGrade(b *testing.B, name string, size int, pick func(k, n int) int) {
+	s, seq, si := benchKernelSetup(b, name)
+	n := s.NumFaults()
+	targets := fault.NewSet(n)
+	for k := 0; k < size; k++ {
+		targets.Add(pick(k, n))
+	}
+	b.ResetTimer()
+	var det int
+	for i := 0; i < b.N; i++ {
+		det = s.DetectTest(si, seq, targets).Count()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(size)*float64(len(seq))*float64(b.N)/b.Elapsed().Seconds(), "fault-vecs/s")
+	b.ReportMetric(float64(det), "detected")
 }

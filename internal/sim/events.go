@@ -165,8 +165,8 @@ func (e *BatchEngine) EventClock() {
 		nv := ev.next[k*w : (k+1)*w : (k+1)*w]
 		copy(nv, e.slot(d))
 		if e.flags[ff] != 0 {
-			e.merge(nv, e.pinInj[ff])
-			e.merge(nv, e.outInj[ff])
+			apply(nv, e.forced(ff, 0))
+			apply(nv, e.forced(ff, -1))
 		}
 	}
 	ev.diverged = ev.diverged[:0]
@@ -193,22 +193,26 @@ func (e *BatchEngine) EventClock() {
 func (e *BatchEngine) DivergedFFs() []int32 { return e.ev.diverged }
 
 // DropSlots ends the faulty machines in the slots mask selects (one
-// word per batch word), after an EventClock: their installed
-// injections stop applying, and every diverged flip-flop takes the good
-// next state in those slots. From then on they are the good machine. A
-// flip-flop whose words all equal the good next state leaves
-// DivergedFFs, and the next frame reads it from the row. The other
-// slots keep their words bit for bit. A caller drops a fault once its
-// result is decided, for example detected: it must not read the
-// dropped slots again.
+// word per batch word), after an EventClock: the slots leave every
+// installed force, and every diverged flip-flop takes the good next
+// state in those slots. From then on they are the good machine. A word
+// no pin force covers any more is not re-folded again, and a flip-flop
+// whose words all equal the good next state leaves DivergedFFs, so the
+// next frame reads it from the row. The other slots keep their words
+// bit for bit. A caller drops a fault once its result is decided, for
+// example detected: it must not read the dropped slots again.
 func (e *BatchEngine) DropSlots(mask []uint64) {
+	w := e.w
 	for _, n := range e.touched {
-		for _, inj := range [2][]BatchInjection{e.outInj[n], e.pinInj[n]} {
-			for j := range inj {
-				m := inj[j].Mask
-				for i := range min(len(m), len(mask)) {
-					m[i] &^= mask[i]
-				}
+		fs := e.forcesOf(n)
+		e.flags[n] &= flagOut | flagPin
+		for k := range fs {
+			i := k % w
+			if i < len(mask) {
+				fs[k].mask &^= mask[i]
+			}
+			if k >= w && fs[k].mask != 0 {
+				e.flags[n] |= pinWord << i
 			}
 		}
 	}

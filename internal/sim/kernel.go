@@ -13,6 +13,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -22,18 +24,12 @@ import (
 // 64*W slots of a BatchEngine. Pin == -1 forces the output of Node (a
 // stem fault); Pin >= 0 forces the value Node reads from its Pin-th
 // fanin. Mask holds one word per batch word (bit k of Mask[j] selects
-// slot j*64+k); words beyond len(Mask) are unaffected.
+// slot j*64+k); words beyond len(Mask) are unaffected. Stuck may be X.
 type BatchInjection struct {
 	Node  int
 	Pin   int
 	Stuck logic.Value
 	Mask  []uint64
-
-	// Set by SetInjections on its internal copies: the half-open range
-	// [lo, hi) of nonzero Mask words and the broadcast stuck word, so the
-	// patch pass touches only the words a fault actually lives in.
-	lo, hi int
-	fw     logic.Word
 }
 
 // WideWidth is the kernel's wide batch width: 4 words, 256 slots. A
@@ -57,11 +53,30 @@ func checkWidth(w int) {
 	}
 }
 
-// Injection flag bits, per arena slot.
+// Injection flag bits, per arena slot. Every injected node has flagOut
+// or flagPin set, or both; the bits from pinWord up mark the words that
+// carry a live pin force (pinWord<<i for word i), the only words
+// evalForced re-folds. Temporaries stay 0.
 const (
 	flagOut uint8 = 1 << iota
 	flagPin
+	pinWord
 )
+
+// force is the injections on one word of one signal, combined: the
+// slots of mask read v instead of the signal. A slot of mask set on
+// neither of v's rails reads X; v's bits outside mask are ignored.
+type force struct {
+	mask uint64
+	v    logic.Word
+}
+
+// apply forces d, one force per word.
+func apply(d logic.WordVec, fs []force) {
+	for i := range d {
+		d[i] = d[i].Merge(fs[i].v, fs[i].mask)
+	}
+}
 
 // BatchEngine executes a compiled Program over W-word batches: 64*W
 // parallel slots per signal, W being 1 or WideWidth. The value arena is
@@ -69,13 +84,14 @@ const (
 // hot loop is a single sweep over the instruction stream with no
 // per-gate kind dispatch or fanin-slice walking.
 //
-// Injections are handled as a patch pass: every node evaluates through
-// the fast instruction first, and the few nodes carrying injections are
-// fixed immediately after their final instruction (re-evaluated with
-// forced fanins for pin injections, masked-merged for output
-// injections), preserving topological consistency for downstream
-// reads. Each slot carrying one fault equals, node for node, an esim
-// engine carrying that fault (TestKernelMatchesEngine).
+// Injections are handled as a patch pass. SetInjections combines them
+// into one force per signal word, in the force arena, and every node
+// evaluates through the fast instruction first. A node carrying forces
+// is fixed right after its final instruction: each word with a pin
+// force is re-folded once with its fanins forced, then the output
+// forces are applied. Downstream reads so stay topologically
+// consistent. Each slot carrying one fault equals, node for node, an
+// esim engine carrying that fault (TestKernelMatchesEngine).
 type BatchEngine struct {
 	p   *Program
 	c   *circuit.Circuit
@@ -84,12 +100,14 @@ type BatchEngine struct {
 
 	vals []logic.Word // value arena: slot s occupies vals[s*w : (s+1)*w]
 
-	outInj  [][]BatchInjection // by node whose output is forced
-	pinInj  [][]BatchInjection // by consumer node
-	masks   []uint64           // the installed injections' masks, copied by SetInjections
-	flags   []uint8            // per slot; temporaries stay 0
-	touched []int
-	srcInj  []int // injected source nodes, forced at EvalComb start
+	// The force arena, refilled by every SetInjections: an injected node
+	// n owns forces[at[n]:], w words for its output, then w for each of
+	// its fanin pins (forcesOf).
+	forces  []force
+	at      []int32 // per node
+	flags   []uint8 // per slot
+	touched []int   // the injected nodes, in order of first injection
+	srcInj  []int   // injected source nodes, forced at EvalComb start
 
 	scratch []logic.Word // per-DFF next-state buffer (nff * cap)
 
@@ -109,8 +127,7 @@ func NewBatch(p *Program, w int) *BatchEngine {
 		cap:     w,
 		w:       w,
 		vals:    make([]logic.Word, p.nslots*w),
-		outInj:  make([][]BatchInjection, c.NumNodes()),
-		pinInj:  make([][]BatchInjection, c.NumNodes()),
+		at:      make([]int32, c.NumNodes()),
 		flags:   make([]uint8, p.nslots),
 		scratch: make([]logic.Word, c.NumFFs()*w),
 	}
@@ -144,6 +161,21 @@ func (e *BatchEngine) slot(s int) logic.WordVec {
 	return e.vals[s*e.w : (s+1)*e.w : (s+1)*e.w]
 }
 
+// forcesOf returns injected node n's forces: w words for its output,
+// then w for each fanin pin.
+func (e *BatchEngine) forcesOf(n int) []force {
+	k := int(e.at[n])
+	end := k + (1+len(e.c.Nodes[n].Fanin))*e.w
+	return e.forces[k:end:end]
+}
+
+// forced returns injected node n's w forces on its fanin pin p, or on
+// its output for p == -1.
+func (e *BatchEngine) forced(n, p int) []force {
+	k := int(e.at[n]) + (1+p)*e.w
+	return e.forces[k : k+e.w : k+e.w]
+}
+
 // Reset sets every signal to X in all slots and clears injections.
 func (e *BatchEngine) Reset() {
 	clear(e.vals[:e.p.nslots*e.w])
@@ -152,61 +184,47 @@ func (e *BatchEngine) Reset() {
 
 func (e *BatchEngine) clearInjections() {
 	for _, n := range e.touched {
-		// Truncate instead of nil: fault simulation re-injects the same
-		// nodes pass after pass, so keeping per-node capacity warm avoids
-		// an allocation per injection per pass.
-		e.outInj[n] = e.outInj[n][:0]
-		e.pinInj[n] = e.pinInj[n][:0]
 		e.flags[n] = 0
 	}
 	e.touched = e.touched[:0]
 	e.srcInj = e.srcInj[:0]
+	e.forces = e.forces[:0]
 }
 
 // SetInjections installs the active fault injections, replacing any
-// previous set. The engine copies every Mask, so the caller may reuse
-// them at once; DropSlots changes only the copies.
+// previous set. It folds them, in order, into one force per signal word
+// in the engine's own arena, so where two injections force one slot of
+// one signal the later one wins, and the caller may reuse the masks at
+// once. Mask words past the active width are ignored. SetInjections
+// panics on a Pin past Node's fanins.
 func (e *BatchEngine) SetInjections(injs []BatchInjection) {
 	e.clearInjections()
-	if len(injs) == 0 {
-		return
-	}
-	need := 0
+	w := e.w
 	for _, in := range injs {
-		need += len(in.Mask)
-	}
-	if cap(e.masks) < need {
-		e.masks = make([]uint64, need)
-	}
-	masks := e.masks[:need]
-	for _, in := range injs {
-		m := masks[:len(in.Mask):len(in.Mask)]
-		masks = masks[len(in.Mask):]
-		copy(m, in.Mask)
-		in.Mask = m
-		in.lo = 0
-		in.hi = len(in.Mask)
-		for in.lo < in.hi && in.Mask[in.lo] == 0 {
-			in.lo++
+		n := in.Node
+		if e.flags[n] == 0 {
+			k, size := len(e.forces), (1+len(e.c.Nodes[n].Fanin))*w
+			e.touched = append(e.touched, n)
+			e.at[n] = int32(k)
+			e.forces = slices.Grow(e.forces, size)[:k+size]
+			clear(e.forces[k:])
 		}
-		for in.hi > in.lo && in.Mask[in.hi-1] == 0 {
-			in.hi--
-		}
-		in.fw = logic.FromValue(in.Stuck)
-		if e.flags[in.Node] == 0 {
-			e.touched = append(e.touched, in.Node)
-		}
-		if in.Pin < 0 {
-			e.outInj[in.Node] = append(e.outInj[in.Node], in)
-			if e.flags[in.Node]&flagOut == 0 {
-				e.flags[in.Node] |= flagOut
-				if e.c.IsSource(in.Node) {
-					e.srcInj = append(e.srcInj, in.Node)
-				}
+		fs := e.forcesOf(n)[(1+in.Pin)*w:][:w]
+		v := logic.FromValue(in.Stuck)
+		for i, m := range in.Mask[:min(len(in.Mask), w)] {
+			fs[i].mask |= m
+			fs[i].v = fs[i].v.Merge(v, m)
+			if in.Pin >= 0 && m != 0 {
+				e.flags[n] |= pinWord << i
 			}
-		} else {
-			e.pinInj[in.Node] = append(e.pinInj[in.Node], in)
-			e.flags[in.Node] |= flagPin
+		}
+		if in.Pin >= 0 {
+			e.flags[n] |= flagPin
+		} else if e.flags[n]&flagOut == 0 {
+			e.flags[n] |= flagOut
+			if e.c.IsSource(n) {
+				e.srcInj = append(e.srcInj, n)
+			}
 		}
 	}
 }
@@ -395,10 +413,9 @@ func (e *BatchEngine) exec4(instrs []instr) {
 	}
 }
 
-// fix patches an injected node right after its final instruction: a pin
-// injection re-evaluates the whole gate with forced fanins (the slow
-// path), then an output injection merges the stuck value into the
-// masked slots.
+// fix patches an injected node right after its final instruction: the
+// words carrying a pin force are re-folded, then the output forces are
+// applied.
 func (e *BatchEngine) fix(n int) {
 	if e.flags[n]&flagPin != 0 {
 		e.evalForced(n)
@@ -408,101 +425,43 @@ func (e *BatchEngine) fix(n int) {
 	}
 }
 
-// applyOut merges node n's output injections into its value slots.
+// applyOut applies node n's output forces to its value words.
 func (e *BatchEngine) applyOut(n int) {
-	e.merge(e.slot(n), e.outInj[n])
+	apply(e.slot(n), e.forced(n, -1))
 }
 
-// merge forces the stuck values of inj into the masked slots of d, a
-// value at the active width.
-func (e *BatchEngine) merge(d logic.WordVec, inj []BatchInjection) {
-	for j := range inj {
-		in := &inj[j]
-		for i, hi := in.lo, min(in.hi, e.w); i < hi; i++ {
-			if mask := in.Mask[i]; mask != 0 {
-				d[i] = d[i].Merge(in.fw, mask)
-			}
-		}
-	}
-}
-
-// evalForced patches gate n after its fast instruction: only the words
-// whose slots carry a pin injection are re-folded (with forced fanins);
-// every other word keeps the fast result, which is bit-identical to the
-// unforced fold. A fault pins a handful of slots, so this costs O(pins)
-// per flagged gate instead of O(width) — the patch pass stays constant
-// as the batch widens.
+// evalForced patches gate n after its fast instruction: each word
+// marked in its flags as carrying a pin force is re-folded once, every
+// fanin read through that pin's force on the word. The other words keep
+// the fast result, which is bit-identical to the unforced fold. Faults
+// packed in ascending index put a gate's faults in adjacent slots, so
+// several often share a word, and the word is still folded once.
 func (e *BatchEngine) evalForced(n int) {
+	nd := &e.c.Nodes[n]
 	w := e.w
-	inj := e.pinInj[n]
-	for j := range inj {
-		in := &inj[j]
-		hi := in.hi
-		if hi > w {
-			hi = w
-		}
-		for i := in.lo; i < hi; i++ {
-			// A word shared by two injections is re-folded once per
-			// injection; the second fold writes the same bits, so the
-			// duplicate work is harmless (and rare).
-			if in.Mask[i] != 0 {
-				e.evalForcedWord(n, i)
+	pins := e.forces[int(e.at[n])+w:] // pin p's force on word i is pins[p*w+i]
+	for ws := e.flags[n] / pinWord; ws != 0; ws &= ws - 1 {
+		i := bits.TrailingZeros8(ws)
+		f := &pins[i]
+		v := e.vals[nd.Fanin[0]*w+i].Merge(f.v, f.mask)
+		for p := 1; p < len(nd.Fanin); p++ {
+			f := &pins[p*w+i]
+			x := e.vals[nd.Fanin[p]*w+i].Merge(f.v, f.mask)
+			switch nd.Kind {
+			case circuit.And, circuit.Nand:
+				v = v.And(x)
+			case circuit.Or, circuit.Nor:
+				v = v.Or(x)
+			default: // Xor, Xnor; Buf and Not have one fanin
+				v = v.Xor(x)
 			}
 		}
-	}
-}
-
-// faninForcedWord returns word i of the value node n reads from its
-// p-th fanin, with pin injections on that word applied.
-func (e *BatchEngine) faninForcedWord(n, p, i int) logic.Word {
-	v := e.vals[e.c.Nodes[n].Fanin[p]*e.w+i]
-	inj := e.pinInj[n]
-	for j := range inj {
-		if in := &inj[j]; in.Pin == p && i < len(in.Mask) && in.Mask[i] != 0 {
-			v = v.Merge(in.fw, in.Mask[i])
-		}
-	}
-	return v
-}
-
-// evalForcedWord re-evaluates word i of gate n reading every fanin
-// through faninForcedWord, folding from the identity element.
-func (e *BatchEngine) evalForcedWord(n, i int) {
-	nd := &e.c.Nodes[n]
-	var v logic.Word
-	switch nd.Kind {
-	case circuit.Not:
-		v = e.faninForcedWord(n, 0, i).Not()
-	case circuit.Buf:
-		v = e.faninForcedWord(n, 0, i)
-	case circuit.And, circuit.Nand:
-		v = logic.AllOne
-		for p := range nd.Fanin {
-			v = v.And(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Nand {
+		switch nd.Kind {
+		case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
 			v = v.Not()
 		}
-	case circuit.Or, circuit.Nor:
-		v = logic.AllZero
-		for p := range nd.Fanin {
-			v = v.Or(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Nor {
-			v = v.Not()
-		}
-	case circuit.Xor, circuit.Xnor:
-		v = logic.AllZero
-		for p := range nd.Fanin {
-			v = v.Xor(e.faninForcedWord(n, p, i))
-		}
-		if nd.Kind == circuit.Xnor {
-			v = v.Not()
-		}
-	default:
-		panic(fmt.Sprintf("sim: evalForced on non-gate node %d (%v)", n, nd.Kind))
+		e.vals[n*w+i] = v
 	}
-	e.vals[n*e.w+i] = v
 }
 
 // NextState writes the D values the flip-flops would latch on the next
@@ -515,7 +474,7 @@ func (e *BatchEngine) NextState(dst []logic.Word) {
 		d := dst[i*w : (i+1)*w]
 		copy(d, e.slot(e.c.Nodes[ff].Fanin[0]))
 		if e.flags[ff]&flagPin != 0 {
-			e.merge(d, e.pinInj[ff])
+			apply(d, e.forced(ff, 0))
 		}
 	}
 }

@@ -111,8 +111,10 @@ type slotFault struct {
 // randSlotFaults places n random faults on distinct slots of a w-word
 // batch, one per slot as every caller packs them: stems, gate input
 // pins, DFF D pins and stuck FF outputs. About one in three shares the
-// previous fault's node and word, so several injections patch one word
-// of a node (evalForced's shared-word path).
+// previous fault's node and word, so several injections combine into
+// one force on a word of a node (evalForced's shared-word path). About
+// one in five is stuck at X: no caller forces X, but the kernel and
+// esim both define it, and a force must carry it on neither rail.
 func randSlotFaults(r *rand.Rand, c *circuit.Circuit, w, n int) []slotFault {
 	used := map[int]bool{}
 	var fs []slotFault
@@ -129,8 +131,12 @@ func randSlotFaults(r *rand.Rand, c *circuit.Circuit, w, n int) []slotFault {
 		if len(c.Nodes[node].Fanin) > 0 && r.Intn(2) == 0 {
 			pin = r.Intn(len(c.Nodes[node].Fanin))
 		}
+		stuck := logic.Value(r.Intn(2))
+		if r.Intn(5) == 0 {
+			stuck = logic.X
+		}
 		used[slot] = true
-		fs = append(fs, slotFault{slot: slot, node: node, pin: pin, stuck: logic.Value(r.Intn(2))})
+		fs = append(fs, slotFault{slot: slot, node: node, pin: pin, stuck: stuck})
 	}
 	return fs
 }
@@ -258,6 +264,32 @@ func TestKernelMatchesEngine(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestInjectedPassAllocs checks that a warmed engine runs an injected
+// pass (Reset, SetInjections, SetStateVector, EvalComb, ClockFF) without
+// allocating, at both widths: the force arena is reused across passes.
+func TestInjectedPassAllocs(t *testing.T) {
+	for _, c := range kernelTestCircuits(t) {
+		be := NewBatch(Compile(c), WideWidth)
+		for _, w := range []int{1, WideWidth} {
+			be.SetWidth(w)
+			r := rand.New(rand.NewSource(int64(w)))
+			injs := slotInjections(randSlotFaults(r, c, w, 64*w-1), w)
+			st := randXVector(r, c.NumFFs())
+			pass := func() {
+				be.Reset()
+				be.SetInjections(injs)
+				be.SetStateVector(st)
+				be.EvalComb()
+				be.ClockFF()
+			}
+			pass()
+			if n := testing.AllocsPerRun(20, pass); n != 0 {
+				t.Errorf("%s/w%d: an injected pass allocates %v times, want 0", c.Name, w, n)
+			}
 		}
 	}
 }
