@@ -47,9 +47,9 @@ type Options struct {
 
 	// SIScoreSample bounds the number of faults used to *score* scan-in
 	// candidates in Step 2 (0 = default 1008, i.e. 4 simulation passes;
-	// negative = no sampling). The winning candidate is always
-	// re-simulated over the full F−F_0 set, so only the ranking is
-	// sampled, never the reported coverage.
+	// negative = no sampling). The winner's F_SI comes from the Step 3
+	// profile over the whole fault list, so only the ranking is sampled,
+	// never the reported coverage.
 	SIScoreSample int
 
 	// SICandidateLimit bounds how many states of C are evaluated as
@@ -173,8 +173,11 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		}
 
 		// Step 2: scan-in selection over the state parts of C, simulating
-		// only F - F_0. Unselected states are preferred; a selected state
-		// wins only with strictly higher coverage, and ends the iteration.
+		// only F - F_0. Every candidate runs the same sequence, so one
+		// ScanInScores call scores them all: each candidate's run stops
+		// where its machines re-join the first candidate's. Unselected
+		// states are preferred; a selected state wins only with strictly
+		// higher coverage, and ends the iteration.
 		rest := allFaults(nf)
 		rest.SubtractWith(f0)
 		scoreTargets := rest
@@ -185,11 +188,15 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		if opt.SICandidateLimit > 0 && len(C) > opt.SICandidateLimit {
 			candStride = (len(C) + opt.SICandidateLimit - 1) / opt.SICandidateLimit
 		}
+		var states []logic.Vector
+		for j := 0; j < len(C); j += candStride {
+			states = append(states, C[j].State)
+		}
+		scores := s.ScanInScores(cur, states, scoreTargets)
 		bestUnsel, cntUnsel := -1, -1
 		bestSel, cntSel := -1, -1
-		for j := 0; j < len(C); j += candStride {
-			c := C[j]
-			n := s.Detect(cur, fsim.Options{Init: c.State, ScanOut: true, Targets: scoreTargets}).Count()
+		for k, n := range scores {
+			j := k * candStride
 			if selected[j] {
 				if n > cntSel {
 					bestSel, cntSel = j, n
@@ -209,13 +216,14 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		}
 		selected[siIdx] = true
 		si := C[siIdx].State
-		siDet := s.Detect(cur, fsim.Options{Init: si, ScanOut: true, Targets: rest})
-		fsi := f0.Clone()
-		fsi.UnionWith(siDet)
 
 		// Step 3: scan-out time selection. The profile pass covers all
-		// faults so F_SO can exceed F_SI.
+		// faults so F_SO can exceed F_SI. Its full-length prefix is the
+		// test (SI, T_0) itself, so it also gives F_SI = F_0 ∪ the faults
+		// (SI, T_0) detects.
 		prof := s.Profile(si, cur, nil)
+		fsi := f0.Clone()
+		fsi.UnionWith(prof.DetectedFull())
 		u := prof.EarliestPrefixCovering(fsi)
 		if u < 0 {
 			// Cannot happen when the full sequence detects F_SI; guard

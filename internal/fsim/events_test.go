@@ -49,15 +49,8 @@ func newEventFixture(t testing.TB, c *circuit.Circuit, partial bool, seed int64)
 	fx := eventFixture{c: c}
 	nsv := c.NumFFs()
 	if partial {
-		var ffs []int
-		for i := 0; i < c.NumFFs(); i += 2 {
-			ffs = append(ffs, i)
-		}
-		ch, err := scan.NewChain(c.NumFFs(), ffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fx.ch, nsv = ch, len(ffs)
+		fx.ch = everyOther(t, c.NumFFs())
+		nsv = fx.ch.Nsv()
 	}
 	r := rand.New(rand.NewSource(seed))
 	val := func() logic.Value {
@@ -364,14 +357,8 @@ func FuzzEventFrames(f *testing.F) {
 			var ch *scan.Chain
 			si := tst.SI
 			if partial {
-				var ffs []int
-				for i := 0; i < c.NumFFs(); i += 2 {
-					ffs = append(ffs, i)
-				}
-				if ch, err = scan.NewChain(c.NumFFs(), ffs); err != nil {
-					t.Fatal(err)
-				}
-				si = si[:len(ffs)]
+				ch = everyOther(t, c.NumFFs())
+				si = si[:ch.Nsv()]
 			}
 			orc := oracle.NewChain(c, faults, ch)
 			want := orc.DetectTest(si, tst.Seq, nil)

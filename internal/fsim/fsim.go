@@ -22,8 +22,12 @@
 // DetectTest grade; Record and RecordTest also keep the per-fault
 // detection record behind the compaction ledger; RecordMustInto is the
 // must-detect check of the compaction trials, with a cross-pass early
-// abort; Profile records per-time detections for Phase 1. A run packs
-// its target faults into passes in ascending fault index.
+// abort; Profile records per-time detections for Phase 1. ScanInScores
+// counts the detections of many scan-in states over one sequence for
+// Phase 1's candidates: the first state's run is a reference, and each
+// other run decides a fault without simulating on once its good and
+// faulty machines re-join the reference's (scanin.go). A run packs its
+// target faults into passes in ascending fault index.
 //
 // The pass loop evaluates a frame (one input vector) in one of two ways
 // (events.go). A swept frame runs the whole compiled program over the
@@ -249,6 +253,7 @@ type runSpec struct {
 	profile *Profile     // per-time recording target, or nil
 	rec     *Record      // detection-record target, or nil (see record.go)
 	abort   *atomic.Bool // cross-pass abort for must-detect checks, or nil
+	ref     *reference   // scan-in reference written or read, or nil (see scanin.go)
 	repack  bool         // survivor repacking enabled (see run)
 
 	// Event frames (see events.go): with a trace, every pass starts on
@@ -264,7 +269,7 @@ type runSpec struct {
 // which it cannot once everything is detected).
 func (s *Simulator) Detect(seq logic.Sequence, opt Options) *fault.Set {
 	detected := fault.NewSet(len(s.faults))
-	s.run(seq, opt, detected, nil, nil, nil)
+	s.run(seq, opt, detected, &runSpec{})
 	return detected
 }
 
@@ -282,45 +287,54 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 	return targets.Indices()
 }
 
-// run executes one simulation run: it resolves the targets, decides
-// the batch geometry (64*width - 1 faults per pass, the width picked by
-// sim.WidthFor for the queued targets plus the good machine), and fans
-// the passes out over the worker pool. Detections are accumulated into detected and — in
-// profile mode — per-time data into profile. A non-nil abort turns the
-// run into a must-detect check: a completed pass with an undetected
-// fault aborts the remaining ones.
+// run executes one simulation run of seq under opt: it resolves the
+// targets, decides the batch geometry (64*width - 1 faults per pass, the
+// width picked by sim.WidthFor for the queued targets plus the good
+// machine), and fans the passes out over the worker pool. spec carries
+// what the run keeps or obeys beyond detection (a profile, a record, an
+// abort flag, a scan-in reference); run fills in the rest. Detections are
+// accumulated into detected and — in profile mode — per-time data into
+// spec.profile. A non-nil spec.abort turns the run into a must-detect
+// check: a completed pass with an undetected fault aborts the remaining
+// ones.
 //
-// In plain detection mode (no abort or profile) passes additionally
-// repack: a pass most of whose faults are already detected aborts early
-// and hands its few undetected survivors to the next generation, where
-// survivors from many passes consolidate into fresh, tighter passes
-// (re-simulated from scratch). Per-fault detection is independent of
-// pass packing, so results are bit-identical; each generation is at
-// most half the size of the previous one, so the loop terminates in
-// O(log targets) generations.
-func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, profile *Profile, rec *Record, abort *atomic.Bool) {
+// In plain detection mode (no abort, profile or reference) passes
+// additionally repack: a pass most of whose faults are already detected
+// aborts early and hands its few undetected survivors to the next
+// generation, where survivors from many passes consolidate into fresh,
+// tighter passes (re-simulated from scratch). Per-fault detection is
+// independent of pass packing, so results are bit-identical; each
+// generation is at most half the size of the previous one, so the loop
+// terminates in O(log targets) generations. A run with a reference
+// keeps the reference's packing: it neither repacks nor takes event
+// frames.
+func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, spec *runSpec) {
 	targets := s.targetIndices(opt.Targets)
 	if len(targets) == 0 {
 		return
 	}
-	spec := &runSpec{
-		seq: seq, state: s.chain.State(opt.Init), scanOut: opt.ScanOut, profile: profile, rec: rec, abort: abort,
-		// Recording (rec) deliberately keeps repacking on: a Record's
-		// per-fault data is packing-independent, and survivors of an
-		// aborted pass are re-simulated from scratch, so their entries are
-		// written (exactly once) by the generation that detects them.
-		repack: abort == nil && profile == nil && len(seq) > 1,
+	spec.seq, spec.state, spec.scanOut = seq, s.chain.State(opt.Init), opt.ScanOut
+	// Recording (rec) deliberately keeps repacking on: a Record's
+	// per-fault data is packing-independent, and survivors of an aborted
+	// pass are re-simulated from scratch, so their entries are written
+	// (exactly once) by the generation that detects them.
+	spec.repack = spec.abort == nil && spec.profile == nil && spec.ref == nil && len(seq) > 1
+	if spec.ref == nil {
+		s.gateFrames(spec, len(targets))
 	}
-	s.gateFrames(spec, len(targets))
 	if spec.trace != nil {
 		defer s.release(spec.trace.wk)
 	}
+	abort := spec.abort
 
 	for queue := targets; len(queue) > 0; {
 		width := sim.WidthFor(len(queue) + 1)
 		bs := 64*width - 1
 		nb := (len(queue) + bs - 1) / bs
 		survByPass := make([][]int, nb)
+		if spec.ref != nil && spec.ref.build {
+			spec.ref.passes = make([]refPass, nb)
+		}
 
 		// passes runs the passes it pulls from a shared counter on one
 		// worker, collecting detections into set, until none are left or
@@ -337,7 +351,7 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, pr
 					return
 				}
 				batch := queue[k*bs : min((k+1)*bs, len(queue))]
-				survByPass[k] = w.simulate(batch, spec, width, set)
+				survByPass[k] = w.simulate(k, batch, spec, width, set)
 				if abort != nil && !containsAllIdx(set, batch) {
 					abort.Store(true)
 					return
@@ -383,13 +397,13 @@ func containsAllIdx(set *fault.Set, batch []int) bool {
 	return true
 }
 
-// simulate runs one pass at the chosen width and updates the pass-work
-// counters: each pass and the vectors it actually executed (early exits
-// cut the vector count). The returned slice holds the survivors of a
-// repacked pass (nil when the pass ran to completion or fully detected
-// its faults).
-func (w *worker) simulate(batch []int, spec *runSpec, width int, detected *fault.Set) []int {
-	nvec, surv := w.runPass(batch, spec, width, detected)
+// simulate runs pass k of a run at the chosen width and updates the
+// pass-work counters: each pass and the vectors it actually executed
+// (early exits cut the vector count). The returned slice holds the
+// survivors of a repacked pass (nil when the pass ran to completion or
+// fully detected its faults).
+func (w *worker) simulate(k int, batch []int, spec *runSpec, width int, detected *fault.Set) []int {
+	nvec, surv := w.runPass(k, batch, spec, width, detected)
 	w.s.passes.Add(1)
 	w.s.passVectors.Add(int64(nvec))
 	w.s.faultSlots.Add(int64(len(batch)))
@@ -405,16 +419,19 @@ func repackable(u, seqLen int) bool {
 }
 
 // runPass simulates one parallel-fault pass over spec.seq on the
-// compiled batch kernel. batch holds the fault indices of the pass, at
-// most 64*width - 1 of them: slot 0 carries the good machine and fault
-// batch[i] sits in slot i+1. Inputs are broadcast and slot 0 is never
-// injected, so the good value of a signal is bit 0 of its word 0, and
-// every word compares against that bit's broadcast. Detections are added
-// to detected. In profile mode (spec.profile non-nil) per-time detection
-// data is recorded instead of early-exiting. It returns the number of
-// input vectors actually executed, plus the undetected survivors when
-// the pass repacked (see run).
-func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
+// compiled batch kernel; pass is its index in the run. batch holds the
+// fault indices of the pass, at most 64*width - 1 of them: slot 0
+// carries the good machine and fault batch[i] sits in slot i+1. Inputs
+// are broadcast and slot 0 is never injected, so the good value of a
+// signal is bit 0 of its word 0, and every word compares against that
+// bit's broadcast. Detections are added to detected. In profile mode
+// (spec.profile non-nil) per-time detection data is recorded instead of
+// early-exiting, and so is a scan-in reference in the run that writes
+// it (spec.ref, scanin.go); the runs that read one decide re-joined
+// slots at its checkpoints. It returns the number of input vectors
+// actually executed, plus the undetected survivors when the pass
+// repacked (see run).
+func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
 	events := spec.trace != nil
@@ -435,7 +452,7 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		clear(wk.vecBuf)
 	}
 	batchMask := wk.vecBuf[0*width : 1*width]
-	detMask := wk.vecBuf[1*width : 2*width]
+	detMask := wk.vecBuf[1*width : 2*width] // decided: detected, or re-joined the reference
 	diff := wk.vecBuf[2*width : 3*width]
 
 	wk.binjBuf = wk.binjBuf[:0]
@@ -457,7 +474,14 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 		eng.SetStateVector(spec.state)
 	}
 
-	profile := spec.profile
+	profile, ref := spec.profile, spec.ref
+	var rp *refPass
+	if ref != nil {
+		rp = &ref.passes[pass]
+		if ref.build {
+			rp.start(eng, ref.ncp, len(batch))
+		}
+	}
 	var row []logic.Value // the trace row of an event frame
 	for u, vec := range spec.seq {
 		if spec.abort != nil && spec.abort.Load() {
@@ -481,6 +505,9 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 				wv := eng.PO(i)
 				observe(diff, wv, wv[0].BroadcastSlot(0))
 			}
+		}
+		if ref != nil && ref.build {
+			rp.notePO(diff, batchMask, u)
 		}
 		newly := false
 		for k := 0; k < width; k++ {
@@ -529,8 +556,20 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 			}
 			continue
 		}
+		if ref != nil {
+			c := ref.checkpoint(u)
+			switch {
+			case ref.build:
+				if c >= 0 {
+					rp.save(eng, c)
+				}
+				continue // the reference sweeps every frame
+			case c >= 0:
+				rp.rejoin(eng, c, u, batch, batchMask, detMask, diff, detected)
+			}
+		}
 		if masksEqual(detMask, batchMask) {
-			return u + 1, nil // every fault in this pass already detected
+			return u + 1, nil // every fault in this pass detected or decided
 		}
 		if spec.repack && repackable(u, len(spec.seq)) {
 			ndet := 0
@@ -553,6 +592,11 @@ func (wk *worker) runPass(batch []int, spec *runSpec, width int, detected *fault
 	if spec.scanOut {
 		clear(diff)
 		s.scanDiff(eng, events, row, diff)
+		if ref != nil && ref.build {
+			for k := range rp.so {
+				rp.so[k] = diff[k] & batchMask[k]
+			}
+		}
 		for k := 0; k < width; k++ {
 			for m := diff[k] & batchMask[k] &^ detMask[k]; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)

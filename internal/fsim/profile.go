@@ -50,7 +50,7 @@ func (s *Simulator) Profile(init logic.Vector, seq logic.Sequence, targets *faul
 	// exactly one pass, so the parallel fan-out of run needs no extra
 	// synchronization here. The detected set is scratch in profile mode.
 	scratch := fault.NewSet(n)
-	s.run(seq, Options{Init: init, Targets: targets}, scratch, p, nil, nil)
+	s.run(seq, Options{Init: init, Targets: targets}, scratch, &runSpec{profile: p})
 	return p
 }
 

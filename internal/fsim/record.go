@@ -138,7 +138,7 @@ func (r *Record) Merge(o *Record) {
 // detection record as a by-product.
 func (s *Simulator) Record(seq logic.Sequence, opt Options) *Record {
 	r := newRecord(len(s.faults), len(seq))
-	s.run(seq, opt, r.det, nil, r, nil)
+	s.run(seq, opt, r.det, &runSpec{rec: r})
 	return r
 }
 
@@ -170,7 +170,7 @@ func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options,
 	}
 	opt.Targets = must
 	var abort atomic.Bool
-	s.run(seq, opt, buf.det, nil, buf, &abort)
+	s.run(seq, opt, buf.det, &runSpec{rec: buf, abort: &abort})
 	if abort.Load() || !buf.det.ContainsAll(must) {
 		return buf, false
 	}

@@ -142,7 +142,10 @@ func (c Config) withDefaults() Config {
 	// Bound the scan-in selection cost on the larger circuits: score
 	// candidates on a fault sample (504 faults, 2 simulation passes) and
 	// a stride over C; the winner is still evaluated exactly (see
-	// core.Options).
+	// core.Options). Each candidate's passes mostly end within a few
+	// vectors, where its machines re-join the first candidate's
+	// (fsim.ScanInScores), so the sample now mostly bounds that first
+	// run, which sweeps every vector.
 	if c.Core.SIScoreSample == 0 {
 		c.Core.SIScoreSample = 504
 	}
