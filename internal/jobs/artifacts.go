@@ -31,7 +31,9 @@ const (
 
 // Artifacts is one content-addressed bundle: the named files a pipeline
 // run leaves behind. Optional files (skipped arms, skipped baselines)
-// are simply absent from the map.
+// are simply absent from the map. A bundle that has been stored is
+// shared, read-only: the Store and every Job of its key hold the same
+// one, so neither the map nor any file's bytes may be modified.
 type Artifacts struct {
 	Files map[string][]byte
 }

@@ -8,8 +8,9 @@
 //   - a content-addressed artifact Store: SHA-256 of the canonicalized
 //     .bench netlist plus a fingerprint of the result-affecting config
 //     fields keys a bundle of pipeline artifacts (C, T_0, the compacted
-//     sets, table data, N_cyc), persisted on disk under an LRU byte
-//     budget, so repeat submissions are O(lookup);
+//     sets, table data, N_cyc), persisted on disk and kept resident in
+//     memory under an LRU byte budget, so repeat submissions are
+//     O(lookup);
 //   - a bounded-worker Queue that runs submitted jobs over the existing
 //     fsim worker pool, emits per-phase progress events, and folds
 //     concurrent submissions of the same key into one computation
@@ -25,7 +26,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bench"
 	"repro/internal/circuit"
 	"repro/internal/workload"
 )
@@ -76,18 +76,6 @@ func CanonicalText(c *circuit.Circuit) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// CanonicalBench parses a .bench source and returns its canonical text
-// together with the parsed circuit. The circuit keeps the source's
-// declaration order (which the pipeline's deterministic results depend
-// on); only the returned text is normalized.
-func CanonicalBench(name, src string) (string, *circuit.Circuit, error) {
-	c, err := bench.ParseString(name, src)
-	if err != nil {
-		return "", nil, err
-	}
-	return CanonicalText(c), c, nil
 }
 
 // CircuitDigest is the content half of an artifact key: the SHA-256 of

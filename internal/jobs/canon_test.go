@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/workload"
 )
@@ -37,15 +38,15 @@ G3 = AND(G2, G5)
 `
 
 func TestCanonicalTextInsensitiveToGateOrder(t *testing.T) {
-	t1, c1, err := CanonicalBench("a", benchBase)
+	c1, err := bench.ParseString("a", benchBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, c2, err := CanonicalBench("b", benchShuffled)
+	c2, err := bench.ParseString("b", benchShuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t1 != t2 {
+	if t1, t2 := CanonicalText(c1), CanonicalText(c2); t1 != t2 {
 		t.Errorf("canonical texts differ:\n--- base ---\n%s--- shuffled ---\n%s", t1, t2)
 	}
 	if d1, d2 := CircuitDigest(c1), CircuitDigest(c2); d1 != d2 {
@@ -57,12 +58,12 @@ func TestCanonicalTextInsensitiveToGateOrder(t *testing.T) {
 }
 
 func TestCanonicalTextSensitiveToLogic(t *testing.T) {
-	_, base, err := CanonicalBench("c", benchBase)
+	base, err := bench.ParseString("c", benchBase)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A single gate-function change must change the digest.
-	_, changed, err := CanonicalBench("c", strings.Replace(benchBase, "NAND", "NOR", 1))
+	changed, err := bench.ParseString("c", strings.Replace(benchBase, "NAND", "NOR", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestCanonicalTextSensitiveToPIOrder(t *testing.T) {
 	// PI declaration order defines the test-vector bit order, so it is
 	// semantic: swapping the INPUT lines must change the digest.
 	swapped := strings.Replace(benchBase, "INPUT(G0)\nINPUT(G1)", "INPUT(G1)\nINPUT(G0)", 1)
-	_, c1, err := CanonicalBench("c", benchBase)
+	c1, err := bench.ParseString("c", benchBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, c2, err := CanonicalBench("c", swapped)
+	c2, err := bench.ParseString("c", swapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestConfigFingerprintSensitiveToResults(t *testing.T) {
 }
 
 func TestParseKeyRoundTrip(t *testing.T) {
-	_, c, err := CanonicalBench("c", benchBase)
+	c, err := bench.ParseString("c", benchBase)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -30,12 +31,27 @@ type Request struct {
 
 // resolved is a Request after source resolution: the circuit to run,
 // its config with the effective seed in Seed, and the content-address
-// key.
+// key. An upload keyed from the memo has no circuit yet: its job parses
+// bench under name when it runs.
 type resolved struct {
-	ckt *circuit.Circuit
-	cfg workload.Config
-	key Key
+	name  string
+	ckt   *circuit.Circuit
+	bench string
+	cfg   workload.Config
+	key   Key
 }
+
+// uploadMemo is what resolving one .bench text found, so that the same
+// text submitted again is keyed without a parse: its circuit digest and
+// its flip-flop count, which decides whether a chain is full scan.
+type uploadMemo struct {
+	circuit string
+	ffs     int
+}
+
+// maxUploadMemo caps the upload memo (about 0.5 MB at the cap); a full
+// memo is cleared.
+const maxUploadMemo = 4096
 
 // Resolve parses/generates the request's circuit and computes its
 // artifact key without running anything. It is also the submission-time
@@ -43,6 +59,9 @@ type resolved struct {
 // workload.Config.Validate rejects fail here, before a job is created.
 // A chain of every flip-flop runs full scan, so its ScanFFs becomes 0
 // before the key is taken and the request shares the full-scan bundle.
+// A .bench text that resolved before is keyed from the upload memo,
+// without a parse; only texts that resolved are memoized, so a rejected
+// upload fails again on every submission.
 func (q *Queue) resolve(req Request) (*resolved, error) {
 	cfg := req.Config
 	cfg.Progress = nil // never part of identity; reinstalled per run
@@ -82,11 +101,30 @@ func (q *Queue) resolve(req Request) (*resolved, error) {
 		if name == "" {
 			name = "upload"
 		}
+		sum := sha256.Sum256([]byte(req.Bench))
+		q.mu.Lock()
+		m, ok := q.uploads[sum]
+		q.mu.Unlock()
+		if ok {
+			cfg = fullScan(m.ffs, cfg)
+			return &resolved{name: name, bench: req.Bench, cfg: cfg,
+				key: Key{Circuit: m.circuit, Config: ConfigFingerprint(cfg, cfg.Seed)}}, nil
+		}
 		ckt, err := bench.ParseString(name, req.Bench)
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrParse, err)
 		}
-		return q.resolveCircuit(ckt, cfg)
+		res, err := q.resolveCircuit(ckt, cfg)
+		if err != nil {
+			return nil, err
+		}
+		q.mu.Lock()
+		if q.uploads == nil || len(q.uploads) >= maxUploadMemo {
+			q.uploads = map[[sha256.Size]byte]uploadMemo{}
+		}
+		q.uploads[sum] = uploadMemo{circuit: res.key.Circuit, ffs: ckt.NumFFs()}
+		q.mu.Unlock()
+		return res, nil
 
 	default:
 		return q.resolveCircuit(req.Circuit, cfg)
@@ -102,18 +140,19 @@ func (q *Queue) resolveCircuit(ckt *circuit.Circuit, cfg workload.Config) (*reso
 	if ckt.NumFFs() == 0 {
 		return nil, fmt.Errorf("%w: circuit %s has no flip-flops (not a scan circuit)", ErrUnsupported, ckt.Name)
 	}
-	cfg = fullScan(ckt, cfg)
+	cfg = fullScan(ckt.NumFFs(), cfg)
 	return &resolved{
-		ckt: ckt,
-		cfg: cfg,
-		key: Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, cfg.Seed)},
+		name: ckt.Name,
+		ckt:  ckt,
+		cfg:  cfg,
+		key:  Key{Circuit: CircuitDigest(ckt), Config: ConfigFingerprint(cfg, cfg.Seed)},
 	}, nil
 }
 
-// fullScan writes a chain of every flip-flop of ckt as ScanFFs 0, the
+// fullScan writes a chain of all ffs flip-flops as ScanFFs 0, the
 // full-scan setting workload.Config.Chain maps it to.
-func fullScan(ckt *circuit.Circuit, cfg workload.Config) workload.Config {
-	if cfg.ScanFFs >= ckt.NumFFs() {
+func fullScan(ffs int, cfg workload.Config) workload.Config {
+	if cfg.ScanFFs >= ffs {
 		cfg.ScanFFs = 0
 	}
 	return cfg
@@ -156,7 +195,9 @@ func (j *Job) Snapshot() (State, []string, error) {
 	return j.state, append([]string(nil), j.phases...), j.err
 }
 
-// Artifacts returns the completed bundle (nil until done/cached).
+// Artifacts returns the completed bundle (nil until done/cached). It is
+// shared with the store and with every other job of the key, and must
+// not be modified.
 func (j *Job) Artifacts() *Artifacts {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -293,6 +334,8 @@ type Queue struct {
 	runArgs map[*Job]*resolved
 	wg      sync.WaitGroup
 
+	uploads map[[sha256.Size]byte]uploadMemo // by SHA-256 of the .bench text; made on first insert
+
 	submitted, computations, cacheHits, deduped, failures int64
 	running                                               int
 	phaseSeconds                                          map[string]float64
@@ -346,13 +389,14 @@ func (q *Queue) Submit(req Request) (*Job, error) {
 	id := fmt.Sprintf("j%06d", q.nextID)
 	q.mu.Unlock()
 
-	// Store lookup outside the queue lock: disk reads must not serialize
-	// submissions.
+	// Store lookup outside the queue lock: a hit makes a syscall, and the
+	// first hit of a bundle OpenStore found reads it from disk; neither
+	// may serialize submissions.
 	if q.store != nil {
 		if a, ok, err := q.store.Get(res.key); err != nil {
 			return nil, err
 		} else if ok {
-			j := &Job{ID: id, Name: res.ckt.Name, Key: res.key, state: StateCached, done: make(chan struct{})}
+			j := &Job{ID: id, Name: res.name, Key: res.key, state: StateCached, done: make(chan struct{})}
 			j.finish(StateCached, a, nil)
 			q.mu.Lock()
 			q.cacheHits++
@@ -362,7 +406,7 @@ func (q *Queue) Submit(req Request) (*Job, error) {
 		}
 	}
 
-	j := &Job{ID: id, Name: res.ckt.Name, Key: res.key, state: StateQueued, done: make(chan struct{})}
+	j := &Job{ID: id, Name: res.name, Key: res.key, state: StateQueued, done: make(chan struct{})}
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -443,9 +487,15 @@ func (q *Queue) runJob(j *Job) {
 				err = fmt.Errorf("jobs: pipeline panic: %v", r)
 			}
 		}()
+		ckt := res.ckt
+		if ckt == nil {
+			if ckt, err = bench.ParseString(res.name, res.bench); err != nil {
+				return nil, fmt.Errorf("%w: %v", ErrParse, err)
+			}
+		}
 		cfg := res.cfg
 		cfg.Progress = progress
-		run, err := workload.RunCircuit(res.ckt, cfg)
+		run, err := workload.RunCircuit(ckt, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -119,6 +120,177 @@ func TestRosterMatchesUpload(t *testing.T) {
 		if len(r) == 0 || string(r) != string(u) {
 			t.Errorf("%s differs between roster request and upload (%d vs %d bytes)", name, len(r), len(u))
 		}
+	}
+}
+
+// TestSubmitMemo: a .bench text that resolved before is keyed from the
+// upload memo, without a parse, exactly as a fresh parse keys it; only
+// texts that resolved are memoized; a memo hit that misses the store
+// computes its bundle; and a memo past its cap still keys correctly.
+func TestSubmitMemo(t *testing.T) {
+	store, err := OpenStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := newTestQueue(t, store, Options{Workers: 1})
+	// parsed keys req as a queue whose memo is empty does: by a parse.
+	parsed := func(req Request) Key {
+		t.Helper()
+		r, err := new(Queue).resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.key
+	}
+	memoized := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return len(q.uploads)
+	}
+	// resolveMemo resolves req on q and fails unless the memo keyed it.
+	resolveMemo := func(req Request) *resolved {
+		t.Helper()
+		r, err := q.resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.ckt != nil {
+			t.Fatalf("%q (seed %d, scan %d) was parsed, not keyed from the memo", req.Name, req.Config.Seed, req.Config.ScanFFs)
+		}
+		return r
+	}
+
+	// One text under two names and two seeds.
+	if _, err := q.resolve(Request{Bench: benchBase, Config: fastCfg()}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		for _, seed := range []int64{1, 2} {
+			req := Request{Bench: benchBase, Name: name, Config: fastCfg()}
+			req.Config.Seed = seed
+			r := resolveMemo(req)
+			if want := parsed(req); r.key != want {
+				t.Errorf("%s/seed %d: memo key %s, parsed key %s", name, seed, r.key, want)
+			}
+			if r.name != name {
+				t.Errorf("%s/seed %d: job name %q", name, seed, r.name)
+			}
+		}
+	}
+	if n := memoized(); n != 1 {
+		t.Errorf("memo holds %d texts after one distinct upload", n)
+	}
+	// A gate-permuted text is another memo entry with the same circuit.
+	shuffled := Request{Bench: benchShuffled, Config: fastCfg()}
+	for i := 0; i < 2; i++ {
+		r, err := q.resolve(shuffled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base := parsed(Request{Bench: benchBase, Config: fastCfg()}); r.key != base {
+			t.Errorf("gate-permuted upload keyed %s, base %s", r.key, base)
+		}
+	}
+
+	// ScanFFs at or above the flip-flop count keys as full scan.
+	ckt, ok := gen.RosterCircuit("b01")
+	if !ok || ckt.NumFFs() < 2 {
+		t.Fatal("roster circuit b01 missing or without a partial chain")
+	}
+	ffs := ckt.NumFFs()
+	text := bench.WriteString(ckt)
+	if _, err := q.resolve(Request{Bench: text, Config: fastCfg()}); err != nil {
+		t.Fatal(err)
+	}
+	full := parsed(Request{Bench: text, Config: fastCfg()})
+	for _, scan := range []int{0, ffs - 1, ffs, ffs + 7} {
+		req := Request{Bench: text, Config: fastCfg()}
+		req.Config.ScanFFs = scan
+		r := resolveMemo(req)
+		if want := parsed(req); r.key != want {
+			t.Errorf("ScanFFs %d of %d: memo key %s, parsed key %s", scan, ffs, r.key, want)
+		}
+		if (r.key == full) != (scan == 0 || scan >= ffs) {
+			t.Errorf("ScanFFs %d of %d: full-scan key %v", scan, ffs, r.key == full)
+		}
+	}
+
+	// Rejected uploads fail on every submission and are not memoized.
+	before := memoized()
+	for i := 0; i < 3; i++ {
+		if _, err := q.Submit(Request{Bench: "INPUT(G0"}); !errors.Is(err, ErrParse) {
+			t.Errorf("malformed upload, submission %d: %v, want ErrParse", i, err)
+		}
+		if _, err := q.Submit(Request{Bench: "INPUT(A)\nOUTPUT(B)\nB = NOT(A)\n"}); !errors.Is(err, ErrUnsupported) {
+			t.Errorf("combinational upload, submission %d: %v, want ErrUnsupported", i, err)
+		}
+	}
+	if n := memoized(); n != before {
+		t.Errorf("rejected uploads grew the memo from %d to %d texts", before, n)
+	}
+
+	// A memo hit that misses the store parses when its job runs.
+	req := Request{Bench: benchBase, Name: "memo", Config: fastCfg()}
+	req.Config.Seed = 5
+	r := resolveMemo(req)
+	j, err := q.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if state, _, _ := j.Snapshot(); state != StateDone || j.Name != "memo" || j.Key != r.key {
+		t.Fatalf("memo-keyed job: state %s, name %q, key %s", state, j.Name, j.Key)
+	}
+	direct, err := bench.ParseString("memo", benchBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := workload.RunCircuit(direct, r.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeRun(run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := j.Artifacts()
+	if len(got.Files) != len(want.Files) {
+		t.Errorf("memo-keyed job stored %d files, a direct run makes %d", len(got.Files), len(want.Files))
+	}
+	for name, data := range want.Files {
+		if string(got.Files[name]) != string(data) {
+			t.Errorf("memo-keyed job's %s differs from a direct run's", name)
+		}
+	}
+
+	// Past the cap the memo is cleared and refilled; keys stay right.
+	base := parsed(Request{Bench: benchBase, Config: fastCfg()})
+	variant := func(i int) Request {
+		return Request{Bench: fmt.Sprintf("%s# variant %d\n", benchBase, i), Config: fastCfg()}
+	}
+	for i := 0; i <= maxUploadMemo; i++ {
+		r, err := q.resolve(variant(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.key != base {
+			t.Fatalf("variant %d keyed %s, want %s", i, r.key, base)
+		}
+	}
+	if n := memoized(); n > maxUploadMemo {
+		t.Errorf("memo holds %d texts, cap %d", n, maxUploadMemo)
+	}
+	if r := resolveMemo(variant(maxUploadMemo)); r.key != base {
+		t.Errorf("last variant keyed %s from the memo, want %s", r.key, base)
+	}
+	r, err = q.resolve(variant(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.key != base {
+		t.Errorf("first variant keyed %s after the memo was cleared, want %s", r.key, base)
 	}
 }
 

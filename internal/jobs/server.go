@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -142,7 +143,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
 		var d submitDTO
-		dec := json.NewDecoder(strings.NewReader(string(body)))
+		dec := json.NewDecoder(bytes.NewReader(body))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&d); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
@@ -151,7 +152,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		req = Request{Name: d.Name, Bench: d.Bench, Roster: d.Roster, Config: d.Config.Config()}
 	} else {
 		// Raw .bench upload; the circuit name comes from ?name=.
-		if len(strings.TrimSpace(string(body))) == 0 {
+		if len(bytes.TrimSpace(body)) == 0 {
 			httpError(w, http.StatusBadRequest, "bad_request", "empty netlist body")
 			return
 		}

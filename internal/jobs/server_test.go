@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/gen"
 	"repro/internal/workload"
 )
@@ -434,6 +435,58 @@ func TestArtifactRoutes(t *testing.T) {
 	missing := Key{Circuit: strings.Repeat("ab", 32), Config: strings.Repeat("cd", 16)}
 	if resp, _ := get("/v1/artifacts/" + missing.String()); resp.StatusCode != 404 {
 		t.Errorf("missing bundle: status %d", resp.StatusCode)
+	}
+}
+
+// BenchmarkSubmitHit times one warm hit through the API's handler: the
+// JSON POST of an upload whose bundle is stored, then the GET of its
+// summary.json. The upload is s298 with the config of the benchmark's
+// service workload; set-up computes its bundle once.
+func BenchmarkSubmitHit(b *testing.B) {
+	store, err := OpenStore(b.TempDir(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := NewQueue(store, Options{Workers: 1})
+	defer q.Close(context.Background())
+	h := NewServer(q).Handler()
+	ckt, ok := gen.RosterCircuit("s298")
+	if !ok {
+		b.Fatal("roster circuit s298 missing")
+	}
+	body := `{"name": "s298", "bench": ` + jsonString(bench.WriteString(ckt)) +
+		`, "config": {"seed": 1, "t0_max_len": 60, "random_t0_len": 200, "workers": 1}}`
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		if method == http.MethodPost {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	var d jobDTO
+	if err := json.Unmarshal(serve(http.MethodPost, "/v1/jobs", body).Body.Bytes(), &d); err != nil {
+		b.Fatal(err)
+	}
+	j, ok := q.Lookup(d.ID)
+	if !ok {
+		b.Fatalf("cold submission: no job %q", d.ID)
+	}
+	if err := j.Wait(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	summary := "/v1/artifacts/" + d.Key + "/" + FileSummary
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serve(http.MethodPost, "/v1/jobs", body); rec.Code != http.StatusOK {
+			b.Fatalf("warm POST: status %d, want 200", rec.Code)
+		}
+		if rec := serve(http.MethodGet, summary, ""); rec.Code != http.StatusOK {
+			b.Fatalf("GET %s: status %d", summary, rec.Code)
+		}
 	}
 }
 

@@ -19,6 +19,10 @@ import (
 // would exceed it, the least-recently-used bundles are evicted until
 // the new one fits.
 //
+// A bundle stays resident in memory once it has been put or read, so
+// every hit of a key returns the same *Artifacts. Resident bytes are the
+// entries' sizes, so the byte budget bounds them as it bounds the disk.
+//
 // All methods are safe for concurrent use.
 type Store struct {
 	dir    string
@@ -30,11 +34,14 @@ type Store struct {
 	hits, misses, puts, evictions int64
 }
 
-// storeEntry is one bundle's accounting. used carries no monotonic
-// reading, so it compares consistently with modification times.
+// storeEntry is one bundle's accounting and its resident copy. used
+// carries no monotonic reading, so it compares consistently with
+// modification times. bundle is nil for an entry OpenStore found on disk
+// until its first hit reads it.
 type storeEntry struct {
-	size int64
-	used time.Time
+	size   int64
+	used   time.Time
+	bundle *Artifacts
 }
 
 // StoreStats is a snapshot of the store's counters.
@@ -107,51 +114,42 @@ func dirSize(dir string) (int64, error) {
 	return n, nil
 }
 
-// Get returns the bundle for key, or (nil, false) on a miss. A hit
+// Get returns the bundle for key, or (nil, false) on a miss. The
+// bundle is shared by every hit of key and must not be modified. A hit
 // refreshes the key's recency, and mirrors it on the bundle directory's
-// modification time for the next OpenStore.
+// modification time for the next OpenStore. That refresh is also the
+// hit's existence check: a bundle whose directory was removed behind
+// the store's back is a miss, not an error, and its entry is dropped.
 //
-// The bundle is read after s.mu is released, so an eviction or a Put
-// replacing the same key can remove the directory in between. A bundle
-// that vanished that way is a miss, not an error.
+// An entry OpenStore found on disk is read on its first hit, under s.mu,
+// so no Put or eviction in this process can empty the directory during
+// the read; later hits share what it read.
 func (s *Store) Get(key Key) (*Artifacts, bool, error) {
 	k := key.String()
+	dir := s.objectDir(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	e, ok := s.entries[k]
 	if !ok {
 		s.misses++
-		s.mu.Unlock()
 		return nil, false, nil
 	}
 	used := time.Now().Round(0)
-	e.used = used
-	s.hits++
-	s.mu.Unlock()
-
-	dir := s.objectDir(key)
-	a, err := readBundle(dir)
+	err := os.Chtimes(dir, used, used) // any failure but a missing directory loses only the recency mirror
+	if e.bundle == nil && !errors.Is(err, fs.ErrNotExist) {
+		e.bundle, err = readBundle(dir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return nil, false, fmt.Errorf("jobs: read bundle %s: %v", k, err)
+		}
+	}
 	if errors.Is(err, fs.ErrNotExist) {
-		s.vanished(k, e)
+		delete(s.entries, k)
+		s.misses++
 		return nil, false, nil
 	}
-	if err != nil {
-		return nil, false, fmt.Errorf("jobs: read bundle %s: %v", k, err)
-	}
-	_ = os.Chtimes(dir, used, used) // fails only if dir was removed since the read, leaving no recency to keep
-	return a, true, nil
-}
-
-// vanished turns the hit Get counted for k into a miss. The entry is
-// dropped only if it is still e, the one Get found: otherwise a Put has
-// re-stored the key since, and its entry stands.
-func (s *Store) vanished(k string, e *storeEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.hits--
-	s.misses++
-	if s.entries[k] == e {
-		delete(s.entries, k)
-	}
+	e.used = used
+	s.hits++
+	return e.bundle, true, nil
 }
 
 func readBundle(dir string) (*Artifacts, error) {
@@ -173,14 +171,6 @@ func readBundle(dir string) (*Artifacts, error) {
 	return a, nil
 }
 
-// Contains reports whether key is cached, without touching recency.
-func (s *Store) Contains(key Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[key.String()]
-	return ok
-}
-
 // Put stores a bundle under key, evicting least-recently-used bundles
 // if the byte budget would be exceeded. Storing an existing key
 // replaces the bundle (the bytes are identical by construction, so this
@@ -188,7 +178,9 @@ func (s *Store) Contains(key Key) bool {
 // budget is not stored at all — the store never evicts everything else
 // just to fail anyway. The bundle is written to <key>.tmp and renamed
 // into place, so its directory's modification time is the time of the
-// Put.
+// Put. A stored bundle stays resident and is what later hits of key
+// return: the store takes ownership of a, and no one may modify it
+// after the call.
 func (s *Store) Put(key Key, a *Artifacts) error {
 	size := a.Size()
 	if s.budget > 0 && size > s.budget {
@@ -221,7 +213,7 @@ func (s *Store) Put(key Key, a *Artifacts) error {
 	if err := os.Rename(tmp, dir); err != nil {
 		return fmt.Errorf("jobs: store put: %v", err)
 	}
-	s.entries[k] = &storeEntry{size: size, used: time.Now().Round(0)}
+	s.entries[k] = &storeEntry{size: size, used: time.Now().Round(0), bundle: a}
 	s.puts++
 	s.evictLocked()
 	return nil

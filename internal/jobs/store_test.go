@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -16,6 +17,15 @@ func testKey(i int) Key {
 		Circuit: fmt.Sprintf("%064x", i+1),
 		Config:  fmt.Sprintf("%032x", 0xabc),
 	}
+}
+
+// Contains reports whether key is cached, without touching recency. Only
+// tests read membership, so the method lives in a test file.
+func (s *Store) Contains(key Key) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.entries[key.String()]
+	return ok
 }
 
 // bundle fabricates an artifact bundle of exactly n bytes.
@@ -289,5 +299,176 @@ func TestStoreGetVanishedBundle(t *testing.T) {
 		if err := os.RemoveAll(store.objectDir(j.Key)); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStoreHitSharesBundle: a stored bundle stays resident, so every hit
+// of its key returns the one *Artifacts that was put. A reopened store
+// reads a bundle from disk on its first hit, not before, and later hits
+// share what that hit read. Every cached job of a key holds the same
+// bundle.
+func TestStoreHitSharesBundle(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(0)
+	a := &Artifacts{Files: map[string][]byte{
+		FileSummary: []byte(`{"v":1}`),
+		FileT0:      []byte("0101\n"),
+	}}
+	if err := s.Put(k, a); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, ok, err := s.Get(k)
+		if err != nil || !ok || got != a {
+			t.Fatalf("hit %d: ok=%v err=%v shared=%v, want the put bundle", i, ok, err, got == a)
+		}
+		if string(got.Files[FileT0]) != "0101\n" || string(got.Files[FileSummary]) != `{"v":1}` {
+			t.Fatalf("hit %d: files %q", i, got.Files)
+		}
+	}
+
+	// Same-length rewrites on disk show when the reopened store reads:
+	// the first hit sees the file as it was then, and later hits keep it.
+	s2, err := OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := filepath.Join(s2.objectDir(k), FileT0)
+	if err := os.WriteFile(t0, []byte("1010\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, ok, err := s2.Get(k)
+	if err != nil || !ok {
+		t.Fatalf("first hit after reopen: ok=%v err=%v", ok, err)
+	}
+	if len(first.Files) != 2 || string(first.Files[FileT0]) != "1010\n" || string(first.Files[FileSummary]) != `{"v":1}` {
+		t.Fatalf("first hit after reopen did not read the disk: %q", first.Files)
+	}
+	if err := os.WriteFile(t0, []byte("1111\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, ok, err := s2.Get(k); err != nil || !ok || got != first {
+			t.Fatalf("hit %d after reopen: ok=%v err=%v shared=%v, want the first hit's bundle", i, ok, err, got == first)
+		}
+	}
+	if st := s2.Stats(); st.Hits != 3 || st.Misses != 0 {
+		t.Errorf("reopened store stats: %+v", st)
+	}
+
+	q := newTestQueue(t, s, Options{Workers: 1})
+	req := Request{Bench: benchBase, Config: fastCfg()}
+	res, err := q.resolve(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := bundle(40)
+	if err := s.Put(res.key, b); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		j, err := q.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, _, _ := j.Snapshot(); state != StateCached || j.Artifacts() != b {
+			t.Errorf("submission %d: state %s, shared=%v; want a cached job holding the put bundle", i, state, j.Artifacts() == b)
+		}
+	}
+}
+
+// TestStoreGetRacesPutAndEvict races hits of one key against re-Puts of
+// that key and against Puts of other keys, which evict it now and then:
+// the budget holds one bundle, so each Put evicts the other key stored.
+// A hit must carry every file of the bundle with the bytes put, never a
+// directory half emptied or half renamed. Run it under -race.
+func TestStoreGetRacesPutAndEvict(t *testing.T) {
+	const nfiles, fileSize = 11, 64
+	files := map[string][]byte{}
+	for i := 0; i < nfiles; i++ {
+		files[fmt.Sprintf("f%02d.txt", i)] = bytes.Repeat([]byte{byte('a' + i)}, fileSize)
+	}
+	fresh := func() *Artifacts {
+		a := &Artifacts{Files: map[string][]byte{}}
+		for name, data := range files {
+			a.Files[name] = append([]byte(nil), data...)
+		}
+		return a
+	}
+	s, err := OpenStore(t.TempDir(), nfiles*fileSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey(0)
+	if err := s.Put(k, fresh()); err != nil {
+		t.Fatal(err)
+	}
+
+	var hits, misses atomic.Int64
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				a, ok, err := s.Get(k)
+				if err != nil {
+					t.Errorf("reader %d: Get: %v", g, err)
+					return
+				}
+				if !ok {
+					misses.Add(1)
+					continue
+				}
+				hits.Add(1)
+				if len(a.Files) != nfiles {
+					t.Errorf("reader %d: a hit carried %d of %d files", g, len(a.Files), nfiles)
+					return
+				}
+				for name, data := range files {
+					if !bytes.Equal(a.Files[name], data) {
+						t.Errorf("reader %d: a hit carried %s as %q", g, name, a.Files[name])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	var writers sync.WaitGroup
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 300; i++ {
+			if err := s.Put(k, fresh()); err != nil {
+				t.Errorf("re-Put: %v", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < 300; i++ {
+			if err := s.Put(testKey(1+i%3), fresh()); err != nil {
+				t.Errorf("Put of another key: %v", err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if hits.Load() == 0 || s.Stats().Evictions == 0 {
+		t.Errorf("%d hits, %d misses, %d evictions: the race was not exercised",
+			hits.Load(), misses.Load(), s.Stats().Evictions)
 	}
 }
