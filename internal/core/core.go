@@ -223,7 +223,7 @@ func Run(s *fsim.Simulator, C []atpg.CombTest, T0 logic.Sequence, opt Options) (
 		// (SI, T_0) detects.
 		prof := s.Profile(si, cur, nil)
 		fsi := f0.Clone()
-		fsi.UnionWith(prof.DetectedFull())
+		fsi.UnionWith(prof.DetectedByPrefixSet(len(cur) - 1))
 		u := prof.EarliestPrefixCovering(fsi)
 		if u < 0 {
 			// Cannot happen when the full sequence detects F_SI; guard

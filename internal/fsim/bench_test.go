@@ -62,7 +62,7 @@ func BenchmarkDetectNoScan(b *testing.B) {
 }
 
 // BenchmarkProfile measures the per-time detection profile used by
-// Phase 1 Step 3 (no early exit: every fault simulated to the end).
+// Phase 1 Step 3 (a Record run that also keeps scan-out bits).
 func BenchmarkProfile(b *testing.B) {
 	s, seq, si := benchSetup(b)
 	b.ResetTimer()

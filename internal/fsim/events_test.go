@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/esim"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
@@ -121,7 +122,7 @@ func eventRuns(s *fsim.Simulator, fx eventFixture, subsets []*fault.Set) (tr tra
 			return fmt.Sprint(tests[k].Indices())
 		})
 		step(fmt.Sprintf("RecordTest %d", k), func() string { return recordString(s.RecordTest(fx.si, fx.seq, tg)) })
-		step(fmt.Sprintf("Profile %d", k), func() string { return profileString(s.Profile(fx.si, fx.seq, tg), n) })
+		step(fmt.Sprintf("Profile %d", k), func() string { return profileString(s.Profile(fx.si, fx.seq, tg)) })
 	}
 	opt := fsim.Options{Init: fx.si, ScanOut: true}
 	det := tests[0]
@@ -147,14 +148,12 @@ func recordString(r *fsim.Record) string {
 	return b.String()
 }
 
-func profileString(p *fsim.Profile, n int) string {
+func profileString(p *fsim.Profile) string {
 	var b strings.Builder
-	for f := 0; f < n; f++ {
-		if !p.Simulated(f) {
-			continue
-		}
-		fmt.Fprintf(&b, "%d:%d:", f, p.PODetectTime(f))
-		for u := 0; u < p.SeqLen(); u++ {
+	rec := p.Record()
+	for f := range rec.NumFaults() {
+		fmt.Fprintf(&b, "%d:%d:", f, rec.FirstPO(f))
+		for u := 0; u < rec.SeqLen(); u++ {
 			if p.ScanOutDetects(f, u) {
 				fmt.Fprintf(&b, "%d,", u)
 			}
@@ -174,11 +173,12 @@ func profileString(p *fsim.Profile, n int) string {
 // random order, and every arm's detected sets, mapped back through the
 // permutation, equal the oracle's over up to 250 of the faults.
 //
-// Event frames drop a fault once it is detected, except in Profile. So
-// every fixture must detect some fault at a PO while its effect is
-// still latched in a scanned flip-flop before the last vector: a drop
-// that merged the wrong words, or kept them diverged, would then change
-// a later detection or a profile.
+// Event frames drop a fault once it is detected. So every fixture must
+// detect some fault at a PO while its effect is still latched in a
+// scanned flip-flop before the last vector: a drop that merged the
+// wrong words, or kept them diverged, would then change a later
+// detection or a profile, and a swept frame that recorded the scan-out
+// of a detected slot would give a profile the event frames do not.
 func TestEventFrames(t *testing.T) {
 	circuits := []*circuit.Circuit{samples.ShiftReg(6)}
 	for _, name := range []string{"s298", "b04", "s1423", "s5378"} {
@@ -215,7 +215,7 @@ func TestEventFrames(t *testing.T) {
 						subsets = append(subsets, graded)
 					}
 				}
-				if n := latchedDetections(fsim.NewChain(c, faults, fx.ch), fx); n == 0 {
+				if !latchedDetection(c, faults, fx) {
 					t.Fatal("no fault is detected at a PO while its effect is latched")
 				}
 				orc := oracle.NewChain(c, faults, fx.ch)
@@ -253,19 +253,51 @@ func TestEventFrames(t *testing.T) {
 	}
 }
 
-// latchedDetections counts the faults that fx's scan test detects at a
-// PO at some vector u before the last while a scan-out after u would
-// also detect them.
-func latchedDetections(s *fsim.Simulator, fx eventFixture) int {
-	fsim.ForceSweep(s)
-	p := s.Profile(fx.si, fx.seq, nil)
-	n := 0
-	for f := range s.NumFaults() {
-		if u := p.PODetectTime(f); u >= 0 && u+1 < len(fx.seq) && p.ScanOutDetects(f, u) {
-			n++
+// latchedDetection reports whether fx's scan test first detects some
+// fault at a PO at a vector u before the last while a scan-out after u
+// would also detect it. Each fault runs on its own esim engine against
+// the good machine's trace, so the answer does not rest on fsim.
+func latchedDetection(c *circuit.Circuit, faults []fault.Fault, fx eventFixture) bool {
+	ch := scan.OrFull(fx.ch, c.NumFFs())
+	state := ch.State(fx.si)
+	differ := func(g, f logic.Value) bool { return g.IsBinary() && f.IsBinary() && g != f }
+	good := esim.New(c)
+	good.SetStateVector(state)
+	po := make([]logic.Vector, len(fx.seq))
+	ffs := make([]logic.Vector, len(fx.seq)) // the chain's flip-flops after each clock
+	for u, vec := range fx.seq {
+		good.SetPIVector(vec)
+		good.Settle()
+		po[u] = good.POVector()
+		good.ClockFF()
+		for _, ff := range ch.FFs {
+			ffs[u] = append(ffs[u], good.Val(c.DFFs[ff]))
 		}
 	}
-	return n
+	for _, f := range faults {
+		e := esim.New(c)
+		e.InjectFault(f.Node, f.Pin, f.Stuck)
+		e.SetStateVector(state)
+		for u, vec := range fx.seq[:len(fx.seq)-1] {
+			e.SetPIVector(vec)
+			e.Settle()
+			detected := false
+			for i, g := range po[u] {
+				detected = detected || differ(g, e.PO(i))
+			}
+			e.ClockFF()
+			if !detected {
+				continue
+			}
+			for k, ff := range ch.FFs {
+				if differ(ffs[u][k], e.Val(c.DFFs[ff])) {
+					return true
+				}
+			}
+			break
+		}
+	}
+	return false
 }
 
 // TestEventFramesGate: unforced, runs over a large fault list (past the
@@ -373,7 +405,7 @@ func FuzzEventFrames(f *testing.F) {
 				if got := s.Detect(tst.Seq, fsim.Options{}); !got.Equal(wantNoScan) {
 					t.Fatalf("partial %v, %s: Detect without scan detects %v, oracle %v", partial, arm.name, got.Indices(), wantNoScan.Indices())
 				}
-				prof := profileString(s.Profile(si, tst.Seq, nil), len(faults))
+				prof := profileString(s.Profile(si, tst.Seq, nil))
 				if sweep == "" {
 					sweep = prof
 				} else if prof != sweep {

@@ -38,9 +38,8 @@
 // injected gates alone exceed it starts on the sweep, and a pass sweeps
 // the rest of its frames once a frame executes more. On event frames a
 // detected fault leaves the pass after that frame's clock: its slot
-// becomes the good machine and diverges nowhere (Profile, which records
-// faults past their detection, keeps them). Both kinds give the same
-// detections, records, profiles and pass counters.
+// becomes the good machine and diverges nowhere. Both kinds give the
+// same detections, records, profiles and pass counters.
 //
 // Simulation passes are independent, so a Simulator can shard them over
 // a pool of workers (SetWorkers); each worker owns a private batch engine
@@ -293,32 +292,32 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // machine), and fans the passes out over the worker pool. spec carries
 // what the run keeps or obeys beyond detection (a profile, a record, an
 // abort flag, a scan-in reference); run fills in the rest. Detections are
-// accumulated into detected and — in profile mode — per-time data into
-// spec.profile. A non-nil spec.abort turns the run into a must-detect
-// check: a completed pass with an undetected fault aborts the remaining
-// ones.
+// accumulated into detected and — in profile mode — per-time scan-out
+// data into spec.profile. A non-nil spec.abort turns the run into a
+// must-detect check: a completed pass with an undetected fault aborts
+// the remaining ones.
 //
-// In plain detection mode (no abort, profile or reference) passes
-// additionally repack: a pass most of whose faults are already detected
-// aborts early and hands its few undetected survivors to the next
-// generation, where survivors from many passes consolidate into fresh,
-// tighter passes (re-simulated from scratch). Per-fault detection is
-// independent of pass packing, so results are bit-identical; each
-// generation is at most half the size of the previous one, so the loop
-// terminates in O(log targets) generations. A run with a reference
-// keeps the reference's packing: it neither repacks nor takes event
-// frames.
+// Without an abort flag or a reference, passes additionally repack: a
+// pass most of whose faults are already detected aborts early and hands
+// its few undetected survivors to the next generation, where survivors
+// from many passes consolidate into fresh, tighter passes (re-simulated
+// from scratch). Per-fault detection is independent of pass packing, so
+// results are bit-identical; each generation is at most half the size
+// of the previous one, so the loop terminates in O(log targets)
+// generations. A run with a reference keeps the reference's packing: it
+// neither repacks nor takes event frames.
 func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, spec *runSpec) {
 	targets := s.targetIndices(opt.Targets)
 	if len(targets) == 0 {
 		return
 	}
 	spec.seq, spec.state, spec.scanOut = seq, s.chain.State(opt.Init), opt.ScanOut
-	// Recording (rec) deliberately keeps repacking on: a Record's
+	// Recording (rec, profile) deliberately keeps repacking on: the
 	// per-fault data is packing-independent, and survivors of an aborted
-	// pass are re-simulated from scratch, so their entries are written
-	// (exactly once) by the generation that detects them.
-	spec.repack = spec.abort == nil && spec.profile == nil && spec.ref == nil && len(seq) > 1
+	// pass are re-simulated from scratch, so a record entry is written
+	// (exactly once) by the generation that detects the fault, and a
+	// survivor's profile bits are set again, unchanged.
+	spec.repack = spec.abort == nil && spec.ref == nil && len(seq) > 1
 	if spec.ref == nil {
 		s.gateFrames(spec, len(targets))
 	}
@@ -425,12 +424,13 @@ func repackable(u, seqLen int) bool {
 // are broadcast and slot 0 is never injected, so the good value of a
 // signal is bit 0 of its word 0, and every word compares against that
 // bit's broadcast. Detections are added to detected. In profile mode
-// (spec.profile non-nil) per-time detection data is recorded instead of
-// early-exiting, and so is a scan-in reference in the run that writes
-// it (spec.ref, scanin.go); the runs that read one decide re-joined
-// slots at its checkpoints. It returns the number of input vectors
-// actually executed, plus the undetected survivors when the pass
-// repacked (see run).
+// (spec.profile non-nil) each clock also records which undetected faults
+// a scan-out would catch; the pass drops, exits early and repacks as any
+// other. The run that writes a scan-in reference (spec.ref, scanin.go)
+// records it instead of early-exiting; the runs that read one decide
+// re-joined slots at its checkpoints. It returns the number of input
+// vectors actually executed, plus the undetected survivors when the
+// pass repacked (see run).
 func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
 	s := wk.s
 	eng := wk.kernel(width)
@@ -518,9 +518,6 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 					b := bits.TrailingZeros64(m)
 					fi := batch[k*64+b-1]
 					detected.Add(fi)
-					if profile != nil {
-						profile.poDetect[fi] = int32(u)
-					}
 					if spec.rec != nil {
 						spec.rec.first[fi] = int32(u)
 					}
@@ -530,11 +527,10 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 		}
 		if events {
 			eng.EventClock()
-			if newly && profile == nil {
+			if newly {
 				// A detected fault is decided: its slot becomes the good
 				// machine and stops diverging. Every later compare masks
-				// it out with detMask. The profile records faults past
-				// their detection, so it keeps them.
+				// it out with detMask.
 				eng.DropSlots(detMask)
 			}
 			if spec.fallback(u, executed) {
@@ -545,16 +541,18 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 			eng.ClockFF()
 		}
 		if profile != nil {
-			// Record which faults a scan-out after this clock would catch.
+			// Record which undetected faults a scan-out after this clock
+			// would catch. A swept frame keeps detected slots diverged,
+			// so the mask keeps it equal to an event frame, which
+			// dropped them.
 			clear(diff)
 			s.scanDiff(eng, events, row, diff)
 			for k := 0; k < width; k++ {
-				for m := diff[k] & batchMask[k]; m != 0; m &= m - 1 {
+				for m := diff[k] & batchMask[k] &^ detMask[k]; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
 					profile.setStateDiff(batch[k*64+b-1], u)
 				}
 			}
-			continue
 		}
 		if ref != nil {
 			c := ref.checkpoint(u)

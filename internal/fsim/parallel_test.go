@@ -116,7 +116,7 @@ func TestConcurrentUse(t *testing.T) {
 				case 2:
 					p := s.Profile(si, seq, nil)
 					for f := 0; f < len(faults); f++ {
-						if (p.PODetectTime(f) >= 0) != refNoScan.Has(f) {
+						if (p.Record().FirstPO(f) >= 0) != refNoScan.Has(f) {
 							errs <- "Profile PO detections differ under concurrency"
 							break
 						}

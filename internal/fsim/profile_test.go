@@ -37,6 +37,52 @@ func TestProfileMatchesPrefixSimulation(t *testing.T) {
 	}
 }
 
+// TestProfilePassStats: a Profile run is the Record run without the
+// final scan-out compare, so it moves the pass counters exactly as that
+// run does, whichever kind of frame its passes take and at 1 and 2
+// workers: it drops detected slots, ends a pass once every slot is
+// detected at a PO and repacks the survivors. On targets that are all
+// detected at a PO before the last vector, every pass ends early.
+func TestProfilePassStats(t *testing.T) {
+	for _, arm := range []struct {
+		name  string
+		force func(*Simulator)
+	}{
+		{"sweep", ForceSweep},
+		{"events", func(s *Simulator) { ForceEvents(s, -1) }},
+	} {
+		for _, workers := range []int{1, 2} {
+			s, faults, seq, si := parallelFixture(t)
+			s.SetWorkers(workers)
+			arm.force(s)
+			early := fault.NewSet(len(faults))
+			rec := s.Record(seq, Options{Init: si})
+			rec.Detected().ForEach(func(f int) {
+				if rec.FirstPO(f) < len(seq)-1 {
+					early.Add(f)
+				}
+			})
+			for _, targets := range []*fault.Set{nil, early} {
+				before := s.Stats()
+				s.Record(seq, Options{Init: si, Targets: targets})
+				mid := s.Stats()
+				s.Profile(si, seq, targets)
+				got, want := s.Stats().Sub(mid), mid.Sub(before)
+				if got != want {
+					t.Fatalf("%s, workers %d, targets %v: Profile counters %+v, Record's %+v",
+						arm.name, workers, targets != nil, got, want)
+				}
+				if targets != nil && got.PassVectors >= got.Passes*int64(len(seq)) {
+					t.Fatalf("%s, workers %d: %d passes over early-detected targets ran %d vectors, want fewer than %d",
+						arm.name, workers, got.Passes, got.PassVectors, got.Passes*int64(len(seq)))
+				}
+			}
+		}
+	}
+}
+
+// TestProfileDetectedFullMatchesDetect: the prefix that ends at the last
+// vector is the whole test, so it detects what DetectTest does.
 func TestProfileDetectedFullMatchesDetect(t *testing.T) {
 	c := samples.S27()
 	faults := fault.Collapse(c)
@@ -46,8 +92,8 @@ func TestProfileDetectedFullMatchesDetect(t *testing.T) {
 	si := vec("010")
 	p := s.Profile(si, seq, nil)
 	direct := s.DetectTest(si, seq, nil)
-	if !p.DetectedFull().Equal(direct) {
-		t.Error("DetectedFull disagrees with DetectTest")
+	if !p.DetectedByPrefixSet(len(seq) - 1).Equal(direct) {
+		t.Error("the full-length prefix disagrees with DetectTest")
 	}
 }
 
@@ -59,7 +105,7 @@ func TestEarliestPrefixCovering(t *testing.T) {
 	seq := randomSeq(r, c.NumPIs(), 20)
 	si := vec("000")
 	p := s.Profile(si, seq, nil)
-	full := p.DetectedFull()
+	full := p.DetectedByPrefixSet(len(seq) - 1)
 	if full.Count() == 0 {
 		t.Fatal("test sequence detects nothing; pick a different seed")
 	}
@@ -119,8 +165,8 @@ func TestProfileScanOutNonMonotone(t *testing.T) {
 	if p.ScanOutDetects(0, 1) {
 		t.Error("scan-out after u=1 must NOT detect (states re-converge)")
 	}
-	if p.PODetectTime(0) != 1 {
-		t.Errorf("PO detect time = %d, want 1", p.PODetectTime(0))
+	if got := p.Record().FirstPO(0); got != 1 {
+		t.Errorf("PO detect time = %d, want 1", got)
 	}
 	if !p.DetectedByPrefix(0, 0) || !p.DetectedByPrefix(0, 1) {
 		t.Error("both prefixes detect overall")
@@ -131,24 +177,13 @@ func TestProfileEmptySequence(t *testing.T) {
 	c := samples.Toggle()
 	s := New(c, fault.Collapse(c))
 	p := s.Profile(vec("0"), nil, nil)
-	if p.SeqLen() != 0 {
+	if p.Record().SeqLen() != 0 {
 		t.Error("SeqLen should be 0")
 	}
-	if p.DetectedFull().Count() != 0 {
+	if p.DetectedByPrefixSet(-1).Count() != 0 {
 		t.Error("empty sequence detects nothing")
 	}
 	if u := p.EarliestPrefixCovering(fault.NewSet(s.NumFaults())); u != -1 {
 		t.Errorf("empty profile EarliestPrefixCovering = %d, want -1", u)
-	}
-}
-
-func TestProfileSimulatedFlag(t *testing.T) {
-	c := samples.S27()
-	faults := fault.Collapse(c)
-	s := New(c, faults)
-	targets := fault.FromIndices(len(faults), []int{0, 5})
-	p := s.Profile(vec("000"), randomSeq(rand.New(rand.NewSource(2)), c.NumPIs(), 4), targets)
-	if !p.Simulated(0) || !p.Simulated(5) || p.Simulated(1) {
-		t.Error("Simulated flags wrong")
 	}
 }

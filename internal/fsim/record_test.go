@@ -12,9 +12,10 @@ import (
 
 // TestRecordMatchesProfileAndDetect cross-checks the Record by-product
 // against the two established observers: the detected set must equal
-// Detect's, the first-PO times must equal Profile's poDetect, and the
-// scan-out-only flag must equal "detected, no PO detection, and the
-// final-position state diff is observable" per the Profile.
+// Detect's, the first-PO times must equal those of the Profile's run,
+// which has no final scan-out compare, and the scan-out-only flag must
+// equal "detected, no PO detection, and the final-position state diff
+// is observable" per the Profile.
 func TestRecordMatchesProfileAndDetect(t *testing.T) {
 	s, faults, seq, si := parallelFixture(t)
 	last := len(seq) - 1
@@ -36,10 +37,10 @@ func TestRecordMatchesProfileAndDetect(t *testing.T) {
 				}
 				continue
 			}
-			if got, want := rec.FirstPO(f), prof.PODetectTime(f); got != want {
+			if got, want := rec.FirstPO(f), prof.Record().FirstPO(f); got != want {
 				t.Fatalf("fault %d: FirstPO = %d, want %d", f, got, want)
 			}
-			wantSO := det.Has(f) && prof.PODetectTime(f) < 0 && prof.ScanOutDetects(f, last)
+			wantSO := det.Has(f) && prof.Record().FirstPO(f) < 0 && prof.ScanOutDetects(f, last)
 			if rec.ScanOutOnly(f) != wantSO {
 				t.Fatalf("fault %d: ScanOutOnly = %v, want %v", f, rec.ScanOutOnly(f), wantSO)
 			}

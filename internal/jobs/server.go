@@ -149,6 +149,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: "+err.Error())
 			return
 		}
+		// Decode reads one value; anything but whitespace after it is
+		// rejected, not ignored.
+		if _, err := dec.Token(); err != io.EOF {
+			httpError(w, http.StatusBadRequest, "bad_request", "malformed JSON body: data after the request object")
+			return
+		}
 		req = Request{Name: d.Name, Bench: d.Bench, Roster: d.Roster, Config: d.Config.Config()}
 	} else {
 		// Raw .bench upload; the circuit name comes from ?name=.

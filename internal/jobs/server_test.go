@@ -374,6 +374,9 @@ func TestUploadErrors(t *testing.T) {
 		{"both T0 arms skipped", "application/json", `{"roster": "b01", "config": {"skip_directed": true, "skip_random": true}}`, http.StatusBadRequest, "bad_request"},
 		{"unknown roster", "application/json", `{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
 		{"no source", "application/json", `{}`, http.StatusBadRequest, "bad_request"},
+		{"second json object", "application/json", `{"roster": "b01"}{"roster": "zz9"}`, http.StatusBadRequest, "bad_request"},
+		{"trailing garbage", "application/json", `{"roster": "b01"} x`, http.StatusBadRequest, "bad_request"},
+		{"trailing newline", "application/json", `{"roster": "b01", "config": ` + e2eConfigJSON + "}\n", http.StatusAccepted, ""},
 	}
 	for _, tc := range cases {
 		resp, e := post(tc.ct, tc.body)

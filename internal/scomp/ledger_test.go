@@ -71,9 +71,6 @@ func setsIdentical(a, b *scan.Set) bool {
 func referenceCompact(s *fsim.Simulator, ts *scan.Set) (*scan.Set, Stats) {
 	var st Stats
 	n := len(ts.Tests)
-	if n <= 1 {
-		return ts.Clone(), st
-	}
 	tests := make([]scan.Test, n)
 	cred := make([]*fault.Set, n) // nil once the test is absorbed
 	for i, t := range ts.Tests {
@@ -188,12 +185,12 @@ func verifyLedger(t *testing.T, name string, c *circuit.Circuit, faults []fault.
 				return
 			}
 			if d := row.FirstPO(f); d >= 0 {
-				if prof.PODetectTime(f) != d {
-					bad = fmt.Sprintf("fault %d: row first-PO %d, actual %d", f, d, prof.PODetectTime(f))
+				if got := prof.Record().FirstPO(f); got != d {
+					bad = fmt.Sprintf("fault %d: row first-PO %d, actual %d", f, d, got)
 				}
 			} else if !row.ScanOutOnly(f) {
 				bad = fmt.Sprintf("fault %d: detected but neither PO nor scan-out-only", f)
-			} else if prof.PODetectTime(f) >= 0 || !prof.ScanOutDetects(f, last) {
+			} else if prof.Record().FirstPO(f) >= 0 || !prof.ScanOutDetects(f, last) {
 				bad = fmt.Sprintf("fault %d: scan-out-only flag wrong", f)
 			}
 		})

@@ -80,18 +80,6 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	var st Stats
 	n := len(ts.Tests)
 	nf := s.NumFaults()
-	if n <= 1 {
-		led := fsim.NewLedger(nf)
-		for i, t := range ts.Tests {
-			if i < len(opt.InitialRecords) && opt.InitialRecords[i] != nil {
-				led.Append(opt.InitialRecords[i].Clone())
-			} else {
-				led.Append(s.RecordTest(t.SI, t.Seq, nil))
-			}
-		}
-		return ts.Clone(), led, st
-	}
-
 	tests := make([]scan.Test, n)
 	led := fsim.NewLedger(nf)
 	for i, t := range ts.Tests {
