@@ -99,12 +99,12 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 	}
 
 	// Phase 2: PODEM per remaining fault, with fault dropping.
+	search := newSearch(c, eng, opt.BacktrackLimit, ch, tm)
 	remaining.ForEach(func(fi int) {
 		if !remaining.Has(fi) {
 			return // dropped by an earlier PODEM test in this loop
 		}
-		p := newPodem(c, eng, faults[fi], opt.BacktrackLimit, ch, tm)
-		assign, status := p.run()
+		assign, status := search.target(faults[fi]).run()
 		switch status {
 		case Untestable:
 			res.Untestable.Add(fi)
@@ -120,9 +120,13 @@ func Generate(c *circuit.Circuit, faults []fault.Fault, opt Options) (*Result, e
 		fillRandom(r, t.PI)
 		det := simr.DetectTest(t.State, logic.Sequence{t.PI}, remaining)
 		if !det.Has(fi) {
-			// The X-fill cannot undo a detection PODEM proved, since the
-			// assigned bits alone guarantee it; a miss here means a
-			// PODEM bug, which we surface loudly.
+			// The assigned bits alone should detect fi, whatever the
+			// X-fill. A miss is a PODEM defect, known under partial scan
+			// for an output fault on a scanned flip-flop, whose stuck
+			// output masks what the flip-flop captures. The test is
+			// dropped and fi stays in remaining: a later test may still
+			// detect it, and if none does, Generate fails below with
+			// "faults unaccounted for".
 			return
 		}
 		tests = append(tests, t)

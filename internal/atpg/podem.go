@@ -47,27 +47,33 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// podem carries the state of one PODEM run.
+// podem carries the state of PODEM runs on one engine. newSearch
+// builds the part that does not depend on the fault once; target resets
+// the rest for each fault.
 type podem struct {
 	c        *circuit.Circuit
 	eng      *sim.BatchEngine // width 1: the good machine in slot 0, the faulty one in slot 1
-	f        fault.Fault
-	obs      []int  // observation nodes: POs and scanned DFF D drivers
-	observed []bool // per node: in obs
+	obs      []int            // observation nodes: POs and scanned DFF D drivers
+	observed []bool           // per node: in obs
 	limit    int
-	soDriver int             // D driver of a faulty scanned flip-flop, or -1
 	tm       *scoap.Measures // backtrace guidance (nil = first-X heuristic)
 
 	// inputs[i] is the node index of the i-th assignable input
-	// (PIs first, then present-state lines).
+	// (PIs first, then present-state lines); inpPos[n] is n's index in
+	// inputs, or -1.
 	inputs []int
-	inpPos map[int]int // node -> index in inputs
-	assign logic.Vector
+	inpPos []int
 
+	// The target fault and its search state.
+	f          fault.Fault
+	soDriver   int   // D driver of a faulty scanned flip-flop, or -1
+	cone       []int // f.Node and its combinational fanouts, in EvalOrder
+	frontier   []int // dFrontier's result, reused by every call
+	assign     logic.Vector
 	backtracks int
 
-	// xPathExists's search state, kept across calls: a node is seen in
-	// the current search when seen[n] == visit.
+	// Visit stamps of target's cone walk and of xPathExists's searches:
+	// a node is seen in the current walk when seen[n] == visit.
 	seen  []uint32
 	visit uint32
 	stack []int
@@ -76,40 +82,37 @@ type podem struct {
 // maxBacktracks is the default PODEM backtrack limit.
 const maxBacktracks = 100
 
-// newPodem prepares a PODEM run on eng, a width-1 engine for c, under
-// the scan chain ch: only scanned present-state lines are assignable and
-// only scanned next-state lines are observable.
+// newPodem prepares a PODEM run for f on eng, a width-1 engine for c,
+// under the scan chain ch.
 func newPodem(c *circuit.Circuit, eng *sim.BatchEngine, f fault.Fault, limit int, ch *scan.Chain, tm *scoap.Measures) *podem {
+	return newSearch(c, eng, limit, ch, tm).target(f)
+}
+
+// newSearch builds the fault-independent state of PODEM runs on eng, a
+// width-1 engine for c, under the scan chain ch: only scanned
+// present-state lines are assignable and only scanned next-state lines
+// are observable.
+func newSearch(c *circuit.Circuit, eng *sim.BatchEngine, limit int, ch *scan.Chain, tm *scoap.Measures) *podem {
 	p := &podem{
 		c:        c,
 		eng:      eng,
-		f:        f,
+		observed: make([]bool, c.NumNodes()),
 		limit:    limit,
-		soDriver: -1,
 		tm:       tm,
+		inpPos:   make([]int, c.NumNodes()),
+		seen:     make([]uint32, c.NumNodes()),
 	}
-	// Reset clears the last run's values: an output injection on an
-	// unscanned flip-flop wrote slot 1 there, and no input write undoes it.
-	eng.Reset()
-	eng.SetInjections([]sim.BatchInjection{f.Injection([]uint64{1 << 1})}) // the faulty machine: slot 1
-	for _, pi := range c.PIs {
-		p.inputs = append(p.inputs, pi)
-	}
+	p.inputs = append(p.inputs, c.PIs...)
 	for _, k := range ch.FFs {
 		p.inputs = append(p.inputs, c.DFFs[k])
 	}
-	p.inpPos = make(map[int]int, len(p.inputs))
+	for n := range p.inpPos {
+		p.inpPos[n] = -1
+	}
 	for i, n := range p.inputs {
 		p.inpPos[n] = i
 	}
-	// A fault on a flip-flop is caught at scan-out when the flip-flop
-	// is scanned, that is, when its output is an assignable input.
-	if _, scanned := p.inpPos[f.Node]; scanned && c.Nodes[f.Node].Kind == circuit.DFF {
-		p.soDriver = c.Nodes[f.Node].Fanin[0]
-	}
 	p.assign = logic.NewVector(len(p.inputs), logic.X)
-
-	p.observed = make([]bool, c.NumNodes())
 	for _, po := range c.POs {
 		if !p.observed[po] {
 			p.observed[po] = true
@@ -123,8 +126,61 @@ func newPodem(c *circuit.Circuit, eng *sim.BatchEngine, f fault.Fault, limit int
 			p.obs = append(p.obs, d)
 		}
 	}
-	p.seen = make([]uint32, c.NumNodes())
 	return p
+}
+
+// target resets p for a run on f and returns p.
+func (p *podem) target(f fault.Fault) *podem {
+	c := p.c
+	p.f = f
+	p.backtracks = 0
+	for i := range p.assign {
+		p.assign[i] = logic.X
+	}
+	// Reset clears the last run's values: an output injection on an
+	// unscanned flip-flop wrote slot 1 there, and no input write undoes it.
+	p.eng.Reset()
+	p.eng.SetInjections([]sim.BatchInjection{f.Injection([]uint64{1 << 1})}) // the faulty machine: slot 1
+	// A fault on a flip-flop is caught at scan-out when the flip-flop
+	// is scanned, that is, when its output is an assignable input.
+	p.soDriver = -1
+	if p.inpPos[f.Node] >= 0 && c.Nodes[f.Node].Kind == circuit.DFF {
+		p.soDriver = c.Nodes[f.Node].Fanin[0]
+	}
+	// Only the fault site and its combinational fanouts can differ
+	// between the machines, so the D-frontier lies in this cone.
+	seen, visit := p.stamp()
+	seen[f.Node] = visit
+	stack := append(p.stack[:0], f.Node)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range c.Fanout(n) {
+			if seen[s] != visit && c.Nodes[s].Kind != circuit.DFF {
+				seen[s] = visit
+				stack = append(stack, s)
+			}
+		}
+	}
+	p.stack = stack[:0]
+	p.cone = p.cone[:0]
+	for _, n := range c.EvalOrder() {
+		if seen[n] == visit {
+			p.cone = append(p.cone, n)
+		}
+	}
+	return p
+}
+
+// stamp starts a new walk over p.seen and returns the buffer and the
+// walk's stamp.
+func (p *podem) stamp() ([]uint32, uint32) {
+	p.visit++
+	if p.visit == 0 { // wrapped: stamps of old walks could match
+		clear(p.seen)
+		p.visit = 1
+	}
+	return p.seen, p.visit
 }
 
 // imply re-simulates both machines under the current input assignment:
@@ -136,14 +192,21 @@ func (p *podem) imply() {
 	p.eng.EvalComb()
 }
 
-func (p *podem) goodVal(n int) logic.Value { return p.eng.Val(n)[0].Get(0) }
-func (p *podem) badVal(n int) logic.Value  { return p.eng.Val(n)[0].Get(1) }
+// word returns node n's engine word: bit 0 is the good machine, bit 1
+// the faulty one.
+func (p *podem) word(n int) logic.Word { return p.eng.Val(n)[0] }
+
+func (p *podem) goodVal(n int) logic.Value { return p.word(n).Get(0) }
+
+// bothBinary reports whether both machines carry a binary value in w.
+func bothBinary(w logic.Word) bool { return (w.Zero|w.One)&0b11 == 0b11 }
+
+// hasEffect reports whether w carries a definite fault effect: both
+// machines binary, and different.
+func hasEffect(w logic.Word) bool { return (w.Zero&(w.One>>1)|w.One&(w.Zero>>1))&1 != 0 }
 
 // effect reports whether node n carries a definite fault effect.
-func (p *podem) effect(n int) bool {
-	g, b := p.goodVal(n), p.badVal(n)
-	return g.IsBinary() && b.IsBinary() && g != b
-}
+func (p *podem) effect(n int) bool { return hasEffect(p.word(n)) }
 
 // detected reports whether any observation node carries a fault effect.
 // Faults on a flip-flop (output stem or D pin) get a scan-out check: the
@@ -196,12 +259,13 @@ func (p *podem) siteNode() int {
 }
 
 // dFrontier returns gates whose output has no definite effect yet but at
-// least one fanin does, and whose output is still X in one machine.
+// least one fanin does, and whose output is still X in one machine. Only
+// gates of the fault's cone can have a fanin with an effect, so the scan
+// covers the cone alone; the result is valid until the next call.
 func (p *podem) dFrontier() []int {
-	var out []int
-	for _, n := range p.c.EvalOrder() {
-		g, b := p.goodVal(n), p.badVal(n)
-		if g.IsBinary() && b.IsBinary() {
+	out := p.frontier[:0]
+	for _, n := range p.cone {
+		if bothBinary(p.word(n)) {
 			continue // fully determined: either effect already or blocked
 		}
 		for _, fi := range p.c.Nodes[n].Fanin {
@@ -215,13 +279,10 @@ func (p *podem) dFrontier() []int {
 	// though the driver shows none: treat the faulted gate itself as
 	// frontier material when its output is undetermined and the fault is
 	// excited.
-	if p.f.Pin >= 0 {
-		n := p.f.Node
-		g, b := p.goodVal(n), p.badVal(n)
-		if !(g.IsBinary() && b.IsBinary()) && p.excited() {
-			out = append(out, n)
-		}
+	if p.f.Pin >= 0 && !bothBinary(p.word(p.f.Node)) && p.excited() {
+		out = append(out, p.f.Node)
 	}
+	p.frontier = out
 	return out
 }
 
@@ -231,12 +292,7 @@ func (p *podem) xPathExists(frontier []int) bool {
 	if len(frontier) == 0 {
 		return false
 	}
-	p.visit++
-	if p.visit == 0 { // wrapped: stamps of old searches could match
-		clear(p.seen)
-		p.visit = 1
-	}
-	seen, visit := p.seen, p.visit
+	seen, visit := p.stamp()
 	stack := append(p.stack[:0], frontier...)
 	for _, n := range stack {
 		seen[n] = visit
@@ -255,8 +311,7 @@ func (p *podem) xPathExists(frontier []int) bool {
 				// handled by the observed mark of the driver n above.
 				continue
 			}
-			g, b := p.goodVal(s), p.badVal(s)
-			if g.IsBinary() && b.IsBinary() && g == b {
+			if w := p.word(s); bothBinary(w) && !hasEffect(w) {
 				continue // blocked
 			}
 			seen[s] = visit
@@ -294,7 +349,7 @@ func (p *podem) objective(frontier []int) (int, logic.Value, bool) {
 			if p.f.Pin >= 0 && p.f.Node == g && p.f.Pin == pin {
 				continue // the faulted pin itself is forced, not free
 			}
-			if !p.goodVal(fi).IsBinary() || !p.badVal(fi).IsBinary() {
+			if !bothBinary(p.word(fi)) {
 				return fi, nc, true
 			}
 		}
@@ -323,7 +378,7 @@ func nonControlling(k circuit.Kind) (logic.Value, bool) {
 // to try there.
 func (p *podem) backtrace(n int, v logic.Value) (int, logic.Value, bool) {
 	for {
-		if idx, ok := p.inpPos[n]; ok {
+		if idx := p.inpPos[n]; idx >= 0 {
 			if p.assign[idx] != logic.X {
 				return 0, logic.X, false // already decided: cannot serve
 			}
@@ -413,9 +468,9 @@ func (p *podem) backtrace(n int, v logic.Value) (int, logic.Value, bool) {
 
 // decision is one PODEM stack frame.
 type decision struct {
-	input    int
-	value    logic.Value
-	flippped bool
+	input   int
+	value   logic.Value
+	flipped bool
 }
 
 // run executes the PODEM search. On success the returned vector holds
@@ -452,8 +507,8 @@ func (p *podem) run() (logic.Vector, Status) {
 					return nil, Untestable
 				}
 				top := &stack[len(stack)-1]
-				if !top.flippped {
-					top.flippped = true
+				if !top.flipped {
+					top.flipped = true
 					top.value = top.value.Not()
 					p.assign[top.input] = top.value
 					p.backtracks++

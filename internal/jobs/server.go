@@ -127,8 +127,15 @@ func jobToDTO(j *Job) jobDTO {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	// The whole body is read before any decoding, so every body over the
+	// cap gets 413 whatever its content. A declared length within the cap
+	// sizes the buffer once; ReadFrom keeps MinRead bytes free for each
+	// read, the one that meets the end included.
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= s.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			httpError(w, http.StatusRequestEntityTooLarge, "payload_too_large",
@@ -138,6 +145,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_request", "failed to read request body")
 		return
 	}
+	body := buf.Bytes()
 
 	var req Request
 	ct := r.Header.Get("Content-Type")

@@ -388,23 +388,32 @@ func TestUploadErrors(t *testing.T) {
 		}
 	}
 
-	// Oversized upload: 413 with the structured payload.
+	// Oversized uploads: 413 with the structured payload, whatever the
+	// body holds. The whole body is read before it is decoded, so JSON
+	// that is malformed early gets 413 too, not 400.
 	srvSmall := NewServer(s.queue)
 	srvSmall.MaxBodyBytes = 64
 	small := httptest.NewServer(srvSmall.Handler())
 	defer small.Close()
-	resp, err := http.Post(small.URL+"/v1/jobs", "text/plain", strings.NewReader(strings.Repeat("x", 1024)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Errorf("oversized upload: status %d, want 413", resp.StatusCode)
-	}
-	var e map[string]any
-	json.NewDecoder(resp.Body).Decode(&e)
-	if code := errCode(e); code != "payload_too_large" {
-		t.Errorf("oversized upload: error code %q", code)
+	pad := strings.Repeat("x", 1024)
+	for _, tc := range []struct{ name, ct, body string }{
+		{"netlist", "text/plain", pad},
+		{"JSON", "application/json", `{"roster": "b01", "name": "` + pad + `"}`},
+		{"JSON malformed early", "application/json", `{"roster": b01` + pad},
+	} {
+		resp, err := http.Post(small.URL+"/v1/jobs", tc.ct, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized %s upload: status %d, want 413", tc.name, resp.StatusCode)
+		}
+		var e map[string]any
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if code := errCode(e); code != "payload_too_large" {
+			t.Errorf("oversized %s upload: error code %q", tc.name, code)
+		}
 	}
 }
 
