@@ -7,11 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atpg"
+	"repro/internal/dyncomp"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/logic"
 	"repro/internal/scan"
+	"repro/internal/scomp"
 	"repro/internal/vecomit"
 )
 
@@ -126,4 +129,83 @@ func BenchmarkLedgerOmission(b *testing.B) {
 		removed = st.Removed
 	}
 	b.ReportMetric(float64(removed), "removed")
+}
+
+// --- Baseline engine benchmarks ---
+
+// baselineCircuits are the circuits the [2,3] and [4] baselines are
+// timed on: a mid-size ISCAS and a small ITC substitute.
+var baselineCircuits = []string{"s1423", "b04"}
+
+// combFixture is a roster circuit's simulator and its combinational
+// test set C, generated with the circuit's roster seed as the pipeline
+// does.
+type combFixture struct {
+	sim *fsim.Simulator
+	C   []atpg.CombTest
+}
+
+var (
+	combMu  sync.Mutex
+	combFxs = map[string]*combFixture{}
+)
+
+// combSetup memoizes the fixture of the named roster circuit, so a
+// benchmark times only its engine.
+func combSetup(b *testing.B, name string) *combFixture {
+	b.Helper()
+	combMu.Lock()
+	defer combMu.Unlock()
+	if fx, ok := combFxs[name]; ok {
+		return fx
+	}
+	e, ok := gen.FindEntry(name)
+	if !ok {
+		b.Fatalf("unknown roster circuit %q", name)
+	}
+	c := gen.MustGenerate(e.Params)
+	faults := fault.Collapse(c)
+	res, err := atpg.Generate(c, faults, atpg.Options{Seed: e.Params.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx := &combFixture{sim: fsim.New(c, faults), C: res.Tests}
+	combFxs[name] = fx
+	return fx
+}
+
+// BenchmarkDynamicCompaction times the [2,3] baseline (dyncomp) from C
+// and reports its extension candidates. CI runs it once with -benchmem.
+func BenchmarkDynamicCompaction(b *testing.B) {
+	for _, name := range baselineCircuits {
+		b.Run(name, func(b *testing.B) {
+			fx := combSetup(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var st dyncomp.Stats
+			for i := 0; i < b.N; i++ {
+				_, st = dyncomp.Compact(fx.sim, fx.C, dyncomp.Options{})
+			}
+			b.ReportMetric(float64(st.Candidates), "candidates")
+		})
+	}
+}
+
+// BenchmarkStaticCompaction times the [4] baseline (scomp) on C as
+// length-1 scan tests and reports its combination attempts. CI runs it
+// once with -benchmem.
+func BenchmarkStaticCompaction(b *testing.B) {
+	for _, name := range baselineCircuits {
+		b.Run(name, func(b *testing.B) {
+			fx := combSetup(b, name)
+			ts := scomp.FromCombTests(fx.C)
+			b.ReportAllocs()
+			b.ResetTimer()
+			var st scomp.Stats
+			for i := 0; i < b.N; i++ {
+				_, st = scomp.Compact(fx.sim, ts, scomp.Options{})
+			}
+			b.ReportMetric(float64(st.Attempts), "attempts")
+		})
+	}
 }

@@ -18,8 +18,10 @@
 // extensions: every candidate replays the current test verbatim and
 // appends one vector, so the faults the current test PO-detects are
 // detected by every candidate and drop out of the candidate target sets.
-// ledger_test.go checks it against a loop that re-grades every
-// candidate cold.
+// The candidates of one step share a run (fsim.RecordExtensions): each
+// pass simulates the current test once and every candidate vector from
+// the states it ends in. ledger_test.go checks it against a loop that
+// re-grades every candidate cold.
 package dyncomp
 
 import (
@@ -87,6 +89,11 @@ func Compact(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stat
 	// goal is covered (every remaining fault has a length-1 seed in C,
 	// so each sweep that finds any payable seed makes progress).
 	out := scan.NewSet()
+	// The current step's candidate vectors and their records, reused
+	// from step to step: the best record is merged into the test's
+	// before the next step.
+	var cands []logic.Vector
+	var recs []*fsim.Record
 	progress := true
 	for remaining.Count() > 0 && progress {
 		progress = false
@@ -115,16 +122,19 @@ func Compact(s *fsim.Simulator, C []atpg.CombTest, opt Options) (*scan.Set, Stat
 				// over the current detection count (base and the
 				// candidate detections are disjoint, so counts simply
 				// add).
+				cands = cands[:0]
+				for cj := ci + 1; cj < len(C) && cj <= ci+opt.CandidateLimit; cj++ {
+					cands = append(cands, C[cj].PI)
+				}
 				bestCount := cur.Count()
 				var bestVec logic.Vector
 				var bestRec *fsim.Record
-				for cj := ci + 1; cj < len(C) && cj <= ci+opt.CandidateLimit; cj++ {
-					rec := s.Record(append(test.Seq.Clone(), C[cj].PI),
-						fsim.Options{Init: test.SI, ScanOut: true, Targets: rest2})
+				recs = s.RecordExtensions(recs, test.SI, test.Seq, cands, rest2)
+				for i, rec := range recs {
 					st.Candidates++
 					st.FaultsSimulated += rest2.Count()
 					if got := base.Count() + rec.Detected().Count(); got > bestCount {
-						bestCount, bestVec, bestRec = got, C[cj].PI, rec
+						bestCount, bestVec, bestRec = got, cands[i], rec
 					}
 				}
 				if bestRec == nil {

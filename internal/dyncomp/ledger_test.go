@@ -13,14 +13,42 @@ import (
 // TestLedgerEquivalence checks the ledger engine against compactLegacy
 // at several worker counts: every extension candidate scores the same,
 // so the built test set, the extension count and the candidate count
-// are identical, while strictly fewer fault slots are simulated.
+// are identical, while strictly fewer fault slots are simulated. Besides
+// two full-scan circuits it runs one with every other flip-flop
+// scanned, where the unscanned flip-flops start X, and so do the words
+// the candidates of a step start from.
 func TestLedgerEquivalence(t *testing.T) {
+	type input struct {
+		name string
+		s    *fsim.Simulator
+		C    []atpg.CombTest
+	}
+	var inputs []input
 	for _, seed := range []int64{31, 36} {
 		s, C, _ := setup(t, seed)
+		inputs = append(inputs, input{fmt.Sprintf("seed=%d", seed), s, C})
+	}
+	c, faults := inputs[1].s.Circuit(), inputs[1].s.Faults()
+	var half []int
+	for i := 0; i < c.NumFFs(); i += 2 {
+		half = append(half, i)
+	}
+	chain, err := scan.NewChain(c.NumFFs(), half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := atpg.Generate(c, faults, atpg.Options{Seed: 36, Chain: chain})
+	if err != nil {
+		t.Fatalf("atpg: %v", err)
+	}
+	inputs = append(inputs, input{"seed=36 half-scan", fsim.NewChain(c, faults, chain), res.Tests})
+
+	for _, in := range inputs {
+		s, C := in.s, in.C
 		ref, refSt := compactLegacy(s, C, Options{}.withDefaults(s.Nsv()))
 
 		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("seed=%d workers=%d", seed, workers)
+			name := fmt.Sprintf("%s workers=%d", in.name, workers)
 			s.SetWorkers(workers)
 			out, st := Compact(s, C, Options{})
 			if out.NumTests() != ref.NumTests() {

@@ -1,5 +1,10 @@
 package fsim
 
+import (
+	"repro/internal/fault"
+	"repro/internal/logic"
+)
+
 // ForceSweep makes every later run of s sweep every frame, whatever the
 // gate would choose.
 func ForceSweep(s *Simulator) { s.setForce(&frameForce{}) }
@@ -21,3 +26,16 @@ func (s *Simulator) setForce(f *frameForce) {
 // TraceRows returns the number of good-trace rows the runs of s have
 // simulated: none unless some pass started on event frames.
 func TraceRows(s *Simulator) int64 { return s.traceRows.Load() }
+
+// Resume runs the test of cp from position q over seq, the vectors that
+// now follow q, and returns the Record of the whole test over targets:
+// a resumed run without the must-detect abort, so a test can compare
+// every target's entry with a full run's. It panics as ResumeMustInto
+// does.
+func Resume(s *Simulator, cp *Checkpoints, q int, seq logic.Sequence, targets *fault.Set) *Record {
+	spec := cp.resume(q, targets)
+	r := newRecord(len(s.faults), q+len(seq))
+	spec.rec = r
+	s.run(seq, Options{Init: cp.si, ScanOut: cp.scanOut, Targets: targets}, r.det, spec)
+	return r
+}

@@ -26,8 +26,13 @@
 // counts the detections of many scan-in states over one sequence for
 // Phase 1's candidates: the first state's run is a reference, and each
 // other run decides a fault without simulating on once its good and
-// faulty machines re-join the reference's (scanin.go). A run packs its
-// target faults into passes in ascending fault index.
+// faulty machines re-join the reference's (scanin.go). The compaction
+// trials skip the prefix they share with the test they edit
+// (resume.go): RecordCheckpoints grades a test and stores its faults'
+// states every few vectors, ResumeMustInto starts a must-detect check
+// from one of those checkpoints, and RecordExtensions grades the
+// one-vector extensions of a test, simulating the test once per pass. A
+// run packs its target faults into passes in ascending fault index.
 //
 // The pass loop evaluates a frame (one input vector) in one of two ways
 // (events.go). A swept frame runs the whole compiled program over the
@@ -134,8 +139,11 @@ type worker struct {
 	s       *Simulator
 	beng    *sim.BatchEngine
 	binjBuf []sim.BatchInjection
-	maskBuf []uint64 // per-fault kernel injection masks
-	vecBuf  []uint64 // batch/detected/diff mask scratch
+	maskBuf []uint64     // per-fault kernel injection masks
+	vecBuf  []uint64     // batch/detected/diff mask scratch
+	wordBuf []logic.Word // flip-flop words loaded or kept (resume.go)
+	mismBuf []uint64     // per flip-flop word: the slots a checkpoint stores
+	cntBuf  []int32      // per slot: differences a checkpoint stores
 }
 
 // kernel returns the worker's batch engine switched to the given width.
@@ -255,6 +263,17 @@ type runSpec struct {
 	ref     *reference   // scan-in reference written or read, or nil (see scanin.go)
 	repack  bool         // survivor repacking enabled (see run)
 
+	// Stored states (see resume.go). A checkpoint run saves its passes'
+	// states into save. A resumed run starts each pass from the states
+	// from holds at position at, the test position of seq[0]. An
+	// extension run ends each pass on every vector of tails in turn,
+	// recording tail i into tailRecs[i].
+	save     *Checkpoints
+	from     *Checkpoints
+	at       int
+	tails    []logic.Vector
+	tailRecs []*Record
+
 	// Event frames (see events.go): with a trace, every pass starts on
 	// event frames and sweeps the frames after one that falls back.
 	trace      *trace
@@ -291,11 +310,11 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // width picked by sim.WidthFor for the queued targets plus the good
 // machine), and fans the passes out over the worker pool. spec carries
 // what the run keeps or obeys beyond detection (a profile, a record, an
-// abort flag, a scan-in reference); run fills in the rest. Detections are
-// accumulated into detected and — in profile mode — per-time scan-out
-// data into spec.profile. A non-nil spec.abort turns the run into a
-// must-detect check: a completed pass with an undetected fault aborts
-// the remaining ones.
+// abort flag, a scan-in reference, stored states); run fills in the
+// rest. Detections are accumulated into detected and — in profile mode
+// — per-time scan-out data into spec.profile. A non-nil spec.abort
+// turns the run into a must-detect check: a completed pass with an
+// undetected fault aborts the remaining ones.
 //
 // Without an abort flag or a reference, passes additionally repack: a
 // pass most of whose faults are already detected aborts early and hands
@@ -304,8 +323,8 @@ func (s *Simulator) targetIndices(targets *fault.Set) []int {
 // from scratch). Per-fault detection is independent of pass packing, so
 // results are bit-identical; each generation is at most half the size
 // of the previous one, so the loop terminates in O(log targets)
-// generations. A run with a reference keeps the reference's packing: it
-// neither repacks nor takes event frames.
+// generations. A run with a reference or stored states keeps its
+// packing: it neither repacks nor takes event frames.
 func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, spec *runSpec) {
 	targets := s.targetIndices(opt.Targets)
 	if len(targets) == 0 {
@@ -317,8 +336,9 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, sp
 	// pass are re-simulated from scratch, so a record entry is written
 	// (exactly once) by the generation that detects the fault, and a
 	// survivor's profile bits are set again, unchanged.
-	spec.repack = spec.abort == nil && spec.ref == nil && len(seq) > 1
-	if spec.ref == nil {
+	sweeps := spec.ref != nil || spec.save != nil || spec.from != nil || spec.tails != nil
+	spec.repack = spec.abort == nil && !sweeps && len(seq) > 1
+	if !sweeps {
 		s.gateFrames(spec, len(targets))
 	}
 	if spec.trace != nil {
@@ -333,6 +353,9 @@ func (s *Simulator) run(seq logic.Sequence, opt Options, detected *fault.Set, sp
 		survByPass := make([][]int, nb)
 		if spec.ref != nil && spec.ref.build {
 			spec.ref.passes = make([]refPass, nb)
+		}
+		if spec.save != nil {
+			spec.save.passes = make([][]cpState, nb)
 		}
 
 		// passes runs the passes it pulls from a shared counter on one
@@ -428,7 +451,10 @@ func repackable(u, seqLen int) bool {
 // a scan-out would catch; the pass drops, exits early and repacks as any
 // other. The run that writes a scan-in reference (spec.ref, scanin.go)
 // records it instead of early-exiting; the runs that read one decide
-// re-joined slots at its checkpoints. It returns the number of input
+// re-joined slots at its checkpoints. A checkpoint run stores its
+// undetected slots' states at its checkpoints, a resumed run loads them
+// and counts positions from spec.at, and an extension run ends on
+// each of its tail vectors (resume.go). It returns the number of input
 // vectors actually executed, plus the undetected survivors when the
 // pass repacked (see run).
 func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detected *fault.Set) (int, []int) {
@@ -471,7 +497,11 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 		events = false
 	}
 	if !events {
-		eng.SetStateVector(spec.state)
+		if c := spec.from.index(spec.at); c >= 0 {
+			spec.from.load(eng, c, batch, scratch(&wk.wordBuf, s.c.NumFFs()*width))
+		} else {
+			eng.SetStateVector(spec.state)
+		}
 	}
 
 	profile, ref := spec.profile, spec.ref
@@ -519,7 +549,10 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 					fi := batch[k*64+b-1]
 					detected.Add(fi)
 					if spec.rec != nil {
-						spec.rec.first[fi] = int32(u)
+						spec.rec.first[fi] = int32(spec.at + u)
+					}
+					for _, r := range spec.tailRecs {
+						r.first[fi] = int32(spec.at + u)
 					}
 				}
 				detMask[k] |= d
@@ -554,6 +587,16 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 				}
 			}
 		}
+		if spec.save != nil {
+			if c := spec.save.index(u + 1); c >= 0 {
+				live := diff // free until the next frame
+				for k := range live {
+					live[k] = batchMask[k] &^ detMask[k]
+				}
+				spec.save.save(pass, c, eng, batch, live,
+					scratch(&wk.mismBuf, s.c.NumFFs()*width), scratch(&wk.cntBuf, 64*width))
+			}
+		}
 		if ref != nil {
 			c := ref.checkpoint(u)
 			switch {
@@ -586,6 +629,13 @@ func (wk *worker) runPass(pass int, batch []int, spec *runSpec, width int, detec
 				return u + 1, surv
 			}
 		}
+	}
+	if spec.tails != nil {
+		live := batchMask // the pass ends here
+		for k := range live {
+			live[k] &^= detMask[k]
+		}
+		return len(spec.seq) + wk.extend(eng, spec, batch, live, diff), nil
 	}
 	if spec.scanOut {
 		clear(diff)

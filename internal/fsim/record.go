@@ -16,14 +16,17 @@ import (
 // scan-out-only fault's last (and only) detecting position is the final
 // scan-out itself.
 //
-// Unlike Profile, a Record is a by-product of ordinary grading: the
-// per-pass early exit, survivor repacking and the worker pool all stay
-// engaged, so recording costs nothing beyond the grading pass itself.
-// The data is packing-independent — a fault's first PO detection and its
-// final scan-out status do not depend on which faults share its pass —
-// so Records are bit-identical at every worker count, pass width and
-// packing of faults into passes (asserted by the differential tests in
-// record_test.go and package oracle).
+// A Record is a by-product of grading: the per-pass early exit and the
+// worker pool stay engaged, and so does survivor repacking in the runs
+// that repack (Record, RecordTest, Profile; must-detect checks and the
+// runs of resume.go keep their packing), so recording costs nothing
+// beyond the grading pass itself. The data is packing-independent — a
+// fault's first PO detection and its final scan-out status do not
+// depend on which faults share its pass — so Records are bit-identical
+// at every worker count, pass width and packing of faults into passes
+// (asserted by the differential tests in record_test.go and package
+// oracle). A run resumed from a checkpoint counts positions in the whole
+// test, so its Record is the full run's over its targets.
 type Record struct {
 	seqLen int
 	first  []int32 // earliest PO-detect time per fault, or -1
@@ -160,17 +163,24 @@ func (s *Simulator) RecordTest(si logic.Vector, seq logic.Sequence, targets *fau
 // buffer stays reusable. A trial loop so checks and records in one pass
 // without a per-trial allocation.
 func (s *Simulator) RecordMustInto(buf *Record, seq logic.Sequence, opt Options, must *fault.Set) (*Record, bool) {
+	return s.recordMust(buf, len(seq), seq, opt, must, &runSpec{})
+}
+
+// recordMust runs the must-detect check of RecordMustInto under spec,
+// into a record of a test of seqLen vectors.
+func (s *Simulator) recordMust(buf *Record, seqLen int, seq logic.Sequence, opt Options, must *fault.Set, spec *runSpec) (*Record, bool) {
 	if buf == nil {
-		buf = newRecord(len(s.faults), len(seq))
+		buf = newRecord(len(s.faults), seqLen)
 	} else {
-		buf.Reset(len(seq))
+		buf.Reset(seqLen)
 	}
 	if must == nil || must.Count() == 0 {
 		return buf, true
 	}
 	opt.Targets = must
 	var abort atomic.Bool
-	s.run(seq, opt, buf.det, &runSpec{rec: buf, abort: &abort})
+	spec.rec, spec.abort = buf, &abort
+	s.run(seq, opt, buf.det, spec)
 	if abort.Load() || !buf.det.ContainsAll(must) {
 		return buf, false
 	}

@@ -31,6 +31,7 @@ package scomp
 import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
+	"repro/internal/logic"
 	"repro/internal/scan"
 )
 
@@ -153,13 +154,14 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 		return 0, 0, false
 	}
 
-	// accept replaces τ_i with the combination and kills τ_j, refreshing
-	// the ledger row: PO detections of the old τ_i carry over verbatim,
-	// the trial's must-detect record (nil for a short circuit) covers the
-	// simulated risk faults, and one targeted pass covers the
-	// not-at-risk remainder of the union that the prefix does not
-	// already pin down.
-	accept := func(i, j int, combined scan.Test, recMust *fsim.Record) {
+	// accept replaces τ_i with the combination, seq (T_i·T_j), and kills
+	// τ_j, refreshing the ledger row: PO detections of the old τ_i carry
+	// over verbatim, the trial's must-detect record (nil for a short
+	// circuit) covers the simulated risk faults, and one targeted pass
+	// covers the not-at-risk remainder of the union that the prefix does
+	// not already pin down. The new test is the combination's one copy.
+	accept := func(i, j int, seq logic.Sequence, recMust *fsim.Record) {
+		combined := scan.Test{SI: tests[i].SI.Clone(), Seq: seq.Clone()}
 		rowi := led.Row(i)
 		rest := rowi.Detected().Clone()
 		rest.UnionWith(led.Row(j).Detected())
@@ -189,7 +191,10 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 	// buf is the trial record, reused across trials so that a trial
 	// allocates nothing. An accept merges it into the new ledger row
 	// (Merge copies), so the must set is simulated once per trial.
+	// trial is the combined sequence T_i·T_j of the current pair, built
+	// in place from the two tests' vectors, which no trial modifies.
 	var buf *fsim.Record
+	var trial logic.Sequence
 
 	for {
 		st.Rounds++
@@ -208,10 +213,7 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 					mustSim.Remove(f)
 				}
 			})
-			combined := scan.Test{
-				SI:  tests[i].SI.Clone(),
-				Seq: append(tests[i].Seq.Clone(), tests[j].Seq.Clone()...),
-			}
+			trial = append(append(trial[:0], tests[i].Seq...), tests[j].Seq...)
 			st.Attempts++
 			var recMust *fsim.Record
 			hit := mustSim.Count() == 0
@@ -220,8 +222,8 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 				st.ShortCircuits++
 			} else {
 				st.FaultsSimulated += mustSim.Count()
-				buf, hit = s.RecordMustInto(buf, combined.Seq,
-					fsim.Options{Init: combined.SI, ScanOut: true}, mustSim)
+				buf, hit = s.RecordMustInto(buf, trial,
+					fsim.Options{Init: tests[i].SI, ScanOut: true}, mustSim)
 				recMust = buf
 			}
 			// The successor is taken before an accept changes the live
@@ -230,7 +232,7 @@ func CompactWithLedger(s *fsim.Simulator, ts *scan.Set, opt Options) (*scan.Set,
 			ti, tj := i, j
 			i, j, ok = nextPair(ti, tj+1)
 			if hit {
-				accept(ti, tj, combined, recMust)
+				accept(ti, tj, trial, recMust)
 				changed = true
 				if ok {
 					i, j, ok = nextPair(i, j)

@@ -75,9 +75,11 @@ func naiveOmit(orc *oracle.Sim, si logic.Vector, seq logic.Sequence, keep *fault
 
 // TestLedgerEquivalence checks the ledger engine against naiveOmit at
 // several worker counts, under full and partial scan: the compacted
-// sequences must be identical. The free-removal short-circuit must fire
-// somewhere in the sweep, otherwise the ledger would be measuring
-// nothing.
+// sequences must be identical. The 16-vector tests keep a checkpoint
+// after every vector; the 66-vector test keeps one every second vector,
+// so most of its trials resume from a checkpoint before the omitted
+// position. The free-removal short-circuit must fire somewhere in the
+// sweep, otherwise the ledger would be measuring nothing.
 func TestLedgerEquivalence(t *testing.T) {
 	c := gen.MustGenerate(gen.Params{Name: "vl", Seed: 41, PIs: 4, POs: 3, FFs: 10, Gates: 110})
 	faults := fault.Collapse(c)
@@ -98,9 +100,13 @@ func TestLedgerEquivalence(t *testing.T) {
 			nsv = len(chain.FFs)
 		}
 		orc := oracle.NewChain(c, faults, chain)
-		for _, seed := range []int64{3, 19} {
+		for _, in := range []struct {
+			seed   int64
+			length int
+		}{{3, 16}, {19, 16}, {7, 66}} {
+			seed := in.seed
 			r := rand.New(rand.NewSource(seed))
-			tst := randomTest(r, nsv, c.NumPIs(), 16)
+			tst := randomTest(r, nsv, c.NumPIs(), in.length)
 			keep := fsim.NewChain(c, faults, chain).DetectTest(tst.SI, tst.Seq, nil)
 			ref := naiveOmit(orc, tst.SI, tst.Seq, keep, true, 2)
 

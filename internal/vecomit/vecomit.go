@@ -20,13 +20,21 @@
 //
 // The engine keeps that risk set exact with a detection ledger
 // (fsim.Record): each trial's must-detect simulation records into a
-// reusable buffer (fsim.RecordMustInto), and an accepted removal
+// reusable buffer (fsim.ResumeMustInto), and an accepted removal
 // refreshes the ledger rows from that record at no extra simulation
 // cost, so a removal whose risk set is empty commits without any
 // simulation at all and later trials simulate exactly the faults a
-// removal could disturb. The tests check the result against a naive
-// loop that re-checks the whole keep set on the reference simulator
-// for every trial (ledger_test.go).
+// removal could disturb.
+//
+// No risk fault is detected at a primary output before p, so a trial
+// need not replay the prefix either. Each sweep starts with one
+// checkpoint run (fsim.RecordCheckpoints) that grades the sequence and
+// stores the risk candidates' machine states every few vectors; a
+// trial at p resumes from the last checkpoint q <= p and simulates only
+// cur[q:p]·cur[p+1:]. The sweep edits only positions after p, so the
+// states it resumes from stay those of the current sequence. The tests
+// check the result against a naive loop that re-checks the whole keep
+// set on the reference simulator for every trial (ledger_test.go).
 package vecomit
 
 import (
@@ -91,7 +99,8 @@ func CompactSequence(s *fsim.Simulator, seq logic.Sequence, keep *fault.Set, opt
 // < p untouched, so the exact risk set of the trial is the keep faults
 // without a PO detection strictly before p; an accepted trial's
 // must-detect record covers precisely those faults and re-establishes
-// the invariant by overlay (fsim.Record.Merge).
+// the invariant by overlay (fsim.Record.Merge). Each sweep's checkpoint
+// run grades cur afresh, which gives rec again.
 func compact(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault.Set, scanOut bool, opt Options) (logic.Sequence, Stats) {
 	opt = opt.withDefaults()
 	var st Stats
@@ -99,14 +108,16 @@ func compact(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault
 		return seq.Clone(), st
 	}
 	cur := seq.Clone()
-	rec := s.Record(cur, fsim.Options{Init: si, ScanOut: scanOut, Targets: keep})
 	risk := fault.NewSet(keep.Len())
 	// buf is the trial record, reused across trials: omission accepts
 	// are frequent, so recording in the same pass as the check beats
-	// re-simulating accepted trials.
+	// re-simulating accepted trials. trial is the trial's sequence from
+	// its checkpoint on, rebuilt in place for every trial.
 	var buf *fsim.Record
+	var trial logic.Sequence
 
 	for pass := 0; pass < opt.MaxPasses; pass++ {
+		rec, cps := s.RecordCheckpoints(cur, fsim.Options{Init: si, ScanOut: scanOut, Targets: keep})
 		removedThisPass := 0
 		for p := len(cur) - 1; p >= 0; p-- {
 			if len(cur) == 1 && scanOut {
@@ -127,13 +138,16 @@ func compact(s *fsim.Simulator, si logic.Vector, seq logic.Sequence, keep *fault
 				removedThisPass++
 				continue
 			}
-			cand := removeAt(cur.Clone(), p)
+			// No risk fault has a PO detection before p, so every one is
+			// held at the checkpoint q.
+			q := cps.Before(p)
+			trial = append(append(trial[:0], cur[q:p]...), cur[p+1:]...)
 			st.Checks++
 			st.FaultsSimulated += risk.Count()
 			var ok bool
-			buf, ok = s.RecordMustInto(buf, cand, fsim.Options{Init: si, ScanOut: scanOut}, risk)
+			buf, ok = s.ResumeMustInto(buf, cps, q, trial, risk)
 			if ok {
-				cur = cand
+				cur = removeAt(cur, p)
 				rec.Merge(buf)
 				st.Removed++
 				removedThisPass++
